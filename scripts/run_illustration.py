@@ -13,12 +13,11 @@ import os
 import numpy as np
 
 from iqtomo import (
-    b_from_memberships,
+    AXES,
     bilevel_qst,
     em_fit,
     frobenius_distance,
     hard_b,
-    memberships_for,
     qst_closed_form,
     save_dataset,
     tomography_report,
@@ -32,8 +31,6 @@ from iqtomo.cli import (
     write_text_atomic,
 )
 
-AXES = ("x", "y", "z")
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -45,19 +42,15 @@ def main() -> int:
     cfg = RunConfig(seed=args.seed, n_per_axis=args.n)
     datasets = simulate_datasets(cfg)
 
-    rows: dict[str, list[float]] = {"truth_counts": [], "em_hard": []}
-    for axis in AXES:
-        dataset = datasets[axis]
-        n0, n1, _ = dataset.truth_counts()
-        rows["truth_counts"].append(hard_b(n0, n1))
-        theta_hat = em_fit(dataset)
-        b, _ = b_from_memberships(memberships_for(dataset, theta_hat, "hard"))
-        rows["em_hard"].append(b)
-
-    soft = bilevel_qst(
-        datasets["x"], datasets["y"], datasets["z"], DEFAULT_MIXTURE, mode="soft"
-    )
-    rows["soft_collapsed"] = list(soft.qst.b_used.b)
+    dx, dy, dz = (datasets[axis] for axis in AXES)
+    theta = {axis: em_fit(datasets[axis]) for axis in AXES}
+    hard = bilevel_qst(dx, dy, dz, theta, mode="hard")
+    soft = bilevel_qst(dx, dy, dz, DEFAULT_MIXTURE, mode="soft")
+    rows: dict[str, list[float]] = {
+        "truth_counts": [hard_b(*datasets[axis].truth_counts()[:2]) for axis in AXES],
+        "em_hard": list(hard.qst.b_used.b),
+        "soft_collapsed": list(soft.qst.b_used.b),
+    }
 
     print(f"seed={args.seed}  n={args.n} per axis")
     print(f"{'method':<16} {'b_x':>9} {'b_y':>9} {'b_z':>9} {'frob_err':>9}")

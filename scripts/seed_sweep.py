@@ -11,17 +11,8 @@ import argparse
 
 import numpy as np
 
-from iqtomo import (
-    b_from_memberships,
-    bilevel_qst,
-    em_fit,
-    frobenius_distance,
-    memberships_for,
-    qst_closed_form,
-)
+from iqtomo import AXES, bilevel_qst, em_fit, frobenius_distance
 from iqtomo.cli import DEFAULT_MIXTURE, REFERENCE_STATE, RunConfig, simulate_datasets
-
-AXES = ("x", "y", "z")
 
 
 def main() -> int:
@@ -34,24 +25,18 @@ def main() -> int:
     two_stage, collapsed, mean_dev, cov_dev = [], [], [], []
     for seed in range(args.start, args.start + args.seeds):
         datasets = simulate_datasets(RunConfig(seed=seed, n_per_axis=args.n))
-        b = np.empty(3)
-        for idx, axis in enumerate(AXES):
-            theta_hat = em_fit(datasets[axis])
-            b[idx], _ = b_from_memberships(
-                memberships_for(datasets[axis], theta_hat, "hard")
-            )
+        dx, dy, dz = (datasets[axis] for axis in AXES)
+        theta = {axis: em_fit(datasets[axis]) for axis in AXES}
+        for theta_hat in theta.values():
             for comp, truth in (
                 (theta_hat.zero, DEFAULT_MIXTURE.zero),
                 (theta_hat.one, DEFAULT_MIXTURE.one),
             ):
                 mean_dev.append(float(np.abs(comp.mean - truth.mean).max()))
                 cov_dev.append(float(np.linalg.norm(comp.cov - truth.cov)))
-        two_stage.append(
-            frobenius_distance(qst_closed_form(b).rho, REFERENCE_STATE)
-        )
-        soft = bilevel_qst(
-            datasets["x"], datasets["y"], datasets["z"], DEFAULT_MIXTURE, mode="soft"
-        )
+        hard = bilevel_qst(dx, dy, dz, theta, mode="hard")
+        two_stage.append(frobenius_distance(hard.qst.rho, REFERENCE_STATE))
+        soft = bilevel_qst(dx, dy, dz, DEFAULT_MIXTURE, mode="soft")
         collapsed.append(frobenius_distance(soft.qst.rho, REFERENCE_STATE))
 
     def line(name: str, values) -> None:

@@ -18,8 +18,6 @@ and every file is written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -30,11 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .discriminate import (
-    LABEL_NAMES,
     MODES,
-    BVector,
     ComponentParams,
-    ContaminationSpec,
     MembershipMatrix,
     MixtureParams,
     b_from_memberships,
@@ -51,7 +46,7 @@ from .qhi import (
     simulate_trajectory,
     unitary_superoperator,
 )
-from .qst import bilevel_qst, qst_closed_form, qst_projected_gradient, tomography_report
+from .qst import BilevelResult, bilevel_qst, qst_closed_form, tomography_report
 from .readout import (
     DatasetFormatError,
     IQDataset,
@@ -61,10 +56,9 @@ from .readout import (
     sample_outcomes,
     save_dataset,
     synthesize_iq,
+    write_csv,
     write_text_atomic,
 )
-
-SOLVERS = ("closed_form", "projected_gradient")
 
 # Regression targets for the bundled readout illustration: a fixed target
 # state, per-axis shot counts, per-method expectation rows, the matrices
@@ -140,7 +134,6 @@ class RunConfig:
     mixture: MixtureParams = field(default_factory=lambda: DEFAULT_MIXTURE)
     mixture_explicit: bool = False
     mode: str = "hard"
-    solver: str = "closed_form"
     out: Optional[str] = None
     qhi: QhiConfig = field(default_factory=QhiConfig)
 
@@ -151,8 +144,6 @@ class RunConfig:
             raise ConfigError("n_per_axis must be >= 1")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.solver not in SOLVERS:
-            raise ConfigError(f"unknown solver {self.solver!r}")
 
 
 def _reject_unknown(obj: dict, allowed: set, context: str) -> None:
@@ -161,51 +152,66 @@ def _reject_unknown(obj: dict, allowed: set, context: str) -> None:
         raise ConfigError(f"unknown {context} key(s): {', '.join(sorted(unknown))}")
 
 
+def _section(obj: dict, key: str, allowed: set) -> dict:
+    section = obj[key]
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be a JSON object")
+    _reject_unknown(section, allowed, key)
+    return section
+
+
+def _typed(section: dict, key: str, name: str, number: bool = False):
+    """``section[key]``, which must be an integer (or any real number if ``number``)."""
+    value = section[key]
+    # bool is a subclass of int, but `true` is not a count, a seed or a rate
+    if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+        raise ConfigError(f"{name} must be {'a number' if number else 'an integer'}")
+    return value
+
+
 def parse_config_dict(obj: dict) -> RunConfig:
     """Build a RunConfig from a JSON object, rejecting unknown keys."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(
-        obj, {"seed", "n_per_axis", "state", "mixture", "mode", "solver", "paths", "qhi"}, "config"
+        obj, {"seed", "n_per_axis", "state", "mixture", "mode", "paths", "qhi"}, "config"
     )
     kwargs: dict = {}
-    if "seed" in obj:
-        if not isinstance(obj["seed"], int):
-            raise ConfigError("seed must be an integer")
-        kwargs["seed"] = obj["seed"]
-    if "n_per_axis" in obj:
-        if not isinstance(obj["n_per_axis"], int):
-            raise ConfigError("n_per_axis must be an integer")
-        kwargs["n_per_axis"] = obj["n_per_axis"]
+    for key in ("seed", "n_per_axis"):
+        if key in obj:
+            kwargs[key] = _typed(obj, key, key)
     if "state" in obj:
         try:
             kwargs["state"] = DensityMatrix.from_json_dict(obj["state"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid state: {exc}") from exc
     if "mixture" in obj:
-        if not isinstance(obj["mixture"], dict):
-            raise ConfigError("mixture must be a JSON object")
-        _reject_unknown(obj["mixture"], {"alpha", "mu", "sigma", "noise"}, "mixture")
+        mixture = _section(obj, "mixture", {"alpha", "mu", "sigma", "noise"})
         try:
-            kwargs["mixture"] = MixtureParams.from_json_dict(obj["mixture"])
+            kwargs["mixture"] = MixtureParams.from_json_dict(mixture)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid mixture: {exc}") from exc
         kwargs["mixture_explicit"] = True
     if "mode" in obj:
         kwargs["mode"] = obj["mode"]
-    if "solver" in obj:
-        kwargs["solver"] = obj["solver"]
     if "paths" in obj:
-        _reject_unknown(obj["paths"], {"out"}, "paths")
-        kwargs["out"] = obj["paths"].get("out")
+        out = _section(obj, "paths", {"out"}).get("out")
+        if out is not None and not isinstance(out, str):
+            raise ConfigError("paths.out must be a string")
+        kwargs["out"] = out
+    qhi: dict = {}
     if "qhi" in obj:
-        _reject_unknown(
-            obj["qhi"],
-            {"steps", "dt", "trajectories", "observe", "fit", "rotation_axis", "rotation_rate"},
+        qhi = _section(
+            obj,
             "qhi",
+            {"steps", "dt", "trajectories", "observe", "fit", "rotation_axis", "rotation_rate"},
         )
-        kwargs["qhi"] = QhiConfig(**obj["qhi"])
+        for key in ("steps", "trajectories", "dt", "rotation_rate"):
+            if key in qhi:
+                _typed(qhi, key, f"qhi.{key}", number=key in ("dt", "rotation_rate"))
     try:
+        if qhi:
+            kwargs["qhi"] = QhiConfig(**qhi)
         return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -229,8 +235,6 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
         updates["seed"] = args.seed
     if getattr(args, "mode", None) is not None:
         updates["mode"] = args.mode
-    if getattr(args, "solver", None) is not None:
-        updates["solver"] = args.solver
     if getattr(args, "out", None) is not None:
         updates["out"] = args.out
     return replace(cfg, **updates) if updates else cfg
@@ -305,13 +309,16 @@ def _calibrate(dataset: IQDataset, cfg: RunConfig, source: str) -> MixtureParams
 
 
 def write_membership_csv(member: MembershipMatrix, path: str) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["sample_index", "gamma0", "gamma1", "gamma_noise"])
-    for idx, row in enumerate(member.rows):
-        noise = row[2] if row.shape[0] == 3 else 0.0
-        writer.writerow([idx, repr(float(row[0])), repr(float(row[1])), repr(float(noise))])
-    write_text_atomic(path, buffer.getvalue())
+    rows = member.rows
+    noise = rows[:, 2] if rows.shape[1] == 3 else np.zeros(rows.shape[0])
+    write_csv(
+        path,
+        ["sample_index", "gamma0", "gamma1", "gamma_noise"],
+        (
+            [idx, repr(float(g0)), repr(float(g1)), repr(float(gn))]
+            for idx, (g0, g1, gn) in enumerate(zip(rows[:, 0], rows[:, 1], noise))
+        ),
+    )
 
 
 def cmd_discriminate(args: argparse.Namespace) -> int:
@@ -353,35 +360,30 @@ def _load_axis_datasets(args: argparse.Namespace) -> dict[str, IQDataset]:
 
 
 def _write_b_table(path: str, rows: dict[str, tuple[float, float, float]]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["method", "b_x", "b_y", "b_z"])
-    for method, row in rows.items():
-        writer.writerow([method] + [repr(float(v)) for v in row])
-    write_text_atomic(path, buffer.getvalue())
+    write_csv(
+        path,
+        ["method", "b_x", "b_y", "b_z"],
+        ([method] + [repr(float(v)) for v in row] for method, row in rows.items()),
+    )
+
+
+def _reconstruct(
+    args: argparse.Namespace, cfg: RunConfig, out_dir: str
+) -> tuple[dict[str, IQDataset], BilevelResult]:
+    """Calibrate, discriminate and reconstruct the three datasets; writes report.json."""
+    datasets = _load_axis_datasets(args)
+    theta = {axis: _calibrate(datasets[axis], cfg, args.calibrate) for axis in AXES}
+    result = bilevel_qst(datasets["x"], datasets["y"], datasets["z"], theta, mode=cfg.mode)
+    report = tomography_report(result, reference=cfg.state)
+    write_text_atomic(os.path.join(out_dir, "report.json"), _json_text(report))
+    return datasets, result
 
 
 def cmd_tomo(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args)
     out_dir = _require_out(cfg)
-    datasets = _load_axis_datasets(args)
-    theta = {
-        axis: _calibrate(datasets[axis], cfg, args.calibrate) for axis in AXES
-    }
-    b = np.empty(3)
-    err = np.empty(3)
-    for idx, axis in enumerate(AXES):
-        member = memberships_for(datasets[axis], theta[axis], cfg.mode)
-        b[idx], err[idx] = b_from_memberships(member)
-    estimate = BVector(b=b, delta=err)
-    if cfg.solver == "closed_form":
-        result = qst_closed_form(estimate)
-    else:
-        result = qst_projected_gradient(estimate)
-    report = tomography_report(result, reference=cfg.state)
-    report["mode"] = cfg.mode
-    write_text_atomic(os.path.join(out_dir, "report.json"), _json_text(report))
-
+    datasets, result = _reconstruct(args, cfg, out_dir)
+    b = result.qst.b_used.b
     table: dict[str, tuple[float, float, float]] = {cfg.mode: tuple(b)}
     if all(np.all(datasets[axis].truth >= 0) for axis in AXES):
         truth_b = []
@@ -398,13 +400,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
 def cmd_bilevel(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args)
     out_dir = _require_out(cfg)
-    datasets = _load_axis_datasets(args)
-    theta = {
-        axis: _calibrate(datasets[axis], cfg, args.calibrate) for axis in AXES
-    }
-    result = bilevel_qst(datasets["x"], datasets["y"], datasets["z"], theta, mode=cfg.mode)
-    report = tomography_report(result, reference=cfg.state)
-    write_text_atomic(os.path.join(out_dir, "report.json"), _json_text(report))
+    _, result = _reconstruct(args, cfg, out_dir)
     for axis in AXES:
         write_membership_csv(
             result.memberships[axis], os.path.join(out_dir, f"memberships_{axis}.csv")
@@ -458,12 +454,11 @@ def cmd_qhi(args: argparse.Namespace) -> int:
     channel, loss = fit_channel(trajectories, mode=q.fit, loss_history=history)
     error = float(np.linalg.norm(channel.g - truth.g))
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["alternation", "loss"])
-    for idx, value in enumerate(history):
-        writer.writerow([idx, repr(value)])
-    write_text_atomic(os.path.join(out_dir, "loss.csv"), buffer.getvalue())
+    write_csv(
+        os.path.join(out_dir, "loss.csv"),
+        ["alternation", "loss"],
+        ([idx, repr(value)] for idx, value in enumerate(history)),
+    )
 
     payload = {
         "g": {"re": channel.g.real.tolist(), "im": channel.g.imag.tolist()},
@@ -588,20 +583,12 @@ def _end_to_end_errors(seeds: range) -> tuple[list[float], list[float]]:
     two_stage = []
     collapsed = []
     for seed in seeds:
-        cfg = RunConfig(seed=seed)
-        datasets = simulate_datasets(cfg)
-        b_hard = np.empty(3)
-        for idx, axis in enumerate(AXES):
-            theta_axis = em_fit(datasets[axis])
-            b_hard[idx], _ = b_from_memberships(
-                memberships_for(datasets[axis], theta_axis, "hard")
-            )
-        two_stage.append(
-            frobenius_distance(qst_closed_form(b_hard).rho, REFERENCE_STATE)
-        )
-        soft = bilevel_qst(
-            datasets["x"], datasets["y"], datasets["z"], DEFAULT_MIXTURE, mode="soft"
-        )
+        datasets = simulate_datasets(RunConfig(seed=seed))
+        dx, dy, dz = (datasets[axis] for axis in AXES)
+        theta = {axis: em_fit(datasets[axis]) for axis in AXES}
+        hard = bilevel_qst(dx, dy, dz, theta, mode="hard")
+        two_stage.append(frobenius_distance(hard.qst.rho, REFERENCE_STATE))
+        soft = bilevel_qst(dx, dy, dz, DEFAULT_MIXTURE, mode="soft")
         collapsed.append(frobenius_distance(soft.qst.rho, REFERENCE_STATE))
     return two_stage, collapsed
 
@@ -712,13 +699,11 @@ def cmd_repro_paper(args: argparse.Namespace) -> int:
                 [axis, name, repr(float(comp.mean[0])), repr(float(comp.mean[1]))]
                 + [repr(float(v)) for v in comp.cov.reshape(-1)]
             )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["axis", "component", "mu_i", "mu_q", "sigma_ii", "sigma_iq", "sigma_qi", "sigma_qq"]
+    write_csv(
+        os.path.join(out_dir, "em_tables.csv"),
+        ["axis", "component", "mu_i", "mu_q", "sigma_ii", "sigma_iq", "sigma_qi", "sigma_qq"],
+        em_rows,
     )
-    writer.writerows(em_rows)
-    write_text_atomic(os.path.join(out_dir, "em_tables.csv"), buffer.getvalue())
 
     failures = [c["name"] for c in checks if c["status"] == "fail"]
     report = {"checks": checks, "failures": failures}
@@ -747,7 +732,6 @@ def _add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> Non
     sub.add_argument("--seed", type=int, help="override the config seed")
     sub.add_argument("--out", required=out_required, help="output directory")
     sub.add_argument("--mode", choices=MODES, help="discrimination mode")
-    sub.add_argument("--solver", choices=SOLVERS, help="tomography solver")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -224,21 +224,6 @@ def mahalanobis_sq(x: np.ndarray, component: ComponentParams) -> float | np.ndar
     return float(q[0]) if single else q
 
 
-def f_matrix(component: ComponentParams) -> np.ndarray:
-    """Quadratic-form matrix F with (x, 1)^T F (x, 1) = -mahalanobis_sq(x).
-
-    F = [[-S^-1, S^-1 mu], [(S^-1 mu)^T, -mu^T S^-1 mu]] for S the covariance.
-    """
-    si = component.cov_inv
-    simu = si @ component.mean
-    out = np.empty((3, 3), dtype=float)
-    out[:2, :2] = -si
-    out[:2, 2] = simu
-    out[2, :2] = simu
-    out[2, 2] = -float(component.mean @ simu)
-    return out
-
-
 def classify_hard(
     x: np.ndarray, theta0: ComponentParams, theta1: ComponentParams
 ) -> int | np.ndarray:
@@ -283,20 +268,6 @@ def delta_b(n0: float, n1: float) -> float:
         raise ValueError("counts must be non-negative with n0 + n1 >= 1")
     n = n0 + n1
     return 2.0 * math.sqrt(n0 * n1 / n**3)
-
-
-def soft_b(memberships: MembershipMatrix) -> float:
-    """Membership-weighted estimate sum(gamma0 - gamma1) / sum(gamma0 + gamma1).
-
-    For two-column modes the denominator equals the sample count; rows
-    assigned to noise contribute no mass.  Summation is compensated.
-    """
-    rows = memberships.rows
-    num = math.fsum(rows[:, 0]) - math.fsum(rows[:, 1])
-    den = math.fsum(rows[:, 0]) + math.fsum(rows[:, 1])
-    if den <= 0.0:
-        raise ValueError("all samples carry zero state mass (everything assigned to noise)")
-    return num / den
 
 
 def b_from_memberships(memberships: MembershipMatrix) -> tuple[float, float]:
@@ -349,8 +320,7 @@ def _kmeans_pp_init(points: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarr
 
 def em_fit(
     dataset: "IQDataset",
-    k: int = 2,
-    init: str | tuple[ComponentParams, ComponentParams] = "kmeans_pp",
+    init: Optional[tuple[ComponentParams, ComponentParams]] = None,
     max_iter: int = 200,
     tol: float = 1e-8,
     seed: Optional[int] = None,
@@ -362,10 +332,9 @@ def em_fit(
     ----------
     dataset : IQDataset
         Readout records; only the (i, q) coordinates are used.
-    k : int
-        Number of Gaussian components; only ``k = 2`` is supported.
-    init : "kmeans_pp" or (ComponentParams, ComponentParams)
-        Seeded k-means++ initialisation, or explicit starting components.
+    init : (ComponentParams, ComponentParams), optional
+        Explicit starting components; by default a seeded k-means++
+        initialisation.
     max_iter, tol : int, float
         Iteration cap and relative log-likelihood convergence threshold.
     seed : int, optional
@@ -379,8 +348,6 @@ def em_fit(
     MixtureParams with ``noise_weight = 0``, components ordered so the one
     with the larger first mean coordinate is ``zero``.
     """
-    if k != 2:
-        raise ValueError("em_fit supports exactly two Gaussian components")
     points = dataset.points()
     n = points.shape[0]
     if n < 4:
@@ -388,9 +355,7 @@ def em_fit(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    if isinstance(init, str):
-        if init != "kmeans_pp":
-            raise ValueError(f"unknown init {init!r}")
+    if init is None:
         if seed is None:
             seed = (dataset.seed ^ 0xE41B17) & 0xFFFFFFFFFFFFFFFF
         centers, assign = _kmeans_pp_init(points, seed)
@@ -621,8 +586,3 @@ def memberships_for(dataset: "IQDataset", theta: MixtureParams, mode: str) -> Me
     if mode == "soft":
         return MembershipMatrix(rows=soft_membership(points, theta.zero, theta.one), mode="soft")
     return assignment_solve(dataset, theta)
-
-
-def dataset_to_b(dataset: "IQDataset", theta: MixtureParams, mode: str) -> tuple[float, float]:
-    """Reduce one dataset to an expectation estimate: ``(b, delta_b)``."""
-    return b_from_memberships(memberships_for(dataset, theta, mode))

@@ -143,43 +143,6 @@ def frobenius_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndar
     return float(np.linalg.norm(ma - mb))
 
 
-def _simplex_project(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    k = np.arange(1, w.size + 1)
-    valid = u - css / k > 0
-    rho = int(np.nonzero(valid)[0][-1])
-    tau = css[rho] / (rho + 1)
-    return np.maximum(w - tau, 0.0)
-
-
-def _psd_unit_trace_project_raw(h: np.ndarray) -> np.ndarray:
-    """Projection used by the iterative tomography solver; returns an array."""
-    h = np.asarray(h, dtype=complex)
-    h = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(h)
-    w = _simplex_project(w)
-    return (v * w) @ v.conj().T
-
-
-def psd_unit_trace_project(h: np.ndarray) -> DensityMatrix:
-    """Nearest (Frobenius) unit-trace PSD matrix to a Hermitian ``h``.
-
-    Eigenvalues are projected onto the probability simplex and the matrix
-    reassembled in the same eigenbasis.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if np.abs(h - h.conj().T).max() > 1e-9:
-        raise ValueError("projection input must be Hermitian")
-    m = _psd_unit_trace_project_raw(h)
-    m = 0.5 * (m + m.conj().T)
-    m = m / m.trace().real
-    return DensityMatrix(m)
-
-
 def evolve_state(hamiltonian: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:
     """Evolve a pure state: ``psi(t) = exp(-i H t) psi0``.
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .discriminate import BVector, MixtureParams, dataset_to_b
+from .discriminate import BVector, MixtureParams, b_from_memberships, memberships_for
 from .qcore import AXES, DensityMatrix, bloch_from_density, unvec, vec
 from .qst import qst_closed_form
 from .readout import mix_seed, sample_outcomes, synthesize_iq, write_text_atomic
@@ -45,11 +45,6 @@ def choi_from_super(g: np.ndarray) -> np.ndarray:
     if g.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {g.shape}")
     return g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4).copy()
-
-
-def super_from_choi(c: np.ndarray) -> np.ndarray:
-    """Inverse reshuffle; identical index swap to :func:`choi_from_super`."""
-    return choi_from_super(c)
 
 
 def partial_trace_out(c: np.ndarray) -> np.ndarray:
@@ -196,7 +191,9 @@ def observe_trajectory(
                     seed=mix_seed(stream, 2),
                     observable=axis,
                 )
-                b[idx], delta[idx] = dataset_to_b(dataset, theta, discriminator)
+                b[idx], delta[idx] = b_from_memberships(
+                    memberships_for(dataset, theta, discriminator)
+                )
             observations.append(BVector(b=b, delta=delta))
     else:
         raise ValueError(f"unknown observation mode {mode!r}")
@@ -377,7 +374,7 @@ def fit_channel(
     for _ in range(max_alternations):
         candidate = g - (g @ x - y) @ x_pinv
         choi = cptp_project(choi_from_super(candidate))
-        candidate = super_from_choi(choi.c)
+        candidate = choi_from_super(choi.c)
         candidate_loss = float(np.linalg.norm(candidate @ x - y) ** 2)
         if previous_loss is not None and candidate_loss > previous_loss:
             # with noisy data the two constraint sets do not intersect and

@@ -6,9 +6,8 @@ The constrained least-squares problem
 
 has a closed form for one qubit: in Bloch coordinates the objective is
 ``|| r - b ||^2`` over the unit ball, so the optimum is ``b`` itself when
-``|b| <= 1`` and ``b / |b|`` otherwise.  A generic projected-gradient
-solver over the PSD unit-trace set is kept alongside it as an independent
-cross-check (and as the route that generalises beyond one qubit).
+``|b| <= 1`` and ``b / |b|`` otherwise (the one-qubit case of the
+closed-form projection of Smolin, Gambetta & Smith, PRL 108, 070502).
 
 ``bilevel_qst`` composes the discrimination stage with the tomography
 stage: per-axis memberships collapse to ``b`` estimates which feed the
@@ -23,17 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Optional
 import numpy as np
 
 from .discriminate import BVector, MembershipMatrix, MixtureParams, b_from_memberships, memberships_for
-from .qcore import (
-    AXES,
-    DensityMatrix,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    _psd_unit_trace_project_raw,
-    bloch_from_density,
-    density_from_bloch,
-    frobenius_distance,
-)
+from .qcore import AXES, DensityMatrix, density_from_bloch, frobenius_distance
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .readout import IQDataset
@@ -93,61 +82,6 @@ def qst_closed_form(b, delta: Optional[np.ndarray] = None) -> QstResult:
         solver="closed_form",
         iterations=0,
         converged=True,
-    )
-
-
-def qst_projected_gradient(
-    b,
-    step: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    delta: Optional[np.ndarray] = None,
-) -> QstResult:
-    """Projected-gradient reconstruction of a state from ``b``.
-
-    Gradient descent on ``|| A vec(rho) - b ||^2`` in matrix space,
-    interleaved with projection onto the PSD unit-trace set.  ``step`` is
-    the gradient step in Bloch coordinates, where the quadratic has
-    Lipschitz constant 2, so any step in (0, 0.5] is a descent step; if
-    ``max_iter`` is exhausted the best iterate seen is returned with
-    ``converged = False``.
-    """
-    if not 0.0 < step <= 1.0:
-        raise ValueError(f"step must lie in (0, 1], got {step}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    target = _as_b_array(b)
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-    rho = np.eye(2, dtype=complex) / 2.0
-    best = rho
-    best_obj = np.inf
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        r = bloch_from_density(rho)
-        obj = float(np.sum((r - target) ** 2))
-        if obj < best_obj:
-            best_obj = obj
-            best = rho
-        grad = sum(2.0 * (r[i] - target[i]) * paulis[i] for i in range(3))
-        nxt = _psd_unit_trace_project_raw(rho - (step / 2.0) * grad)
-        if np.linalg.norm(nxt - rho) < tol:
-            rho = nxt
-            converged = True
-            break
-        rho = nxt
-    if converged:
-        best = rho
-    final = DensityMatrix(0.5 * (best + best.conj().T))
-    residual = float(np.sum((bloch_from_density(final) - target) ** 2))
-    return QstResult(
-        rho=final,
-        b_used=BVector(b=target, delta=_as_delta(b, delta)),
-        residual_sq=residual,
-        solver="projected_gradient",
-        iterations=iterations,
-        converged=converged,
     )
 
 

@@ -14,12 +14,13 @@ platforms.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -237,6 +238,15 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a header row and data rows as newline-terminated CSV, atomically."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text_atomic(path, buffer.getvalue())
+
+
 def save_dataset(dataset: IQDataset, path: str) -> None:
     """Write a dataset as JSON-lines: one header line, one line per sample."""
     header: dict = {"obs": dataset.observable, "seed": dataset.seed}
@@ -308,10 +318,19 @@ def load_dataset(path: str) -> IQDataset:
             raise DatasetFormatError(f"unknown truth label {label!r}", line=lineno)
     if not i_vals:
         raise DatasetFormatError("dataset contains no samples", line=len(raw_lines))
+    i_arr = np.asarray(i_vals)
+    q_arr = np.asarray(q_vals)
+    finite = np.isfinite(i_arr) & np.isfinite(q_arr)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        sample_lines = [n for n, raw in enumerate(raw_lines[1:], start=2) if raw.strip()]
+        raise DatasetFormatError(
+            f"non-finite coordinate (i={i_arr[bad]!r}, q={q_arr[bad]!r})", line=sample_lines[bad]
+        )
     return IQDataset(
         observable=observable,
-        i=np.asarray(i_vals),
-        q=np.asarray(q_vals),
+        i=i_arr,
+        q=q_arr,
         truth=np.asarray(truth, dtype=np.int8),
         seed=seed,
         mixture=mixture,
@@ -320,12 +339,9 @@ def load_dataset(path: str) -> IQDataset:
 
 def export_csv(dataset: IQDataset, path: str) -> None:
     """Write samples as CSV with columns obs, i, q, truth."""
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["obs", "i", "q", "truth"])
-    for i_val, q_val, t_val in zip(dataset.i, dataset.q, dataset.truth):
-        label = LABEL_NAMES[t_val] if t_val >= 0 else ""
-        writer.writerow([dataset.observable, repr(float(i_val)), repr(float(q_val)), label])
-    write_text_atomic(path, buffer.getvalue())
+    labels = [LABEL_NAMES[t_val] if t_val >= 0 else "" for t_val in dataset.truth]
+    rows = (
+        [dataset.observable, repr(float(i_val)), repr(float(q_val)), label]
+        for i_val, q_val, label in zip(dataset.i, dataset.q, labels)
+    )
+    write_csv(path, ["obs", "i", "q", "truth"], rows)

@@ -24,14 +24,12 @@ from iqtomo import (
     capacities_from_weights,
     delta_b,
     em_fit,
-    f_matrix,
     fit_channel,
     hard_b,
     mahalanobis_sq,
     observe_trajectory,
     pauli,
     qst_closed_form,
-    qst_projected_gradient,
     simulate_trajectory,
     synthesize_iq,
     unitary_superoperator,
@@ -46,6 +44,7 @@ from iqtomo.cli import (
 )
 from iqtomo.discriminate import _log_gauss
 from iqtomo.qcore import frobenius_distance
+from oracles import f_matrix, qst_projected_gradient
 
 RECON_SIMULATOR = np.array([[0.0571, -0.0003 + 0.2321j], [-0.0003 - 0.2321j, 0.9429]])
 RECON_JOINT = np.array([[0.0544, -0.0002 + 0.2240j], [-0.0002 - 0.2240j, 0.9456]])

@@ -17,8 +17,8 @@ from iqtomo import (
     MixtureParams,
     assignment_solve,
     capacities_from_weights,
+    b_from_memberships,
     classify_hard,
-    dataset_to_b,
     memberships_for,
     synthesize_iq,
 )
@@ -155,7 +155,7 @@ class TestAssignmentSolve:
 
     def test_b_recovers_capacity_split(self, sep5_mixture):
         d = synthesize_iq(700, 300, sep5_mixture.zero, sep5_mixture.one, seed=25)
-        b, _ = dataset_to_b(d, sep5_mixture, "assignment")
+        b, _ = b_from_memberships(memberships_for(d, sep5_mixture, "assignment"))
         # alpha defaults to the mixture weights (0.5, 0.5) -> forced even split
         assert b == 0.0
         member = memberships_for(d, sep5_mixture, "assignment")

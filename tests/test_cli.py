@@ -92,6 +92,26 @@ class TestConfigValidation:
         code, _, _ = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": True},
+            {"n_per_axis": True},
+            {"paths": 5},
+            {"qhi": 3},
+            {"qhi": {"steps": "abc"}},
+            {"qhi": {"dt": "abc"}},
+            {"qhi": {"rotation_rate": "abc"}},
+            {"paths": {"out": 5}},
+            {"solver": "closed_form"},
+        ],
+    )
+    def test_ill_typed_config_is_usage_error(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith("error: ")
+
     def test_bad_mode_flag(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--out", str(tmp_path / "o"), "--mode", "fuzzy")
         assert code == 1 and "fuzzy" in err
@@ -105,9 +125,9 @@ class TestConfigValidation:
         cfg_path = write_config(tmp_path / "c.json", seed=5, mode="soft")
         import argparse
 
-        ns = argparse.Namespace(seed=9, mode=None, solver="projected_gradient", out=None)
+        ns = argparse.Namespace(seed=9, mode=None, out=None)
         cfg = load_config(cfg_path, ns)
-        assert cfg.seed == 9 and cfg.mode == "soft" and cfg.solver == "projected_gradient"
+        assert cfg.seed == 9 and cfg.mode == "soft"
 
     def test_parse_defaults(self):
         cfg = parse_config_dict({})
@@ -255,23 +275,6 @@ class TestTomo:
         assert report["mode"] == "hard" and report["solver"] == "closed_form"
         rho = DensityMatrix.from_json_dict(report["rho"])
         assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-12
-
-    def test_solver_flag_reaches_report(self, sim_dir, tmp_path, capsys):
-        out = tmp_path / "pg"
-        code, _, _ = run(
-            capsys,
-            "tomo",
-            "--data-dir",
-            str(sim_dir),
-            "--solver",
-            "projected_gradient",
-            "--out",
-            str(out),
-        )
-        assert code == 0
-        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        assert report["solver"] == "projected_gradient"
-        assert report["converged"] is True
 
 
 class TestBilevel:

@@ -13,10 +13,10 @@ from iqtomo import (
     frobenius_distance,
     measurement_matrix,
     pauli,
-    psd_unit_trace_project,
     unvec,
     vec,
 )
+from oracles import psd_unit_trace_project
 
 # the two bundled reference reconstructions (simulator counts / joint fit)
 RECON_SIMULATOR = np.array([[0.0571, -0.0003 + 0.2321j], [-0.0003 - 0.2321j, 0.9429]])

@@ -18,7 +18,6 @@ from iqtomo import (
     pauli,
     save_trajectory,
     simulate_trajectory,
-    super_from_choi,
     unitary_superoperator,
     unvec,
     vec,
@@ -49,7 +48,6 @@ def test_reshuffle_is_an_involution():
     for _ in range(100):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert np.abs(choi_from_super(choi_from_super(m)) - m).max() <= 1e-12
-        assert np.abs(super_from_choi(choi_from_super(m)) - m).max() <= 1e-12
 
 
 class TestUnitarySuperoperator:

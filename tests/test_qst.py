@@ -15,11 +15,11 @@ from iqtomo import (
     frobenius_distance,
     measurement_matrix,
     qst_closed_form,
-    qst_projected_gradient,
     synthesize_iq,
     tomography_report,
     vec,
 )
+from oracles import qst_projected_gradient
 
 TABLE_ROWS = {
     "simulator": ((-0.0006, -0.4674, -0.8920),
@@ -165,7 +165,7 @@ class TestBilevel:
 
     def test_assignment_equals_hard_with_matching_capacities(self, sep5_mixture):
         d = synthesize_iq(64, 36, sep5_mixture.zero, sep5_mixture.one, seed=42)
-        from iqtomo import classify_hard, dataset_to_b
+        from iqtomo import b_from_memberships, classify_hard, memberships_for
 
         hard = classify_hard(d.points(), sep5_mixture.zero, sep5_mixture.one)
         counts = np.bincount(hard, minlength=2)
@@ -173,8 +173,8 @@ class TestBilevel:
             zero=ComponentParams(counts[0] / 100, sep5_mixture.zero.mean, np.eye(2)),
             one=ComponentParams(counts[1] / 100, sep5_mixture.one.mean, np.eye(2)),
         )
-        b_hard, _ = dataset_to_b(d, theta, "hard")
-        b_assign, _ = dataset_to_b(d, theta, "assignment")
+        b_hard, _ = b_from_memberships(memberships_for(d, theta, "hard"))
+        b_assign, _ = b_from_memberships(memberships_for(d, theta, "assignment"))
         assert b_assign == pytest.approx(b_hard, abs=1e-12)
 
     def test_reconstruction_close_to_truth(self, rho22, sep5_mixture):

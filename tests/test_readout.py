@@ -168,6 +168,20 @@ class TestDatasetFiles:
             load_dataset(str(path))
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("field", ["i", "q"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_sample_line_number(self, tmp_path, field, value):
+        path = tmp_path / "bad.jsonl"
+        bad = {"i": "0.5", "q": "-0.5", field: value}
+        path.write_text(
+            '{"obs": "z", "seed": 1}\n{"i": 0.0, "q": 0.0, "truth": null}\n\n'
+            f'{{"i": {bad["i"]}, "q": {bad["q"]}, "truth": null}}\n'
+            '{"i": 1.0, "q": 1.0, "truth": null}\n'
+        )
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(str(path))
+        assert err.value.line == 4
+
     def test_unknown_truth_label(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"obs": "z", "seed": 1}\n{"i": 0.0, "q": 0.0, "truth": "two"}\n')
