@@ -8,7 +8,9 @@ collapsed bilevel) and prints the b table and Frobenius errors.  With
 """
 
 import argparse
+import json
 import os
+from typing import Optional
 
 import numpy as np
 
@@ -32,12 +34,12 @@ from iqtomo.cli import (
 )
 
 
-def main() -> int:
+def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--n", type=int, default=10_000, help="shots per axis")
     parser.add_argument("--out", help="optional artifact directory")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     cfg = RunConfig(seed=args.seed, n_per_axis=args.n)
     datasets = simulate_datasets(cfg)
@@ -46,19 +48,19 @@ def main() -> int:
     theta = {axis: em_fit(datasets[axis]) for axis in AXES}
     hard = bilevel_qst(dx, dy, dz, theta, mode="hard")
     soft = bilevel_qst(dx, dy, dz, DEFAULT_MIXTURE, mode="soft")
-    rows: dict[str, list[float]] = {
-        "truth_counts": [hard_b(*datasets[axis].truth_counts()[:2]) for axis in AXES],
-        "em_hard": list(hard.qst.b_used.b),
-        "soft_collapsed": list(soft.qst.b_used.b),
+    results = {
+        "truth_counts": qst_closed_form(
+            np.asarray([hard_b(*datasets[axis].truth_counts()[:2]) for axis in AXES])
+        ),
+        "em_hard": hard.qst,
+        "soft_collapsed": soft.qst,
     }
 
     print(f"seed={args.seed}  n={args.n} per axis")
     print(f"{'method':<16} {'b_x':>9} {'b_y':>9} {'b_z':>9} {'frob_err':>9}")
-    recon = {}
-    for method, b in rows.items():
-        rho = soft.qst.rho if method == "soft_collapsed" else qst_closed_form(np.asarray(b)).rho
-        recon[method] = rho
-        err = frobenius_distance(rho, REFERENCE_STATE)
+    for method, result in results.items():
+        b = result.b_used.b
+        err = frobenius_distance(result.rho, REFERENCE_STATE)
         print(f"{method:<16} {b[0]:>9.4f} {b[1]:>9.4f} {b[2]:>9.4f} {err:>9.4f}")
 
     if args.out:
@@ -68,16 +70,14 @@ def main() -> int:
             write_text_atomic(
                 os.path.join(args.out, f"iq_{axis}.svg"), render_iq_svg(datasets[axis])
             )
-        import json
-
         report = {
-            method: tomography_report(
-                qst_closed_form(np.asarray(b)), reference=REFERENCE_STATE
-            )
-            for method, b in rows.items()
+            method: tomography_report(result, reference=REFERENCE_STATE)
+            for method, result in results.items()
         }
-        with open(os.path.join(args.out, "illustration.json"), "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+        write_text_atomic(
+            os.path.join(args.out, "illustration.json"),
+            json.dumps(report, indent=2, sort_keys=True),
+        )
         print(f"artifacts written to {args.out}")
     return 0
 

@@ -112,6 +112,9 @@ class QhiConfig:
     rotation_rate: float = math.pi / 5.0
 
     def __post_init__(self) -> None:
+        for name in ("dt", "rotation_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"qhi.{name} must be finite")
         if self.steps < 1:
             raise ConfigError("qhi.steps must be >= 1")
         if self.dt <= 0:

@@ -64,18 +64,14 @@ class ComponentParams:
         if np.abs(cov - cov.T).max() > 1e-9:
             raise ValueError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
-        if np.linalg.eigvalsh(cov).min() <= 1e-10:
-            raise ValueError("covariance must be positive definite")
-        cov_inv = np.linalg.inv(cov)
-        if np.abs(cov_inv @ cov - np.eye(2)).max() > 1e-9:
-            raise ValueError("covariance is too ill-conditioned to invert")
-        sign, log_det = np.linalg.slogdet(cov)
+        a, b, c, log_det = _inverse_2x2(cov[0, 0], cov[0, 1], cov[1, 1])
+        cov_inv = np.array([[a, b], [b, c]])
         for arr in (mean, cov, cov_inv):
             arr.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "cov_inv", cov_inv)
-        object.__setattr__(self, "log_det", float(log_det))
+        object.__setattr__(self, "log_det", log_det)
 
 
 @dataclass(frozen=True)
@@ -211,6 +207,113 @@ class BVector:
         object.__setattr__(self, "delta", delta)
 
 
+# ---------------------------------------------------------------------------
+# 2x2 Gaussian kernel
+# ---------------------------------------------------------------------------
+
+
+def _two_product(x: float, y: float) -> tuple[float, float]:
+    """(p, e) with p = fl(x * y) and p + e = x * y exactly (Dekker's product)."""
+    p = x * y
+    t = 134217729.0 * x  # 2**27 + 1 splits a double into two 26-bit halves
+    x_hi = t - (t - x)
+    x_lo = x - x_hi
+    t = 134217729.0 * y
+    y_hi = t - (t - y)
+    y_lo = y - y_hi
+    return p, ((x_hi * y_hi - p) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo
+
+
+def _det_2x2(s00: float, s01: float, s11: float) -> float:
+    """s00 * s11 - s01**2, correctly rounded however much the products cancel."""
+    p, e = _two_product(s00, s11)
+    r, f = _two_product(s01, s01)
+    return math.fsum((p, e, -r, -f))
+
+
+def _min_eigenvalue(s00: float, s01: float, s11: float) -> float:
+    """Smallest eigenvalue of [[s00, s01], [s01, s11]]; NaN for non-finite entries."""
+    half_trace = 0.5 * (s00 + s11)
+    radius = math.hypot(0.5 * (s00 - s11), s01)
+    if half_trace + radius > 0.0:
+        # det / largest eigenvalue avoids the cancellation in half_trace - radius
+        return _det_2x2(s00, s01, s11) / (half_trace + radius)
+    return half_trace - radius
+
+
+def _inverse_2x2(s00: float, s01: float, s11: float) -> tuple[float, float, float, float]:
+    """Inverse entries (a, b, c) and log-determinant of [[s00, s01], [s01, s11]].
+
+    Raises ValueError unless the covariance is positive definite (smallest
+    eigenvalue > 1e-10) and the closed-form inverse reproduces the identity
+    to 1e-9.
+    """
+    s00, s01, s11 = float(s00), float(s01), float(s11)
+    if not _min_eigenvalue(s00, s01, s11) > 1e-10:
+        raise ValueError("covariance must be positive definite")
+    det = _det_2x2(s00, s01, s11)
+    a, b, c = s11 / det, -s01 / det, s00 / det
+    residual = max(
+        abs(a * s00 + b * s01 - 1.0),
+        abs(a * s01 + b * s11),
+        abs(b * s00 + c * s01),
+        abs(b * s01 + c * s11 - 1.0),
+    )
+    if residual > 1e-9:
+        raise ValueError("covariance is too ill-conditioned to invert")
+    return a, b, c, math.log(det)
+
+
+def _dist_sq(
+    i: np.ndarray, q: np.ndarray, mean: Sequence[float], inv: Sequence[float]
+) -> np.ndarray:
+    """Squared distance a*di**2 + 2*b*di*dq + c*dq**2 of each (i, q) from ``mean``.
+
+    ``inv`` holds the entries (a, b, c) of the inverse covariance
+    [[a, b], [b, c]]; the result is clipped at zero against rounding.
+    """
+    a, b, c = inv
+    di = i - mean[0]
+    dq = q - mean[1]
+    # a * di * di + 2.0 * b * di * dq + c * dq * dq, term by term in that
+    # order, with two temporaries instead of one array per operation
+    out = np.multiply(a, di)
+    out *= di
+    term = np.multiply(2.0 * b, di)
+    term *= dq
+    out += term
+    np.multiply(c, dq, out=term)
+    term *= dq
+    out += term
+    return np.maximum(out, 0.0, out=out)
+
+
+def _log_density(
+    i: np.ndarray,
+    q: np.ndarray,
+    mean: Sequence[float],
+    inv: Sequence[float],
+    log_det: float,
+) -> np.ndarray:
+    """Gaussian log-density -dist/2 - log_det/2 - log(2 pi) at each (i, q)."""
+    out = _dist_sq(i, q, mean, inv)
+    out *= -0.5
+    out -= 0.5 * log_det
+    out -= _LOG_2PI
+    return out
+
+
+def _inv_entries(component: ComponentParams) -> tuple[float, float, float]:
+    inv = component.cov_inv
+    return float(inv[0, 0]), float(inv[0, 1]), float(inv[1, 1])
+
+
+def _log_gauss(points: np.ndarray, component: ComponentParams) -> np.ndarray:
+    return _log_density(
+        points[:, 0], points[:, 1], component.mean, _inv_entries(component), component.log_det
+    )
+
+
 def mahalanobis_sq(x: np.ndarray, component: ComponentParams) -> float | np.ndarray:
     """Squared Mahalanobis distance of point(s) ``x`` to a component.
 
@@ -218,9 +321,8 @@ def mahalanobis_sq(x: np.ndarray, component: ComponentParams) -> float | np.ndar
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    diff = np.atleast_2d(x) - component.mean
-    q = np.einsum("ni,ij,nj->n", diff, component.cov_inv, diff)
-    q = np.maximum(q, 0.0)
+    x = np.atleast_2d(x)
+    q = _dist_sq(x[:, 0], x[:, 1], component.mean, _inv_entries(component))
     return float(q[0]) if single else q
 
 
@@ -285,21 +387,22 @@ def b_from_memberships(memberships: MembershipMatrix) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _log_gauss(points: np.ndarray, component: ComponentParams) -> np.ndarray:
-    return -0.5 * mahalanobis_sq(points, component) - 0.5 * component.log_det - _LOG_2PI
+def _cov_entries(cov: np.ndarray) -> tuple[float, float, float]:
+    """(s00, s01, s11) of a 2x2 covariance, averaging the off-diagonal pair."""
+    return float(cov[0, 0]), 0.5 * (float(cov[0, 1]) + float(cov[1, 0])), float(cov[1, 1])
 
 
-def _floor_covariance(cov: np.ndarray) -> np.ndarray:
-    cov = 0.5 * (cov + cov.T)
-    w, v = np.linalg.eigh(cov)
-    if w.min() >= COVARIANCE_FLOOR:
-        return cov
+def _floor_covariance(s00: float, s01: float, s11: float) -> tuple[float, float, float]:
+    """Covariance entries with every eigenvalue raised to at least COVARIANCE_FLOOR."""
+    if _min_eigenvalue(s00, s01, s11) >= COVARIANCE_FLOOR:
+        return s00, s01, s11
+    w, v = np.linalg.eigh(np.array([[s00, s01], [s01, s11]]))
     warnings.warn(
         f"degenerate cluster: covariance eigenvalue {w.min():.3g} floored at "
         f"{COVARIANCE_FLOOR:g}",
         CalibrationWarning,
     )
-    return (v * np.maximum(w, COVARIANCE_FLOOR)) @ v.T
+    return _cov_entries((v * np.maximum(w, COVARIANCE_FLOOR)) @ v.T)
 
 
 def _kmeans_pp_init(points: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -347,9 +450,15 @@ def em_fit(
     -------
     MixtureParams with ``noise_weight = 0``, components ordered so the one
     with the larger first mean coordinate is ``zero``.
+
+    Raises
+    ------
+    ValueError
+        If the log-likelihood falls by more than 1e-9 from one iteration to
+        the next, or a component covariance stops being invertible.
     """
-    points = dataset.points()
-    n = points.shape[0]
+    i, q = dataset.i, dataset.q
+    n = i.size
     if n < 4:
         raise ValueError("EM needs at least four samples")
     if max_iter < 1:
@@ -358,78 +467,97 @@ def em_fit(
     if init is None:
         if seed is None:
             seed = (dataset.seed ^ 0xE41B17) & 0xFFFFFFFFFFFFFFFF
+        points = dataset.points()
         centers, assign = _kmeans_pp_init(points, seed)
-        means = centers
+        means = [(float(m[0]), float(m[1])) for m in centers]
         covs = []
         weights = np.empty(2)
         for c in range(2):
             sel = points[assign == c]
             weights[c] = max(sel.shape[0], 1) / n
             if sel.shape[0] >= 2:
-                covs.append(_floor_covariance(np.cov(sel.T, bias=True)))
+                covs.append(_floor_covariance(*_cov_entries(np.cov(sel.T, bias=True))))
             else:
-                covs.append(np.eye(2))
+                covs.append((1.0, 0.0, 1.0))
         weights = weights / weights.sum()
     else:
         theta0, theta1 = init
-        means = np.stack([theta0.mean, theta1.mean])
-        covs = [theta0.cov.copy(), theta1.cov.copy()]
+        means = [(float(t.mean[0]), float(t.mean[1])) for t in init]
+        covs = [_cov_entries(t.cov) for t in init]
         total = theta0.weight + theta1.weight
         if total <= 0.0:
             raise ValueError("initial component weights must not both be zero")
         weights = np.array([theta0.weight, theta1.weight]) / total
 
     log_lik_prev = None
-    for _ in range(max_iter):
-        comps = [
-            ComponentParams(weights[c], means[c], covs[c]) for c in range(2)
-        ]
-        log_dens = np.stack(
-            [np.log(max(weights[c], 1e-300)) + _log_gauss(points, comps[c]) for c in range(2)],
-            axis=1,
+    for iteration in range(1, max_iter + 1):
+        log_dens = []
+        for c in range(2):
+            *inv, log_det = _inverse_2x2(*covs[c])
+            log_dens.append(
+                math.log(max(weights[c], 1e-300)) + _log_density(i, q, means[c], inv, log_det)
+            )
+        log_norm = np.maximum(log_dens[0], log_dens[1]) + np.log1p(
+            np.exp(-np.abs(log_dens[0] - log_dens[1]))
         )
-        top = log_dens.max(axis=1, keepdims=True)
-        log_norm = top[:, 0] + np.log(np.exp(log_dens - top).sum(axis=1))
-        log_lik = float(math.fsum(log_norm))
+        log_lik = float(np.sum(log_norm))
         if log_history is not None:
             log_history.append(log_lik)
         if log_lik_prev is not None:
-            assert log_lik >= log_lik_prev - 1e-9, "EM log-likelihood decreased"
+            if log_lik < log_lik_prev - 1e-9:
+                raise ValueError(
+                    f"EM log-likelihood decreased at iteration {iteration} "
+                    f"by {log_lik_prev - log_lik:.3g} (from {log_lik_prev!r} to {log_lik!r})"
+                )
             if abs(log_lik - log_lik_prev) <= tol * (1.0 + abs(log_lik)):
                 break
         log_lik_prev = log_lik
-
-        gamma = np.exp(log_dens - log_norm[:, None])
-        mass = gamma.sum(axis=0)
-        new_means = np.empty_like(means)
-        new_covs = []
-        for c in range(2):
-            if mass[c] < 1e-10:
-                warnings.warn(
-                    f"EM component {c} became degenerate; covariance floored",
-                    CalibrationWarning,
-                )
-                new_means[c] = means[c]
-                new_covs.append(np.eye(2) * COVARIANCE_FLOOR)
-                mass[c] = 1e-10
-                continue
-            new_means[c] = gamma[:, c] @ points / mass[c]
-            diff = points - new_means[c]
-            cov = (gamma[:, c, None] * diff).T @ diff / mass[c]
-            new_covs.append(_floor_covariance(cov))
-        means = new_means
-        covs = new_covs
-        weights = mass / mass.sum()
+        gamma = [np.exp(log_dens[c] - log_norm) for c in range(2)]
+        weights, means, covs = _m_step(i, q, gamma, means)
 
     if means[0][0] < means[1][0]:
         means = means[::-1]
         covs = covs[::-1]
         weights = weights[::-1]
-    return MixtureParams(
-        zero=ComponentParams(weights[0], means[0], covs[0]),
-        one=ComponentParams(weights[1], means[1], covs[1]),
-        noise=None,
+    zero, one = (
+        ComponentParams(w, np.array(mean), np.array([[s00, s01], [s01, s11]]))
+        for w, mean, (s00, s01, s11) in zip(weights, means, covs)
     )
+    return MixtureParams(zero=zero, one=one, noise=None)
+
+
+def _m_step(
+    i: np.ndarray,
+    q: np.ndarray,
+    gamma: list[np.ndarray],
+    means: list[tuple[float, float]],
+) -> tuple[np.ndarray, list[tuple[float, float]], list[tuple[float, float, float]]]:
+    """Weights, means and floored covariances from the responsibility columns."""
+    mass = np.array([g.sum() for g in gamma])
+    new_means = []
+    new_covs = []
+    for c, g in enumerate(gamma):
+        if mass[c] < 1e-10:
+            warnings.warn(
+                f"EM component {c} became degenerate; covariance floored",
+                CalibrationWarning,
+            )
+            new_means.append(means[c])
+            new_covs.append((COVARIANCE_FLOOR, 0.0, COVARIANCE_FLOOR))
+            mass[c] = 1e-10
+            continue
+        m = float(mass[c])
+        mean_i = float(g @ i) / m
+        mean_q = float(g @ q) / m
+        di = i - mean_i
+        dq = q - mean_q
+        gdi = g * di
+        s00 = float(gdi @ di) / m
+        s01 = float(gdi @ dq) / m
+        s11 = float(np.multiply(g, dq, out=gdi) @ dq) / m
+        new_means.append((mean_i, mean_q))
+        new_covs.append(_floor_covariance(s00, s01, s11))
+    return mass / mass.sum(), new_means, new_covs
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,32 @@ qubit the constrained least-squares problem has the exact closed form
 ``iqtomo.qst_closed_form``, and the solver is kept here only as an
 independent cross-check of it.  ``f_matrix`` lifts the squared
 Mahalanobis distance to a quadratic form in homogeneous coordinates.
+``mahalanobis_sq_einsum`` and ``em_fit_reference`` are the general
+matrix forms of the package's explicit 2x2 Gaussian kernel and EM loop:
+``numpy.linalg`` inverses and determinants, an ``einsum`` quadratic form,
+``ComponentParams``-style checks on every iteration and a compensated
+log-likelihood sum.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from typing import Optional
 
 import numpy as np
 
-from iqtomo import BVector, ComponentParams, DensityMatrix, QstResult, bloch_from_density, pauli
+from iqtomo import (
+    BVector,
+    CalibrationWarning,
+    ComponentParams,
+    DensityMatrix,
+    MixtureParams,
+    QstResult,
+    bloch_from_density,
+    pauli,
+)
+from iqtomo.discriminate import COVARIANCE_FLOOR, _kmeans_pp_init
 
 
 def _simplex_project(w: np.ndarray) -> np.ndarray:
@@ -126,3 +143,136 @@ def f_matrix(component: ComponentParams) -> np.ndarray:
     out[2, :2] = simu
     out[2, 2] = -float(component.mean @ simu)
     return out
+
+
+def mahalanobis_sq_einsum(x: np.ndarray, mean: np.ndarray, cov_inv: np.ndarray) -> float | np.ndarray:
+    """Squared Mahalanobis distance of a (2,) point or an (n, 2) batch, as one einsum."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    diff = np.atleast_2d(x) - mean
+    q = np.einsum("ni,ij,nj->n", diff, cov_inv, diff)
+    q = np.maximum(q, 0.0)
+    return float(q[0]) if single else q
+
+
+def _reference_inverse(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse and log-determinant of the symmetrised covariance, by numpy.linalg."""
+    cov = np.array(cov, dtype=float).reshape(2, 2)
+    if np.abs(cov - cov.T).max() > 1e-9:
+        raise ValueError("covariance must be symmetric")
+    cov = 0.5 * (cov + cov.T)
+    if np.linalg.eigvalsh(cov).min() <= 1e-10:
+        raise ValueError("covariance must be positive definite")
+    cov_inv = np.linalg.inv(cov)
+    if np.abs(cov_inv @ cov - np.eye(2)).max() > 1e-9:
+        raise ValueError("covariance is too ill-conditioned to invert")
+    _, log_det = np.linalg.slogdet(cov)
+    return cov_inv, float(log_det)
+
+
+def _reference_floor(cov: np.ndarray) -> np.ndarray:
+    cov = 0.5 * (cov + cov.T)
+    w, v = np.linalg.eigh(cov)
+    if w.min() >= COVARIANCE_FLOOR:
+        return cov
+    warnings.warn(
+        f"degenerate cluster: covariance eigenvalue {w.min():.3g} floored at "
+        f"{COVARIANCE_FLOOR:g}",
+        CalibrationWarning,
+    )
+    return (v * np.maximum(w, COVARIANCE_FLOOR)) @ v.T
+
+
+def em_fit_reference(
+    dataset,
+    init: Optional[tuple[ComponentParams, ComponentParams]] = None,
+    max_iter: int = 200,
+    tol: float = 1e-8,
+    seed: Optional[int] = None,
+    log_history: Optional[list] = None,
+) -> MixtureParams:
+    """Two-component Gaussian-mixture EM on the (n, 2) point matrix.
+
+    Same initialisation, stopping rule and component order as
+    ``iqtomo.em_fit``.  Every iteration rebuilds each component's inverse
+    with ``numpy.linalg`` and its checks, evaluates densities with
+    :func:`mahalanobis_sq_einsum`, and sums the log-likelihood with
+    ``math.fsum``.
+    """
+    points = dataset.points()
+    n = points.shape[0]
+    if init is None:
+        if seed is None:
+            seed = (dataset.seed ^ 0xE41B17) & 0xFFFFFFFFFFFFFFFF
+        centers, assign = _kmeans_pp_init(points, seed)
+        means = centers
+        covs = []
+        weights = np.empty(2)
+        for c in range(2):
+            sel = points[assign == c]
+            weights[c] = max(sel.shape[0], 1) / n
+            if sel.shape[0] >= 2:
+                covs.append(_reference_floor(np.cov(sel.T, bias=True)))
+            else:
+                covs.append(np.eye(2))
+        weights = weights / weights.sum()
+    else:
+        theta0, theta1 = init
+        means = np.stack([theta0.mean, theta1.mean])
+        covs = [theta0.cov.copy(), theta1.cov.copy()]
+        weights = np.array([theta0.weight, theta1.weight]) / (theta0.weight + theta1.weight)
+
+    log_lik_prev = None
+    for _ in range(max_iter):
+        log_dens = np.empty((n, 2))
+        for c in range(2):
+            cov_inv, log_det = _reference_inverse(covs[c])
+            log_gauss = (
+                -0.5 * mahalanobis_sq_einsum(points, means[c], cov_inv)
+                - 0.5 * log_det
+                - math.log(2.0 * math.pi)
+            )
+            log_dens[:, c] = np.log(max(weights[c], 1e-300)) + log_gauss
+        top = log_dens.max(axis=1, keepdims=True)
+        log_norm = top[:, 0] + np.log(np.exp(log_dens - top).sum(axis=1))
+        log_lik = float(math.fsum(log_norm))
+        if log_history is not None:
+            log_history.append(log_lik)
+        if log_lik_prev is not None:
+            if log_lik < log_lik_prev - 1e-9:
+                raise ValueError("EM log-likelihood decreased")
+            if abs(log_lik - log_lik_prev) <= tol * (1.0 + abs(log_lik)):
+                break
+        log_lik_prev = log_lik
+
+        gamma = np.exp(log_dens - log_norm[:, None])
+        mass = gamma.sum(axis=0)
+        new_means = np.empty_like(means)
+        new_covs = []
+        for c in range(2):
+            if mass[c] < 1e-10:
+                warnings.warn(
+                    f"EM component {c} became degenerate; covariance floored",
+                    CalibrationWarning,
+                )
+                new_means[c] = means[c]
+                new_covs.append(np.eye(2) * COVARIANCE_FLOOR)
+                mass[c] = 1e-10
+                continue
+            new_means[c] = gamma[:, c] @ points / mass[c]
+            diff = points - new_means[c]
+            cov = (gamma[:, c, None] * diff).T @ diff / mass[c]
+            new_covs.append(_reference_floor(cov))
+        means = new_means
+        covs = new_covs
+        weights = mass / mass.sum()
+
+    if means[0][0] < means[1][0]:
+        means = means[::-1]
+        covs = covs[::-1]
+        weights = weights[::-1]
+    return MixtureParams(
+        zero=ComponentParams(weights[0], means[0], covs[0]),
+        one=ComponentParams(weights[1], means[1], covs[1]),
+        noise=None,
+    )

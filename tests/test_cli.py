@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -111,6 +112,17 @@ class TestConfigValidation:
         code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [('{"qhi": {"dt": 1e400}}', "qhi.dt"), ('{"qhi": {"rotation_rate": NaN}}', "qhi.rotation_rate")],
+    )
+    def test_non_finite_qhi_number_is_usage_error(self, tmp_path, capsys, text, field):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "qhi", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith("error: ") and field in err
 
     def test_bad_mode_flag(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--out", str(tmp_path / "o"), "--mode", "fuzzy")
@@ -432,6 +444,30 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "o" / "iq_y.jsonl").is_file()
         assert "axis" in proc.stdout.splitlines()[0]
+
+
+def test_em_likelihood_decrease_is_exit_1(sim_dir, tmp_path, capsys, monkeypatch):
+    from test_discriminate import _worse_m_step
+
+    _worse_m_step(monkeypatch)
+    code, _, err = run(
+        capsys, "tomo", "--data-dir", str(sim_dir), "--calibrate", "em", "--out", str(tmp_path / "o")
+    )
+    assert code == 1
+    assert err.startswith("error: EM log-likelihood decreased at iteration 2")
+
+
+def test_run_illustration_reports_delta_b(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "run_illustration", REPO_ROOT / "scripts" / "run_illustration.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--seed", "7", "--n", "2000", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "illustration.json").read_text(encoding="utf-8"))
+    for method in ("em_hard", "soft_collapsed"):
+        assert all(d > 0.0 for d in report[method]["delta_b"]), method
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_module_entry_matches_api(capsys):

@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iqtomo
 from iqtomo import (
+    AXES,
     CalibrationWarning,
     ComponentParams,
     ContaminationSpec,
@@ -21,11 +28,33 @@ from iqtomo import (
     soft_membership,
     synthesize_iq,
 )
-from oracles import f_matrix
+from iqtomo import discriminate
+from iqtomo.cli import RunConfig, simulate_datasets
+from oracles import em_fit_reference, f_matrix, mahalanobis_sq_einsum
 
 
 def _component(mean, cov=None, weight=0.5) -> ComponentParams:
     return ComponentParams(weight, np.asarray(mean, dtype=float), np.eye(2) if cov is None else np.asarray(cov, dtype=float))
+
+
+def _random_spd(rng, max_condition: float) -> np.ndarray:
+    """Rotated covariance with a random scale, condition number and non-zero off-diagonal."""
+    angle = rng.uniform(0.05, np.pi / 2 - 0.05)
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    scale = 10.0 ** rng.uniform(-2.0, 2.0)
+    cov = rot @ np.diag([scale, scale * 10.0 ** rng.uniform(0.0, math.log10(max_condition))]) @ rot.T
+    return 0.5 * (cov + cov.T)
+
+
+def _worse_m_step(monkeypatch):
+    """Patch the EM M-step so every update moves both means 5 units along I."""
+    real = discriminate._m_step
+
+    def worse(i, q, gamma, means):
+        weights, new_means, covs = real(i, q, gamma, means)
+        return weights, [(mi + 5.0, mq) for mi, mq in new_means], covs
+
+    monkeypatch.setattr(discriminate, "_m_step", worse)
 
 
 class TestParams:
@@ -76,6 +105,48 @@ class TestMahalanobis:
         batch = mahalanobis_sq(pts, c)
         for k in range(50):
             assert batch[k] == pytest.approx(mahalanobis_sq(pts[k], c), abs=1e-12)
+
+    def test_matches_einsum_oracle(self):
+        # Both forms round each of a*di^2, 2b*di*dq and c*dq^2; where those
+        # cancel (condition number up to 1e6) the quadratic form itself is
+        # only known to that accuracy, so the tolerance is relative to
+        # their absolute sum, which equals the result when nothing cancels.
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            cov = _random_spd(rng, 1e6)
+            c = _component(rng.normal(scale=3.0, size=2), cov)
+            assert abs(c.cov_inv[0, 1]) > 0.0
+            pts = rng.multivariate_normal(c.mean, 25.0 * cov, size=64)
+            a, b, cc = c.cov_inv[0, 0], c.cov_inv[0, 1], c.cov_inv[1, 1]
+            diff = pts - c.mean
+            scale = (
+                a * diff[:, 0] ** 2 + 2.0 * abs(b * diff[:, 0] * diff[:, 1]) + cc * diff[:, 1] ** 2
+            )
+            got = mahalanobis_sq(pts, c)
+            want = mahalanobis_sq_einsum(pts, c.mean, c.cov_inv)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+            for k in range(4):
+                single = mahalanobis_sq(pts[k], c)
+                assert isinstance(single, float)
+                assert abs(single - mahalanobis_sq_einsum(pts[k], c.mean, c.cov_inv)) <= 1e-12 * scale[k]
+
+    def test_inverse_matches_exact_arithmetic(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            c = _component([0.0, 0.0], _random_spd(rng, 1e6))
+            s00, s01, s11 = (Fraction(float(v)) for v in (c.cov[0, 0], c.cov[0, 1], c.cov[1, 1]))
+            det = s00 * s11 - s01 * s01
+            exact = np.array([[float(s11 / det), float(-s01 / det)], [float(-s01 / det), float(s00 / det)]])
+            np.testing.assert_allclose(c.cov_inv, exact, rtol=1e-15, atol=0.0)
+            assert abs(c.log_det - math.log(det)) <= 1e-15 * max(1.0, abs(c.log_det))
+
+    def test_rejects_singular_and_ill_conditioned(self):
+        with pytest.raises(ValueError, match="positive definite"):
+            _component([0, 0], [[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="positive definite"):
+            _component([0, 0], [[1.0, 0.0], [0.0, float("nan")]])
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            _component([0, 0], [[1e8, 1e8 - 1.0], [1e8 - 1.0, 1e8]])
 
 
 class TestFMatrix:
@@ -215,8 +286,11 @@ class TestEmFit:
         pts1 = np.tile([-2.5, 2.0], (20, 1))
         coords = np.vstack([pts0, pts1])
         d = IQDataset("x", coords[:, 0], coords[:, 1], [0] * 20 + [1] * 20, seed=1)
-        with pytest.warns(CalibrationWarning):
+        with pytest.warns(CalibrationWarning) as got:
             theta = em_fit(d)
+        with pytest.warns(CalibrationWarning) as want:
+            em_fit_reference(d)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
         np.testing.assert_allclose(theta.zero.mean, [2.5, 2.0], atol=1e-9)
         np.testing.assert_allclose(theta.one.mean, [-2.5, 2.0], atol=1e-9)
         np.testing.assert_allclose(theta.zero.cov, 1e-6 * np.eye(2), atol=1e-12)
@@ -258,3 +332,55 @@ class TestEmFit:
         d = IQDataset("z", [0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [-1, -1, -1], seed=1)
         with pytest.raises(ValueError):
             em_fit(d)
+
+    def test_matches_reference_loop_on_criterion_04_axes(self):
+        # the 60 axis datasets of criterion-04 seeds 0-19
+        for seed in range(20):
+            datasets = simulate_datasets(RunConfig(seed=seed))
+            for axis in AXES:
+                got_history: list[float] = []
+                want_history: list[float] = []
+                got = em_fit(datasets[axis], log_history=got_history)
+                want = em_fit_reference(datasets[axis], log_history=want_history)
+                assert len(got_history) == len(want_history), (seed, axis)
+                np.testing.assert_allclose(got_history, want_history, rtol=1e-12, atol=0.0)
+                for g, w in ((got.zero, want.zero), (got.one, want.one)):
+                    assert abs(g.weight - w.weight) <= 1e-10
+                    np.testing.assert_allclose(g.mean, w.mean, rtol=0.0, atol=1e-10)
+                    np.testing.assert_allclose(g.cov, w.cov, rtol=0.0, atol=1e-10)
+
+    def test_likelihood_decrease_is_an_error(self, sep5_mixture, monkeypatch):
+        d = synthesize_iq(500, 500, sep5_mixture.zero, sep5_mixture.one, seed=18)
+        _worse_m_step(monkeypatch)
+        with pytest.raises(ValueError, match=r"log-likelihood decreased at iteration 2 by \d"):
+            em_fit(d)
+
+    def test_likelihood_decrease_is_an_error_under_optimize(self):
+        # python -O strips assert statements; the check must survive it
+        script = """
+import numpy as np
+import pytest
+from iqtomo import ComponentParams, em_fit, synthesize_iq
+from test_discriminate import _worse_m_step
+
+assert False, "unreachable under -O"
+zero = ComponentParams(0.5, np.array([2.5, 2.0]), np.eye(2))
+one = ComponentParams(0.5, np.array([-2.5, 2.0]), np.eye(2))
+patch = pytest.MonkeyPatch()
+_worse_m_step(patch)
+try:
+    em_fit(synthesize_iq(500, 500, zero, one, seed=18))
+except ValueError as exc:
+    print(exc)
+"""
+        src_root = Path(iqtomo.__file__).resolve().parents[1]
+        tests_dir = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src_root), str(tests_dir), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert "log-likelihood decreased at iteration 2" in done.stdout
