@@ -4,9 +4,12 @@
 Runs each subcommand in-process through ``iqtomo.cli.main`` -- simulate,
 discriminate (three modes), tomo (three modes x header/EM calibration),
 bilevel (three modes), qhi (exact and sampled readout), plot-iq and
-repro-paper -- into a fresh directory, then prints one sorted
-``relpath sha256`` line per file written.  Shot counts and trajectory
-lengths are small, so a run takes seconds.
+repro-paper -- into a fresh directory.  It also writes ``export_csv`` of
+the simulated z dataset and a ``load_dataset`` -> ``save_dataset`` round
+trip of each simulated axis file, so the digests pin the dataset reader
+as well as the writers.  It then prints one sorted ``relpath sha256`` line
+per file written.  Shot counts and trajectory lengths are small, so a run
+takes seconds.
 
 Two checkouts write byte-identical artifacts when the printed lists are
 equal; the package is imported from wherever ``PYTHONPATH`` points:
@@ -85,6 +88,12 @@ def main() -> int:
     os.makedirs(plot)
 
     run(["simulate", "--config", cfg, "--out", sim])
+    files = os.path.join(out, "dataset_files")
+    os.makedirs(files)
+    for axis in "xyz":
+        dataset = iqtomo.load_dataset(os.path.join(sim, f"iq_{axis}.jsonl"))
+        iqtomo.save_dataset(dataset, os.path.join(files, f"iq_{axis}.jsonl"))
+    iqtomo.export_csv(dataset, os.path.join(files, "iq_z.csv"))
     for mode in MODES:
         flags = ["--config", cfg, "--mode", mode]
         z_data = os.path.join(sim, "iq_z.jsonl")

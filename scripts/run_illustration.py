@@ -17,6 +17,7 @@ import numpy as np
 from iqtomo import (
     AXES,
     bilevel_qst,
+    delta_b,
     em_fit,
     frobenius_distance,
     hard_b,
@@ -48,9 +49,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     theta = {axis: em_fit(datasets[axis]) for axis in AXES}
     hard = bilevel_qst(dx, dy, dz, theta, mode="hard")
     soft = bilevel_qst(dx, dy, dz, DEFAULT_MIXTURE, mode="soft")
+    counts = [datasets[axis].truth_counts()[:2] for axis in AXES]
     results = {
         "truth_counts": qst_closed_form(
-            np.asarray([hard_b(*datasets[axis].truth_counts()[:2]) for axis in AXES])
+            np.asarray([hard_b(n0, n1) for n0, n1 in counts]),
+            delta=np.asarray([delta_b(n0, n1) for n0, n1 in counts]),
         ),
         "em_hard": hard.qst,
         "soft_collapsed": soft.qst,

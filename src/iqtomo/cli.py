@@ -57,6 +57,7 @@ from .readout import (
     save_dataset,
     synthesize_iq,
     write_csv,
+    write_csv_lines,
     write_text_atomic,
 )
 
@@ -314,12 +315,14 @@ def _calibrate(dataset: IQDataset, cfg: RunConfig, source: str) -> MixtureParams
 def write_membership_csv(member: MembershipMatrix, path: str) -> None:
     rows = member.rows
     noise = rows[:, 2] if rows.shape[1] == 3 else np.zeros(rows.shape[0])
-    write_csv(
+    write_csv_lines(
         path,
         ["sample_index", "gamma0", "gamma1", "gamma_noise"],
         (
-            [idx, repr(float(g0)), repr(float(g1)), repr(float(gn))]
-            for idx, (g0, g1, gn) in enumerate(zip(rows[:, 0], rows[:, 1], noise))
+            f"{idx},{g0!r},{g1!r},{gn!r}\n"
+            for idx, (g0, g1, gn) in enumerate(
+                zip(rows[:, 0].tolist(), rows[:, 1].tolist(), noise.tolist())
+            )
         ),
     )
 

@@ -405,20 +405,23 @@ def _floor_covariance(s00: float, s01: float, s11: float) -> tuple[float, float,
     return _cov_entries((v * np.maximum(w, COVARIANCE_FLOOR)) @ v.T)
 
 
-def _kmeans_pp_init(points: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _kmeans_pp_init(i: np.ndarray, q: np.ndarray, seed: int) -> tuple[tuple[int, int], np.ndarray]:
+    """Seeded k-means++ pick of two centre samples, and each sample's nearer centre.
+
+    Returns the indices of the two centres and a mask that is True where a
+    sample lies strictly closer to the second; ties go to the first.
+    """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    first = int(rng.integers(points.shape[0]))
-    d2 = np.sum((points - points[first]) ** 2, axis=1)
-    total = d2.sum()
+    n = i.size
+    first = int(rng.integers(n))
+    d_first = (i - i[first]) ** 2 + (q - q[first]) ** 2
+    total = d_first.sum()
     if total <= 0.0:
-        second = (first + 1) % points.shape[0]
+        second = (first + 1) % n
     else:
-        second = int(rng.choice(points.shape[0], p=d2 / total))
-    centers = points[[first, second]].copy()
-    assign = np.argmin(
-        ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1
-    )
-    return centers, assign
+        second = int(rng.choice(n, p=d_first / total))
+    d_second = (i - i[second]) ** 2 + (q - q[second]) ** 2
+    return (first, second), d_second < d_first
 
 
 def em_fit(
@@ -467,13 +470,13 @@ def em_fit(
     if init is None:
         if seed is None:
             seed = (dataset.seed ^ 0xE41B17) & 0xFFFFFFFFFFFFFFFF
-        points = dataset.points()
-        centers, assign = _kmeans_pp_init(points, seed)
-        means = [(float(m[0]), float(m[1])) for m in centers]
+        centers, to_second = _kmeans_pp_init(i, q, seed)
+        means = [(float(i[k]), float(q[k])) for k in centers]
         covs = []
         weights = np.empty(2)
-        for c in range(2):
-            sel = points[assign == c]
+        for c, mask in enumerate((~to_second, to_second)):
+            # np.cov of the transposed (m, 2) rows: its sums follow that memory layout
+            sel = np.stack([i[mask], q[mask]], axis=1)
             weights[c] = max(sel.shape[0], 1) / n
             if sel.shape[0] >= 2:
                 covs.append(_floor_covariance(*_cov_entries(np.cov(sel.T, bias=True))))

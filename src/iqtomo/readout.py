@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -247,29 +249,125 @@ def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
     write_text_atomic(path, buffer.getvalue())
 
 
+def write_csv_lines(path: str, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a header row and preformatted newline-terminated rows, atomically.
+
+    Meant for per-sample tables whose fields are ints, ``float.__repr__``
+    strings, axis names and label names.  None of these holds a comma, a
+    quote or a line break, so ``csv`` quoting never applies to them and the
+    bytes equal those of :func:`write_csv` for the same rows.
+    """
+    write_text_atomic(path, ",".join(header) + "\n" + "".join(lines))
+
+
+# save_dataset writes each sample line as json.dumps(record, sort_keys=True)
+# would: keys in the order i, q, truth and floats printed by float.__repr__.
+_LABEL_TOKENS = tuple(json.dumps(name) for name in LABEL_NAMES)
+_LABEL_CODES = {name: code for code, name in enumerate(LABEL_NAMES)}
+_TOKEN_CODES = {token: code for code, token in enumerate(_LABEL_TOKENS)} | {"null": -1}
+# JSON numbers with a fraction or an exponent; json.loads parses these with
+# float(), as numpy does.  Integers stay on the json.loads path, which keeps
+# them ints: "-0" loads as 0.0, not -0.0, and 400 digits overflow float().
+_JSON_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
+_CANONICAL_SAMPLE = re.compile(
+    rf'^\{{"i": ({_JSON_FLOAT}), "q": ({_JSON_FLOAT}), "truth": ({"|".join(_TOKEN_CODES)})\}}\n',
+    re.MULTILINE,
+)
+_BLOCK_CHARS = 1 << 16
+
+
 def save_dataset(dataset: IQDataset, path: str) -> None:
-    """Write a dataset as JSON-lines: one header line, one line per sample."""
+    """Write a dataset as JSON-lines: one header line, one line per sample.
+
+    Every sample line reads ``{"i": <float repr>, "q": <float repr>,
+    "truth": "zero"|"one"|"noise"|null}``.
+    """
+    if not (np.all(np.isfinite(dataset.i)) and np.all(np.isfinite(dataset.q))):
+        raise ValueError("i/q coordinates must be finite")
     header: dict = {"obs": dataset.observable, "seed": dataset.seed}
     if dataset.mixture is not None:
         header["mixture"] = dataset.mixture.to_json_dict()
     lines = [json.dumps(header, sort_keys=True)]
-    for i_val, q_val, t_val in zip(dataset.i, dataset.q, dataset.truth):
-        label = LABEL_NAMES[t_val] if t_val >= 0 else None
-        lines.append(
-            json.dumps({"i": float(i_val), "q": float(q_val), "truth": label}, sort_keys=True)
+    lines += [
+        f'{{"i": {i_val!r}, "q": {q_val!r}, "truth": {_LABEL_TOKENS[t_val] if t_val >= 0 else "null"}}}'
+        for i_val, q_val, t_val in zip(
+            dataset.i.tolist(), dataset.q.tolist(), dataset.truth.tolist()
         )
+    ]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path: str) -> IQDataset:
-    """Read a JSON-lines dataset; reports the line number of any defect."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw_lines = handle.read().splitlines()
-    if not raw_lines:
-        raise DatasetFormatError("empty file, expected a header line", line=1)
+    """Read a JSON-lines dataset; reports the line number of any defect.
 
+    Lines are numbered as ``str.splitlines`` splits them.  Samples are read
+    in blocks of about 64 KiB.  A block made only of canonical sample lines,
+    as :func:`save_dataset` writes them, is converted with one numpy call
+    per column; any other block is parsed line by line with ``json.loads``,
+    and that path reports every defect.
+    """
     try:
-        header = json.loads(raw_lines[0])
+        with open(path, "r", encoding="utf-8") as handle:
+            blocks = _line_blocks(handle)
+            try:
+                (observable, seed, mixture), parsed, n_lines = _parse_blocks(blocks)
+            except DatasetFormatError:
+                for _ in blocks:  # text that does not decode outranks a malformed line
+                    pass
+                raise
+    except UnicodeDecodeError:
+        with open(path, "r", encoding="utf-8") as handle:
+            handle.read()  # raises again, with the byte offset counted from the file start
+        raise
+    if not any(lines for *_, lines in parsed):
+        raise DatasetFormatError("dataset contains no samples", line=n_lines)
+    i_parts, q_parts, truth_parts, sample_lines = zip(*parsed)
+    i_arr = np.concatenate(i_parts)
+    q_arr = np.concatenate(q_parts)
+    finite = np.isfinite(i_arr) & np.isfinite(q_arr)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        line = list(itertools.chain.from_iterable(sample_lines))[bad]
+        raise DatasetFormatError(
+            f"non-finite coordinate (i={i_arr[bad]!r}, q={q_arr[bad]!r})", line=line
+        )
+    return IQDataset(
+        observable=observable,
+        i=i_arr,
+        q=q_arr,
+        truth=np.concatenate(truth_parts),
+        seed=seed,
+        mixture=mixture,
+    )
+
+
+def _line_blocks(handle) -> Iterator[str]:
+    """The text of ``handle`` in pieces of whole lines, about _BLOCK_CHARS long."""
+    while lines := handle.readlines(_BLOCK_CHARS):
+        yield "".join(lines)
+
+
+def _parse_blocks(blocks: Iterator[str]) -> tuple[tuple, list[list], int]:
+    """Header fields, each block's parsed samples, and the file's line count."""
+    first = next(blocks, "")
+    if not first:
+        raise DatasetFormatError("empty file, expected a header line", line=1)
+    # the header ends at the first "\n" or at an earlier splitlines break
+    first_line = first[: first.find("\n") + 1 or len(first)].splitlines(keepends=True)[0]
+    header = _parse_header(first_line.splitlines()[0])
+    parsed = []
+    next_line = 2
+    for block in itertools.chain([first[len(first_line) :]], blocks):
+        if block:
+            *columns, next_line = _parse_samples(block, next_line)
+            parsed.append(columns)
+    return header, parsed, next_line - 1
+
+
+def _parse_header(raw: str) -> tuple[str, int, Optional[MixtureParams]]:
+    """(observable, seed, mixture) from the header line."""
+    try:
+        header = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON in header: {exc.msg}", line=1) from exc
     if not isinstance(header, dict):
@@ -279,19 +377,41 @@ def load_dataset(path: str) -> IQDataset:
     observable = header["obs"]
     if observable not in AXES:
         raise DatasetFormatError(f"unknown observable {observable!r}", line=1)
-    seed = int(header.get("seed", 0))
+    try:
+        seed = int(header.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DatasetFormatError(f"invalid seed {header['seed']!r}: {exc}", line=1) from exc
     mixture = None
     if header.get("mixture") is not None:
         try:
             mixture = MixtureParams.from_json_dict(header["mixture"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetFormatError(f"invalid mixture parameters: {exc}", line=1) from exc
+    return observable, seed, mixture
 
-    label_codes = {name: code for code, name in enumerate(LABEL_NAMES)}
+
+def _parse_samples(
+    block: str, first_line: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int], int]:
+    """(i, q, truth, sample line numbers, next line number) of a block starting at ``first_line``."""
+    text = block if block.endswith("\n") else block + "\n"
+    rows = _CANONICAL_SAMPLE.findall(text)
+    # a match is always one whole line, so as many matches as lines is every line
+    if rows and len(rows) == text.count("\n"):
+        i_txt, q_txt, t_txt = zip(*rows)
+        return (
+            np.array(i_txt, dtype=float),
+            np.array(q_txt, dtype=float),
+            np.array([_TOKEN_CODES[token] for token in t_txt], dtype=np.int8),
+            range(first_line, first_line + len(rows)),
+            first_line + len(rows),
+        )
+    raw_lines = block.splitlines()
     i_vals: list[float] = []
     q_vals: list[float] = []
     truth: list[int] = []
-    for lineno, raw in enumerate(raw_lines[1:], start=2):
+    lines: list[int] = []
+    for lineno, raw in enumerate(raw_lines, start=first_line):
         if not raw.strip():
             continue
         try:
@@ -307,41 +427,37 @@ def load_dataset(path: str) -> IQDataset:
             raise DatasetFormatError(
                 f"sample is missing required field {exc.args[0]!r}", line=lineno
             ) from exc
+        except OverflowError as exc:
+            raise DatasetFormatError(f"coordinate out of float range: {exc}", line=lineno) from exc
         except (TypeError, ValueError) as exc:
             raise DatasetFormatError(f"non-numeric coordinate: {exc}", line=lineno) from exc
         label = record.get("truth")
         if label is None:
             truth.append(-1)
-        elif label in label_codes:
-            truth.append(label_codes[label])
+        elif isinstance(label, str) and label in _LABEL_CODES:
+            truth.append(_LABEL_CODES[label])
         else:
             raise DatasetFormatError(f"unknown truth label {label!r}", line=lineno)
-    if not i_vals:
-        raise DatasetFormatError("dataset contains no samples", line=len(raw_lines))
-    i_arr = np.asarray(i_vals)
-    q_arr = np.asarray(q_vals)
-    finite = np.isfinite(i_arr) & np.isfinite(q_arr)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        sample_lines = [n for n, raw in enumerate(raw_lines[1:], start=2) if raw.strip()]
-        raise DatasetFormatError(
-            f"non-finite coordinate (i={i_arr[bad]!r}, q={q_arr[bad]!r})", line=sample_lines[bad]
-        )
-    return IQDataset(
-        observable=observable,
-        i=i_arr,
-        q=q_arr,
-        truth=np.asarray(truth, dtype=np.int8),
-        seed=seed,
-        mixture=mixture,
+        lines.append(lineno)
+    return (
+        np.asarray(i_vals, dtype=float),
+        np.asarray(q_vals, dtype=float),
+        np.asarray(truth, dtype=np.int8),
+        lines,
+        first_line + len(raw_lines),
     )
 
 
 def export_csv(dataset: IQDataset, path: str) -> None:
     """Write samples as CSV with columns obs, i, q, truth."""
-    labels = [LABEL_NAMES[t_val] if t_val >= 0 else "" for t_val in dataset.truth]
-    rows = (
-        [dataset.observable, repr(float(i_val)), repr(float(q_val)), label]
-        for i_val, q_val, label in zip(dataset.i, dataset.q, labels)
+    obs = dataset.observable
+    write_csv_lines(
+        path,
+        ["obs", "i", "q", "truth"],
+        (
+            f"{obs},{i_val!r},{q_val!r},{LABEL_NAMES[t_val] if t_val >= 0 else ''}\n"
+            for i_val, q_val, t_val in zip(
+                dataset.i.tolist(), dataset.q.tolist(), dataset.truth.tolist()
+            )
+        ),
     )
-    write_csv(path, ["obs", "i", "q", "truth"], rows)

@@ -10,11 +10,15 @@ Mahalanobis distance to a quadratic form in homogeneous coordinates.
 matrix forms of the package's explicit 2x2 Gaussian kernel and EM loop:
 ``numpy.linalg`` inverses and determinants, an ``einsum`` quadratic form,
 ``ComponentParams``-style checks on every iteration and a compensated
-log-likelihood sum.
+log-likelihood sum; ``kmeans_pp_init_reference`` is the matrix form of
+their k-means++ start.  ``save_dataset_reference`` and
+``load_dataset_reference`` are the per-line ``json.dumps``/``json.loads``
+forms of the dataset writer and reader.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from typing import Optional
@@ -22,16 +26,20 @@ from typing import Optional
 import numpy as np
 
 from iqtomo import (
+    AXES,
     BVector,
     CalibrationWarning,
     ComponentParams,
+    DatasetFormatError,
     DensityMatrix,
+    IQDataset,
     MixtureParams,
     QstResult,
     bloch_from_density,
     pauli,
 )
-from iqtomo.discriminate import COVARIANCE_FLOOR, _kmeans_pp_init
+from iqtomo.discriminate import COVARIANCE_FLOOR, LABEL_NAMES
+from iqtomo.readout import write_text_atomic
 
 
 def _simplex_project(w: np.ndarray) -> np.ndarray:
@@ -183,6 +191,27 @@ def _reference_floor(cov: np.ndarray) -> np.ndarray:
     return (v * np.maximum(w, COVARIANCE_FLOOR)) @ v.T
 
 
+def kmeans_pp_init_reference(points: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded k-means++ centres of an (n, 2) point matrix and each point's nearest centre.
+
+    Distances to both centres come from one (n, 2, 2) difference array; the
+    argmin gives ties to the first centre.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    first = int(rng.integers(points.shape[0]))
+    d2 = np.sum((points - points[first]) ** 2, axis=1)
+    total = d2.sum()
+    if total <= 0.0:
+        second = (first + 1) % points.shape[0]
+    else:
+        second = int(rng.choice(points.shape[0], p=d2 / total))
+    centers = points[[first, second]].copy()
+    assign = np.argmin(
+        ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1
+    )
+    return centers, assign
+
+
 def em_fit_reference(
     dataset,
     init: Optional[tuple[ComponentParams, ComponentParams]] = None,
@@ -204,7 +233,7 @@ def em_fit_reference(
     if init is None:
         if seed is None:
             seed = (dataset.seed ^ 0xE41B17) & 0xFFFFFFFFFFFFFFFF
-        centers, assign = _kmeans_pp_init(points, seed)
+        centers, assign = kmeans_pp_init_reference(points, seed)
         means = centers
         covs = []
         weights = np.empty(2)
@@ -275,4 +304,94 @@ def em_fit_reference(
         zero=ComponentParams(weights[0], means[0], covs[0]),
         one=ComponentParams(weights[1], means[1], covs[1]),
         noise=None,
+    )
+
+
+def save_dataset_reference(dataset, path: str) -> None:
+    """One ``json.dumps(..., sort_keys=True)`` call per line: header, then each sample."""
+    header: dict = {"obs": dataset.observable, "seed": dataset.seed}
+    if dataset.mixture is not None:
+        header["mixture"] = dataset.mixture.to_json_dict()
+    lines = [json.dumps(header, sort_keys=True)]
+    for i_val, q_val, t_val in zip(dataset.i, dataset.q, dataset.truth):
+        label = LABEL_NAMES[t_val] if t_val >= 0 else None
+        lines.append(
+            json.dumps({"i": float(i_val), "q": float(q_val), "truth": label}, sort_keys=True)
+        )
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def load_dataset_reference(path: str):
+    """Whole-file ``splitlines`` and one ``json.loads`` per line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        raw_lines = handle.read().splitlines()
+    if not raw_lines:
+        raise DatasetFormatError("empty file, expected a header line", line=1)
+
+    try:
+        header = json.loads(raw_lines[0])
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"invalid JSON in header: {exc.msg}", line=1) from exc
+    if not isinstance(header, dict):
+        raise DatasetFormatError("header must be a JSON object", line=1)
+    if "obs" not in header:
+        raise DatasetFormatError("header is missing required field 'obs'", line=1)
+    observable = header["obs"]
+    if observable not in AXES:
+        raise DatasetFormatError(f"unknown observable {observable!r}", line=1)
+    seed = int(header.get("seed", 0))
+    mixture = None
+    if header.get("mixture") is not None:
+        try:
+            mixture = MixtureParams.from_json_dict(header["mixture"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"invalid mixture parameters: {exc}", line=1) from exc
+
+    label_codes = {name: code for code, name in enumerate(LABEL_NAMES)}
+    i_vals: list[float] = []
+    q_vals: list[float] = []
+    truth: list[int] = []
+    for lineno, raw in enumerate(raw_lines[1:], start=2):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"invalid JSON in sample: {exc.msg}", line=lineno) from exc
+        if not isinstance(record, dict):
+            raise DatasetFormatError("sample must be a JSON object", line=lineno)
+        try:
+            i_vals.append(float(record["i"]))
+            q_vals.append(float(record["q"]))
+        except KeyError as exc:
+            raise DatasetFormatError(
+                f"sample is missing required field {exc.args[0]!r}", line=lineno
+            ) from exc
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"non-numeric coordinate: {exc}", line=lineno) from exc
+        label = record.get("truth")
+        if label is None:
+            truth.append(-1)
+        elif label in label_codes:
+            truth.append(label_codes[label])
+        else:
+            raise DatasetFormatError(f"unknown truth label {label!r}", line=lineno)
+    if not i_vals:
+        raise DatasetFormatError("dataset contains no samples", line=len(raw_lines))
+    i_arr = np.asarray(i_vals)
+    q_arr = np.asarray(q_vals)
+    finite = np.isfinite(i_arr) & np.isfinite(q_arr)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        sample_lines = [n for n, raw in enumerate(raw_lines[1:], start=2) if raw.strip()]
+        raise DatasetFormatError(
+            f"non-finite coordinate (i={i_arr[bad]!r}, q={q_arr[bad]!r})", line=sample_lines[bad]
+        )
+    return IQDataset(
+        observable=observable,
+        i=i_arr,
+        q=q_arr,
+        truth=np.asarray(truth, dtype=np.int8),
+        seed=seed,
+        mixture=mixture,
     )

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import iqtomo
-from iqtomo import DensityMatrix, IQDataset, frobenius_distance, save_dataset
-from iqtomo.cli import RunConfig, load_config, main, parse_config_dict
+from iqtomo import DensityMatrix, IQDataset, delta_b, frobenius_distance, save_dataset
+from iqtomo.cli import RunConfig, load_config, main, parse_config_dict, simulate_datasets
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -374,6 +374,24 @@ class TestPlotIq:
         code, _, _ = run(capsys, "plot-iq", "--data", str(empty), "--out", str(tmp_path / "e.svg"))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('{"obs": "z", "seed": null}\n{"i": 0.0, "q": 0.0, "truth": null}\n', 1),
+            ('{"obs": "z", "seed": 1.5e400}\n{"i": 0.0, "q": 0.0, "truth": null}\n', 1),
+            ('{"obs": "z"}\n{"i": 1' + "0" * 400 + ', "q": 0.0, "truth": null}\n', 2),
+            ('{"obs": "z"}\n{"i": 0.0, "q": 0.0, "truth": null}\n'
+             '{"i": 0.0, "q": 0.0, "truth": ["zero"]}\n', 3),
+        ],
+        ids=["null_seed", "overflowing_seed", "400_digit_coordinate", "list_label"],
+    )
+    def test_malformed_dataset_is_invalid_input(self, tmp_path, capsys, text, line):
+        data = tmp_path / "bad.jsonl"
+        data.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "plot-iq", "--data", str(data), "--out", str(tmp_path / "b.svg"))
+        assert code == 1
+        assert err.startswith(f"error: line {line}: ")
+
 
 class TestReproPaper:
     def test_bundle_is_green(self, tmp_path, capsys):
@@ -465,8 +483,12 @@ def test_run_illustration_reports_delta_b(tmp_path):
     spec.loader.exec_module(script)
     assert script.main(["--seed", "7", "--n", "2000", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "illustration.json").read_text(encoding="utf-8"))
-    for method in ("em_hard", "soft_collapsed"):
+    for method in ("truth_counts", "em_hard", "soft_collapsed"):
         assert all(d > 0.0 for d in report[method]["delta_b"]), method
+    datasets = simulate_datasets(RunConfig(seed=7, n_per_axis=2000))
+    assert report["truth_counts"]["delta_b"] == [
+        delta_b(*datasets[axis].truth_counts()[:2]) for axis in iqtomo.AXES
+    ]
     assert not list(tmp_path.glob("*.tmp"))
 
 

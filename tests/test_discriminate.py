@@ -30,7 +30,7 @@ from iqtomo import (
 )
 from iqtomo import discriminate
 from iqtomo.cli import RunConfig, simulate_datasets
-from oracles import em_fit_reference, f_matrix, mahalanobis_sq_einsum
+from oracles import em_fit_reference, f_matrix, kmeans_pp_init_reference, mahalanobis_sq_einsum
 
 
 def _component(mean, cov=None, weight=0.5) -> ComponentParams:
@@ -348,6 +348,34 @@ class TestEmFit:
                     assert abs(g.weight - w.weight) <= 1e-10
                     np.testing.assert_allclose(g.mean, w.mean, rtol=0.0, atol=1e-10)
                     np.testing.assert_allclose(g.cov, w.cov, rtol=0.0, atol=1e-10)
+
+    def test_kmeans_pp_init_matches_reference_on_criterion_04_axes(self):
+        for seed in range(20):
+            datasets = simulate_datasets(RunConfig(seed=seed))
+            for axis in AXES:
+                d = datasets[axis]
+                init_seed = (d.seed ^ 0xE41B17) & 0xFFFFFFFFFFFFFFFF
+                centers, to_second = discriminate._kmeans_pp_init(d.i, d.q, init_seed)
+                want_centers, want_assign = kmeans_pp_init_reference(d.points(), init_seed)
+                assert np.array_equal(d.points()[list(centers)], want_centers), (seed, axis)
+                assert np.array_equal(to_second.astype(int), want_assign), (seed, axis)
+
+    def test_kmeans_pp_init_ties_go_to_first_centre(self):
+        # on an integer lattice many samples lie equidistant from both centres
+        grid = np.array([(x, y) for x in range(-2, 3) for y in range(-2, 3)] + [(5, 5)] * 4, float)
+        ties = 0
+        for seed in range(8):
+            centers, to_second = discriminate._kmeans_pp_init(grid[:, 0], grid[:, 1], seed)
+            want_centers, want_assign = kmeans_pp_init_reference(grid, seed)
+            assert np.array_equal(grid[list(centers)], want_centers), seed
+            assert np.array_equal(to_second.astype(int), want_assign), seed
+            d2 = ((grid[:, None, :] - want_centers[None, :, :]) ** 2).sum(axis=2)
+            ties += int(np.count_nonzero(d2[:, 0] == d2[:, 1]))
+        assert ties > 0
+        # all samples equal: the second centre is the next sample, every tie to the first
+        same = np.zeros(4)
+        centers, to_second = discriminate._kmeans_pp_init(same, same, 3)
+        assert centers[1] == (centers[0] + 1) % 4 and not to_second.any()
 
     def test_likelihood_decrease_is_an_error(self, sep5_mixture, monkeypatch):
         d = synthesize_iq(500, 500, sep5_mixture.zero, sep5_mixture.one, seed=18)

@@ -1,8 +1,12 @@
 import json
+import os
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqtomo import (
     ComponentParams,
@@ -17,6 +21,7 @@ from iqtomo import (
     save_dataset,
     synthesize_iq,
 )
+from oracles import load_dataset_reference, save_dataset_reference
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK = 0xFFFFFFFFFFFFFFFF
@@ -30,6 +35,25 @@ def _same_dataset(a: IQDataset, b: IQDataset) -> bool:
         and np.array_equal(a.q, b.q)
         and np.array_equal(a.truth, b.truth)
     )
+
+
+def _bit_identical(a: IQDataset, b: IQDataset) -> bool:
+    """Same columns bit for bit (so -0.0 differs from 0.0), same header fields."""
+    return (
+        _same_dataset(a, b)
+        and a.i.tobytes() == b.i.tobytes()
+        and a.q.tobytes() == b.q.tobytes()
+        and (a.mixture is None) == (b.mixture is None)
+        and (a.mixture is None or a.mixture.to_json_dict() == b.mixture.to_json_dict())
+    )
+
+
+def _load_outcome(load, path):
+    """What a loader makes of a file: its dataset, or its error type, message and line."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None))
 
 
 def test_axis_seed_derivation():
@@ -224,6 +248,204 @@ class TestDatasetFiles:
         d = load_dataset(str(path))
         assert d.seed == 0
         assert d.truth[0] == -1
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e16, 1e-7]
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL_FLOATS)
+)
+
+
+def _canonical_lines() -> list[str]:
+    """Lines of a save_dataset file (header first) whose samples span three 64 KiB blocks."""
+    zero = ComponentParams(0.5, np.array([2.5, 2.0]), np.eye(2))
+    one = ComponentParams(0.5, np.array([-2.5, 2.0]), np.eye(2))
+    d = synthesize_iq(1500, 1350, zero, one, contamination=ContaminationSpec(weight=0.05), seed=11)
+    d.truth[::7] = -1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.jsonl")
+        save_dataset(d, path)
+        with open(path, encoding="utf-8") as handle:
+            return handle.read().split("\n")[:-1]
+
+
+CANONICAL = _canonical_lines()
+# a sample line in the first block and one in the second (the header is line 1)
+FIRST_BLOCK = 5
+SECOND_BLOCK = 1 + next(
+    k for k in range(1, len(CANONICAL)) if sum(len(x) + 1 for x in CANONICAL[:k]) > 70_000
+)
+
+
+def _set(field: str, token: str):
+    """Mutation: write ``token`` as the raw JSON value of ``field``."""
+
+    def mutate(line: str) -> str:
+        record = json.loads(line)
+        parts = [f'"{k}": {token if k == field else json.dumps(v)}' for k, v in record.items()]
+        return "{" + ", ".join(parts) + "}"
+
+    return mutate
+
+
+LINE_MUTATIONS = {
+    "extra_spaces": lambda line: line.replace(": ", ":  ").replace("{", "{ "),
+    "trailing_space": lambda line: line + " ",
+    "reordered_keys": lambda line: json.dumps(dict(reversed(json.loads(line).items()))),
+    "integer": _set("i", "3"),
+    "negative_zero_integer": _set("q", "-0"),
+    "long_integer": _set("i", "123456789012345678901234567890"),
+    "exponent": _set("i", "1.5e-7"),
+    "upper_exponent": _set("q", "2E+3"),
+    "bare_exponent": _set("i", "-1e5"),
+    "negative_zero_float": _set("i", "-0.0"),
+    "overflowing_exponent": _set("q", "1e400"),
+    "number_as_string": _set("i", '"1.25"'),
+    "nan_as_string": _set("q", '"nan"'),
+    "nan_literal": _set("i", "NaN"),
+    "bool_coordinate": _set("i", "true"),
+    "escaped_label": _set("truth", '"\\u007aero"'),
+    "unknown_label": _set("truth", '"two"'),
+    "missing_truth": lambda line: line[: line.index(', "truth"')] + "}",
+    "missing_q": lambda line: line.replace(', "q"', ', "r"'),
+    "array_record": lambda line: "[1, 2]",
+    "bad_json": lambda line: "not json",
+    "empty_line": lambda line: "\n" + line,
+    "blank_line": lambda line: " \t\n" + line,
+    "two_records": lambda line: line + line,
+    "split_record": lambda line: line.replace(", ", "\n", 1),
+    "lone_cr": lambda line: line + "\r",
+    "vertical_tab_break": lambda line: line + "\x0b" + line,
+    "line_separator_break": lambda line: line + "\u2028" + line,
+}
+
+
+class TestDatasetReaderWriter:
+    """The block reader and template writer against the per-line json oracles."""
+
+    def test_second_block_line_is_past_the_first_block(self):
+        assert sum(len(x) + 1 for x in CANONICAL[: SECOND_BLOCK - 1]) > 65_536
+        assert len("\n".join(CANONICAL)) > 2 * 65_536
+
+    def test_save_matches_reference_writer(self, tmp_path):
+        # magnitudes from 1e-300 to 1e300, so reprs with and without exponents
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(2500) * 10.0 ** rng.integers(-300, 300, 2500)
+        values[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+        d = IQDataset("x", values, values[::-1], np.arange(values.size) % 4 - 1, seed=2**64 - 1)
+        save_dataset(d, str(tmp_path / "a.jsonl"))
+        save_dataset_reference(d, str(tmp_path / "b.jsonl"))
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        assert _bit_identical(load_dataset(str(tmp_path / "a.jsonl")), d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(FINITE_FLOATS, FINITE_FLOATS, st.integers(-1, 2)), min_size=1, max_size=40
+        ),
+        observable=st.sampled_from(["x", "y", "z"]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_round_trip_is_bit_identical(self, rows, observable, seed):
+        i_vals, q_vals, truth = zip(*rows)
+        d = IQDataset(observable, list(i_vals), list(q_vals), list(truth), seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, reference = os.path.join(tmp, "a.jsonl"), os.path.join(tmp, "b.jsonl")
+            save_dataset(d, path)
+            save_dataset_reference(d, reference)
+            with open(path, "rb") as got, open(reference, "rb") as want:
+                assert got.read() == want.read()
+            assert _bit_identical(load_dataset(path), d)
+
+    def test_save_rejects_non_finite(self, tmp_path):
+        d = IQDataset("z", [1.0, 2.0], [0.0, 0.0], [0, 1], seed=1)
+        d.i[1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            save_dataset(d, str(tmp_path / "d.jsonl"))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("where", [FIRST_BLOCK, SECOND_BLOCK], ids=["block1", "block2"])
+    @pytest.mark.parametrize("name", sorted(LINE_MUTATIONS))
+    def test_mutated_line_matches_reference_loader(self, tmp_path, name, where):
+        lines = list(CANONICAL)
+        lines[where - 1] = LINE_MUTATIONS[name](lines[where - 1])
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        got = _load_outcome(load_dataset, str(path))
+        want = _load_outcome(load_dataset_reference, str(path))
+        if isinstance(want, IQDataset):
+            assert isinstance(got, IQDataset) and _bit_identical(got, want)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n",
+            " \t",
+            '{"obs": "z"}',
+            '{"obs": "z"}\n\n \n',
+            '{"obs": "z"}\x0b{"i": 1.0, "q": 2.0, "truth": null}\n',
+            '{"obs": "z"}\r\n{"i": 1.0, "q": 2.0, "truth": "one"}',
+            "\r\n".join(CANONICAL) + "\r\n",
+            "\r".join(CANONICAL),
+            "\n".join(CANONICAL),
+            "\n".join(CANONICAL[:SECOND_BLOCK] + ["", "{", "}"] + CANONICAL[SECOND_BLOCK:]),
+        ],
+        ids=[
+            "empty", "newline", "blank", "header_only", "header_and_blank_lines",
+            "vertical_tab_after_header", "crlf_no_final_newline", "crlf", "cr",
+            "no_final_newline", "broken_line_in_second_block",
+        ],
+    )
+    def test_whole_file_matches_reference_loader(self, tmp_path, text):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        got = _load_outcome(load_dataset, str(path))
+        want = _load_outcome(load_dataset_reference, str(path))
+        if isinstance(want, IQDataset):
+            assert isinstance(got, IQDataset) and _bit_identical(got, want)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "defect_line, undecodable_at",
+        [(None, 100), (None, 200_000), (5, 200_000), (1, 200_000), (SECOND_BLOCK, 70_000)],
+    )
+    def test_undecodable_file_matches_reference_loader(self, tmp_path, defect_line, undecodable_at):
+        lines = list(CANONICAL)
+        if defect_line is not None:
+            lines[defect_line - 1] = "not json"
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(data[:undecodable_at] + b"\xff" + data[undecodable_at:])
+        got = _load_outcome(load_dataset, str(path))
+        assert got == _load_outcome(load_dataset_reference, str(path))
+        assert got[0] == "UnicodeDecodeError" and f"position {undecodable_at}" in got[1]
+
+    @pytest.mark.parametrize(
+        "header, sample, line, message",
+        [
+            ('{"obs": "z", "seed": null}', None, 1, "invalid seed None"),
+            ('{"obs": "z", "seed": 1.5e400}', None, 1, "invalid seed inf"),
+            (None, '{"i": 1' + "0" * 400 + ', "q": 0.0, "truth": null}', 3, "out of float range"),
+            (None, '{"i": 0.5, "q": 0.0, "truth": ["zero"]}', 3, "unknown truth label ['zero']"),
+        ],
+        ids=["null_seed", "overflowing_seed", "400_digit_coordinate", "list_label"],
+    )
+    def test_escapes_are_format_errors(self, tmp_path, header, sample, line, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            (header or '{"obs": "z", "seed": 1}')
+            + '\n{"i": 0.0, "q": 0.0, "truth": null}\n'
+            + (sample or '{"i": 1.0, "q": 1.0, "truth": "one"}')
+            + "\n"
+        )
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(str(path))
+        assert err.value.line == line
+        assert message in str(err.value)
 
 
 class TestIQDataset:
