@@ -12,27 +12,10 @@ import json
 import os
 from typing import Optional
 
-import numpy as np
-
-from iqtomo import (
-    AXES,
-    bilevel_qst,
-    delta_b,
-    em_fit,
-    frobenius_distance,
-    hard_b,
-    qst_closed_form,
-    save_dataset,
-    tomography_report,
-)
-from iqtomo.cli import (
-    DEFAULT_MIXTURE,
-    REFERENCE_STATE,
-    RunConfig,
-    render_iq_svg,
-    simulate_datasets,
-    write_text_atomic,
-)
+from iqtomo import AXES, frobenius_distance, save_dataset, tomography_report
+from iqtomo.plot import render_iq_svg
+from iqtomo.readout import write_text_atomic
+from iqtomo.repro import REFERENCE_STATE, reconstruct_seed
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -42,21 +25,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--out", help="optional artifact directory")
     args = parser.parse_args(argv)
 
-    cfg = RunConfig(seed=args.seed, n_per_axis=args.n)
-    datasets = simulate_datasets(cfg)
-
-    dx, dy, dz = (datasets[axis] for axis in AXES)
-    theta = {axis: em_fit(datasets[axis]) for axis in AXES}
-    hard = bilevel_qst(dx, dy, dz, theta, mode="hard")
-    soft = bilevel_qst(dx, dy, dz, DEFAULT_MIXTURE, mode="soft")
-    counts = [datasets[axis].truth_counts()[:2] for axis in AXES]
+    run = reconstruct_seed(args.seed, args.n)
     results = {
-        "truth_counts": qst_closed_form(
-            np.asarray([hard_b(n0, n1) for n0, n1 in counts]),
-            delta=np.asarray([delta_b(n0, n1) for n0, n1 in counts]),
-        ),
-        "em_hard": hard.qst,
-        "soft_collapsed": soft.qst,
+        "truth_counts": run.truth_counts,
+        "em_hard": run.two_stage,
+        "soft_collapsed": run.collapsed,
     }
 
     print(f"seed={args.seed}  n={args.n} per axis")
@@ -69,9 +42,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for axis in AXES:
-            save_dataset(datasets[axis], os.path.join(args.out, f"iq_{axis}.jsonl"))
+            save_dataset(run.datasets[axis], os.path.join(args.out, f"iq_{axis}.jsonl"))
             write_text_atomic(
-                os.path.join(args.out, f"iq_{axis}.svg"), render_iq_svg(datasets[axis])
+                os.path.join(args.out, f"iq_{axis}.svg"), render_iq_svg(run.datasets[axis])
             )
         report = {
             method: tomography_report(result, reference=REFERENCE_STATE)

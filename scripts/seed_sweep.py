@@ -8,36 +8,32 @@ deviations.  Useful for checking the stochastic acceptance margins.
 """
 
 import argparse
+from typing import Optional
 
 import numpy as np
 
-from iqtomo import AXES, bilevel_qst, em_fit, frobenius_distance
-from iqtomo.cli import DEFAULT_MIXTURE, REFERENCE_STATE, RunConfig, simulate_datasets
+from iqtomo.repro import DEFAULT_MIXTURE, reconstruct_seed
 
 
-def main() -> int:
+def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=20, help="number of seeds")
     parser.add_argument("--start", type=int, default=0, help="first seed")
     parser.add_argument("--n", type=int, default=10_000, help="shots per axis")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    two_stage, collapsed, mean_dev, cov_dev = [], [], [], []
+    errors, mean_dev, cov_dev = [], [], []
     for seed in range(args.start, args.start + args.seeds):
-        datasets = simulate_datasets(RunConfig(seed=seed, n_per_axis=args.n))
-        dx, dy, dz = (datasets[axis] for axis in AXES)
-        theta = {axis: em_fit(datasets[axis]) for axis in AXES}
-        for theta_hat in theta.values():
+        run = reconstruct_seed(seed, args.n)
+        for theta_hat in run.em.values():
             for comp, truth in (
                 (theta_hat.zero, DEFAULT_MIXTURE.zero),
                 (theta_hat.one, DEFAULT_MIXTURE.one),
             ):
                 mean_dev.append(float(np.abs(comp.mean - truth.mean).max()))
                 cov_dev.append(float(np.linalg.norm(comp.cov - truth.cov)))
-        hard = bilevel_qst(dx, dy, dz, theta, mode="hard")
-        two_stage.append(frobenius_distance(hard.qst.rho, REFERENCE_STATE))
-        soft = bilevel_qst(dx, dy, dz, DEFAULT_MIXTURE, mode="soft")
-        collapsed.append(frobenius_distance(soft.qst.rho, REFERENCE_STATE))
+        errors.append(run.errors)
+    two_stage, collapsed = zip(*errors)
 
     def line(name: str, values) -> None:
         arr = np.asarray(values)

@@ -29,73 +29,34 @@ import numpy as np
 
 from .discriminate import (
     MODES,
-    ComponentParams,
     MembershipMatrix,
     MixtureParams,
     b_from_memberships,
-    delta_b,
     em_fit,
-    hard_b,
     memberships_for,
 )
-from .qcore import AXES, DensityMatrix, evolve_state, frobenius_distance, pauli
+from .plot import render_iq_svg
+from .qcore import AXES, DensityMatrix
 from .qhi import (
     fit_channel,
     observe_trajectory,
     save_trajectory,
     simulate_trajectory,
+    step_unitary,
     unitary_superoperator,
 )
-from .qst import BilevelResult, bilevel_qst, qst_closed_form, tomography_report
+from .qst import bilevel_qst, tomography_report
 from .readout import (
-    DatasetFormatError,
     IQDataset,
-    axis_seed,
     load_dataset,
     mix_seed,
-    sample_outcomes,
     save_dataset,
-    synthesize_iq,
+    simulate_datasets,
     write_csv,
     write_csv_lines,
     write_text_atomic,
 )
-
-# Regression targets for the bundled readout illustration: a fixed target
-# state, per-axis shot counts, per-method expectation rows, the matrices
-# reconstructed from them, and two recorded distances that are inconsistent
-# with the matrices they describe (kept verbatim, flagged at runtime).
-REFERENCE_STATE = DensityMatrix(np.array([[0.056, 0.229j], [-0.229j, 0.944]]))
-
-REFERENCE_COUNTS = {"x": (4996, 5004), "y": (2663, 7337), "z": (540, 9460)}
-
-REFERENCE_B_ROWS = {
-    "simulator": (-0.0006, -0.4674, -0.8920),
-    "two_stage": (-0.0044, -0.4659, -0.8979),
-    "joint": (-0.0004, -0.4480, -0.8913),
-}
-
-REFERENCE_RECONSTRUCTIONS = {
-    "simulator": np.array(
-        [[0.0571, -0.0003 + 0.2321j], [-0.0003 - 0.2321j, 0.9429]]
-    ),
-    "two_stage": np.array(
-        [[0.0597, -0.0008 + 0.2274j], [-0.0008 - 0.2274j, 0.9403]]
-    ),
-    "joint": np.array(
-        [[0.0544, -0.0002 + 0.2240j], [-0.0002 - 0.2240j, 0.9456]]
-    ),
-}
-
-REFERENCE_DISTANCES = {"two_stage": 0.6455, "joint": 0.6406}
-
-DEFAULT_MIXTURE = MixtureParams(
-    zero=ComponentParams(0.5, np.array([2.5, 2.0]), np.eye(2)),
-    one=ComponentParams(0.5, np.array([-2.5, 2.0]), np.eye(2)),
-    noise=None,
-)
-
-POINT_COLORS = {0: "#1f77b4", 1: "#d62728", 2: "#999999", -1: "#555555"}
+from .repro import DEFAULT_MIXTURE, REFERENCE_STATE, reproduce_paper, truth_count_qst
 
 
 class ConfigError(ValueError):
@@ -234,13 +195,11 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
         cfg = parse_config_dict(raw)
     else:
         cfg = RunConfig()
-    updates: dict = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        updates["mode"] = args.mode
-    if getattr(args, "out", None) is not None:
-        updates["out"] = args.out
+    updates = {
+        key: getattr(args, key)
+        for key in ("seed", "mode", "out")
+        if getattr(args, key, None) is not None
+    }
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -260,45 +219,21 @@ def _json_text(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# subcommands: each reads its inputs, calls the library and writes its outputs
 # ---------------------------------------------------------------------------
-
-
-def simulate_datasets(cfg: RunConfig) -> dict[str, IQDataset]:
-    """Generate the three per-axis datasets for the configured state."""
-    datasets = {}
-    for axis in AXES:
-        stream = axis_seed(cfg.seed, axis)
-        n0, n1 = sample_outcomes(cfg.state, axis, cfg.n_per_axis, stream)
-        datasets[axis] = synthesize_iq(
-            n0,
-            n1,
-            cfg.mixture.zero,
-            cfg.mixture.one,
-            contamination=cfg.mixture.noise,
-            seed=mix_seed(stream, 1),
-            observable=axis,
-        )
-    return datasets
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args)
     out_dir = _require_out(cfg)
-    datasets = simulate_datasets(cfg)
+    datasets = simulate_datasets(cfg.state, cfg.mixture, cfg.n_per_axis, cfg.seed)
     print("axis  n_zero  n_one  n_noise  file")
-    for axis in AXES:
-        dataset = datasets[axis]
+    for axis, dataset in datasets.items():
         path = _dataset_path(out_dir, axis)
         save_dataset(dataset, path)
         n0, n1, nn = dataset.truth_counts()
         print(f"{axis:<4}  {n0:>6}  {n1:>5}  {nn:>7}  {path}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# discriminate
-# ---------------------------------------------------------------------------
 
 
 def _calibrate(dataset: IQDataset, cfg: RunConfig, source: str) -> MixtureParams:
@@ -312,7 +247,9 @@ def _calibrate(dataset: IQDataset, cfg: RunConfig, source: str) -> MixtureParams
     return em_fit(dataset)
 
 
-def write_membership_csv(member: MembershipMatrix, path: str) -> None:
+def write_membership_csv(member: MembershipMatrix, out_dir: str, axis: str) -> str:
+    """Write ``memberships_<axis>.csv`` into ``out_dir``; returns its path."""
+    path = os.path.join(out_dir, f"memberships_{axis}.csv")
     rows = member.rows
     noise = rows[:, 2] if rows.shape[1] == 3 else np.zeros(rows.shape[0])
     write_csv_lines(
@@ -325,6 +262,7 @@ def write_membership_csv(member: MembershipMatrix, path: str) -> None:
             )
         ),
     )
+    return path
 
 
 def cmd_discriminate(args: argparse.Namespace) -> int:
@@ -334,17 +272,10 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
     member = memberships_for(dataset, theta, cfg.mode)
     b, err = b_from_memberships(member)
     if cfg.out is not None:
-        out_dir = _require_out(cfg)
-        path = os.path.join(out_dir, f"memberships_{dataset.observable}.csv")
-        write_membership_csv(member, path)
+        path = write_membership_csv(member, _require_out(cfg), dataset.observable)
         print(f"memberships written to {path}")
     print(f"axis={dataset.observable} mode={cfg.mode} b={b:.6f} delta_b={err:.6f}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# tomo / bilevel
-# ---------------------------------------------------------------------------
 
 
 def _load_axis_datasets(args: argparse.Namespace) -> dict[str, IQDataset]:
@@ -373,61 +304,28 @@ def _write_b_table(path: str, rows: dict[str, tuple[float, float, float]]) -> No
     )
 
 
-def _reconstruct(
-    args: argparse.Namespace, cfg: RunConfig, out_dir: str
-) -> tuple[dict[str, IQDataset], BilevelResult]:
-    """Calibrate, discriminate and reconstruct the three datasets; writes report.json."""
+def cmd_reconstruct(args: argparse.Namespace) -> int:
+    """``tomo`` and ``bilevel``: calibrate, discriminate and reconstruct the
+    three datasets, write report.json, then the subcommand's own files."""
+    cfg = load_config(args.config, args)
+    out_dir = _require_out(cfg)
     datasets = _load_axis_datasets(args)
     theta = {axis: _calibrate(datasets[axis], cfg, args.calibrate) for axis in AXES}
     result = bilevel_qst(datasets["x"], datasets["y"], datasets["z"], theta, mode=cfg.mode)
     report = tomography_report(result, reference=cfg.state)
     write_text_atomic(os.path.join(out_dir, "report.json"), _json_text(report))
-    return datasets, result
-
-
-def cmd_tomo(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args)
-    out_dir = _require_out(cfg)
-    datasets, result = _reconstruct(args, cfg, out_dir)
     b = result.qst.b_used.b
-    table: dict[str, tuple[float, float, float]] = {cfg.mode: tuple(b)}
-    if all(np.all(datasets[axis].truth >= 0) for axis in AXES):
-        truth_b = []
+    if args.command == "tomo":
+        table: dict[str, tuple[float, float, float]] = {cfg.mode: tuple(b)}
+        if all(np.all(datasets[axis].truth >= 0) for axis in AXES):
+            table["truth_counts"] = tuple(truth_count_qst(datasets).b_used.b)
+        _write_b_table(os.path.join(out_dir, "b_table.csv"), table)
+    else:
         for axis in AXES:
-            n0, n1, _ = datasets[axis].truth_counts()
-            truth_b.append(hard_b(n0, n1))
-        table["truth_counts"] = tuple(truth_b)
-    _write_b_table(os.path.join(out_dir, "b_table.csv"), table)
+            write_membership_csv(result.memberships[axis], out_dir, axis)
     print(f"b = {b.tolist()}")
     print(f"report written to {os.path.join(out_dir, 'report.json')}")
     return 0
-
-
-def cmd_bilevel(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args)
-    out_dir = _require_out(cfg)
-    _, result = _reconstruct(args, cfg, out_dir)
-    for axis in AXES:
-        write_membership_csv(
-            result.memberships[axis], os.path.join(out_dir, f"memberships_{axis}.csv")
-        )
-    print(f"b = {result.qst.b_used.b.tolist()}")
-    print(f"report written to {os.path.join(out_dir, 'report.json')}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# qhi
-# ---------------------------------------------------------------------------
-
-
-def step_unitary(axis: str, rate: float, dt: float) -> np.ndarray:
-    """One-step propagator exp(-i rate * sigma_axis * dt)."""
-    h = rate * pauli(axis)
-    basis = np.eye(2, dtype=complex)
-    return np.stack(
-        [evolve_state(h, dt, basis[:, 0]), evolve_state(h, dt, basis[:, 1])], axis=1
-    )
 
 
 def cmd_qhi(args: argparse.Namespace) -> int:
@@ -440,17 +338,15 @@ def cmd_qhi(args: argparse.Namespace) -> int:
         trajectory = simulate_trajectory(
             truth, cfg.state, q.steps, trajectory_id=j, dt=q.dt
         )
-        if q.observe == "sampled":
-            trajectory = observe_trajectory(
-                trajectory,
-                mode="sampled",
-                n=cfg.n_per_axis,
-                theta=cfg.mixture,
-                seed=mix_seed(cfg.seed, 0xB1E),
-                discriminator="hard" if cfg.mode == "assignment" else cfg.mode,
-            )
-        else:
-            trajectory = observe_trajectory(trajectory, mode="exact")
+        # exact observation ignores the readout arguments
+        trajectory = observe_trajectory(
+            trajectory,
+            mode=q.observe,
+            n=cfg.n_per_axis,
+            theta=cfg.mixture,
+            seed=mix_seed(cfg.seed, 0xB1E),
+            discriminator="hard" if cfg.mode == "assignment" else cfg.mode,
+        )
         save_trajectory(
             trajectory, os.path.join(out_dir, f"trajectory_{j:03d}.jsonl")
         )
@@ -480,93 +376,6 @@ def cmd_qhi(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# plot-iq
-# ---------------------------------------------------------------------------
-
-
-def _svg_components(dataset: IQDataset) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(mean, covariance) pairs to draw: mixture if recorded, else empirical."""
-    if dataset.mixture is not None:
-        return [
-            (dataset.mixture.zero.mean, dataset.mixture.zero.cov),
-            (dataset.mixture.one.mean, dataset.mixture.one.cov),
-        ]
-    points = dataset.points()
-    out = []
-    labelled = False
-    for code in (0, 1):
-        sel = points[dataset.truth == code]
-        if sel.shape[0] >= 2:
-            out.append((sel.mean(axis=0), np.cov(sel.T, bias=True)))
-            labelled = True
-    if not labelled and points.shape[0] >= 2:
-        out.append((points.mean(axis=0), np.cov(points.T, bias=True)))
-    return out
-
-
-def render_iq_svg(dataset: IQDataset, width: int = 640, height: int = 480) -> str:
-    """Deterministic SVG scatter: one circle per sample, cluster overlays."""
-    points = dataset.points()
-    components = _svg_components(dataset)
-    margin = 48.0
-
-    xs = [points[:, 0].min(), points[:, 0].max()]
-    ys = [points[:, 1].min(), points[:, 1].max()]
-    for mean, cov in components:
-        spread = 2.0 * math.sqrt(max(np.linalg.eigvalsh(cov).max(), 0.0))
-        xs += [mean[0] - spread, mean[0] + spread]
-        ys += [mean[1] - spread, mean[1] + spread]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    span = max(x_hi - x_lo, y_hi - y_lo, 1e-9)
-    scale = (min(width, height) - 2.0 * margin) / span
-    x_mid = 0.5 * (x_lo + x_hi)
-    y_mid = 0.5 * (y_lo + y_hi)
-
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        return (
-            width / 2.0 + (x - x_mid) * scale,
-            height / 2.0 - (y - y_mid) * scale,
-        )
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 12:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">I (obs {dataset.observable})</text>',
-        f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" transform="rotate(-90 16 {height / 2:.1f})">Q</text>',
-    ]
-    for x, y, code in zip(dataset.i, dataset.q, dataset.truth):
-        px, py = to_px(float(x), float(y))
-        color = POINT_COLORS.get(int(code), POINT_COLORS[-1])
-        parts.append(
-            f'<circle class="pt" cx="{px:.2f}" cy="{py:.2f}" r="2" fill="{color}" '
-            f'fill-opacity="0.6"/>'
-        )
-    for mean, cov in components:
-        mx, my = float(mean[0]), float(mean[1])
-        px, py = to_px(mx, my)
-        w, v = np.linalg.eigh(np.asarray(cov, dtype=float))
-        rx = 2.0 * math.sqrt(max(w[1], 0.0)) * scale
-        ry = 2.0 * math.sqrt(max(w[0], 0.0)) * scale
-        angle = -math.degrees(math.atan2(v[1, 1], v[0, 1]))
-        parts.append(
-            f'<ellipse class="cov" cx="{px:.2f}" cy="{py:.2f}" rx="{rx:.2f}" ry="{ry:.2f}" '
-            f'transform="rotate({angle:.2f} {px:.2f} {py:.2f})" fill="none" '
-            f'stroke="#000000" stroke-dasharray="4 3"/>'
-        )
-        parts.append(
-            f'<path class="mean" data-mean="{mx!r},{my!r}" '
-            f'd="M {px - 6:.2f} {py:.2f} H {px + 6:.2f} M {px:.2f} {py - 6:.2f} '
-            f'V {py + 6:.2f}" stroke="#000000" stroke-width="1.5"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 def cmd_plot_iq(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     write_text_atomic(args.out, render_iq_svg(dataset))
@@ -574,132 +383,20 @@ def cmd_plot_iq(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# repro-paper
-# ---------------------------------------------------------------------------
-
-
-def _matrix_close(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, float]:
-    gap = float(np.abs(np.asarray(a) - np.asarray(b)).max())
-    return gap <= tol, gap
-
-
-def _end_to_end_errors(seeds: range) -> tuple[list[float], list[float]]:
-    """Median pipeline errors: (two-stage EM + hard, collapsed soft)."""
-    two_stage = []
-    collapsed = []
-    for seed in seeds:
-        datasets = simulate_datasets(RunConfig(seed=seed))
-        dx, dy, dz = (datasets[axis] for axis in AXES)
-        theta = {axis: em_fit(datasets[axis]) for axis in AXES}
-        hard = bilevel_qst(dx, dy, dz, theta, mode="hard")
-        two_stage.append(frobenius_distance(hard.qst.rho, REFERENCE_STATE))
-        soft = bilevel_qst(dx, dy, dz, DEFAULT_MIXTURE, mode="soft")
-        collapsed.append(frobenius_distance(soft.qst.rho, REFERENCE_STATE))
-    return two_stage, collapsed
-
-
 def cmd_repro_paper(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args)
     out_dir = _require_out(cfg)
-    checks: list[dict] = []
-
-    def check(name: str, ok: bool, detail: dict, flagged: bool = False) -> None:
-        status = "flagged" if flagged and ok else ("pass" if ok else "fail")
-        checks.append({"name": name, "status": status, **detail})
-
-    recon = {
-        method: qst_closed_form(np.asarray(row)).rho
-        for method, row in REFERENCE_B_ROWS.items()
-    }
-    for method in ("simulator", "joint"):
-        ok, gap = _matrix_close(
-            recon[method].matrix, REFERENCE_RECONSTRUCTIONS[method], 5e-4
-        )
-        check(f"reconstruction_{method}", ok, {"max_entry_gap": gap, "tolerance": 5e-4})
+    repro = reproduce_paper(cfg.seed)
+    for method, rho in repro.reconstructions.items():
         write_text_atomic(
             os.path.join(out_dir, f"reconstruction_{method}.json"),
-            _json_text(recon[method].to_json_dict()),
+            _json_text(rho.to_json_dict()),
         )
-    # the two_stage row cannot be reproduced from its own b estimate; the
-    # recomputed matrix is recorded, the mismatch flagged (not a failure)
-    ok, gap = _matrix_close(
-        recon["two_stage"].matrix, REFERENCE_RECONSTRUCTIONS["two_stage"], 5e-4
-    )
-    check(
-        "reconstruction_two_stage_known_inconsistent",
-        True,
-        {"max_entry_gap": gap, "reproducible": ok},
-        flagged=True,
-    )
-
-    counts_b = tuple(hard_b(*REFERENCE_COUNTS[axis]) for axis in AXES)
-    sim_row = REFERENCE_B_ROWS["simulator"]
-    check(
-        "counts_to_b_yz",
-        counts_b[1] == sim_row[1] and counts_b[2] == sim_row[2],
-        {"counts_b": list(counts_b), "reference_b": list(sim_row)},
-    )
-    gap_x = abs(counts_b[0] - sim_row[0])
-    check(
-        "counts_to_b_x_known_inconsistent",
-        gap_x <= 3e-4,
-        {"counts_b_x": counts_b[0], "reference_b_x": sim_row[0], "gap": gap_x},
-        flagged=True,
-    )
-    errors = tuple(delta_b(*REFERENCE_COUNTS[axis]) for axis in AXES)
-    check(
-        "delta_b",
-        abs(errors[0] - 0.01) <= 1e-5 and abs(errors[2] - 4.52e-3) <= 1e-5,
-        {"delta_b": list(errors)},
-    )
-
-    recomputed = {
-        method: frobenius_distance(
-            REFERENCE_RECONSTRUCTIONS["simulator"], REFERENCE_RECONSTRUCTIONS[method]
-        )
-        for method in ("two_stage", "joint")
-    }
-    check(
-        "frobenius_joint_recomputed",
-        abs(recomputed["joint"] - 0.01208) <= 5e-4,
-        {
-            "recomputed": recomputed["joint"],
-            "recorded": REFERENCE_DISTANCES["joint"],
-            "recorded_consistent": abs(recomputed["joint"] - REFERENCE_DISTANCES["joint"]) <= 5e-4,
-        },
-        flagged=True,
-    )
-    check(
-        "frobenius_two_stage_recomputed",
-        abs(recomputed["two_stage"] - 0.0076) <= 5e-4,
-        {
-            "recomputed": recomputed["two_stage"],
-            "recorded": REFERENCE_DISTANCES["two_stage"],
-            "recorded_consistent": abs(recomputed["two_stage"] - REFERENCE_DISTANCES["two_stage"]) <= 5e-4,
-        },
-        flagged=True,
-    )
-
-    two_stage, collapsed = _end_to_end_errors(range(cfg.seed, cfg.seed + 5))
-    check(
-        "end_to_end_median_error",
-        float(np.median(two_stage)) <= 0.03 and float(np.median(collapsed)) <= 0.03,
-        {
-            "two_stage_median": float(np.median(two_stage)),
-            "collapsed_median": float(np.median(collapsed)),
-            "tolerance": 0.03,
-        },
-    )
-
-    table = dict(REFERENCE_B_ROWS)
-    table["counts_derived"] = counts_b
-    _write_b_table(os.path.join(out_dir, "b_table.csv"), table)
+    _write_b_table(os.path.join(out_dir, "b_table.csv"), repro.b_table)
 
     em_rows = []
-    datasets = simulate_datasets(RunConfig(seed=cfg.seed))
     for axis in AXES:
-        fitted = em_fit(datasets[axis])
+        fitted = repro.em[axis]
         for name, comp in (("zero", fitted.zero), ("one", fitted.one)):
             em_rows.append(
                 [axis, name, repr(float(comp.mean[0])), repr(float(comp.mean[1]))]
@@ -711,6 +408,7 @@ def cmd_repro_paper(args: argparse.Namespace) -> int:
         em_rows,
     )
 
+    checks = repro.checks
     failures = [c["name"] for c in checks if c["status"] == "fail"]
     report = {"checks": checks, "failures": failures}
     write_text_atomic(os.path.join(out_dir, "repro_report.json"), _json_text(report))
@@ -740,6 +438,15 @@ def _add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> Non
     sub.add_argument("--mode", choices=MODES, help="discrimination mode")
 
 
+def _add_calibrate(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--calibrate",
+        choices=("auto", "config", "header", "em"),
+        default="auto",
+        help="mixture parameter source",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="iqtomo", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command")
@@ -751,28 +458,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("discriminate", help="classify one dataset and estimate b")
     _add_common(sub)
     sub.add_argument("--data", required=True, help="input dataset (JSON-lines)")
-    sub.add_argument(
-        "--calibrate",
-        choices=("auto", "config", "header", "em"),
-        default="auto",
-        help="mixture parameter source",
-    )
+    _add_calibrate(sub)
     sub.set_defaults(func=cmd_discriminate)
 
-    for name, func in (("tomo", cmd_tomo), ("bilevel", cmd_bilevel)):
+    for name in ("tomo", "bilevel"):
         sub = commands.add_parser(name, help=f"{name} reconstruction from three datasets")
         _add_common(sub)
         sub.add_argument("--data-dir", help="directory holding iq_x/y/z.jsonl")
         sub.add_argument("--dx", help="x-axis dataset path")
         sub.add_argument("--dy", help="y-axis dataset path")
         sub.add_argument("--dz", help="z-axis dataset path")
-        sub.add_argument(
-            "--calibrate",
-            choices=("auto", "config", "header", "em"),
-            default="auto",
-            help="mixture parameter source",
-        )
-        sub.set_defaults(func=func)
+        _add_calibrate(sub)
+        sub.set_defaults(func=cmd_reconstruct)
 
     sub = commands.add_parser("qhi", help="simulate and fit a channel trajectory")
     _add_common(sub)
@@ -797,10 +494,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.print_help()
             return 1
         return args.func(args)
-    except (ConfigError, DatasetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and DatasetFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .discriminate import BVector, MixtureParams, b_from_memberships, memberships_for
-from .qcore import AXES, DensityMatrix, bloch_from_density, unvec, vec
+from .qcore import AXES, DensityMatrix, bloch_from_density, evolve_state, pauli, unvec, vec
 from .qst import qst_closed_form
-from .readout import mix_seed, sample_outcomes, synthesize_iq, write_text_atomic
+from .readout import mix_seed, simulate_axis, write_text_atomic
 
 _VEC_ID = np.eye(2, dtype=complex).reshape(-1)
 
@@ -107,6 +107,15 @@ def unitary_superoperator(u: np.ndarray) -> ChannelSuperoperator:
     return ChannelSuperoperator(np.kron(u, u.conj()))
 
 
+def step_unitary(axis: str, rate: float, dt: float) -> np.ndarray:
+    """One-step propagator exp(-i rate * sigma_axis * dt)."""
+    h = rate * pauli(axis)
+    basis = np.eye(2, dtype=complex)
+    return np.stack(
+        [evolve_state(h, dt, basis[:, 0]), evolve_state(h, dt, basis[:, 1])], axis=1
+    )
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """States and/or observations of one simulated evolution."""
@@ -119,8 +128,7 @@ class Trajectory:
     def __post_init__(self) -> None:
         if self.states is None and self.observations is None:
             raise ValueError("trajectory needs states or observations")
-        length = len(self.states) if self.states is not None else len(self.observations)
-        if length < 2:
+        if self.steps < 1:
             raise ValueError("trajectory must contain at least two steps")
         if (
             self.states is not None
@@ -165,7 +173,8 @@ def observe_trajectory(
 
     ``exact`` reads the Bloch vector of each state directly; ``sampled``
     runs the full readout pipeline (outcome sampling, I-Q synthesis,
-    discrimination) with ``n`` shots per axis per step.
+    discrimination by ``discriminator``, ``"hard"`` or ``"soft"``) with
+    ``n`` shots per axis per step.
     """
     if trajectory.states is None:
         raise ValueError("observation requires simulated states")
@@ -176,20 +185,16 @@ def observe_trajectory(
     elif mode == "sampled":
         if n is None or theta is None or seed is None:
             raise ValueError("sampled observation needs n, theta and seed")
+        if discriminator == "assignment":
+            # its capacities come from theta's weights, so b would not depend on the shots
+            raise ValueError("sampled observation cannot discriminate with 'assignment'")
         for step, state in enumerate(trajectory.states):
             b = np.empty(3)
             delta = np.empty(3)
             for idx, axis in enumerate(AXES):
                 stream = mix_seed(seed, trajectory.trajectory_id, step, idx)
-                n0, n1 = sample_outcomes(state, axis, n, mix_seed(stream, 1))
-                dataset = synthesize_iq(
-                    n0,
-                    n1,
-                    theta.zero,
-                    theta.one,
-                    contamination=theta.noise,
-                    seed=mix_seed(stream, 2),
-                    observable=axis,
+                dataset = simulate_axis(
+                    state, axis, n, theta, mix_seed(stream, 1), mix_seed(stream, 2)
                 )
                 b[idx], delta[idx] = b_from_memberships(
                     memberships_for(dataset, theta, discriminator)
@@ -197,12 +202,7 @@ def observe_trajectory(
             observations.append(BVector(b=b, delta=delta))
     else:
         raise ValueError(f"unknown observation mode {mode!r}")
-    return Trajectory(
-        trajectory_id=trajectory.trajectory_id,
-        dt=trajectory.dt,
-        states=trajectory.states,
-        observations=tuple(observations),
-    )
+    return replace(trajectory, observations=tuple(observations))
 
 
 def save_trajectory(trajectory: Trajectory, path: str, include_states: bool = False) -> None:

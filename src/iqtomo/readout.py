@@ -72,6 +72,11 @@ def mix_seed(base_seed: int, *salts: int) -> int:
     return out
 
 
+def _is_seed(value) -> bool:
+    """True for an integer in [0, 2**64): the seeds a dataset can carry."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value <= _MASK64
+
+
 def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed & _MASK64)))
 
@@ -124,8 +129,15 @@ class IQDataset:
             raise ValueError("i, q and truth must be 1-d arrays of equal length")
         if self.i.size < 1:
             raise ValueError("dataset must contain at least one sample")
+        self._check_values()
+        self.seed = int(self.seed)
+
+    def _check_values(self) -> None:
+        """Finite coordinates and a seed in [0, 2**64): what a dataset file can hold."""
         if not (np.all(np.isfinite(self.i)) and np.all(np.isfinite(self.q))):
             raise ValueError("i/q coordinates must be finite")
+        if not _is_seed(self.seed):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @property
     def n_samples(self) -> int:
@@ -221,6 +233,39 @@ def synthesize_iq(
     )
 
 
+def simulate_axis(
+    state: DensityMatrix,
+    axis: str,
+    n: int,
+    mixture: MixtureParams,
+    outcome_seed: int,
+    iq_seed: int,
+) -> IQDataset:
+    """``n`` shots of one Pauli axis: outcomes drawn with ``outcome_seed``,
+    then their I-Q points drawn from ``mixture`` with ``iq_seed``."""
+    n0, n1 = sample_outcomes(state, axis, n, outcome_seed)
+    return synthesize_iq(
+        n0,
+        n1,
+        mixture.zero,
+        mixture.one,
+        contamination=mixture.noise,
+        seed=iq_seed,
+        observable=axis,
+    )
+
+
+def simulate_datasets(
+    state: DensityMatrix, mixture: MixtureParams, n: int, seed: int
+) -> dict[str, IQDataset]:
+    """The three per-axis datasets of one run; axis ``a`` draws from ``axis_seed(seed, a)``."""
+    datasets = {}
+    for axis in AXES:
+        stream = axis_seed(seed, axis)
+        datasets[axis] = simulate_axis(state, axis, n, mixture, stream, mix_seed(stream, 1))
+    return datasets
+
+
 # ---------------------------------------------------------------------------
 # Persistence: JSON-lines datasets, CSV export
 # ---------------------------------------------------------------------------
@@ -282,8 +327,7 @@ def save_dataset(dataset: IQDataset, path: str) -> None:
     Every sample line reads ``{"i": <float repr>, "q": <float repr>,
     "truth": "zero"|"one"|"noise"|null}``.
     """
-    if not (np.all(np.isfinite(dataset.i)) and np.all(np.isfinite(dataset.q))):
-        raise ValueError("i/q coordinates must be finite")
+    dataset._check_values()  # the fields may have changed since construction
     header: dict = {"obs": dataset.observable, "seed": dataset.seed}
     if dataset.mixture is not None:
         header["mixture"] = dataset.mixture.to_json_dict()
@@ -377,10 +421,9 @@ def _parse_header(raw: str) -> tuple[str, int, Optional[MixtureParams]]:
     observable = header["obs"]
     if observable not in AXES:
         raise DatasetFormatError(f"unknown observable {observable!r}", line=1)
-    try:
-        seed = int(header.get("seed", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DatasetFormatError(f"invalid seed {header['seed']!r}: {exc}", line=1) from exc
+    seed = header.get("seed", 0)
+    if not _is_seed(seed):
+        raise DatasetFormatError(f"invalid seed {seed!r}: not an integer in [0, 2**64)", line=1)
     mixture = None
     if header.get("mixture") is not None:
         try:
@@ -420,17 +463,17 @@ def _parse_samples(
             raise DatasetFormatError(f"invalid JSON in sample: {exc.msg}", line=lineno) from exc
         if not isinstance(record, dict):
             raise DatasetFormatError("sample must be a JSON object", line=lineno)
-        try:
-            i_vals.append(float(record["i"]))
-            q_vals.append(float(record["q"]))
-        except KeyError as exc:
-            raise DatasetFormatError(
-                f"sample is missing required field {exc.args[0]!r}", line=lineno
-            ) from exc
-        except OverflowError as exc:
-            raise DatasetFormatError(f"coordinate out of float range: {exc}", line=lineno) from exc
-        except (TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"non-numeric coordinate: {exc}", line=lineno) from exc
+        for key, values in (("i", i_vals), ("q", q_vals)):
+            if key not in record:
+                raise DatasetFormatError(f"sample is missing required field {key!r}", line=lineno)
+            value = record[key]
+            # a JSON number only: not true/false, not a number written as a string
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DatasetFormatError(f"non-numeric coordinate {key}={value!r}", line=lineno)
+            try:
+                values.append(float(value))
+            except OverflowError as exc:
+                raise DatasetFormatError(f"coordinate out of float range: {exc}", line=lineno) from exc
         label = record.get("truth")
         if label is None:
             truth.append(-1)

@@ -34,16 +34,11 @@ from iqtomo import (
     synthesize_iq,
     unitary_superoperator,
 )
-from iqtomo.cli import (
-    DEFAULT_MIXTURE,
-    REFERENCE_STATE,
-    RunConfig,
-    _end_to_end_errors,
-    simulate_datasets,
-    step_unitary,
-)
 from iqtomo.discriminate import _log_gauss
 from iqtomo.qcore import frobenius_distance
+from iqtomo.qhi import step_unitary
+from iqtomo.readout import simulate_datasets
+from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE, reconstruct_seed
 from oracles import f_matrix, qst_projected_gradient
 
 RECON_SIMULATOR = np.array([[0.0571, -0.0003 + 0.2321j], [-0.0003 - 0.2321j, 0.9429]])
@@ -112,7 +107,7 @@ def test_criterion_03_solver_equivalence(criterion):
 
 def test_criterion_04_end_to_end_reproduction(criterion):
     start = time.perf_counter()
-    two_stage, collapsed = _end_to_end_errors(range(100))
+    two_stage, collapsed = zip(*(reconstruct_seed(seed).errors for seed in range(100)))
     elapsed = time.perf_counter() - start
     med_two = float(np.median(two_stage))
     med_soft = float(np.median(collapsed))
@@ -259,7 +254,7 @@ def test_criterion_10_feasibility_battery(criterion, sep5_mixture):
         b = _ball(rng, 2.0)
         _keep(qst_closed_form(b).rho)
         _keep(qst_projected_gradient(b).rho)
-    datasets = simulate_datasets(RunConfig(seed=29, n_per_axis=2000))
+    datasets = simulate_datasets(REFERENCE_STATE, DEFAULT_MIXTURE, 2000, 29)
     for mode in ("hard", "soft", "assignment"):
         result = bilevel_qst(
             datasets["x"], datasets["y"], datasets["z"], DEFAULT_MIXTURE, mode=mode

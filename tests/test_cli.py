@@ -13,7 +13,9 @@ import pytest
 
 import iqtomo
 from iqtomo import DensityMatrix, IQDataset, delta_b, frobenius_distance, save_dataset
-from iqtomo.cli import RunConfig, load_config, main, parse_config_dict, simulate_datasets
+from iqtomo.cli import RunConfig, load_config, main, parse_config_dict
+from iqtomo.readout import simulate_datasets
+from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE, reconstruct_seed
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -326,6 +328,16 @@ class TestQhi:
         losses = [float(row[1]) for row in rows[1:]]
         assert losses and all(b <= a for a, b in zip(losses, losses[1:]))
 
+    @pytest.mark.filterwarnings("ignore:trajectory data span")
+    def test_sampled_assignment_mode_discriminates_hard(self, tmp_path, capsys):
+        qhi = {"steps": 3, "observe": "sampled"}
+        cfg = write_config(tmp_path / "c.json", n_per_axis=200, qhi=qhi)
+        hard, assignment = tmp_path / "hard", tmp_path / "assignment"
+        for mode, out in (("hard", hard), ("assignment", assignment)):
+            assert run(capsys, "qhi", "--config", cfg, "--mode", mode, "--out", str(out))[0] == 0
+        for name in ("trajectory_000.jsonl", "channel.json", "loss.csv"):
+            assert (hard / name).read_bytes() == (assignment / name).read_bytes()
+
 
 class TestPlotIq:
     def test_two_sample_dataset_gives_two_points(self, tmp_path, capsys):
@@ -382,8 +394,19 @@ class TestPlotIq:
             ('{"obs": "z"}\n{"i": 1' + "0" * 400 + ', "q": 0.0, "truth": null}\n', 2),
             ('{"obs": "z"}\n{"i": 0.0, "q": 0.0, "truth": null}\n'
              '{"i": 0.0, "q": 0.0, "truth": ["zero"]}\n', 3),
+            ('{"obs": "z", "seed": 1.5}\n{"i": 0.0, "q": 0.0, "truth": null}\n', 1),
+            ('{"obs": "z", "seed": "7"}\n{"i": 0.0, "q": 0.0, "truth": null}\n', 1),
+            ('{"obs": "z", "seed": -3}\n{"i": 0.0, "q": 0.0, "truth": null}\n', 1),
+            ('{"obs": "z", "seed": true}\n{"i": 0.0, "q": 0.0, "truth": null}\n', 1),
+            ('{"obs": "z"}\n{"i": true, "q": 0.0, "truth": null}\n', 2),
+            ('{"obs": "z"}\n{"i": "1.25", "q": 0.0, "truth": null}\n', 2),
+            ('{"obs": "z"}\n{"i": 0.0, "q": "nan", "truth": null}\n', 2),
         ],
-        ids=["null_seed", "overflowing_seed", "400_digit_coordinate", "list_label"],
+        ids=[
+            "null_seed", "overflowing_seed", "400_digit_coordinate", "list_label", "float_seed",
+            "string_seed", "negative_seed", "bool_seed", "bool_coordinate", "number_as_string",
+            "nan_as_string",
+        ],
     )
     def test_malformed_dataset_is_invalid_input(self, tmp_path, capsys, text, line):
         data = tmp_path / "bad.jsonl"
@@ -485,11 +508,29 @@ def test_run_illustration_reports_delta_b(tmp_path):
     report = json.loads((tmp_path / "illustration.json").read_text(encoding="utf-8"))
     for method in ("truth_counts", "em_hard", "soft_collapsed"):
         assert all(d > 0.0 for d in report[method]["delta_b"]), method
-    datasets = simulate_datasets(RunConfig(seed=7, n_per_axis=2000))
+    datasets = simulate_datasets(REFERENCE_STATE, DEFAULT_MIXTURE, 2000, 7)
     assert report["truth_counts"]["delta_b"] == [
         delta_b(*datasets[axis].truth_counts()[:2]) for axis in iqtomo.AXES
     ]
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_seed_sweep_prints_the_shared_reconstruction_medians(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "seed_sweep", REPO_ROOT / "scripts" / "seed_sweep.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--seeds", "2", "--n", "2000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "2 seeds from 0, n=2000 per axis"
+    names = ["two-stage error", "collapsed error", "EM |mu - mu*|_inf", "EM |Sigma - I|_F"]
+    assert [line[:22].rstrip() for line in lines[1:]] == names
+    for line in lines[1:]:
+        assert re.fullmatch(r".{22} median=\d\.\d{4}  p90=\d\.\d{4}  max=\d\.\d{4}", line)
+    two_stage, collapsed = zip(*(reconstruct_seed(seed, 2000).errors for seed in (0, 1)))
+    assert f"median={np.median(two_stage):.4f} " in lines[1]
+    assert f"median={np.median(collapsed):.4f} " in lines[2]
 
 
 def test_module_entry_matches_api(capsys):

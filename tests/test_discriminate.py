@@ -29,7 +29,8 @@ from iqtomo import (
     synthesize_iq,
 )
 from iqtomo import discriminate
-from iqtomo.cli import RunConfig, simulate_datasets
+from iqtomo.readout import simulate_datasets
+from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE
 from oracles import em_fit_reference, f_matrix, kmeans_pp_init_reference, mahalanobis_sq_einsum
 
 
@@ -336,7 +337,7 @@ class TestEmFit:
     def test_matches_reference_loop_on_criterion_04_axes(self):
         # the 60 axis datasets of criterion-04 seeds 0-19
         for seed in range(20):
-            datasets = simulate_datasets(RunConfig(seed=seed))
+            datasets = simulate_datasets(REFERENCE_STATE, DEFAULT_MIXTURE, 10_000, seed)
             for axis in AXES:
                 got_history: list[float] = []
                 want_history: list[float] = []
@@ -351,7 +352,7 @@ class TestEmFit:
 
     def test_kmeans_pp_init_matches_reference_on_criterion_04_axes(self):
         for seed in range(20):
-            datasets = simulate_datasets(RunConfig(seed=seed))
+            datasets = simulate_datasets(REFERENCE_STATE, DEFAULT_MIXTURE, 10_000, seed)
             for axis in AXES:
                 d = datasets[axis]
                 init_seed = (d.seed ^ 0xE41B17) & 0xFFFFFFFFFFFFFFFF

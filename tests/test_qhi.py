@@ -11,25 +11,18 @@ from iqtomo import (
     choi_from_super,
     cptp_project,
     density_from_bloch,
-    evolve_state,
     fit_channel,
     load_trajectory,
     observe_trajectory,
-    pauli,
     save_trajectory,
     simulate_trajectory,
     unitary_superoperator,
     unvec,
     vec,
 )
+from iqtomo.qhi import step_unitary
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def _step_unitary(rate: float, dt: float) -> np.ndarray:
-    h = rate * pauli("x")
-    e = np.eye(2, dtype=complex)
-    return np.stack([evolve_state(h, dt, e[:, 0]), evolve_state(h, dt, e[:, 1])], axis=1)
 
 
 def _identity_choi() -> np.ndarray:
@@ -40,7 +33,7 @@ def _identity_choi() -> np.ndarray:
 
 @pytest.fixture
 def rotation() -> ChannelSuperoperator:
-    return unitary_superoperator(_step_unitary(np.pi / 5.0, 0.02))
+    return unitary_superoperator(step_unitary("x", np.pi / 5.0, 0.02))
 
 
 def test_reshuffle_is_an_involution():
@@ -60,7 +53,7 @@ class TestUnitarySuperoperator:
         np.testing.assert_allclose(unvec(g @ vec(rho0)), np.diag([0.0, 1.0]), atol=1e-15)
 
     def test_matches_state_evolution(self):
-        u = _step_unitary(np.pi / 5.0, 0.02)
+        u = step_unitary("x", np.pi / 5.0, 0.02)
         g = unitary_superoperator(u).g
         rng = np.random.default_rng(52)
         for _ in range(100):
@@ -142,6 +135,14 @@ class TestObserveTrajectory:
         traj = simulate_trajectory(rotation, rho22, 2)
         with pytest.raises(ValueError):
             observe_trajectory(traj, mode="sampled")
+
+    def test_sampled_mode_rejects_assignment(self, rotation, rho22, sep5_mixture):
+        # its capacities come from theta's weights, so every step would read b = 0
+        traj = simulate_trajectory(rotation, rho22, 2)
+        with pytest.raises(ValueError, match="assignment"):
+            observe_trajectory(
+                traj, mode="sampled", n=200, theta=sep5_mixture, seed=1, discriminator="assignment"
+            )
 
     def test_round_trip_files(self, tmp_path, rotation, rho22):
         traj = observe_trajectory(simulate_trajectory(rotation, rho22, 6), mode="exact")

@@ -320,6 +320,15 @@ LINE_MUTATIONS = {
 }
 
 
+# the per-line reference loader accepts these (or, for "nan", fails on the
+# non-finite value); load_dataset takes a coordinate only as a JSON number
+REJECTED_MUTATIONS = {
+    "number_as_string": "non-numeric coordinate i='1.25'",
+    "nan_as_string": "non-numeric coordinate q='nan'",
+    "bool_coordinate": "non-numeric coordinate i=True",
+}
+
+
 class TestDatasetReaderWriter:
     """The block reader and template writer against the per-line json oracles."""
 
@@ -372,6 +381,9 @@ class TestDatasetReaderWriter:
         path = tmp_path / "d.jsonl"
         path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
         got = _load_outcome(load_dataset, str(path))
+        if name in REJECTED_MUTATIONS:
+            assert got == ("DatasetFormatError", f"line {where}: {REJECTED_MUTATIONS[name]}", where)
+            return
         want = _load_outcome(load_dataset_reference, str(path))
         if isinstance(want, IQDataset):
             assert isinstance(got, IQDataset) and _bit_identical(got, want)
@@ -447,6 +459,22 @@ class TestDatasetReaderWriter:
         assert err.value.line == line
         assert message in str(err.value)
 
+    @pytest.mark.parametrize("seed", ["1.5", '"7"', "-3", "true", "7.0", str(2**64)])
+    def test_header_seed_must_be_an_unsigned_64_bit_integer(self, tmp_path, seed):
+        path = tmp_path / "d.jsonl"
+        path.write_text(f'{{"obs": "z", "seed": {seed}}}\n{{"i": 0.0, "q": 0.0, "truth": null}}\n')
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(str(path))
+        assert str(err.value).startswith(f"line 1: invalid seed {json.loads(seed)!r}: ")
+
+    def test_largest_header_seed_round_trips(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(f'{{"obs": "z", "seed": {2**64 - 1}}}\n{{"i": 0.5, "q": 0.0, "truth": null}}\n')
+        d = load_dataset(str(path))
+        assert d.seed == 2**64 - 1
+        save_dataset(d, str(tmp_path / "e.jsonl"))
+        assert (tmp_path / "e.jsonl").read_text() == path.read_text()
+
 
 class TestIQDataset:
     def test_rejects_bad_observable(self):
@@ -460,6 +488,22 @@ class TestIQDataset:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             IQDataset("z", [np.nan], [0.0], [0], seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "7", None])
+    def test_rejects_seed_outside_unsigned_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            IQDataset("z", [0.0], [0.0], [0], seed=seed)
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        d = IQDataset("z", [0.0], [0.0], [0], seed=np.uint64(2**64 - 1))
+        assert type(d.seed) is int and d.seed == 2**64 - 1
+
+    def test_save_rejects_seed_set_after_construction(self, tmp_path):
+        d = IQDataset("z", [0.0], [0.0], [0], seed=1)
+        d.seed = -1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            save_dataset(d, str(tmp_path / "d.jsonl"))
+        assert not list(tmp_path.iterdir())
 
     def test_truth_counts(self):
         d = IQDataset("z", [0.0] * 4, [0.0] * 4, [0, 1, 1, 2], seed=1)
