@@ -15,11 +15,18 @@ import numpy as np
 from iqtomo.repro import DEFAULT_MIXTURE, reconstruct_seed
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=20, help="number of seeds")
+    parser.add_argument("--seeds", type=_positive_int, default=20, help="number of seeds")
     parser.add_argument("--start", type=int, default=0, help="first seed")
-    parser.add_argument("--n", type=int, default=10_000, help="shots per axis")
+    parser.add_argument("--n", type=_positive_int, default=10_000, help="shots per axis")
     args = parser.parse_args(argv)
 
     errors, mean_dev, cov_dev = [], [], []

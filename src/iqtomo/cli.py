@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,7 @@ from .discriminate import (
     memberships_for,
 )
 from .plot import render_iq_svg
-from .qcore import AXES, DensityMatrix
+from .qcore import AXES, DensityMatrix, json_object
 from .qhi import (
     fit_channel,
     observe_trajectory,
@@ -52,7 +52,6 @@ from .readout import (
     mix_seed,
     save_dataset,
     simulate_datasets,
-    write_csv,
     write_csv_lines,
     write_text_atomic,
 )
@@ -111,20 +110,6 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
 
 
-def _reject_unknown(obj: dict, allowed: set, context: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {context} key(s): {', '.join(sorted(unknown))}")
-
-
-def _section(obj: dict, key: str, allowed: set) -> dict:
-    section = obj[key]
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be a JSON object")
-    _reject_unknown(section, allowed, key)
-    return section
-
-
 def _typed(section: dict, key: str, name: str, number: bool = False):
     """``section[key]``, which must be an integer (or any real number if ``number``)."""
     value = section[key]
@@ -136,10 +121,8 @@ def _typed(section: dict, key: str, name: str, number: bool = False):
 
 def parse_config_dict(obj: dict) -> RunConfig:
     """Build a RunConfig from a JSON object, rejecting unknown keys."""
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(
-        obj, {"seed", "n_per_axis", "state", "mixture", "mode", "paths", "qhi"}, "config"
+    json_object(
+        obj, "config", optional=("seed", "n_per_axis", "state", "mixture", "mode", "paths", "qhi")
     )
     kwargs: dict = {}
     for key in ("seed", "n_per_axis"):
@@ -148,29 +131,24 @@ def parse_config_dict(obj: dict) -> RunConfig:
     if "state" in obj:
         try:
             kwargs["state"] = DensityMatrix.from_json_dict(obj["state"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid state: {exc}") from exc
     if "mixture" in obj:
-        mixture = _section(obj, "mixture", {"alpha", "mu", "sigma", "noise"})
         try:
-            kwargs["mixture"] = MixtureParams.from_json_dict(mixture)
-        except (KeyError, TypeError, ValueError) as exc:
+            kwargs["mixture"] = MixtureParams.from_json_dict(obj["mixture"])
+        except ValueError as exc:
             raise ConfigError(f"invalid mixture: {exc}") from exc
         kwargs["mixture_explicit"] = True
     if "mode" in obj:
         kwargs["mode"] = obj["mode"]
     if "paths" in obj:
-        out = _section(obj, "paths", {"out"}).get("out")
+        out = json_object(obj["paths"], "paths", optional=("out",)).get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError("paths.out must be a string")
         kwargs["out"] = out
     qhi: dict = {}
     if "qhi" in obj:
-        qhi = _section(
-            obj,
-            "qhi",
-            {"steps", "dt", "trajectories", "observe", "fit", "rotation_axis", "rotation_rate"},
-        )
+        qhi = json_object(obj["qhi"], "qhi", optional=[f.name for f in fields(QhiConfig)])
         for key in ("steps", "trajectories", "dt", "rotation_rate"):
             if key in qhi:
                 _typed(qhi, key, f"qhi.{key}", number=key in ("dt", "rotation_rate"))
@@ -297,10 +275,10 @@ def _load_axis_datasets(args: argparse.Namespace) -> dict[str, IQDataset]:
 
 
 def _write_b_table(path: str, rows: dict[str, tuple[float, float, float]]) -> None:
-    write_csv(
+    write_csv_lines(
         path,
         ["method", "b_x", "b_y", "b_z"],
-        ([method] + [repr(float(v)) for v in row] for method, row in rows.items()),
+        (f"{method},{','.join(repr(float(v)) for v in row)}\n" for method, row in rows.items()),
     )
 
 
@@ -356,10 +334,10 @@ def cmd_qhi(args: argparse.Namespace) -> int:
     channel, loss = fit_channel(trajectories, mode=q.fit, loss_history=history)
     error = float(np.linalg.norm(channel.g - truth.g))
 
-    write_csv(
+    write_csv_lines(
         os.path.join(out_dir, "loss.csv"),
         ["alternation", "loss"],
-        ([idx, repr(value)] for idx, value in enumerate(history)),
+        (f"{idx},{value!r}\n" for idx, value in enumerate(history)),
     )
 
     payload = {
@@ -398,11 +376,9 @@ def cmd_repro_paper(args: argparse.Namespace) -> int:
     for axis in AXES:
         fitted = repro.em[axis]
         for name, comp in (("zero", fitted.zero), ("one", fitted.one)):
-            em_rows.append(
-                [axis, name, repr(float(comp.mean[0])), repr(float(comp.mean[1]))]
-                + [repr(float(v)) for v in comp.cov.reshape(-1)]
-            )
-    write_csv(
+            values = [*comp.mean.tolist(), *comp.cov.reshape(-1).tolist()]
+            em_rows.append(",".join([axis, name] + [repr(v) for v in values]) + "\n")
+    write_csv_lines(
         os.path.join(out_dir, "em_tables.csv"),
         ["axis", "component", "mu_i", "mu_q", "sigma_ii", "sigma_iq", "sigma_qi", "sigma_qq"],
         em_rows,

@@ -6,7 +6,8 @@ offers three routes of increasing sophistication:
 * ``hard``       -- Mahalanobis nearest-component argmax,
 * ``soft``       -- softmax memberships on negated squared distances,
 * ``assignment`` -- capacitated assignment with an optional noise class,
-  solved exactly as a small min-cost-flow problem.
+  solved exactly by sorting the samples on their cost difference between
+  the two states and choosing the best split point.
 
 Each route produces a membership matrix from which an expectation-value
 estimate ``b`` and its one-sigma error ``delta_b`` are derived.
@@ -21,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
+
+from .qcore import json_numbers, json_object
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .readout import IQDataset
@@ -60,6 +63,8 @@ class ComponentParams:
         if not 0.0 <= self.weight <= 1.0 + 1e-12:
             raise ValueError(f"component weight {self.weight} outside [0, 1]")
         mean = np.array(self.mean, dtype=float).reshape(2)
+        if not np.isfinite(mean).all():
+            raise ValueError(f"component mean {mean.tolist()} must be finite")
         cov = np.array(self.cov, dtype=float).reshape(2, 2)
         if np.abs(cov - cov.T).max() > 1e-9:
             raise ValueError("covariance must be symmetric")
@@ -111,12 +116,6 @@ class MixtureParams:
     def noise_weight(self) -> float:
         return self.noise.weight if self.noise is not None else 0.0
 
-    @property
-    def noise_density(self) -> float:
-        if self.noise is None:
-            raise ValueError("mixture has no contamination component")
-        return self.noise.density()
-
     def weights(self) -> np.ndarray:
         return np.array([self.zero.weight, self.one.weight, self.noise_weight])
 
@@ -134,22 +133,24 @@ class MixtureParams:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MixtureParams":
-        alpha = [float(a) for a in obj["alpha"]]
-        if len(alpha) != 3:
-            raise ValueError("mixture alpha must have three entries")
+        """Inverse of :meth:`to_json_dict`; ValueError for any other shape."""
+        obj = json_object(obj, "mixture", required=("alpha", "mu", "sigma"), optional=("noise",))
+        alpha = json_numbers(obj["alpha"], (3,), "mixture alpha").tolist()
+        mu = json_numbers(obj["mu"], (2, 2), "mixture mu")
+        sigma = json_numbers(obj["sigma"], (2, 2, 2), "mixture sigma")
         noise = None
-        raw_noise = obj.get("noise")
-        if raw_noise is not None:
+        if obj.get("noise") is not None:
+            raw_noise = json_object(obj["noise"], "mixture noise", required=("center", "radius"))
             noise = ContaminationSpec(
                 weight=alpha[2],
-                center=tuple(float(v) for v in raw_noise["center"]),
-                radius=float(raw_noise["radius"]),
+                center=tuple(json_numbers(raw_noise["center"], (2,), "mixture noise center")),
+                radius=float(json_numbers(raw_noise["radius"], (), "mixture noise radius")),
             )
         elif alpha[2] > 0.0:
             raise ValueError("positive noise weight requires a noise geometry")
         return cls(
-            zero=ComponentParams(alpha[0], np.asarray(obj["mu"][0]), np.asarray(obj["sigma"][0])),
-            one=ComponentParams(alpha[1], np.asarray(obj["mu"][1]), np.asarray(obj["sigma"][1])),
+            zero=ComponentParams(alpha[0], mu[0], sigma[0]),
+            one=ComponentParams(alpha[1], mu[1], sigma[1]),
             noise=noise,
         )
 
@@ -588,115 +589,76 @@ def capacities_from_weights(alpha: Sequence[float], n: int) -> np.ndarray:
     return caps
 
 
-def _min_cost_assignment(cost: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Exact capacitated assignment minimising sum_s cost[s, assign[s]].
+def _k_smallest_sums(values: np.ndarray, k: int) -> np.ndarray:
+    """Rows (sum, swaps) of the k smallest of ``values[:t]`` for t = k..len(values).
 
-    Successive-shortest-path exchange over the condensed class graph.  The
-    constraint matrix of the underlying flow problem is totally unimodular,
-    so the integral optimum found here matches the LP relaxation; path
-    costs are plain float sums of at most two move deltas, keeping the
-    result exact in float arithmetic.  Ties are broken deterministically
-    (lowest class, then lowest sample index).
+    Each value enters and leaves the sum at most once, so its rounding error
+    stays below ``len * 2**-51 * sum(|values|)``.  Equal swaps, equal sets.
     """
-    n, k = cost.shape
-    caps = np.asarray(caps, dtype=int)
-    if caps.sum() != n:
-        raise ValueError(f"capacities sum to {caps.sum()}, expected {n}")
-    active = [c for c in range(k) if caps[c] > 0]
-    sub = cost[:, active]
-    assign = np.asarray(active, dtype=int)[np.argmin(sub, axis=1)]
-    counts = np.bincount(assign, minlength=k)
+    vals = values.tolist()
+    heap = sorted(-v for v in vals[:k])  # a sorted list is a heap
+    rows = [(math.fsum(vals[:k]), 0)]
+    for v in vals[k:]:
+        total, swaps = rows[-1]
+        if k and v < -heap[0]:
+            total, swaps = total + (v + heapq.heapreplace(heap, -v)), swaps + 1
+        rows.append((total, swaps))
+    return np.array(rows).T
 
-    heaps: list[list[list]] = [[[] for _ in range(k)] for _ in range(k)]
 
-    def push(s: int, home: int) -> None:
-        for other in active:
-            if other != home:
-                heapq.heappush(heaps[home][other], (cost[s, other] - cost[s, home], s))
+def _sort_and_split(c0: np.ndarray, c1: np.ndarray, caps: Sequence[int]) -> np.ndarray:
+    """Labels minimising the summed zero/one costs with exactly ``caps`` per class.
 
-    for s in range(n):
-        push(s, int(assign[s]))
-
-    def arc_min(a: int, b: int):
-        h = heaps[a][b]
-        while h and assign[h[0][1]] != a:
-            heapq.heappop(h)
-        return h[0] if h else None
-
-    while True:
-        over = [c for c in active if counts[c] > caps[c]]
-        if not over:
-            break
-        under = [c for c in active if counts[c] < caps[c]]
-        best = None
-        for o in over:
-            for u in under:
-                direct = arc_min(o, u)
-                if direct is not None:
-                    key = (direct[0], 1, (o, u))
-                    if best is None or key < best[0]:
-                        best = (key, [(direct[1], o, u)])
-                for m in active:
-                    if m == o or m == u:
-                        continue
-                    first = arc_min(o, m)
-                    second = arc_min(m, u)
-                    if first is None or second is None:
-                        continue
-                    key = (first[0] + second[0], 2, (o, m, u))
-                    if best is None or key < best[0]:
-                        # apply the second hop first so the two moves
-                        # never race for the same sample
-                        best = (key, [(second[1], m, u), (first[1], o, m)])
-        if best is None:  # pragma: no cover - capacities sum to n
-            raise RuntimeError("no augmenting path found")
-        for s, frm, to in best[1]:
-            assign[s] = to
-            counts[frm] -= 1
-            counts[to] += 1
-            push(s, to)
-
-    # canonical order among interchangeable samples: groups with identical
-    # cost rows receive their class multiset sorted by sample index
-    groups: dict[bytes, list[int]] = {}
-    for s in range(n):
-        groups.setdefault(cost[s].tobytes(), []).append(s)
-    for members in groups.values():
-        if len(members) > 1:
-            classes = sorted(int(assign[s]) for s in members)
-            for s, c in zip(members, classes):
-                assign[s] = c
+    The other caps[2] samples are noise, at the same cost whichever they are.
+    Sort by the exact d = c0 - c1, ties by index.  Swapping a one sample with
+    a later zero changes the cost by d_one - d_zero <= 0, so some optimum puts
+    every zero first: for a split t in [k0, n - k1], the k0 smallest c0 of the
+    first t samples and the k1 smallest c1 of the rest, ties in sort order.
+    Splits within rounding error of the least running total are compared
+    exactly (``math.fsum``); the smallest t among the minima also gives
+    identical samples their classes in index order.
+    """
+    n, (k0, k1, k2) = c0.size, (int(k) for k in caps)
+    if min(k0, k1, k2) < 0 or k0 + k1 + k2 != n:
+        raise ValueError(f"capacities {[k0, k1, k2]} do not split {n} samples")
+    if not np.isfinite([c0, c1]).all():
+        raise ValueError("assignment costs overflow: a sample lies too far from both clouds")
+    d = c0 - c1
+    back = d - c0  # two-sum: d + ((c0 - (d - back)) - (c1 + back)) == c0 - c1 exactly
+    order = np.lexsort(((c0 - (d - back)) - (c1 + back), d))
+    a, b = c0[order], c1[order]
+    head = _k_smallest_sums(a[: n - k1], k0)
+    tail = _k_smallest_sums(b[k0:][::-1], k1)[:, ::-1]
+    total = head[0] + tail[0]
+    bound = total.min() + n * 2.0**-50 * (np.abs(a).sum() + np.abs(b).sum())
+    moved = np.r_[True, np.diff(head[1] - tail[1]) != 0]  # else the same sets as at t - 1
+    best = None
+    for t in (k0 + np.flatnonzero(moved & (total <= bound))).tolist():
+        zero = np.argsort(a[:t], kind="stable")[:k0]
+        one = t + np.argsort(b[t:], kind="stable")[:k1]
+        costs = a[zero].tolist() + b[one].tolist()
+        if best is None or math.fsum(costs + [-c for c in best[0]]) < 0.0:
+            best = costs, order[zero], order[one]
+    assign = np.full(n, LABEL_NOISE)
+    assign[best[1]], assign[best[2]] = LABEL_ZERO, LABEL_ONE
     return assign
 
 
 def assignment_solve(
-    dataset: "IQDataset",
-    theta: MixtureParams,
-    alpha: Optional[Sequence[float]] = None,
+    dataset: "IQDataset", theta: MixtureParams, alpha: Optional[Sequence[float]] = None
 ) -> MembershipMatrix:
     """Assign every sample to zero/one/noise under exact class capacities.
 
-    Capacities are the largest-remainder rounding of ``alpha * n``; the
-    objective is the summed class log-likelihood (Gaussian densities for
-    the state classes, the uniform disc density for noise).
+    Capacities round ``alpha * n`` by largest remainder.  The objective is the
+    summed class log-likelihood; noise adds k2 * log(disc density) whichever
+    samples it holds, so only the Gaussian columns enter :func:`_sort_and_split`.
     """
     points = dataset.points()
-    n = points.shape[0]
-    if alpha is None:
-        alpha = theta.weights()
-    caps = capacities_from_weights(alpha, n)
+    caps = capacities_from_weights(theta.weights() if alpha is None else alpha, points.shape[0])
     if caps[LABEL_NOISE] > 0 and theta.noise is None:
         raise ValueError("noise capacity is positive but the mixture has no noise component")
-
-    cost = np.zeros((n, 3))
-    cost[:, LABEL_ZERO] = -_log_gauss(points, theta.zero)
-    cost[:, LABEL_ONE] = -_log_gauss(points, theta.one)
-    if theta.noise is not None:
-        cost[:, LABEL_NOISE] = -math.log(theta.noise_density)
-    assign = _min_cost_assignment(cost, caps)
-    rows = np.zeros((n, 3))
-    rows[np.arange(n), assign] = 1.0
-    return MembershipMatrix(rows=rows, mode="assignment")
+    assign = _sort_and_split(-_log_gauss(points, theta.zero), -_log_gauss(points, theta.one), caps)
+    return MembershipMatrix(rows=np.eye(3)[assign], mode="assignment")
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,16 @@ Conventions used throughout the package:
 
 Density matrices are validated on construction (unit trace, Hermitian,
 positive semidefinite up to 1e-12), so any `DensityMatrix` instance in
-the rest of the package can be trusted to be physical.
+the rest of the package can be trusted to be physical.  ``json_object``
+and ``json_numbers`` check parsed JSON before any of the package's types
+are built from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -65,6 +69,48 @@ def measurement_matrix() -> np.ndarray:
     return np.stack([vec(_PAULI[a]).conj() for a in AXES])
 
 
+def json_object(obj, name: str, required: Sequence[str] = (), optional: Sequence[str] = ()) -> dict:
+    """``obj``, checked to be a JSON object with the given keys.
+
+    Every ``required`` key must be present and no key outside ``required``
+    and ``optional``; ValueError otherwise.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"{name} is missing key(s): {', '.join(missing)}")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}")
+    return obj
+
+
+def json_numbers(value, shape: Sequence[int], name: str) -> np.ndarray:
+    """Float array of ``shape`` from nested JSON lists of finite numbers.
+
+    ``true``/``false``, numbers written as strings, other shapes, NaN,
+    infinities and integers beyond the float range raise ValueError.
+    """
+
+    def convert(item, dims):
+        if dims:
+            if not isinstance(item, list) or len(item) != dims[0]:
+                raise ValueError(f"{name} must be a {list(shape)} list of numbers, got {item!r}")
+            return [convert(sub, dims[1:]) for sub in item]
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{name} must hold JSON numbers, got {item!r}")
+        try:
+            number = float(item)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(f"{name} must hold finite numbers, got {item!r}")
+        return number
+
+    return np.array(convert(value, tuple(shape)), dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated qubit density matrix.
@@ -100,9 +146,10 @@ class DensityMatrix:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DensityMatrix":
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-        return cls(re + 1j * im)
+        """Inverse of :meth:`to_json_dict`; ValueError for any other shape."""
+        obj = json_object(obj, "density matrix", required=("re", "im"))
+        re = json_numbers(obj["re"], (2, 2), "density matrix re")
+        return cls(re + 1j * json_numbers(obj["im"], (2, 2), "density matrix im"))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensityMatrix):

@@ -24,7 +24,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .discriminate import BVector, MixtureParams, b_from_memberships, memberships_for
-from .qcore import AXES, DensityMatrix, bloch_from_density, evolve_state, pauli, unvec, vec
+from .qcore import (
+    AXES,
+    DensityMatrix,
+    bloch_from_density,
+    evolve_state,
+    json_numbers,
+    json_object,
+    pauli,
+    unvec,
+    vec,
+)
 from .qst import qst_closed_form
 from .readout import mix_seed, simulate_axis, write_text_atomic
 
@@ -222,24 +232,46 @@ def save_trajectory(trajectory: Trajectory, path: str, include_states: bool = Fa
 
 
 def load_trajectory(path: str) -> Trajectory:
-    """Read a trajectory written by :func:`save_trajectory`."""
+    """Read a trajectory written by :func:`save_trajectory`.
+
+    Any defect raises ValueError naming its 1-based line.  The header must be
+    ``{"id": <integer >= 0>, "dt": <finite number > 0>}``; record k must be
+    ``{"step": k, "b": [three numbers]}``, plus ``"rho"`` on every record or
+    on none.  Blank lines are skipped.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        raw_lines = [line for line in handle.read().splitlines() if line.strip()]
-    if not raw_lines:
-        raise ValueError("empty trajectory file")
-    header = json.loads(raw_lines[0])
-    observations = []
-    states = []
-    for raw in raw_lines[1:]:
-        record = json.loads(raw)
-        observations.append(
-            BVector(b=np.asarray(record["b"], dtype=float), delta=np.zeros(3))
-        )
-        if "rho" in record:
-            states.append(DensityMatrix.from_json_dict(record["rho"]))
+        lines = [(n, raw) for n, raw in enumerate(handle.read().splitlines(), 1) if raw.strip()]
+    lineno = lines[-1][0] + 1 if lines else 1  # a missing line follows the last one
+    try:
+        if len(lines) < 3:
+            raise ValueError("a trajectory needs a header line and at least two steps")
+        lineno, raw = lines[0]
+        header = json_object(json.loads(raw), "trajectory header", required=("id", "dt"))
+        trajectory_id = header["id"]
+        if type(trajectory_id) is not int or trajectory_id < 0:
+            raise ValueError(f"trajectory id must be an integer >= 0, got {trajectory_id!r}")
+        dt = float(json_numbers(header["dt"], (), "trajectory dt"))
+        if dt <= 0.0:
+            raise ValueError(f"trajectory dt must be positive, got {dt!r}")
+        observations, states = [], []
+        for position, (lineno, raw) in enumerate(lines[1:]):
+            record = json_object(json.loads(raw), "trajectory record", ("step", "b"), ("rho",))
+            step = record["step"]
+            if type(step) is not int or step != position:
+                raise ValueError(f"expected step {position}, got {step!r}")
+            b = json_numbers(record["b"], (3,), "trajectory b")
+            observations.append(BVector(b=b, delta=np.zeros(3)))
+            if "rho" in record:
+                states.append(DensityMatrix.from_json_dict(record["rho"]))
+            if len(states) not in (0, position + 1):
+                raise ValueError("rho must be on every record or on none")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from exc
     return Trajectory(
-        trajectory_id=int(header["id"]),
-        dt=float(header["dt"]),
+        trajectory_id=trajectory_id,
+        dt=dt,
         states=tuple(states) if states else None,
         observations=tuple(observations),
     )

@@ -13,8 +13,6 @@ platforms.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
@@ -285,22 +283,12 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write a header row and data rows as newline-terminated CSV, atomically."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_text_atomic(path, buffer.getvalue())
-
-
 def write_csv_lines(path: str, header: Sequence[str], lines: Iterable[str]) -> None:
     """Write a header row and preformatted newline-terminated rows, atomically.
 
-    Meant for per-sample tables whose fields are ints, ``float.__repr__``
-    strings, axis names and label names.  None of these holds a comma, a
-    quote or a line break, so ``csv`` quoting never applies to them and the
-    bytes equal those of :func:`write_csv` for the same rows.
+    Every CSV artifact goes through here.  Its fields are ints,
+    ``float.__repr__`` strings, axis, label and method names; none of these
+    holds a comma, a quote or a line break, so no field needs CSV quoting.
     """
     write_text_atomic(path, ",".join(header) + "\n" + "".join(lines))
 
@@ -428,7 +416,7 @@ def _parse_header(raw: str) -> tuple[str, int, Optional[MixtureParams]]:
     if header.get("mixture") is not None:
         try:
             mixture = MixtureParams.from_json_dict(header["mixture"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise DatasetFormatError(f"invalid mixture parameters: {exc}", line=1) from exc
     return observable, seed, mixture
 

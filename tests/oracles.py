@@ -13,11 +13,15 @@ matrix forms of the package's explicit 2x2 Gaussian kernel and EM loop:
 log-likelihood sum; ``kmeans_pp_init_reference`` is the matrix form of
 their k-means++ start.  ``save_dataset_reference`` and
 ``load_dataset_reference`` are the per-line ``json.dumps``/``json.loads``
-forms of the dataset writer and reader.
+forms of the dataset writer and reader.  ``min_cost_assignment_reference``
+is a general n x k capacitated assignment by successive shortest paths;
+the package solves only the case it meets (a constant noise column) by
+sort-and-split, and this solver checks it.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import warnings
@@ -395,3 +399,84 @@ def load_dataset_reference(path: str):
         seed=seed,
         mixture=mixture,
     )
+
+
+def min_cost_assignment_reference(cost: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Exact capacitated assignment minimising sum_s cost[s, assign[s]].
+
+    Successive-shortest-path exchange over the condensed class graph.  The
+    constraint matrix of the underlying flow problem is totally unimodular,
+    so the integral optimum found here matches the LP relaxation; path
+    costs are plain float sums of at most two move deltas, keeping the
+    result exact in float arithmetic.  Ties are broken deterministically
+    (lowest class, then lowest sample index).
+    """
+    n, k = cost.shape
+    caps = np.asarray(caps, dtype=int)
+    if caps.sum() != n:
+        raise ValueError(f"capacities sum to {caps.sum()}, expected {n}")
+    active = [c for c in range(k) if caps[c] > 0]
+    sub = cost[:, active]
+    assign = np.asarray(active, dtype=int)[np.argmin(sub, axis=1)]
+    counts = np.bincount(assign, minlength=k)
+
+    heaps: list[list[list]] = [[[] for _ in range(k)] for _ in range(k)]
+
+    def push(s: int, home: int) -> None:
+        for other in active:
+            if other != home:
+                heapq.heappush(heaps[home][other], (cost[s, other] - cost[s, home], s))
+
+    for s in range(n):
+        push(s, int(assign[s]))
+
+    def arc_min(a: int, b: int):
+        h = heaps[a][b]
+        while h and assign[h[0][1]] != a:
+            heapq.heappop(h)
+        return h[0] if h else None
+
+    while True:
+        over = [c for c in active if counts[c] > caps[c]]
+        if not over:
+            break
+        under = [c for c in active if counts[c] < caps[c]]
+        best = None
+        for o in over:
+            for u in under:
+                direct = arc_min(o, u)
+                if direct is not None:
+                    key = (direct[0], 1, (o, u))
+                    if best is None or key < best[0]:
+                        best = (key, [(direct[1], o, u)])
+                for m in active:
+                    if m == o or m == u:
+                        continue
+                    first = arc_min(o, m)
+                    second = arc_min(m, u)
+                    if first is None or second is None:
+                        continue
+                    key = (first[0] + second[0], 2, (o, m, u))
+                    if best is None or key < best[0]:
+                        # apply the second hop first so the two moves
+                        # never race for the same sample
+                        best = (key, [(second[1], m, u), (first[1], o, m)])
+        if best is None:  # pragma: no cover - capacities sum to n
+            raise RuntimeError("no augmenting path found")
+        for s, frm, to in best[1]:
+            assign[s] = to
+            counts[frm] -= 1
+            counts[to] += 1
+            push(s, to)
+
+    # canonical order among interchangeable samples: groups with identical
+    # cost rows receive their class multiset sorted by sample index
+    groups: dict[bytes, list[int]] = {}
+    for s in range(n):
+        groups.setdefault(cost[s].tobytes(), []).append(s)
+    for members in groups.values():
+        if len(members) > 1:
+            classes = sorted(int(assign[s]) for s in members)
+            for s, c in zip(members, classes):
+                assign[s] = c
+    return assign

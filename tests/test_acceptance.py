@@ -150,7 +150,7 @@ def test_criterion_05_assignment_exactness(criterion):
         cost = np.zeros((n, 3))
         cost[:, 0] = -_log_gauss(points, theta.zero)
         cost[:, 1] = -_log_gauss(points, theta.one)
-        cost[:, 2] = -math.log(theta.noise_density)
+        cost[:, 2] = -math.log(theta.noise.density())
         caps = capacities_from_weights(theta.weights(), n)
         got = math.fsum(cost[s, labels[s]] for s in range(n))
         best = math.inf

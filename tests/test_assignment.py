@@ -2,7 +2,10 @@
 
 The oracle enumerates all 3^n class sequences, keeps those matching the
 capacities, and minimizes the summed cost with left-to-right fsum -- slow
-but unarguable for n <= 8.
+but unarguable for n <= 8.  The noise column is constant in every instance,
+as in every call ``assignment_solve`` makes.  On realistic datasets the
+labels are also compared with the general min-cost-flow solver in
+``tests/oracles.py``.
 """
 
 import itertools
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 from iqtomo import (
+    ComponentParams,
     ContaminationSpec,
     IQDataset,
     MixtureParams,
@@ -19,10 +23,14 @@ from iqtomo import (
     capacities_from_weights,
     b_from_memberships,
     classify_hard,
+    em_fit,
     memberships_for,
     synthesize_iq,
 )
-from iqtomo.discriminate import _min_cost_assignment
+from iqtomo.discriminate import _log_gauss, _sort_and_split
+from iqtomo.readout import simulate_datasets
+from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE
+from oracles import min_cost_assignment_reference
 
 
 def _enumerate_optimum(cost: np.ndarray, caps: np.ndarray) -> float:
@@ -44,6 +52,18 @@ def _objective(cost: np.ndarray, assign: np.ndarray) -> float:
 def _random_caps(rng: np.random.Generator, n: int) -> np.ndarray:
     cuts = np.sort(rng.integers(0, n + 1, size=2))
     return np.array([cuts[0], cuts[1] - cuts[0], n - cuts[1]])
+
+
+def _solve(cost: np.ndarray, caps) -> np.ndarray:
+    """The solver on the state columns of a cost matrix whose noise column is constant."""
+    assert np.all(cost[:, 2] == cost[0, 2])
+    return _sort_and_split(cost[:, 0].copy(), cost[:, 1].copy(), np.asarray(caps))
+
+
+def _constant_noise(rng: np.random.Generator, n: int, scale: float = 5.0) -> np.ndarray:
+    cost = rng.normal(scale=scale, size=(n, 3))
+    cost[:, 2] = cost[0, 2]
+    return cost
 
 
 class TestCapacities:
@@ -76,35 +96,101 @@ class TestSolverAgainstEnumeration:
         rng = np.random.default_rng(7)
         for trial in range(60):
             n = int(rng.integers(1, 9))
-            cost = rng.normal(scale=5.0, size=(n, 3))
+            cost = _constant_noise(rng, n)
             caps = _random_caps(rng, n)
-            assign = _min_cost_assignment(cost, caps)
+            assign = _solve(cost, caps)
             assert np.array_equal(np.bincount(assign, minlength=3), caps)
             assert _objective(cost, assign) == _enumerate_optimum(cost, caps)
 
+    def test_running_sums_misorder_two_splits(self):
+        # In d = c0 - c1 order the samples are 1, 0, 2.  Split t = 1 makes 1 a
+        # zero and 0 a one (exact cost 2**55 + 5); t = 2 makes 0 a zero and 2 a
+        # one (2**55 + 2).  Both running totals round to 2**55, so only the
+        # exact comparison finds t = 2.
+        big = 2.0**55
+        cost = np.array([[2.0, 5.0, 0.0], [big, 2.0**60, 0.0], [big, big, 0.0]])
+        assign = _solve(cost, [1, 1, 1])
+        assert np.array_equal(assign, [0, 2, 1])
+        assert _objective(cost, assign) == _enumerate_optimum(cost, [1, 1, 1])
+
+    def test_d_ties_in_float_ordered_exactly(self):
+        # c0 - c1 rounds to -2**54 for both samples, but sample 0's exact d is
+        # larger by 1, so sample 1 must come first and take the zero class
+        cost = np.array([[1.0, 2.0**54, 0.0], [0.0, 2.0**54, 0.0]])
+        assert np.array_equal(_solve(cost, [1, 1, 0]), [1, 0])
+
     def test_spec_example_shape(self):
         rng = np.random.default_rng(8)
-        cost = rng.normal(size=(4, 3))
+        cost = _constant_noise(rng, 4, scale=1.0)
         caps = np.array([2, 1, 1])
-        assign = _min_cost_assignment(cost, caps)
+        assign = _solve(cost, caps)
         assert _objective(cost, assign) == _enumerate_optimum(cost, caps)
 
     def test_duplicate_cost_rows(self):
-        # repeated rows exercise the tie-break canonicalization
-        cost = np.array([[1.0, 2.0, 3.0]] * 5 + [[3.0, 1.0, 2.0]] * 3)
+        # repeated rows exercise the tie rule for identical samples
+        cost = np.array([[1.0, 2.0, 3.0]] * 5 + [[3.0, 1.0, 3.0]] * 3)
         caps = np.array([4, 3, 1])
-        assign = _min_cost_assignment(cost, caps)
+        assign = _solve(cost, caps)
         assert _objective(cost, assign) == _enumerate_optimum(cost, caps)
+        assert np.array_equal(assign, min_cost_assignment_reference(cost, caps))
 
     def test_identical_samples_assigned_by_ascending_index(self):
         cost = np.tile([0.7, 0.2, 0.9], (6, 1))
-        assign = _min_cost_assignment(cost, np.array([2, 3, 1]))
+        assign = _solve(cost, [2, 3, 1])
         # equal-cost samples are split in index order: class 0 first, then 1, 2
         assert np.array_equal(assign, [0, 0, 1, 1, 1, 2])
 
+    def test_duplicate_heavy_instances(self):
+        # few distinct rows, often with equal c0 - c1: exact, and identical
+        # rows take their classes in index order
+        rng = np.random.default_rng(10)
+        for trial in range(150):
+            n = int(rng.integers(2, 8))
+            distinct = rng.integers(0, 3, size=(3, 3)).astype(float)
+            distinct[:, 2] = 1.0
+            if trial % 2:
+                distinct[:, 1] = distinct[:, 0] - 1.0
+            cost = distinct[rng.integers(0, 3, size=n)]
+            caps = _random_caps(rng, n)
+            assign = _solve(cost, caps)
+            assert _objective(cost, assign) == _enumerate_optimum(cost, caps)
+            for s, r in itertools.combinations(range(n), 2):
+                if np.array_equal(cost[s], cost[r]):
+                    assert assign[s] <= assign[r], (cost, caps, assign)
+
     def test_infeasible_capacities(self):
         with pytest.raises(ValueError):
-            _min_cost_assignment(np.zeros((3, 3)), np.array([1, 1, 2]))
+            _sort_and_split(np.zeros(3), np.zeros(3), np.array([1, 1, 2]))
+
+    def test_overflowing_costs_are_rejected(self):
+        with pytest.raises(ValueError, match="too far"):
+            _sort_and_split(np.array([0.0, math.inf]), np.zeros(2), np.array([1, 1, 0]))
+
+
+class TestSolverAgainstReference:
+    """Bit-for-bit labels of the general solver on the criterion-04 state."""
+
+    @pytest.mark.parametrize("calibration", ["header", "em"])
+    def test_contaminated_datasets(self, calibration):
+        mixture = MixtureParams(
+            zero=ComponentParams(0.45, DEFAULT_MIXTURE.zero.mean, DEFAULT_MIXTURE.zero.cov),
+            one=ComponentParams(0.45, DEFAULT_MIXTURE.one.mean, DEFAULT_MIXTURE.one.cov),
+            noise=ContaminationSpec(0.1),
+        )
+        for seed in range(10):
+            for dataset in simulate_datasets(REFERENCE_STATE, mixture, 2000, seed).values():
+                theta = dataset.mixture if calibration == "header" else em_fit(dataset)
+                points = dataset.points()
+                cost = np.zeros((points.shape[0], 3))
+                cost[:, 0] = -_log_gauss(points, theta.zero)
+                cost[:, 1] = -_log_gauss(points, theta.one)
+                if theta.noise is not None:
+                    cost[:, 2] = -math.log(theta.noise.density())
+                caps = capacities_from_weights(theta.weights(), points.shape[0])
+                assert (caps[2] > 0) == (calibration == "header")
+                expected = min_cost_assignment_reference(cost, caps)
+                labels = np.argmax(assignment_solve(dataset, theta).rows, axis=1)
+                assert np.array_equal(labels, expected), (seed, dataset.observable)
 
 
 class TestAssignmentSolve:

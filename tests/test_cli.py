@@ -39,6 +39,7 @@ WIDE_MIXTURE = {
     "sigma": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]],
     "noise": None,
 }
+NOISY_MIXTURE = dict(WIDE_MIXTURE, alpha=[0.4, 0.5, 0.1])
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,13 @@ def read_b_table(path):
         rows = list(csv.reader(handle))
     assert rows[0] == ["method", "b_x", "b_y", "b_z"]
     return {row[0]: tuple(float(v) for v in row[1:]) for row in rows[1:]}
+
+
+def _header_with_mixture(old: str, new: str) -> str:
+    """A one-sample dataset whose header mixture text has ``old`` replaced by ``new``."""
+    header = json.dumps({"mixture": WIDE_MIXTURE, "obs": "z", "seed": 0}, sort_keys=True)
+    assert old in header
+    return header.replace(old, new, 1) + '\n{"i": 0.0, "q": 0.0, "truth": null}\n'
 
 
 class TestConfigValidation:
@@ -114,6 +122,43 @@ class TestConfigValidation:
         code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("state", {"re": [[0.5, 0.0], [0.0, "0.5"]], "im": [[0.0, 0.0], [0.0, 0.0]]}),
+            ("state", {"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, True]]}),
+            ("state", {"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]], "x": 1}),
+            ("state", {"re": [[0.5, 0.0], [0.0, 0.5]]}),
+            ("mixture", dict(WIDE_MIXTURE, alpha=["0.5", 0.5, 0.0])),
+            ("mixture", dict(WIDE_MIXTURE, alpha=[0.5, 0.5, False])),
+            ("mixture", dict(WIDE_MIXTURE, mu=[[8.0, True], [-8.0, 2.0]])),
+            ("mixture", dict(WIDE_MIXTURE, mu=[[8.0, 2.0, 0.0], [-8.0, 2.0]])),
+            ("mixture", dict(NOISY_MIXTURE, noise={"center": ["0", "2"], "radius": 6})),
+            ("mixture", dict(NOISY_MIXTURE, noise={"center": [0, 2], "radius": 6, "w": 1})),
+            ("mixture", dict(NOISY_MIXTURE, noise={"center": [0, 2]})),
+            ("mixture", [0.5, 0.5, 0.0]),
+        ],
+        ids=[
+            "state_string", "state_bool", "state_unknown_key", "state_missing_im",
+            "alpha_string", "alpha_bool", "mu_bool", "mu_shape", "noise_center_strings",
+            "noise_unknown_key", "noise_missing_radius", "mixture_not_object",
+        ],
+    )
+    def test_ill_typed_state_or_mixture_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.json", **{key: value})
+        code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith(f"error: invalid {key}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_mixture_mean_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        text = json.dumps({"mixture": WIDE_MIXTURE}).replace("8.0", "1e400", 1)
+        cfg.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith("error: invalid mixture: ") and "finite" in err
 
     @pytest.mark.parametrize(
         "text, field",
@@ -401,11 +446,16 @@ class TestPlotIq:
             ('{"obs": "z"}\n{"i": true, "q": 0.0, "truth": null}\n', 2),
             ('{"obs": "z"}\n{"i": "1.25", "q": 0.0, "truth": null}\n', 2),
             ('{"obs": "z"}\n{"i": 0.0, "q": "nan", "truth": null}\n', 2),
+            (_header_with_mixture("-8.0", "1e400"), 1),
+            (_header_with_mixture("0.5, 0.5, 0.0", '"0.5", 0.5, 0.0'), 1),
+            (_header_with_mixture("0.5, 0.5, 0.0", "0.5, 0.5, false"), 1),
+            (_header_with_mixture('"noise": null', '"noise": null, "skew": 2'), 1),
         ],
         ids=[
             "null_seed", "overflowing_seed", "400_digit_coordinate", "list_label", "float_seed",
             "string_seed", "negative_seed", "bool_seed", "bool_coordinate", "number_as_string",
-            "nan_as_string",
+            "nan_as_string", "overflowing_mixture_mean", "mixture_alpha_string",
+            "mixture_alpha_bool", "mixture_unknown_key",
         ],
     )
     def test_malformed_dataset_is_invalid_input(self, tmp_path, capsys, text, line):
@@ -515,12 +565,32 @@ def test_run_illustration_reports_delta_b(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_seed_sweep_prints_the_shared_reconstruction_medians(capsys):
+def test_header_mixture_with_overflowing_mean_is_line_1(sim_dir, tmp_path, capsys):
+    for axis in iqtomo.AXES:
+        text = (sim_dir / f"iq_{axis}.jsonl").read_text(encoding="utf-8")
+        if axis == "x":
+            header, rest = text.split("\n", 1)
+            text = header.replace("2.5", "1e400", 1) + "\n" + rest
+        (tmp_path / f"iq_{axis}.jsonl").write_text(text, encoding="utf-8")
+    code, _, err = run(
+        capsys, "tomo", "--data-dir", str(tmp_path), "--calibrate", "header", "--mode", "hard",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert err.startswith("error: line 1: invalid mixture parameters: ")
+
+
+def _load_seed_sweep():
     spec = importlib.util.spec_from_file_location(
         "seed_sweep", REPO_ROOT / "scripts" / "seed_sweep.py"
     )
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_seed_sweep_prints_the_shared_reconstruction_medians(capsys):
+    script = _load_seed_sweep()
     assert script.main(["--seeds", "2", "--n", "2000"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "2 seeds from 0, n=2000 per axis"
@@ -531,6 +601,14 @@ def test_seed_sweep_prints_the_shared_reconstruction_medians(capsys):
     two_stage, collapsed = zip(*(reconstruct_seed(seed, 2000).errors for seed in (0, 1)))
     assert f"median={np.median(two_stage):.4f} " in lines[1]
     assert f"median={np.median(collapsed):.4f} " in lines[2]
+
+
+@pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seeds", "-3"], ["--n", "0"], ["--n", "x"]])
+def test_seed_sweep_rejects_counts_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _load_seed_sweep().main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[0]}" in capsys.readouterr().err
 
 
 def test_module_entry_matches_api(capsys):

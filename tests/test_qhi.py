@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,11 @@ class TestSimulateTrajectory:
         assert np.abs(last - last.conj().T).max() <= 1e-12
 
 
+_HEADER = '{"dt": 0.02, "id": 0}'
+_STEP0 = '{"b": [0, 0, 1], "step": 0}'
+_STEP1 = '{"b": [0, 0, 1], "step": 1}'
+
+
 class TestObserveTrajectory:
     def test_exact_mode_maximally_mixed(self):
         mixed = DensityMatrix(np.eye(2) / 2)
@@ -155,6 +162,44 @@ class TestObserveTrajectory:
             np.testing.assert_allclose(a.b, b.b, atol=1e-15)
         for a, b in zip(traj.states, back.states):
             assert a == b
+
+    @pytest.mark.parametrize(
+        "lines, line",
+        [
+            ([_HEADER, '{"step": 0}', _STEP1], 2),
+            (["[0, 0.02]", _STEP0, _STEP1], 1),
+            ([_HEADER, _STEP0, '{"b": [0, 0, 1], "st'], 3),
+            ([_HEADER, '{"b": ["0", "0", "1"], "step": 0}', _STEP1], 2),
+            (['{"dt": 0.02, "id": 1.7}', _STEP0, _STEP1], 1),
+            ([_HEADER, _STEP1, _STEP0], 2),
+            (['{"dt": -0.02, "id": 0}', _STEP0, _STEP1], 1),
+            (['{"dt": 1e400, "id": 0}', _STEP0, _STEP1], 1),
+            (['{"dt": 0.02, "id": -1}', _STEP0, _STEP1], 1),
+            ([_HEADER, '{"b": [0, 0, 1], "step": true}', _STEP1], 2),
+            ([_HEADER, '{"b": [0, 0], "step": 0}', _STEP1], 2),
+            ([_HEADER, "", _STEP0], 4),
+        ],
+        ids=[
+            "record_without_b", "header_not_object", "truncated_record", "b_as_strings",
+            "fractional_id", "steps_out_of_order", "negative_dt", "overflowing_dt",
+            "negative_id", "bool_step", "short_b", "one_step_after_blank",
+        ],
+    )
+    def test_malformed_file_names_the_line(self, tmp_path, lines, line):
+        path = tmp_path / "traj.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^line {line}: "):
+            load_trajectory(str(path))
+
+    def test_rho_on_some_records_only(self, tmp_path, rotation, rho22):
+        traj = observe_trajectory(simulate_trajectory(rotation, rho22, 2), mode="exact")
+        path = tmp_path / "traj.jsonl"
+        save_trajectory(traj, str(path), include_states=True)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = json.dumps({"b": json.loads(lines[3])["b"], "step": 2})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 4: rho must be on every record"):
+            load_trajectory(str(path))
 
 
 class TestCptpProject:
