@@ -3,13 +3,13 @@
 
 Runs each subcommand in-process through ``iqtomo.cli.main`` -- simulate,
 discriminate (three modes), tomo (three modes x header/EM calibration),
-bilevel (three modes), qhi (exact and sampled readout), plot-iq and
-repro-paper -- into a fresh directory.  It also writes ``export_csv`` of
-the simulated z dataset and a ``load_dataset`` -> ``save_dataset`` round
-trip of each simulated axis file, so the digests pin the dataset reader
-as well as the writers.  It then prints one sorted ``relpath sha256`` line
-per file written.  Shot counts and trajectory lengths are small, so a run
-takes seconds.
+bilevel (three modes), qhi (exact, and sampled readout with hard and
+with soft discrimination), plot-iq and repro-paper -- into a fresh
+directory.  It also writes ``export_csv`` of the simulated z dataset and
+a ``load_dataset`` -> ``save_dataset`` round trip of each simulated axis
+file, so the digests pin the dataset reader as well as the writers.  It
+then prints one sorted ``relpath sha256`` line per file written.  Shot
+counts and trajectory lengths are small, so a run takes seconds.
 
 Two checkouts write byte-identical artifacts when the printed lists are
 equal; the package is imported from wherever ``PYTHONPATH`` points:
@@ -106,6 +106,8 @@ def main() -> int:
         run(["bilevel", *flags, "--data-dir", sim, "--calibrate", "header", "--out", out_dir])
     run(["qhi", "--config", cfg, "--out", os.path.join(out, "qhi_exact")])
     run(["qhi", "--config", cfg_sampled, "--out", os.path.join(out, "qhi_sampled")])
+    qhi_soft = ["qhi", "--config", cfg_sampled, "--mode", "soft"]
+    run([*qhi_soft, "--out", os.path.join(out, "qhi_sampled_soft")])
     svg = os.path.join(plot, "iq_x.svg")
     run(["plot-iq", "--data", os.path.join(sim, "iq_x.jsonl"), "--out", svg])
     run(["repro-paper", "--config", cfg, "--out", os.path.join(out, "repro")])

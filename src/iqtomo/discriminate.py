@@ -10,7 +10,10 @@ offers three routes of increasing sophistication:
   the two states and choosing the best split point.
 
 Each route produces a membership matrix from which an expectation-value
-estimate ``b`` and its one-sigma error ``delta_b`` are derived.
+estimate ``b`` and its one-sigma error ``delta_b`` are derived: hard labels
+are counted, soft and assignment memberships summed with ``math.fsum``.
+A sample whose squared distance or cost overflows is rejected with a
+ValueError, never labelled.
 """
 
 from __future__ import annotations
@@ -66,9 +69,11 @@ class ComponentParams:
         if not np.isfinite(mean).all():
             raise ValueError(f"component mean {mean.tolist()} must be finite")
         cov = np.array(self.cov, dtype=float).reshape(2, 2)
-        if np.abs(cov - cov.T).max() > 1e-9:
+        # in halves, which cannot overflow where cov - cov.T could and scale exactly
+        half, half_t = 0.5 * cov, 0.5 * cov.T
+        if np.abs(half - half_t).max() > 0.5e-9:
             raise ValueError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
+        cov = half + half_t
         a, b, c, log_det = _inverse_2x2(cov[0, 0], cov[0, 1], cov[1, 1])
         cov_inv = np.array([[a, b], [b, c]])
         for arr in (mean, cov, cov_inv):
@@ -180,6 +185,8 @@ class MembershipMatrix:
             raise ValueError("membership weights must lie in [0, 1]")
         if np.abs(rows.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("membership rows must sum to 1")
+        if self.mode == "hard" and not np.all((rows == 0.0) | (rows == 1.0)):
+            raise ValueError("hard membership rows must be one-hot")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
@@ -315,6 +322,43 @@ def _log_gauss(points: np.ndarray, component: ComponentParams) -> np.ndarray:
     )
 
 
+# the end of every message that rejects an overflowing distance or cost
+_TOO_FAR = "a sample lies too far from both clouds"
+
+# (mean, inverse-covariance entries (a, b, c)) of the zero cloud, then the one cloud
+CloudEntries = tuple[tuple[np.ndarray, tuple[float, float, float]], ...]
+
+
+def cloud_entries(theta: MixtureParams) -> CloudEntries:
+    """What :func:`cloud_distances` needs of ``theta``, read once."""
+    return tuple((c.mean, _inv_entries(c)) for c in (theta.zero, theta.one))
+
+
+def cloud_distances(
+    i: np.ndarray, q: np.ndarray, clouds: CloudEntries
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared Mahalanobis distances (d0, d1) of each sample to the two clouds.
+
+    Call it under ``np.errstate(over="ignore", invalid="ignore")``: a distance
+    that is not finite raises ValueError here instead of a numpy warning.  A
+    non-finite coordinate always makes one (the inverse covariance has a
+    positive diagonal), so that case is told apart only on failure.
+    """
+    (mean0, inv0), (mean1, inv1) = clouds
+    d0 = _dist_sq(i, q, mean0, inv0)
+    d1 = _dist_sq(i, q, mean1, inv1)
+    if d0.max() < math.inf and d1.max() < math.inf:  # False for inf and for NaN
+        return d0, d1
+    if not (np.isfinite(i).all() and np.isfinite(q).all()):
+        raise ValueError("i/q coordinates must be finite")
+    raise ValueError(f"squared distances overflow: {_TOO_FAR}")
+
+
+def _hard_ones(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """True where a sample is strictly nearer the one cloud: hard labels, ties to zero."""
+    return d0 > d1
+
+
 def mahalanobis_sq(x: np.ndarray, component: ComponentParams) -> float | np.ndarray:
     """Squared Mahalanobis distance of point(s) ``x`` to a component.
 
@@ -333,8 +377,16 @@ def classify_hard(
     """Nearest component by Mahalanobis distance; ties go to zero."""
     d0 = mahalanobis_sq(x, theta0)
     d1 = mahalanobis_sq(x, theta1)
-    labels = np.where(np.atleast_1d(d0) <= np.atleast_1d(d1), LABEL_ZERO, LABEL_ONE)
+    labels = np.where(_hard_ones(np.atleast_1d(d0), np.atleast_1d(d1)), LABEL_ONE, LABEL_ZERO)
     return int(labels[0]) if np.asarray(x).ndim == 1 else labels
+
+
+def _soft_rows(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """(n, 2) softmax memberships on the exponents (-d0, -d1), largest subtracted first."""
+    exponents = np.stack([-d0, -d1], axis=1)
+    exponents -= exponents.max(axis=1, keepdims=True)
+    weights = np.exp(exponents)
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def soft_membership(
@@ -347,15 +399,10 @@ def soft_membership(
     a single point or an (n, 2) array for a batch.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    exponents = np.stack(
-        [-np.atleast_1d(mahalanobis_sq(x, theta0)), -np.atleast_1d(mahalanobis_sq(x, theta1))],
-        axis=1,
+    gamma = _soft_rows(
+        np.atleast_1d(mahalanobis_sq(x, theta0)), np.atleast_1d(mahalanobis_sq(x, theta1))
     )
-    exponents -= exponents.max(axis=1, keepdims=True)
-    weights = np.exp(exponents)
-    gamma = weights / weights.sum(axis=1, keepdims=True)
-    return gamma[0] if single else gamma
+    return gamma[0] if x.ndim == 1 else gamma
 
 
 def hard_b(n0: float, n1: float) -> float:
@@ -373,14 +420,46 @@ def delta_b(n0: float, n1: float) -> float:
     return 2.0 * math.sqrt(n0 * n1 / n**3)
 
 
-def b_from_memberships(memberships: MembershipMatrix) -> tuple[float, float]:
-    """(b, delta_b) from a membership matrix via effective counts."""
-    rows = memberships.rows
-    n0_eff = math.fsum(rows[:, 0])
-    n1_eff = math.fsum(rows[:, 1])
+def _counted_b(ones: np.ndarray) -> tuple[float, float]:
+    """(b, delta_b) of hard labels, ``ones`` True where a sample is labelled one.
+
+    The counts are floats, as the one-hot column sums they equal.
+    """
+    n1 = int(np.count_nonzero(ones))
+    n0 = ones.size - n1
+    return hard_b(float(n0), float(n1)), delta_b(float(n0), float(n1))
+
+
+def _summed_b(rows: np.ndarray) -> tuple[float, float]:
+    """(b, delta_b) from the exactly rounded sums of the zero and one columns."""
+    n0_eff = math.fsum(rows[:, 0].tolist())
+    n1_eff = math.fsum(rows[:, 1].tolist())
     if n0_eff + n1_eff <= 0.0:
         raise ValueError("all samples carry zero state mass (everything assigned to noise)")
     return hard_b(n0_eff, n1_eff), delta_b(n0_eff, n1_eff)
+
+
+def b_from_memberships(memberships: MembershipMatrix) -> tuple[float, float]:
+    """(b, delta_b) from a membership matrix via effective counts.
+
+    Hard rows are one-hot, so their column sums are label counts.
+    """
+    if memberships.mode == "hard":
+        return _counted_b(memberships.rows[:, 1] == 1.0)
+    return _summed_b(memberships.rows)
+
+
+def b_from_distances(d0: np.ndarray, d1: np.ndarray, mode: str) -> tuple[float, float]:
+    """(b, delta_b) of samples at squared distances (d0, d1) from the two clouds.
+
+    Equal to ``b_from_memberships(memberships_for(...))`` for ``hard`` and
+    ``soft``, without building the membership matrix.
+    """
+    if mode == "hard":
+        return _counted_b(_hard_ones(d0, d1))
+    if mode == "soft":
+        return _summed_b(_soft_rows(d0, d1))
+    raise ValueError(f"b from distances needs mode 'hard' or 'soft', got {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +494,16 @@ def _kmeans_pp_init(i: np.ndarray, q: np.ndarray, seed: int) -> tuple[tuple[int,
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     n = i.size
     first = int(rng.integers(n))
-    d_first = (i - i[first]) ** 2 + (q - q[first]) ** 2
-    total = d_first.sum()
-    if total <= 0.0:
-        second = (first + 1) % n
-    else:
-        second = int(rng.choice(n, p=d_first / total))
-    d_second = (i - i[second]) ** 2 + (q - q[second]) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_first = (i - i[first]) ** 2 + (q - q[first]) ** 2
+        total = d_first.sum()
+        if not total < math.inf:
+            raise ValueError(f"k-means++ distances overflow: {_TOO_FAR}")
+        if total <= 0.0:
+            second = (first + 1) % n
+        else:
+            second = int(rng.choice(n, p=d_first / total))
+        d_second = (i - i[second]) ** 2 + (q - q[second]) ** 2
     return (first, second), d_second < d_first
 
 
@@ -622,7 +704,7 @@ def _sort_and_split(c0: np.ndarray, c1: np.ndarray, caps: Sequence[int]) -> np.n
     if min(k0, k1, k2) < 0 or k0 + k1 + k2 != n:
         raise ValueError(f"capacities {[k0, k1, k2]} do not split {n} samples")
     if not np.isfinite([c0, c1]).all():
-        raise ValueError("assignment costs overflow: a sample lies too far from both clouds")
+        raise ValueError(f"assignment costs overflow: {_TOO_FAR}")
     d = c0 - c1
     back = d - c0  # two-sum: d + ((c0 - (d - back)) - (c1 + back)) == c0 - c1 exactly
     order = np.lexsort(((c0 - (d - back)) - (c1 + back), d))
@@ -657,7 +739,9 @@ def assignment_solve(
     caps = capacities_from_weights(theta.weights() if alpha is None else alpha, points.shape[0])
     if caps[LABEL_NOISE] > 0 and theta.noise is None:
         raise ValueError("noise capacity is positive but the mixture has no noise component")
-    assign = _sort_and_split(-_log_gauss(points, theta.zero), -_log_gauss(points, theta.one), caps)
+    with np.errstate(over="ignore", invalid="ignore"):  # _sort_and_split rejects what overflows
+        costs = -_log_gauss(points, theta.zero), -_log_gauss(points, theta.one)
+    assign = _sort_and_split(*costs, caps)
     return MembershipMatrix(rows=np.eye(3)[assign], mode="assignment")
 
 
@@ -667,15 +751,20 @@ def assignment_solve(
 
 
 def memberships_for(dataset: "IQDataset", theta: MixtureParams, mode: str) -> MembershipMatrix:
-    """Membership matrix of a dataset under the requested discrimination mode."""
+    """Membership matrix of a dataset under the requested discrimination mode.
+
+    A sample so remote that its distance or cost overflows raises ValueError.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown discrimination mode {mode!r}")
-    points = dataset.points()
-    if mode == "hard":
-        labels = classify_hard(points, theta.zero, theta.one)
-        rows = np.zeros((points.shape[0], 2))
-        rows[np.arange(points.shape[0]), labels] = 1.0
-        return MembershipMatrix(rows=rows, mode="hard")
+    if mode == "assignment":
+        return assignment_solve(dataset, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0, d1 = cloud_distances(dataset.i, dataset.q, cloud_entries(theta))
     if mode == "soft":
-        return MembershipMatrix(rows=soft_membership(points, theta.zero, theta.one), mode="soft")
-    return assignment_solve(dataset, theta)
+        return MembershipMatrix(rows=_soft_rows(d0, d1), mode="soft")
+    ones = _hard_ones(d0, d1)
+    rows = np.empty((ones.size, 2))
+    rows[:, 0] = ~ones
+    rows[:, 1] = ones
+    return MembershipMatrix(rows=rows, mode="hard")

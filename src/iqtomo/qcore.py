@@ -125,10 +125,12 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
+        # in halves, which cannot overflow where m - m^H could and scale exactly
+        if np.abs(0.5 * m - 0.5 * m.conj().T).max() > 0.5 * HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(m.trace() - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {m.trace():.16g} != 1")
+        trace = complex(m[0, 0]) + complex(m[1, 1])  # Python complex: overflows to inf silently
+        if math.hypot(trace.real - 1.0, trace.imag) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {trace:.16g} != 1")
         if np.linalg.eigvalsh(m).min() < -EIGENVALUE_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         m.flags.writeable = False

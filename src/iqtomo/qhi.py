@@ -6,6 +6,15 @@ Trajectories are repeated applications of ``g``; observation converts
 each state into per-axis expectation estimates, either exactly or via
 the full sampled readout pipeline.
 
+Sampled observation gives the same b and delta_b, bit for bit, as
+simulating and discriminating one dataset per (step, axis) block.  It
+computes once per trajectory what no block changes: the Bloch vector of
+every state, both clouds' singularity check and Cholesky factor, and their
+means and inverse-covariance entries.  Per block it draws the outcome count
+and the I-Q points from the block's own streams under
+``stream = mix_seed(seed, trajectory_id, step, axis index)``, as before,
+then counts hard labels or sums soft memberships exactly.
+
 Fitting alternates a least-squares update of ``g`` over all consecutive
 state pairs with a projection of its Choi matrix onto the CPTP set
 (Dykstra between the PSD cone and the trace-preservation affine set).
@@ -23,7 +32,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .discriminate import BVector, MixtureParams, b_from_memberships, memberships_for
+from .discriminate import (
+    MODES,
+    BVector,
+    MixtureParams,
+    b_from_distances,
+    cloud_distances,
+    cloud_entries,
+)
 from .qcore import (
     AXES,
     DensityMatrix,
@@ -36,7 +52,7 @@ from .qcore import (
     vec,
 )
 from .qst import qst_closed_form
-from .readout import mix_seed, simulate_axis, write_text_atomic
+from .readout import axis_points, cloud_factors, mix_seed, write_text_atomic
 
 _VEC_ID = np.eye(2, dtype=complex).reshape(-1)
 
@@ -185,6 +201,13 @@ def observe_trajectory(
     runs the full readout pipeline (outcome sampling, I-Q synthesis,
     discrimination by ``discriminator``, ``"hard"`` or ``"soft"``) with
     ``n`` shots per axis per step.
+
+    Sampled b and delta_b equal, bit for bit, those of ``simulate_axis``
+    with outcome seed ``mix_seed(stream, 1)`` and I-Q seed
+    ``mix_seed(stream, 2)``, then ``memberships_for`` and
+    ``b_from_memberships``, for ``stream = mix_seed(seed, trajectory_id,
+    step, axis index)``.  A block skips the dataset's shuffle, which changes
+    neither a label count nor an exactly rounded sum.
     """
     if trajectory.states is None:
         raise ValueError("observation requires simulated states")
@@ -198,18 +221,24 @@ def observe_trajectory(
         if discriminator == "assignment":
             # its capacities come from theta's weights, so b would not depend on the shots
             raise ValueError("sampled observation cannot discriminate with 'assignment'")
-        for step, state in enumerate(trajectory.states):
-            b = np.empty(3)
-            delta = np.empty(3)
-            for idx, axis in enumerate(AXES):
-                stream = mix_seed(seed, trajectory.trajectory_id, step, idx)
-                dataset = simulate_axis(
-                    state, axis, n, theta, mix_seed(stream, 1), mix_seed(stream, 2)
-                )
-                b[idx], delta[idx] = b_from_memberships(
-                    memberships_for(dataset, theta, discriminator)
-                )
-            observations.append(BVector(b=b, delta=delta))
+        if discriminator not in MODES:
+            raise ValueError(f"unknown discrimination mode {discriminator!r}")
+        if n < 1:
+            raise ValueError("shot count must be >= 1")
+        factors = cloud_factors(theta.zero, theta.one)
+        clouds = cloud_entries(theta)
+        with np.errstate(over="ignore", invalid="ignore"):  # cloud_distances rejects what overflows
+            for step, r in enumerate([bloch_from_density(state) for state in trajectory.states]):
+                b = np.empty(3)
+                delta = np.empty(3)
+                for idx in range(len(AXES)):
+                    stream = mix_seed(seed, trajectory.trajectory_id, step, idx)
+                    xy = axis_points(
+                        r[idx], n, factors, theta.noise, mix_seed(stream, 1), mix_seed(stream, 2)
+                    )
+                    d0, d1 = cloud_distances(xy[:, 0], xy[:, 1], clouds)
+                    b[idx], delta[idx] = b_from_distances(d0, d1, discriminator)
+                observations.append(BVector(b=b, delta=delta))
     else:
         raise ValueError(f"unknown observation mode {mode!r}")
     return replace(trajectory, observations=tuple(observations))

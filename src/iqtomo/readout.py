@@ -9,6 +9,15 @@ All randomness flows through a counter-based Philox bit generator, with
 normal deviates produced by an explicit Box-Muller transform on its
 uniform stream, so identical seeds give bit-identical datasets across
 platforms.
+
+One core draws every I-Q point: ``_draw_points`` takes the outcome counts,
+both clouds' means and Cholesky factors (``cloud_factors``, which also
+rejects a numerically singular covariance) and one generator.
+``synthesize_iq`` calls it and then shuffles and records provenance.
+Sampled trajectory observation computes ``cloud_factors`` once per
+trajectory and calls ``axis_points`` once per (step, axis) block, which
+draws that block's outcome count and points from their own two streams
+and skips the shuffle.
 """
 
 from __future__ import annotations
@@ -37,6 +46,10 @@ from .qcore import AXES, DensityMatrix, bloch_from_density
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+# (mean, Cholesky factor of the covariance) of the zero cloud, then the one cloud
+CloudFactors = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class DatasetFormatError(ValueError):
@@ -161,11 +174,63 @@ def sample_outcomes(rho: DensityMatrix, axis: str, n: int, seed: int) -> tuple[i
     """
     if n < 1:
         raise ValueError("shot count must be >= 1")
-    r = bloch_from_density(rho)[AXES.index(axis)]
-    p0 = min(max(0.5 * (1.0 + r), 0.0), 1.0)
-    u = _philox(seed).random(n)
-    n0 = int(np.count_nonzero(u < p0))
+    n0 = _outcome_count(bloch_from_density(rho)[AXES.index(axis)], n, seed)
     return n0, n - n0
+
+
+def _outcome_count(r: float, n: int, seed: int) -> int:
+    """Zero outcomes among ``n`` shots of an axis whose Bloch component is ``r``."""
+    p0 = min(max(0.5 * (1.0 + r), 0.0), 1.0)
+    return int(np.count_nonzero(_philox(seed).random(n) < p0))
+
+
+def cloud_factors(theta0: ComponentParams, theta1: ComponentParams) -> CloudFactors:
+    """(mean, Cholesky factor) of each cloud, zero first.
+
+    Raises ValueError for a covariance whose determinant is at most 1e-12.
+    """
+    factors = []
+    for comp in (theta0, theta1):
+        if float(np.linalg.det(comp.cov)) <= 1e-12:
+            raise ValueError("component covariance is numerically singular")
+        factors.append((comp.mean, np.linalg.cholesky(comp.cov)))
+    return factors[0], factors[1]
+
+
+def _draw_points(
+    n0: int,
+    n1: int,
+    factors: CloudFactors,
+    contamination: Optional[ContaminationSpec],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """I-Q points of ``n0`` zero, ``n1`` one and ``floor(w (n0 + n1) / (1 - w))``
+    contamination shots of weight ``w``, drawn from ``rng`` and stacked in that order."""
+    blocks = []
+    for count, (mean, chol) in zip((n0, n1), factors):
+        z = _standard_normal(rng, 2 * count).reshape(count, 2)
+        blocks.append(mean + z @ chol.T)
+    if contamination is not None:
+        w = contamination.weight
+        n_noise = math.floor(w * (n0 + n1) / (1.0 - w))
+        blocks.append(_uniform_disc(rng, n_noise, contamination.center, contamination.radius))
+    return np.concatenate(blocks, axis=0)
+
+
+def axis_points(
+    r: float,
+    n: int,
+    factors: CloudFactors,
+    contamination: Optional[ContaminationSpec],
+    outcome_seed: int,
+    iq_seed: int,
+) -> np.ndarray:
+    """The I-Q points :func:`simulate_axis` draws for ``n`` shots of an axis
+    with Bloch component ``r``, before its shuffle: zero-cloud points first,
+    then one-cloud points, then contamination.  ``factors`` come from
+    :func:`cloud_factors`."""
+    n0 = _outcome_count(r, n, outcome_seed)
+    return _draw_points(n0, n - n0, factors, contamination, _philox(iq_seed))
 
 
 def synthesize_iq(
@@ -188,33 +253,20 @@ def synthesize_iq(
     if n0 < 0 or n1 < 0 or n0 + n1 < 1:
         raise ValueError("need n0, n1 >= 0 with n0 + n1 >= 1")
     n_state = n0 + n1
-    noise_weight = contamination.weight if contamination is not None else 0.0
-    n_noise = math.floor(noise_weight * n_state / (1.0 - noise_weight))
-
     rng = _philox(seed)
-    blocks = []
-    for count, comp in ((n0, theta0), (n1, theta1)):
-        if float(np.linalg.det(comp.cov)) <= 1e-12:
-            raise ValueError("component covariance is numerically singular")
-        chol = np.linalg.cholesky(comp.cov)
-        z = _standard_normal(rng, 2 * count).reshape(count, 2)
-        blocks.append(comp.mean + z @ chol.T)
-    if contamination is not None:
-        blocks.append(_uniform_disc(rng, n_noise, contamination.center, contamination.radius))
-    else:
-        blocks.append(np.empty((0, 2)))
-    xy = np.concatenate(blocks, axis=0)
+    xy = _draw_points(n0, n1, cloud_factors(theta0, theta1), contamination, rng)
     truth = np.concatenate(
         [
             np.full(n0, LABEL_ZERO, dtype=np.int8),
             np.full(n1, LABEL_ONE, dtype=np.int8),
-            np.full(n_noise, LABEL_NOISE, dtype=np.int8),
+            np.full(xy.shape[0] - n_state, LABEL_NOISE, dtype=np.int8),
         ]
     )
     perm = rng.permutation(xy.shape[0])
     xy = xy[perm]
     truth = truth[perm]
 
+    noise_weight = contamination.weight if contamination is not None else 0.0
     state_fraction = 1.0 - noise_weight
     mixture = MixtureParams(
         zero=ComponentParams(state_fraction * n0 / n_state, theta0.mean, theta0.cov),

@@ -16,11 +16,16 @@ their k-means++ start.  ``save_dataset_reference`` and
 forms of the dataset writer and reader.  ``min_cost_assignment_reference``
 is a general n x k capacitated assignment by successive shortest paths;
 the package solves only the case it meets (a constant noise column) by
-sort-and-split, and this solver checks it.
+sort-and-split, and this solver checks it.  ``observe_trajectory_reference``
+is sampled trajectory observation one dataset per (step, axis) block: it
+draws, shuffles and validates each block as ``simulate_axis`` does and
+discriminates it with ``memberships_for``, where the package hoists the
+per-trajectory work and counts hard labels.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
 import math
@@ -39,11 +44,14 @@ from iqtomo import (
     IQDataset,
     MixtureParams,
     QstResult,
+    b_from_memberships,
     bloch_from_density,
+    memberships_for,
+    mix_seed,
     pauli,
 )
 from iqtomo.discriminate import COVARIANCE_FLOOR, LABEL_NAMES
-from iqtomo.readout import write_text_atomic
+from iqtomo.readout import simulate_axis, write_text_atomic
 
 
 def _simplex_project(w: np.ndarray) -> np.ndarray:
@@ -480,3 +488,23 @@ def min_cost_assignment_reference(cost: np.ndarray, caps: np.ndarray) -> np.ndar
             for s, c in zip(members, classes):
                 assign[s] = c
     return assign
+
+
+def observe_trajectory_reference(trajectory, n: int, theta, seed: int, discriminator: str = "hard"):
+    """Sampled observation one dataset at a time: every (step, axis) block runs
+    ``simulate_axis`` (outcomes, synthesis, shuffle, an ``IQDataset``), then
+    ``memberships_for`` and ``b_from_memberships``."""
+    if trajectory.states is None:
+        raise ValueError("observation requires simulated states")
+    if discriminator == "assignment":
+        raise ValueError("sampled observation cannot discriminate with 'assignment'")
+    observations = []
+    for step, state in enumerate(trajectory.states):
+        b = np.empty(3)
+        delta = np.empty(3)
+        for idx, axis in enumerate(AXES):
+            stream = mix_seed(seed, trajectory.trajectory_id, step, idx)
+            dataset = simulate_axis(state, axis, n, theta, mix_seed(stream, 1), mix_seed(stream, 2))
+            b[idx], delta[idx] = b_from_memberships(memberships_for(dataset, theta, discriminator))
+        observations.append(BVector(b=b, delta=delta))
+    return dataclasses.replace(trajectory, observations=tuple(observations))

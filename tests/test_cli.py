@@ -580,6 +580,42 @@ def test_header_mixture_with_overflowing_mean_is_line_1(sim_dir, tmp_path, capsy
     assert err.startswith("error: line 1: invalid mixture parameters: ")
 
 
+@pytest.fixture(scope="module")
+def far_sample_dir(sim_dir, tmp_path_factory):
+    """The sim_dir datasets with one x sample moved to i = -1e200, where squared distances overflow."""
+    out = tmp_path_factory.mktemp("far")
+    for axis in iqtomo.AXES:
+        lines = (sim_dir / f"iq_{axis}.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        if axis == "x":
+            record = json.loads(lines[5])
+            record["i"] = -1e200
+            lines[5] = json.dumps(record) + "\n"
+        (out / f"iq_{axis}.jsonl").write_text("".join(lines), encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("calibrate", ["header", "em"])
+@pytest.mark.parametrize("mode", ["hard", "soft", "assignment"])
+def test_sample_too_far_from_both_clouds_is_exit_1(far_sample_dir, tmp_path, capsys, mode, calibrate):
+    # the suite turns numpy RuntimeWarnings into errors, so a pass also means none leaked
+    code, out, err = run(
+        capsys, "tomo", "--data-dir", str(far_sample_dir), "--mode", mode,
+        "--calibrate", calibrate, "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(r"error: [^\n]*: a sample lies too far from both clouds\n", err)
+
+
+def test_discriminate_rejects_a_sample_too_far_from_both_clouds(far_sample_dir, tmp_path, capsys):
+    code, _, err = run(
+        capsys, "discriminate", "--data", str(far_sample_dir / "iq_x.jsonl"),
+        "--calibrate", "header", "--mode", "hard",
+    )
+    assert code == 1
+    assert err == "error: squared distances overflow: a sample lies too far from both clouds\n"
+
+
 def _load_seed_sweep():
     spec = importlib.util.spec_from_file_location(
         "seed_sweep", REPO_ROOT / "scripts" / "seed_sweep.py"

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iqtomo
 from iqtomo import (
@@ -67,6 +69,40 @@ class TestParams:
     def test_component_rejects_bad_weight(self):
         with pytest.raises(ValueError):
             _component([0, 0], weight=1.5)
+
+    # the suite turns numpy RuntimeWarnings into errors: these are rejected without overflow
+    @pytest.mark.parametrize(
+        "cov",
+        [[[1e308, -1e308], [1e308, 1.0]], [[1.0, 1.7e308], [-1.7e308, 1.0]]],
+        ids=["opposite_off_diagonals", "huge_skew"],
+    )
+    def test_rejects_huge_asymmetric_covariance_without_overflow(self, cov):
+        with pytest.raises(ValueError, match="^covariance must be symmetric$"):
+            _component([0.0, 0.0], cov)
+
+    @pytest.mark.parametrize("cov", [[[1e308, 0.0], [0.0, 1.0]], [[1e308, 1e308], [1e308, 1e308]]])
+    def test_huge_symmetric_covariance_is_a_value_error(self, cov):
+        with pytest.raises(ValueError):
+            _component([0.0, 0.0], cov)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 1.0, -2.5, 1e154, -1e200, 1e308, -1.7976931348623157e308, 5e-324]),
+            min_size=6,
+            max_size=6,
+        )
+    )
+    def test_huge_json_mixture_entries_raise_only_value_error(self, entries):
+        obj = {
+            "alpha": [0.5, 0.5, 0.0],
+            "mu": [entries[0:2], [-2.5, 2.0]],
+            "sigma": [[entries[2:4], entries[4:6]], [[1.0, 0.0], [0.0, 1.0]]],
+        }
+        try:
+            MixtureParams.from_json_dict(obj)
+        except ValueError:
+            pass
 
     def test_contamination_density(self):
         spec = ContaminationSpec(weight=0.1, center=(0.0, 2.0), radius=6.0)
@@ -258,6 +294,45 @@ class TestBEstimates:
         member = MembershipMatrix(rows=np.tile([0.0, 0.0, 1.0], (3, 1)), mode="assignment")
         with pytest.raises(ValueError):
             b_from_memberships(member)
+
+
+class TestHardCounts:
+    """Hard b and delta_b are label counts, equal to the one-hot column fsums they replace."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_to_one_hot_fsum_on_criterion_04_axes(self, seed):
+        datasets = simulate_datasets(REFERENCE_STATE, DEFAULT_MIXTURE, 10_000, seed)
+        for axis in AXES:
+            theta = em_fit(datasets[axis])
+            member = memberships_for(datasets[axis], theta, "hard")
+            n0, n1 = math.fsum(member.rows[:, 0]), math.fsum(member.rows[:, 1])
+            b, err = b_from_memberships(member)
+            assert (b, err) == (hard_b(n0, n1), delta_b(n0, n1))
+            d0, d1 = discriminate.cloud_distances(
+                datasets[axis].i, datasets[axis].q, discriminate.cloud_entries(theta)
+            )
+            assert discriminate.b_from_distances(d0, d1, "hard") == (b, err)
+
+    def test_soft_b_from_distances_matches_memberships(self, sep5_mixture):
+        d = synthesize_iq(700, 300, sep5_mixture.zero, sep5_mixture.one, seed=13)
+        d0, d1 = discriminate.cloud_distances(d.i, d.q, discriminate.cloud_entries(sep5_mixture))
+        want = b_from_memberships(memberships_for(d, sep5_mixture, "soft"))
+        assert discriminate.b_from_distances(d0, d1, "soft") == want
+
+    def test_ties_go_to_zero(self, sep5_mixture):
+        # (0, 2) is equidistant from both clouds
+        d = IQDataset(observable="z", i=[0.0, 0.0, 2.5], q=[2.0, 2.0, 2.0], truth=[-1, -1, -1], seed=0)
+        member = memberships_for(d, sep5_mixture, "hard")
+        assert member.rows.tolist() == [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+        assert b_from_memberships(member) == (1.0, 0.0)
+
+    def test_b_from_distances_has_no_assignment_mode(self):
+        with pytest.raises(ValueError, match="'hard' or 'soft'"):
+            discriminate.b_from_distances(np.zeros(2), np.ones(2), "assignment")
+
+    def test_hard_rows_must_be_one_hot(self):
+        with pytest.raises(ValueError, match="one-hot"):
+            MembershipMatrix(rows=np.array([[1.0, 0.0], [0.25, 0.75]]), mode="hard")
 
 
 class TestMembershipMatrix:

@@ -96,6 +96,39 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.2, -0.2]))
 
+    # the suite turns numpy RuntimeWarnings into errors: these are rejected without overflow
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[1e308, -1e308], [1e308, 1.0]],
+            [[0.5, 1e308j], [1e308j, 0.5]],
+            [[0.5, 1.7e308 + 1.7e308j], [-1.7e308 + 1.7e308j, 0.5]],
+        ],
+        ids=["real", "imaginary", "complex"],
+    )
+    def test_rejects_huge_non_hermitian_without_overflow(self, m):
+        with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+            DensityMatrix(np.array(m))
+
+    def test_rejects_overflowing_trace_without_overflow(self):
+        with pytest.raises(ValueError, match=r"^density matrix trace inf\+0j != 1$"):
+            DensityMatrix(np.diag([1e308, 1e308]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 0.5, -1.0, 1e154, -1e200, 1e308, -1.7976931348623157e308, 5e-324]),
+            min_size=8,
+            max_size=8,
+        )
+    )
+    def test_huge_json_entries_raise_only_value_error(self, entries):
+        obj = {"re": [entries[0:2], entries[2:4]], "im": [entries[4:6], entries[6:8]]}
+        try:
+            DensityMatrix.from_json_dict(obj)
+        except ValueError:
+            pass
+
     def test_matrix_is_read_only(self, rho22):
         with pytest.raises(ValueError):
             rho22.matrix[0, 0] = 0.3

@@ -6,8 +6,11 @@ import pytest
 from iqtomo import (
     ChannelSuperoperator,
     ChoiMatrix,
+    ComponentParams,
+    ContaminationSpec,
     DensityMatrix,
     FitWarning,
+    MixtureParams,
     Trajectory,
     bloch_from_density,
     choi_from_super,
@@ -23,6 +26,7 @@ from iqtomo import (
     vec,
 )
 from iqtomo.qhi import step_unitary
+from oracles import observe_trajectory_reference
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -200,6 +204,95 @@ class TestObserveTrajectory:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="^line 4: rho must be on every record"):
             load_trajectory(str(path))
+
+
+def _tilted(noise_weight: float) -> MixtureParams:
+    """Clouds with correlated, unequal covariances, so neither Cholesky factor is diagonal."""
+    state = 0.5 * (1.0 - noise_weight)
+    return MixtureParams(
+        zero=ComponentParams(state, np.array([2.5, 2.0]), np.array([[1.2, 0.3], [0.3, 0.8]])),
+        one=ComponentParams(state, np.array([-2.0, 1.5]), np.array([[0.7, -0.2], [-0.2, 1.1]])),
+        noise=ContaminationSpec(weight=noise_weight) if noise_weight else None,
+    )
+
+
+class TestSampledObservation:
+    """The per-trajectory observation against the per-block oracle, bit for bit."""
+
+    @pytest.mark.parametrize("noise_weight", [0.0, 0.1])
+    @pytest.mark.parametrize("discriminator", ["hard", "soft"])
+    @pytest.mark.parametrize(
+        "seed, trajectory_id, n",
+        [(0, 0, 1), (7, 3, 2), (123, 1, 257), (2**63 + 5, 2, 2000)],
+    )
+    def test_matches_per_block_reference(
+        self, rotation, seed, trajectory_id, n, discriminator, noise_weight
+    ):
+        theta = _tilted(noise_weight)
+        rho0 = density_from_bloch([0.3, -0.5, 0.6])
+        traj = simulate_trajectory(rotation, rho0, 4, trajectory_id=trajectory_id)
+        got = observe_trajectory(
+            traj, mode="sampled", n=n, theta=theta, seed=seed, discriminator=discriminator
+        )
+        want = observe_trajectory_reference(traj, n, theta, seed, discriminator)
+        for a, b in zip(got.observations, want.observations):
+            assert a.b.tobytes() == b.b.tobytes()
+            assert a.delta.tobytes() == b.delta.tobytes()
+
+    def test_matches_reference_at_the_benchmark_geometry(self, rotation, sep5_mixture):
+        traj = simulate_trajectory(rotation, density_from_bloch([1.0, 1.0, 1.0] / np.sqrt(3.0)), 25)
+        got = observe_trajectory(traj, mode="sampled", n=2000, theta=sep5_mixture, seed=11)
+        want = observe_trajectory_reference(traj, 2000, sep5_mixture, 11)
+        assert [o.b.tobytes() + o.delta.tobytes() for o in got.observations] == [
+            o.b.tobytes() + o.delta.tobytes() for o in want.observations
+        ]
+
+    def test_rejects_zero_shots(self, rotation, rho22, sep5_mixture):
+        traj = simulate_trajectory(rotation, rho22, 2)
+        with pytest.raises(ValueError, match="shot count must be >= 1"):
+            observe_trajectory(traj, mode="sampled", n=0, theta=sep5_mixture, seed=1)
+
+    def test_rejects_singular_cloud(self, rotation, rho22):
+        flat = ComponentParams(0.5, np.zeros(2), np.diag([1e-5, 1e-8]))
+        theta = MixtureParams(zero=flat, one=ComponentParams(0.5, np.ones(2), np.eye(2)))
+        traj = simulate_trajectory(rotation, rho22, 2)
+        with pytest.raises(ValueError, match="numerically singular"):
+            observe_trajectory(traj, mode="sampled", n=10, theta=theta, seed=1)
+
+    def test_rejects_unknown_discriminator(self, rotation, rho22, sep5_mixture):
+        traj = simulate_trajectory(rotation, rho22, 2)
+        with pytest.raises(ValueError, match="unknown discrimination mode"):
+            observe_trajectory(
+                traj, mode="sampled", n=10, theta=sep5_mixture, seed=1, discriminator="nearest"
+            )
+
+    @pytest.mark.parametrize("discriminator", ["hard", "soft"])
+    def test_distances_that_overflow_are_rejected(self, rotation, rho22, discriminator):
+        # clouds 2e200 apart: every sample's squared distance to the far cloud overflows
+        theta = MixtureParams(
+            zero=ComponentParams(0.5, np.array([1e200, 0.0]), np.eye(2)),
+            one=ComponentParams(0.5, np.array([-1e200, 0.0]), np.eye(2)),
+        )
+        traj = simulate_trajectory(rotation, rho22, 2)
+        for observe in (
+            lambda: observe_trajectory(
+                traj, mode="sampled", n=10, theta=theta, seed=1, discriminator=discriminator
+            ),
+            lambda: observe_trajectory_reference(traj, 10, theta, 1, discriminator),
+        ):
+            with pytest.raises(ValueError, match="^squared distances overflow: a sample lies too far"):
+                observe()
+
+    def test_coordinates_that_overflow_are_rejected(self, rotation, rho22):
+        # a contamination disc at the edge of the float range draws infinite coordinates
+        theta = MixtureParams(
+            zero=ComponentParams(0.25, np.array([2.5, 2.0]), np.eye(2)),
+            one=ComponentParams(0.25, np.array([-2.5, 2.0]), np.eye(2)),
+            noise=ContaminationSpec(weight=0.5, center=(1.797e308, 0.0), radius=1e307),
+        )
+        traj = simulate_trajectory(rotation, rho22, 2)
+        with pytest.raises(ValueError, match="^i/q coordinates must be finite$"):
+            observe_trajectory(traj, mode="sampled", n=50, theta=theta, seed=1)
 
 
 class TestCptpProject:

@@ -86,7 +86,7 @@ class TestSampleOutcomes:
         assert sample_outcomes(rho22, "y", 5000, 77) == sample_outcomes(rho22, "y", 5000, 77)
 
     def test_rejects_empty(self, rho22):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^shot count must be >= 1$"):
             sample_outcomes(rho22, "z", 0, 1)
 
     def test_binomial_concentration_over_seeds(self, rho22):
@@ -122,8 +122,10 @@ class TestSynthesizeIq:
         # near-singular ones (det <= 1e-12) are refused by the synthesizer
         flat = ComponentParams(0.5, np.zeros(2), np.diag([1e-5, 1e-8]))
         other = ComponentParams(0.5, np.ones(2), np.eye(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^component covariance is numerically singular$"):
             synthesize_iq(5, 5, flat, other, seed=1)
+        with pytest.raises(ValueError, match="^component covariance is numerically singular$"):
+            synthesize_iq(5, 5, other, flat, seed=1)
 
     def test_tight_cloud_concentrates(self):
         theta0 = ComponentParams(0.5, np.array([2.5, 2.0]), 1e-6 * np.eye(2))
