@@ -9,11 +9,13 @@ offers three routes of increasing sophistication:
   solved exactly by sorting the samples on their cost difference between
   the two states and choosing the best split point.
 
+All three start from one distance path: :func:`cloud_distances` gives each
+sample's squared Mahalanobis distances to the two clouds, and rejects with
+a ValueError, never a label, a sample whose distance overflows.  Assignment
+costs are the negated Gaussian log-densities built from those distances.
 Each route produces a membership matrix from which an expectation-value
 estimate ``b`` and its one-sigma error ``delta_b`` are derived: hard labels
 are counted, soft and assignment memberships summed with ``math.fsum``.
-A sample whose squared distance or cost overflows is rejected with a
-ValueError, never labelled.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ MODES = ("hard", "soft", "assignment")
 _LOG_2PI = math.log(2.0 * math.pi)
 
 COVARIANCE_FLOOR = 1e-6
+
+# EM stops once the log-likelihood changes by at most this much relative to its size
+EM_TOL = 1e-8
 
 
 class CalibrationWarning(UserWarning):
@@ -190,10 +195,6 @@ class MembershipMatrix:
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def n_samples(self) -> int:
-        return self.rows.shape[0]
-
 
 @dataclass(frozen=True)
 class BVector:
@@ -257,7 +258,11 @@ def _inverse_2x2(s00: float, s01: float, s11: float) -> tuple[float, float, floa
     to 1e-9.
     """
     s00, s01, s11 = float(s00), float(s01), float(s11)
-    if not _min_eigenvalue(s00, s01, s11) > 1e-10:
+    # the exact products of _det_2x2 overflow for entries past about 2**511, so
+    # such entries are scaled by 2**-shift (exact); smaller ones get shift = 0
+    shift = max(0, max(math.frexp(s)[1] for s in (s00, s01, s11)) - 500)
+    s00, s01, s11 = (math.ldexp(s, -shift) for s in (s00, s01, s11))
+    if not _min_eigenvalue(s00, s01, s11) > math.ldexp(1e-10, -shift):
         raise ValueError("covariance must be positive definite")
     det = _det_2x2(s00, s01, s11)
     a, b, c = s11 / det, -s01 / det, s00 / det
@@ -269,7 +274,8 @@ def _inverse_2x2(s00: float, s01: float, s11: float) -> tuple[float, float, floa
     )
     if residual > 1e-9:
         raise ValueError("covariance is too ill-conditioned to invert")
-    return a, b, c, math.log(det)
+    a, b, c = (math.ldexp(x, -shift) for x in (a, b, c))
+    return a, b, c, math.log(det) + 2 * shift * math.log(2.0)
 
 
 def _dist_sq(
@@ -311,17 +317,6 @@ def _log_density(
     return out
 
 
-def _inv_entries(component: ComponentParams) -> tuple[float, float, float]:
-    inv = component.cov_inv
-    return float(inv[0, 0]), float(inv[0, 1]), float(inv[1, 1])
-
-
-def _log_gauss(points: np.ndarray, component: ComponentParams) -> np.ndarray:
-    return _log_density(
-        points[:, 0], points[:, 1], component.mean, _inv_entries(component), component.log_det
-    )
-
-
 # the end of every message that rejects an overflowing distance or cost
 _TOO_FAR = "a sample lies too far from both clouds"
 
@@ -331,7 +326,10 @@ CloudEntries = tuple[tuple[np.ndarray, tuple[float, float, float]], ...]
 
 def cloud_entries(theta: MixtureParams) -> CloudEntries:
     """What :func:`cloud_distances` needs of ``theta``, read once."""
-    return tuple((c.mean, _inv_entries(c)) for c in (theta.zero, theta.one))
+    return tuple(
+        (c.mean, (float(c.cov_inv[0, 0]), float(c.cov_inv[0, 1]), float(c.cov_inv[1, 1])))
+        for c in (theta.zero, theta.one)
+    )
 
 
 def cloud_distances(
@@ -359,50 +357,12 @@ def _hard_ones(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
     return d0 > d1
 
 
-def mahalanobis_sq(x: np.ndarray, component: ComponentParams) -> float | np.ndarray:
-    """Squared Mahalanobis distance of point(s) ``x`` to a component.
-
-    Accepts a single (2,) point or an (n, 2) batch.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    q = _dist_sq(x[:, 0], x[:, 1], component.mean, _inv_entries(component))
-    return float(q[0]) if single else q
-
-
-def classify_hard(
-    x: np.ndarray, theta0: ComponentParams, theta1: ComponentParams
-) -> int | np.ndarray:
-    """Nearest component by Mahalanobis distance; ties go to zero."""
-    d0 = mahalanobis_sq(x, theta0)
-    d1 = mahalanobis_sq(x, theta1)
-    labels = np.where(_hard_ones(np.atleast_1d(d0), np.atleast_1d(d1)), LABEL_ONE, LABEL_ZERO)
-    return int(labels[0]) if np.asarray(x).ndim == 1 else labels
-
-
 def _soft_rows(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
     """(n, 2) softmax memberships on the exponents (-d0, -d1), largest subtracted first."""
     exponents = np.stack([-d0, -d1], axis=1)
     exponents -= exponents.max(axis=1, keepdims=True)
     weights = np.exp(exponents)
     return weights / weights.sum(axis=1, keepdims=True)
-
-
-def soft_membership(
-    x: np.ndarray, theta0: ComponentParams, theta1: ComponentParams
-) -> np.ndarray:
-    """Softmax memberships on exponents X_c = -mahalanobis_sq(x, c).
-
-    The largest exponent is subtracted before exponentiation so the result
-    is finite for arbitrarily remote points.  Returns (gamma0, gamma1) for
-    a single point or an (n, 2) array for a batch.
-    """
-    x = np.asarray(x, dtype=float)
-    gamma = _soft_rows(
-        np.atleast_1d(mahalanobis_sq(x, theta0)), np.atleast_1d(mahalanobis_sq(x, theta1))
-    )
-    return gamma[0] if x.ndim == 1 else gamma
 
 
 def hard_b(n0: float, n1: float) -> float:
@@ -511,8 +471,6 @@ def em_fit(
     dataset: "IQDataset",
     init: Optional[tuple[ComponentParams, ComponentParams]] = None,
     max_iter: int = 200,
-    tol: float = 1e-8,
-    seed: Optional[int] = None,
     log_history: Optional[list] = None,
 ) -> MixtureParams:
     """Fit a two-component Gaussian mixture to the I-Q samples by EM.
@@ -522,13 +480,12 @@ def em_fit(
     dataset : IQDataset
         Readout records; only the (i, q) coordinates are used.
     init : (ComponentParams, ComponentParams), optional
-        Explicit starting components; by default a seeded k-means++
-        initialisation.
-    max_iter, tol : int, float
-        Iteration cap and relative log-likelihood convergence threshold.
-    seed : int, optional
-        Initialisation seed; defaults to a value derived from the dataset
-        seed, so repeated fits of the same dataset are identical.
+        Explicit starting components; by default a k-means++ initialisation
+        seeded from the dataset seed, so repeated fits of the same dataset
+        are identical.
+    max_iter : int
+        Iteration cap; EM also stops once the log-likelihood changes by at
+        most ``EM_TOL`` relative to its size.
     log_history : list, optional
         If given, the per-iteration total log-likelihood is appended to it.
 
@@ -551,9 +508,7 @@ def em_fit(
         raise ValueError("max_iter must be >= 1")
 
     if init is None:
-        if seed is None:
-            seed = (dataset.seed ^ 0xE41B17) & 0xFFFFFFFFFFFFFFFF
-        centers, to_second = _kmeans_pp_init(i, q, seed)
+        centers, to_second = _kmeans_pp_init(i, q, (dataset.seed ^ 0xE41B17) & 0xFFFFFFFFFFFFFFFF)
         means = [(float(i[k]), float(q[k])) for k in centers]
         covs = []
         weights = np.empty(2)
@@ -595,7 +550,7 @@ def em_fit(
                     f"EM log-likelihood decreased at iteration {iteration} "
                     f"by {log_lik_prev - log_lik:.3g} (from {log_lik_prev!r} to {log_lik!r})"
                 )
-            if abs(log_lik - log_lik_prev) <= tol * (1.0 + abs(log_lik)):
+            if abs(log_lik - log_lik_prev) <= EM_TOL * (1.0 + abs(log_lik)):
                 break
         log_lik_prev = log_lik
         gamma = [np.exp(log_dens[c] - log_norm) for c in range(2)]
@@ -726,23 +681,23 @@ def _sort_and_split(c0: np.ndarray, c1: np.ndarray, caps: Sequence[int]) -> np.n
     return assign
 
 
-def assignment_solve(
-    dataset: "IQDataset", theta: MixtureParams, alpha: Optional[Sequence[float]] = None
-) -> MembershipMatrix:
-    """Assign every sample to zero/one/noise under exact class capacities.
+def _assignment_costs(
+    d0: np.ndarray, d1: np.ndarray, theta: MixtureParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero and one costs 0.5*d + 0.5*log_det + log(2 pi) of samples at distances (d0, d1).
 
-    Capacities round ``alpha * n`` by largest remainder.  The objective is the
+    Rounded step for step as the negation of :func:`_log_density`, so each cost
+    is minus EM's Gaussian log-density bit for bit.  The objective is the
     summed class log-likelihood; noise adds k2 * log(disc density) whichever
-    samples it holds, so only the Gaussian columns enter :func:`_sort_and_split`.
+    samples it holds, so only these two columns enter :func:`_sort_and_split`.
     """
-    points = dataset.points()
-    caps = capacities_from_weights(theta.weights() if alpha is None else alpha, points.shape[0])
-    if caps[LABEL_NOISE] > 0 and theta.noise is None:
-        raise ValueError("noise capacity is positive but the mixture has no noise component")
-    with np.errstate(over="ignore", invalid="ignore"):  # _sort_and_split rejects what overflows
-        costs = -_log_gauss(points, theta.zero), -_log_gauss(points, theta.one)
-    assign = _sort_and_split(*costs, caps)
-    return MembershipMatrix(rows=np.eye(3)[assign], mode="assignment")
+    costs = []
+    for d, component in ((d0, theta.zero), (d1, theta.one)):
+        cost = 0.5 * d
+        cost += 0.5 * component.log_det
+        cost += _LOG_2PI
+        costs.append(cost)
+    return costs[0], costs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -753,16 +708,21 @@ def assignment_solve(
 def memberships_for(dataset: "IQDataset", theta: MixtureParams, mode: str) -> MembershipMatrix:
     """Membership matrix of a dataset under the requested discrimination mode.
 
-    A sample so remote that its distance or cost overflows raises ValueError.
+    Every mode classifies by the distances of :func:`cloud_distances`, so a
+    sample so remote that its distance overflows raises ValueError.
+    ``assignment`` takes its class capacities from the mixture weights,
+    rounded by largest remainder.
     """
     if mode not in MODES:
         raise ValueError(f"unknown discrimination mode {mode!r}")
-    if mode == "assignment":
-        return assignment_solve(dataset, theta)
     with np.errstate(over="ignore", invalid="ignore"):
         d0, d1 = cloud_distances(dataset.i, dataset.q, cloud_entries(theta))
     if mode == "soft":
         return MembershipMatrix(rows=_soft_rows(d0, d1), mode="soft")
+    if mode == "assignment":
+        caps = capacities_from_weights(theta.weights(), d0.size)
+        assign = _sort_and_split(*_assignment_costs(d0, d1, theta), caps)
+        return MembershipMatrix(rows=np.eye(3)[assign], mode="assignment")
     ones = _hard_ones(d0, d1)
     rows = np.empty((ones.size, 2))
     rows[:, 0] = ~ones

@@ -10,6 +10,7 @@ import numpy as np
 from .readout import IQDataset
 
 POINT_COLORS = {0: "#1f77b4", 1: "#d62728", 2: "#999999", -1: "#555555"}
+WIDTH, HEIGHT = 640, 480  # SVG canvas size in pixels
 
 
 def _svg_components(dataset: IQDataset) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -32,8 +33,8 @@ def _svg_components(dataset: IQDataset) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def render_iq_svg(dataset: IQDataset, width: int = 640, height: int = 480) -> str:
-    """Deterministic SVG scatter: one circle per sample, cluster overlays."""
+def render_iq_svg(dataset: IQDataset) -> str:
+    """Deterministic WIDTH x HEIGHT SVG scatter: one circle per sample, cluster overlays."""
     points = dataset.points()
     components = _svg_components(dataset)
     margin = 48.0
@@ -47,24 +48,24 @@ def render_iq_svg(dataset: IQDataset, width: int = 640, height: int = 480) -> st
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     span = max(x_hi - x_lo, y_hi - y_lo, 1e-9)
-    scale = (min(width, height) - 2.0 * margin) / span
+    scale = (min(WIDTH, HEIGHT) - 2.0 * margin) / span
     x_mid = 0.5 * (x_lo + x_hi)
     y_mid = 0.5 * (y_lo + y_hi)
 
     def to_px(x: float, y: float) -> tuple[float, float]:
         return (
-            width / 2.0 + (x - x_mid) * scale,
-            height / 2.0 - (y - y_mid) * scale,
+            WIDTH / 2.0 + (x - x_mid) * scale,
+            HEIGHT / 2.0 - (y - y_mid) * scale,
         )
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 12:.1f}" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 12:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">I (obs {dataset.observable})</text>',
-        f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" transform="rotate(-90 16 {height / 2:.1f})">Q</text>',
+        f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="13" transform="rotate(-90 16 {HEIGHT / 2:.1f})">Q</text>',
     ]
     for x, y, code in zip(dataset.i, dataset.q, dataset.truth):
         px, py = to_px(float(x), float(y))

@@ -136,9 +136,6 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def bloch(self) -> np.ndarray:
-        return bloch_from_density(self)
-
     def to_json_dict(self) -> dict:
         """Serialise as ``{"re": [[...]], "im": [[...]]}`` (row-major)."""
         return {

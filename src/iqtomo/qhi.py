@@ -56,6 +56,15 @@ from .readout import axis_points, cloud_factors, mix_seed, write_text_atomic
 
 _VEC_ID = np.eye(2, dtype=complex).reshape(-1)
 
+# CPTP projection stops once a Dykstra sweep moves its iterate by at most
+# PROJECTION_TOL relative to the input's norm, or after PROJECTION_MAX_SWEEPS sweeps
+PROJECTION_TOL = 1e-12
+PROJECTION_MAX_SWEEPS = 10_000
+# the channel fit stops once its loss changes by less than FIT_TOL, or after
+# FIT_MAX_ALTERNATIONS alternations
+FIT_TOL = 1e-10
+FIT_MAX_ALTERNATIONS = 200
+
 
 class ProjectionWarning(UserWarning):
     """CPTP projection stopped on its sweep cap instead of its tolerance."""
@@ -89,10 +98,12 @@ class ChannelSuperoperator:
         g = np.array(self.g, dtype=complex)
         if g.shape != (4, 4):
             raise ValueError(f"superoperator must be 4x4, got {g.shape}")
-        if np.abs(_VEC_ID.conj() @ g - _VEC_ID.conj()).max() > 1e-9:
+        # in halves, which cannot overflow where sums of entries could and scale exactly
+        half = 0.5 * g
+        if np.abs(_VEC_ID.conj() @ half - 0.5 * _VEC_ID.conj()).max() > 0.5e-9:
             raise ValueError("superoperator is not trace preserving")
-        choi = choi_from_super(g)
-        if np.abs(choi - choi.conj().T).max() > 1e-9:
+        choi = choi_from_super(half)
+        if np.abs(choi - choi.conj().T).max() > 0.5e-9:
             raise ValueError("superoperator is not Hermiticity preserving")
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
@@ -113,11 +124,13 @@ class ChoiMatrix:
         c = np.array(self.c, dtype=complex)
         if c.shape != (4, 4):
             raise ValueError(f"Choi matrix must be 4x4, got {c.shape}")
-        if np.abs(c - c.conj().T).max() > 1e-9:
+        # in halves, which cannot overflow where c + c^H could and scale exactly
+        half = 0.5 * c
+        if np.abs(half - half.conj().T).max() > 0.5e-9:
             raise ValueError("Choi matrix is not Hermitian")
-        if np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() < -1e-9:
+        if np.linalg.eigvalsh(half + half.conj().T).min() < -1e-9:
             raise ValueError("Choi matrix is not positive semidefinite")
-        if np.abs(partial_trace_out(c) - np.eye(2)).max() > 1e-9:
+        if np.abs(partial_trace_out(half) - 0.5 * np.eye(2)).max() > 0.5e-9:
             raise ValueError("Choi matrix does not preserve the trace")
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
@@ -322,11 +335,12 @@ def _tp_project(c: np.ndarray) -> np.ndarray:
     return c + np.kron(np.eye(2), deficit / 2.0)
 
 
-def cptp_project(h: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000) -> ChoiMatrix:
+def cptp_project(h: np.ndarray) -> ChoiMatrix:
     """Project a Hermitian 4x4 matrix onto the CPTP Choi set (Frobenius).
 
     Dykstra alternation between the PSD cone and the affine set of
-    trace-preserving Choi matrices; warns if the sweep cap is reached.
+    trace-preserving Choi matrices; warns if the sweep cap
+    ``PROJECTION_MAX_SWEEPS`` is reached before ``PROJECTION_TOL``.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
@@ -337,19 +351,20 @@ def cptp_project(h: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000) ->
     q = np.zeros_like(x)
     converged = False
     y = x
-    for _ in range(max_sweeps):
+    for _ in range(PROJECTION_MAX_SWEEPS):
         y = _psd_project(x + p)
         p = x + p - y
         x_new = _tp_project(y + q)
         q = y + q - x_new
-        if np.linalg.norm(y - x_new) <= tol * scale:
+        if np.linalg.norm(y - x_new) <= PROJECTION_TOL * scale:
             x = x_new
             converged = True
             break
         x = x_new
     if not converged:
         warnings.warn(
-            f"CPTP projection did not reach tolerance {tol} in {max_sweeps} sweeps",
+            f"CPTP projection did not reach tolerance {PROJECTION_TOL} "
+            f"in {PROJECTION_MAX_SWEEPS} sweeps",
             ProjectionWarning,
         )
     out = 0.5 * (x + x.conj().T)
@@ -359,6 +374,13 @@ def cptp_project(h: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000) ->
     if w.min() < 0.0:
         out = (v * np.maximum(w, 0.0)) @ v.conj().T
         out = _tp_project(0.5 * (out + out.conj().T))
+        # stopped on the sweep cap, that step can leave an eigenvalue below
+        # ChoiMatrix's -1e-9 (same matrix as its check): mix in just enough
+        # of the trace-preserving, positive definite I/2 to lift it to zero
+        low = float(np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min())
+        if low < -1e-9:
+            t = -low / (0.5 - low)
+            out = (1.0 - t) * out + (0.5 * t) * np.eye(4)
     return ChoiMatrix(out)
 
 
@@ -377,8 +399,6 @@ def _trajectory_states(trajectory: Trajectory, mode: str) -> list[DensityMatrix]
 def fit_channel(
     trajectories: Sequence[Trajectory],
     mode: str = "from_states",
-    tol: float = 1e-10,
-    max_alternations: int = 200,
     loss_history: Optional[list] = None,
 ) -> tuple[ChannelSuperoperator, float]:
     """Fit a CPTP superoperator to consecutive state pairs.
@@ -390,8 +410,9 @@ def fit_channel(
 
         sum_ij || rho_ij - unvec(g vec(rho_i,j-1)) ||_F^2
 
-    changes by less than ``tol``.  Returns the final channel and loss;
-    the per-alternation loss is appended to ``loss_history`` if given.
+    changes by less than ``FIT_TOL``, for at most ``FIT_MAX_ALTERNATIONS``
+    alternations.  Returns the final channel and loss; the per-alternation
+    loss is appended to ``loss_history`` if given.
     """
     if not trajectories:
         raise ValueError("at least one trajectory is required")
@@ -432,7 +453,7 @@ def fit_channel(
     g = np.eye(4, dtype=complex)
     loss = float(np.linalg.norm(g @ x - y) ** 2)
     previous_loss = None
-    for _ in range(max_alternations):
+    for _ in range(FIT_MAX_ALTERNATIONS):
         candidate = g - (g @ x - y) @ x_pinv
         choi = cptp_project(choi_from_super(candidate))
         candidate = choi_from_super(choi.c)
@@ -446,7 +467,7 @@ def fit_channel(
         loss = candidate_loss
         if loss_history is not None:
             loss_history.append(loss)
-        if previous_loss is not None and abs(previous_loss - loss) < tol:
+        if previous_loss is not None and abs(previous_loss - loss) < FIT_TOL:
             break
         previous_loss = loss
     return ChannelSuperoperator(g), loss

@@ -151,7 +151,7 @@ def qst_projected_gradient(
 
 
 def f_matrix(component: ComponentParams) -> np.ndarray:
-    """Quadratic-form matrix F with (x, 1)^T F (x, 1) = -mahalanobis_sq(x).
+    """Quadratic-form matrix F with (x, 1)^T F (x, 1) = -(squared Mahalanobis distance of x).
 
     F = [[-S^-1, S^-1 mu], [(S^-1 mu)^T, -mu^T S^-1 mu]] for S the covariance.
     """

@@ -19,14 +19,13 @@ from iqtomo import (
     FitWarning,
     IQDataset,
     MixtureParams,
-    assignment_solve,
     bilevel_qst,
     capacities_from_weights,
     delta_b,
     em_fit,
     fit_channel,
     hard_b,
-    mahalanobis_sq,
+    memberships_for,
     observe_trajectory,
     pauli,
     qst_closed_form,
@@ -34,7 +33,7 @@ from iqtomo import (
     synthesize_iq,
     unitary_superoperator,
 )
-from iqtomo.discriminate import _log_gauss
+from iqtomo.discriminate import _assignment_costs, cloud_distances, cloud_entries
 from iqtomo.qcore import frobenius_distance
 from iqtomo.qhi import step_unitary
 from iqtomo.readout import simulate_datasets
@@ -144,12 +143,12 @@ def test_criterion_05_assignment_exactness(criterion):
             observable="z",
             seed=0,
         )
-        member = assignment_solve(dataset, theta)
+        member = memberships_for(dataset, theta, "assignment")
         labels = np.argmax(member.rows, axis=1)
 
         cost = np.zeros((n, 3))
-        cost[:, 0] = -_log_gauss(points, theta.zero)
-        cost[:, 1] = -_log_gauss(points, theta.one)
+        d0, d1 = cloud_distances(points[:, 0], points[:, 1], cloud_entries(theta))
+        cost[:, 0], cost[:, 1] = _assignment_costs(d0, d1, theta)
         cost[:, 2] = -math.log(theta.noise.density())
         caps = capacities_from_weights(theta.weights(), n)
         got = math.fsum(cost[s, labels[s]] for s in range(n))
@@ -173,16 +172,18 @@ def test_criterion_06_f_matrix_identity(criterion):
     worst = 0.0
     for _ in range(100):
         a = rng.normal(size=(2, 2))
-        comp = ComponentParams(1.0, rng.normal(scale=3.0, size=2), a @ a.T + 0.2 * np.eye(2))
+        comp = ComponentParams(0.5, rng.normal(scale=3.0, size=2), a @ a.T + 0.2 * np.eye(2))
         f = f_matrix(comp)
         x = rng.normal(scale=4.0, size=(100, 2))
         lifted = np.hstack([x, np.ones((100, 1))])
         quad = np.einsum("ij,jk,ik->i", lifted, f, lifted)
-        worst = max(worst, float(np.abs(quad + mahalanobis_sq(x, comp)).max()))
+        d_sq, _ = cloud_distances(x[:, 0], x[:, 1], cloud_entries(MixtureParams(comp, comp)))
+        worst = max(worst, float(np.abs(quad + d_sq).max()))
     criterion(
         6,
         worst <= 1e-10,
-        f"(x,1)^T F (x,1) + mahalanobis_sq = 0 over 10^4 draws, max |residual| {worst:.2e}",
+        f"(x,1)^T F (x,1) + squared Mahalanobis distance = 0 over 10^4 draws, "
+        f"max |residual| {worst:.2e}",
     )
 
 

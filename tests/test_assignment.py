@@ -3,7 +3,7 @@
 The oracle enumerates all 3^n class sequences, keeps those matching the
 capacities, and minimizes the summed cost with left-to-right fsum -- slow
 but unarguable for n <= 8.  The noise column is constant in every instance,
-as in every call ``assignment_solve`` makes.  On realistic datasets the
+as in every call ``memberships_for`` makes.  On realistic datasets the
 labels are also compared with the general min-cost-flow solver in
 ``tests/oracles.py``.
 """
@@ -19,15 +19,13 @@ from iqtomo import (
     ContaminationSpec,
     IQDataset,
     MixtureParams,
-    assignment_solve,
-    capacities_from_weights,
     b_from_memberships,
-    classify_hard,
+    capacities_from_weights,
     em_fit,
     memberships_for,
     synthesize_iq,
 )
-from iqtomo.discriminate import _log_gauss, _sort_and_split
+from iqtomo.discriminate import _assignment_costs, _sort_and_split, cloud_distances, cloud_entries
 from iqtomo.readout import simulate_datasets
 from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE
 from oracles import min_cost_assignment_reference
@@ -47,6 +45,23 @@ def _enumerate_optimum(cost: np.ndarray, caps: np.ndarray) -> float:
 
 def _objective(cost: np.ndarray, assign: np.ndarray) -> float:
     return math.fsum(cost[s, assign[s]] for s in range(cost.shape[0]))
+
+
+def _state_costs(dataset: IQDataset, theta: MixtureParams) -> np.ndarray:
+    """(n, 2) zero and one costs of the dataset's samples, as the solver computes them."""
+    d0, d1 = cloud_distances(dataset.i, dataset.q, cloud_entries(theta))
+    return np.stack(_assignment_costs(d0, d1, theta), axis=1)
+
+
+def _hard_weighted(dataset: IQDataset, theta: MixtureParams) -> tuple[np.ndarray, MixtureParams]:
+    """Hard labels, and ``theta`` reweighted so the capacities equal their counts."""
+    hard = memberships_for(dataset, theta, "hard").rows[:, 1].astype(int)
+    n0, n1 = np.bincount(hard, minlength=2) / hard.size
+    reweighted = MixtureParams(
+        zero=ComponentParams(n0, theta.zero.mean, theta.zero.cov),
+        one=ComponentParams(n1, theta.one.mean, theta.one.cov),
+    )
+    return hard, reweighted
 
 
 def _random_caps(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -180,31 +195,23 @@ class TestSolverAgainstReference:
         for seed in range(10):
             for dataset in simulate_datasets(REFERENCE_STATE, mixture, 2000, seed).values():
                 theta = dataset.mixture if calibration == "header" else em_fit(dataset)
-                points = dataset.points()
-                cost = np.zeros((points.shape[0], 3))
-                cost[:, 0] = -_log_gauss(points, theta.zero)
-                cost[:, 1] = -_log_gauss(points, theta.one)
+                cost = np.zeros((dataset.n_samples, 3))
+                cost[:, :2] = _state_costs(dataset, theta)
                 if theta.noise is not None:
                     cost[:, 2] = -math.log(theta.noise.density())
-                caps = capacities_from_weights(theta.weights(), points.shape[0])
+                caps = capacities_from_weights(theta.weights(), dataset.n_samples)
                 assert (caps[2] > 0) == (calibration == "header")
                 expected = min_cost_assignment_reference(cost, caps)
-                labels = np.argmax(assignment_solve(dataset, theta).rows, axis=1)
+                labels = np.argmax(memberships_for(dataset, theta, "assignment").rows, axis=1)
                 assert np.array_equal(labels, expected), (seed, dataset.observable)
 
 
-class TestAssignmentSolve:
+class TestAssignmentMode:
     def test_matches_hard_when_capacities_agree(self, sep5_mixture):
         d = synthesize_iq(60, 40, sep5_mixture.zero, sep5_mixture.one, seed=21)
-        hard = classify_hard(d.points(), sep5_mixture.zero, sep5_mixture.one)
-        counts = np.bincount(hard, minlength=2)
-        member = assignment_solve(d, sep5_mixture, alpha=[counts[0] / 100, counts[1] / 100, 0.0])
+        hard, theta = _hard_weighted(d, sep5_mixture)
+        member = memberships_for(d, theta, "assignment")
         assert np.array_equal(np.argmax(member.rows, axis=1), hard)
-
-    def test_noise_capacity_requires_noise_component(self, sep5_mixture):
-        d = synthesize_iq(5, 5, sep5_mixture.zero, sep5_mixture.one, seed=22)
-        with pytest.raises(ValueError, match="noise"):
-            assignment_solve(d, sep5_mixture, alpha=[0.4, 0.4, 0.2])
 
     def test_contaminated_dataset_routes_outliers_to_noise(self, sep5_mixture):
         theta = MixtureParams(
@@ -218,26 +225,19 @@ class TestAssignmentSolve:
              [0.0, 15.0], [0.5, 14.0]]
         )
         d = IQDataset("z", coords[:, 0], coords[:, 1], [-1] * 10, seed=1)
-        member = assignment_solve(d, theta)
+        member = memberships_for(d, theta, "assignment")
         labels = np.argmax(member.rows, axis=1)
         assert np.array_equal(labels[8:], [2, 2])
         assert set(labels[:4]) == {0} and set(labels[4:8]) == {1}
 
     def test_objective_not_worse_than_hard_labels(self, sep5_mixture):
-        rng = np.random.default_rng(23)
         d = synthesize_iq(30, 30, sep5_mixture.zero, sep5_mixture.one, seed=24)
-        hard = classify_hard(d.points(), sep5_mixture.zero, sep5_mixture.one)
-        counts = np.bincount(hard, minlength=2)
-        member = assignment_solve(d, sep5_mixture, alpha=[counts[0] / 60, counts[1] / 60, 0.0])
-        from iqtomo.discriminate import _log_gauss
-
-        loglik = np.stack(
-            [_log_gauss(d.points(), sep5_mixture.zero), _log_gauss(d.points(), sep5_mixture.one)],
-            axis=1,
-        )
-        solver_obj = float((member.rows[:, :2] * loglik).sum())
-        hard_obj = float(loglik[np.arange(60), hard].sum())
-        assert solver_obj >= hard_obj - 1e-9
+        hard, theta = _hard_weighted(d, sep5_mixture)
+        member = memberships_for(d, theta, "assignment")
+        cost = _state_costs(d, theta)
+        solver_obj = float((member.rows[:, :2] * cost).sum())
+        hard_obj = float(cost[np.arange(60), hard].sum())
+        assert solver_obj <= hard_obj + 1e-9
 
     def test_b_recovers_capacity_split(self, sep5_mixture):
         d = synthesize_iq(700, 300, sep5_mixture.zero, sep5_mixture.one, seed=25)

@@ -21,13 +21,10 @@ from iqtomo import (
     MembershipMatrix,
     MixtureParams,
     b_from_memberships,
-    classify_hard,
     delta_b,
     em_fit,
     hard_b,
-    mahalanobis_sq,
     memberships_for,
-    soft_membership,
     synthesize_iq,
 )
 from iqtomo import discriminate
@@ -38,6 +35,19 @@ from oracles import em_fit_reference, f_matrix, kmeans_pp_init_reference, mahala
 
 def _component(mean, cov=None, weight=0.5) -> ComponentParams:
     return ComponentParams(weight, np.asarray(mean, dtype=float), np.eye(2) if cov is None else np.asarray(cov, dtype=float))
+
+
+def _dist_sq(points, component: ComponentParams) -> np.ndarray:
+    """Squared Mahalanobis distances of (2,) or (n, 2) points to ``component``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pair = ComponentParams(0.5, component.mean, component.cov)
+    clouds = discriminate.cloud_entries(MixtureParams(zero=pair, one=pair))
+    return discriminate.cloud_distances(pts[:, 0], pts[:, 1], clouds)[0]
+
+
+def _dataset(points) -> IQDataset:
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return IQDataset("z", pts[:, 0], pts[:, 1], [-1] * pts.shape[0], seed=0)
 
 
 def _random_spd(rng, max_condition: float) -> np.ndarray:
@@ -80,10 +90,23 @@ class TestParams:
         with pytest.raises(ValueError, match="^covariance must be symmetric$"):
             _component([0.0, 0.0], cov)
 
-    @pytest.mark.parametrize("cov", [[[1e308, 0.0], [0.0, 1.0]], [[1e308, 1e308], [1e308, 1e308]]])
-    def test_huge_symmetric_covariance_is_a_value_error(self, cov):
-        with pytest.raises(ValueError):
-            _component([0.0, 0.0], cov)
+    def test_huge_singular_covariance_is_not_positive_definite(self):
+        with pytest.raises(ValueError, match="^covariance must be positive definite$"):
+            _component([0.0, 0.0], [[1e308, 1e308], [1e308, 1e308]])
+
+    def test_huge_positive_definite_covariance_is_accepted(self):
+        c = _component([0.0, 0.0], [[1e308, 0.0], [0.0, 1.0]])
+        assert c.cov_inv.tolist() == [[1e-308, 0.0], [0.0, 1.0]]
+        assert c.log_det == pytest.approx(math.log(1e308), rel=1e-15)
+
+    def test_huge_covariance_inverts_as_its_scaled_copy(self):
+        # entries near 2**927 are inverted at a smaller power-of-two scale, exactly
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            cov = _random_spd(rng, 1e6)
+            small, huge = _component([0.0, 0.0], cov), _component([0.0, 0.0], np.ldexp(cov, 900))
+            assert np.array_equal(huge.cov_inv, np.ldexp(small.cov_inv, -900))
+            assert huge.log_det == pytest.approx(small.log_det + 1800 * math.log(2.0), rel=1e-15)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -126,22 +149,22 @@ class TestParams:
 
 class TestMahalanobis:
     def test_zero_at_mean(self):
-        assert mahalanobis_sq(np.array([1.0, 2.0]), _component([1.0, 2.0])) == 0.0
+        assert _dist_sq([1.0, 2.0], _component([1.0, 2.0])).tolist() == [0.0]
 
     def test_identity_covariance(self):
-        assert mahalanobis_sq(np.array([3.0, 4.0]), _component([0, 0])) == pytest.approx(25.0)
+        assert _dist_sq([3.0, 4.0], _component([0, 0]))[0] == pytest.approx(25.0)
 
     def test_diagonal_covariance(self):
         c = _component([0, 0], [[4.0, 0.0], [0.0, 1.0]])
-        assert mahalanobis_sq(np.array([2.0, 1.0]), c) == pytest.approx(2.0)
+        assert _dist_sq([2.0, 1.0], c)[0] == pytest.approx(2.0)
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_single_points(self):
         rng = np.random.default_rng(1)
         c = _component([0.5, -0.5], [[2.0, 0.4], [0.4, 1.0]])
         pts = rng.normal(size=(50, 2))
-        batch = mahalanobis_sq(pts, c)
+        batch = _dist_sq(pts, c)
         for k in range(50):
-            assert batch[k] == pytest.approx(mahalanobis_sq(pts[k], c), abs=1e-12)
+            assert batch[k] == pytest.approx(_dist_sq(pts[k], c)[0], abs=1e-12)
 
     def test_matches_einsum_oracle(self):
         # Both forms round each of a*di^2, 2b*di*dq and c*dq^2; where those
@@ -159,12 +182,11 @@ class TestMahalanobis:
             scale = (
                 a * diff[:, 0] ** 2 + 2.0 * abs(b * diff[:, 0] * diff[:, 1]) + cc * diff[:, 1] ** 2
             )
-            got = mahalanobis_sq(pts, c)
+            got = _dist_sq(pts, c)
             want = mahalanobis_sq_einsum(pts, c.mean, c.cov_inv)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
             for k in range(4):
-                single = mahalanobis_sq(pts[k], c)
-                assert isinstance(single, float)
+                single = _dist_sq(pts[k], c)[0]
                 assert abs(single - mahalanobis_sq_einsum(pts[k], c.mean, c.cov_inv)) <= 1e-12 * scale[k]
 
     def test_inverse_matches_exact_arithmetic(self):
@@ -202,46 +224,43 @@ class TestFMatrix:
             c = _component(rng.normal(size=2), a @ a.T + 0.1 * np.eye(2))
             x = rng.normal(scale=3.0, size=2)
             xh = np.append(x, 1.0)
-            assert abs(xh @ f_matrix(c) @ xh + mahalanobis_sq(x, c)) <= 1e-10
+            assert abs(xh @ f_matrix(c) @ xh + _dist_sq(x, c)[0]) <= 1e-10
 
 
 class TestClassifiers:
     def test_hard_at_means(self, sep5_mixture):
-        assert classify_hard(np.array([2.5, 2.0]), sep5_mixture.zero, sep5_mixture.one) == 0
-        assert classify_hard(np.array([-2.5, 2.0]), sep5_mixture.zero, sep5_mixture.one) == 1
-
-    def test_tie_goes_to_zero(self, sep5_mixture):
-        assert classify_hard(np.array([0.0, 37.0]), sep5_mixture.zero, sep5_mixture.one) == 0
+        member = memberships_for(_dataset([[2.5, 2.0], [-2.5, 2.0]]), sep5_mixture, "hard")
+        assert member.rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_hard_matches_distance_comparison(self, sep5_mixture):
         rng = np.random.default_rng(3)
         pts = rng.normal(scale=4.0, size=(1000, 2))
-        labels = classify_hard(pts, sep5_mixture.zero, sep5_mixture.one)
+        ones = memberships_for(_dataset(pts), sep5_mixture, "hard").rows[:, 1]
         for k in range(1000):
-            d0 = mahalanobis_sq(pts[k], sep5_mixture.zero)
-            d1 = mahalanobis_sq(pts[k], sep5_mixture.one)
-            assert labels[k] == (0 if d0 <= d1 else 1)
+            d0 = _dist_sq(pts[k], sep5_mixture.zero)[0]
+            d1 = _dist_sq(pts[k], sep5_mixture.one)[0]
+            assert ones[k] == (0.0 if d0 <= d1 else 1.0)
 
     def test_soft_equidistant(self, sep5_mixture):
-        gamma = soft_membership(np.array([0.0, -1.0]), sep5_mixture.zero, sep5_mixture.one)
+        gamma = memberships_for(_dataset([0.0, -1.0]), sep5_mixture, "soft").rows[0]
         np.testing.assert_allclose(gamma, [0.5, 0.5])
 
     def test_soft_at_mean_saturates(self, sep5_mixture):
-        gamma = soft_membership(np.array([2.5, 2.0]), sep5_mixture.zero, sep5_mixture.one)
+        gamma = memberships_for(_dataset([2.5, 2.0]), sep5_mixture, "soft").rows[0]
         assert gamma[0] == pytest.approx(1.0 / (1.0 + math.exp(-25.0)))
 
     def test_soft_normalized_even_when_remote(self, sep5_mixture):
-        gamma = soft_membership(np.array([1e3, 1e3]), sep5_mixture.zero, sep5_mixture.one)
+        gamma = memberships_for(_dataset([1e3, 1e3]), sep5_mixture, "soft").rows[0]
         assert gamma.sum() == 1.0
         assert np.all(np.isfinite(gamma))
 
     def test_soft_argmax_matches_hard(self, sep5_mixture):
         rng = np.random.default_rng(4)
         pts = rng.normal(scale=4.0, size=(1000, 2))
-        gammas = soft_membership(pts, sep5_mixture.zero, sep5_mixture.one)
-        hard = classify_hard(pts, sep5_mixture.zero, sep5_mixture.one)
-        d0 = mahalanobis_sq(pts, sep5_mixture.zero)
-        d1 = mahalanobis_sq(pts, sep5_mixture.one)
+        gammas = memberships_for(_dataset(pts), sep5_mixture, "soft").rows
+        hard = memberships_for(_dataset(pts), sep5_mixture, "hard").rows[:, 1]
+        d0 = _dist_sq(pts, sep5_mixture.zero)
+        d1 = _dist_sq(pts, sep5_mixture.one)
         decided = np.abs(d0 - d1) > 1e-9
         assert np.array_equal(np.argmax(gammas[decided], axis=1), hard[decided])
 
@@ -320,10 +339,10 @@ class TestHardCounts:
         assert discriminate.b_from_distances(d0, d1, "soft") == want
 
     def test_ties_go_to_zero(self, sep5_mixture):
-        # (0, 2) is equidistant from both clouds
-        d = IQDataset(observable="z", i=[0.0, 0.0, 2.5], q=[2.0, 2.0, 2.0], truth=[-1, -1, -1], seed=0)
+        # (0, 2) and (0, 37) are equidistant from both clouds
+        d = _dataset([[0.0, 2.0], [0.0, 2.0], [2.5, 2.0], [0.0, 37.0]])
         member = memberships_for(d, sep5_mixture, "hard")
-        assert member.rows.tolist() == [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+        assert member.rows.tolist() == [[1.0, 0.0]] * 4
         assert b_from_memberships(member) == (1.0, 0.0)
 
     def test_b_from_distances_has_no_assignment_mode(self):

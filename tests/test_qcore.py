@@ -138,7 +138,7 @@ class TestDensityMatrix:
         assert DensityMatrix.from_json_dict(payload) == rho22
 
     def test_bloch_of_reference(self, rho22):
-        np.testing.assert_allclose(rho22.bloch(), [0.0, -0.458, -0.888], atol=1e-12)
+        np.testing.assert_allclose(bloch_from_density(rho22), [0.0, -0.458, -0.888], atol=1e-12)
 
 
 def test_bloch_round_trip_examples():

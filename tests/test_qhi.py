@@ -11,6 +11,7 @@ from iqtomo import (
     DensityMatrix,
     FitWarning,
     MixtureParams,
+    ProjectionWarning,
     Trajectory,
     bloch_from_density,
     choi_from_super,
@@ -25,6 +26,7 @@ from iqtomo import (
     unvec,
     vec,
 )
+from iqtomo import qhi
 from iqtomo.qhi import step_unitary
 from oracles import observe_trajectory_reference
 
@@ -336,11 +338,29 @@ class TestCptpProject:
         with pytest.raises(ValueError):
             cptp_project(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_sweep_cap_warns_and_still_returns_a_choi_matrix(self, monkeypatch, cap):
+        monkeypatch.setattr(qhi, "PROJECTION_MAX_SWEEPS", cap)
+        rng = np.random.default_rng(55)
+        for _ in range(50):
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            with pytest.warns(ProjectionWarning, match=f"in {cap} sweeps"):
+                choi = cptp_project((m + m.conj().T) / 2)
+            assert isinstance(choi, ChoiMatrix)
+
 
 class TestChannelTypes:
     def test_superoperator_must_preserve_trace(self):
         with pytest.raises(ValueError):
             ChannelSuperoperator(np.diag([1.0, 1.0, 1.0, 0.5]))
+
+    # the suite turns numpy RuntimeWarnings into errors: these are rejected without overflow
+    @pytest.mark.parametrize("entry", [1e308, 1.7976931348623157e308 * (1 + 1j), -1e308j])
+    @pytest.mark.parametrize("cls", [ChannelSuperoperator, ChoiMatrix])
+    def test_huge_entries_rejected_without_overflow(self, cls, entry):
+        for m in (np.full((4, 4), entry), entry * np.eye(4), np.diag([1.0, entry, 0.5 * entry, 1.0])):
+            with pytest.raises(ValueError):
+                cls(m)
 
     def test_choi_must_be_psd(self):
         bad = _identity_choi() - 0.5 * np.eye(4)

@@ -165,10 +165,9 @@ class TestBilevel:
 
     def test_assignment_equals_hard_with_matching_capacities(self, sep5_mixture):
         d = synthesize_iq(64, 36, sep5_mixture.zero, sep5_mixture.one, seed=42)
-        from iqtomo import b_from_memberships, classify_hard, memberships_for
+        from iqtomo import b_from_memberships, memberships_for
 
-        hard = classify_hard(d.points(), sep5_mixture.zero, sep5_mixture.one)
-        counts = np.bincount(hard, minlength=2)
+        counts = memberships_for(d, sep5_mixture, "hard").rows.sum(axis=0)
         theta = MixtureParams(
             zero=ComponentParams(counts[0] / 100, sep5_mixture.zero.mean, np.eye(2)),
             one=ComponentParams(counts[1] / 100, sep5_mixture.one.mean, np.eye(2)),
