@@ -74,6 +74,8 @@ class ComponentParams:
         if not np.isfinite(mean).all():
             raise ValueError(f"component mean {mean.tolist()} must be finite")
         cov = np.array(self.cov, dtype=float).reshape(2, 2)
+        if not np.isfinite(cov).all():
+            raise ValueError(f"component covariance {cov.tolist()} must be finite")
         # in halves, which cannot overflow where cov - cov.T could and scale exactly
         half, half_t = 0.5 * cov, 0.5 * cov.T
         if np.abs(half - half_t).max() > 0.5e-9:
@@ -206,9 +208,10 @@ class BVector:
     def __post_init__(self) -> None:
         b = np.array(self.b, dtype=float).reshape(3)
         delta = np.array(self.delta, dtype=float).reshape(3)
-        if not np.all(np.isfinite(b)):
+        if not all(map(math.isfinite, b.tolist())):
             raise ValueError("b components must be finite")
-        if delta.min() < 0.0 or not np.all(np.isfinite(delta)):
+        values = delta.tolist()
+        if not (all(map(math.isfinite, values)) and min(values) >= 0.0):
             raise ValueError("delta components must be finite and >= 0")
         b.flags.writeable = False
         delta.flags.writeable = False

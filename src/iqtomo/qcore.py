@@ -6,15 +6,34 @@ Conventions used throughout the package:
 * ``vec`` is row-major: ``vec(m) = (m[0,0], m[0,1], m[1,0], m[1,1])``.
 * Bloch components are ``r_I = Tr(sigma_I rho)`` for I in (x, y, z).
 
-Density matrices are validated on construction (unit trace, Hermitian,
-positive semidefinite up to 1e-12), so any `DensityMatrix` instance in
-the rest of the package can be trusted to be physical.  ``json_object``
-and ``json_numbers`` check parsed JSON before any of the package's types
-are built from it.
+Density matrices are validated on construction, so any `DensityMatrix`
+instance in the rest of the package can be trusted to be physical.  The
+four entries are checked as Python scalars, in this order:
+
+* every entry is finite;
+* Hermitian: ``|Im m00|``, ``|Im m11|`` and ``|m01/2 - conj(m10)/2|`` are at
+  most ``1e-12 / 2``;
+* unit trace: ``|m00 + m11 - 1| <= 1e-12``;
+* positive semidefinite: the smaller eigenvalue of the Hermitian matrix
+  with lower triangle ``(a, m10, d)``, ``a = Re m00``, ``d = Re m11`` (what
+  ``numpy.linalg.eigvalsh`` reads), is
+  ``(a + d)/2 - hypot((a - d)/2, |m10|)`` and must be at least ``-1e-12``.
+
+The Hermiticity and eigenvalue checks work in halves and with
+``math.hypot``, which cannot overflow where ``m - m^H``, ``a + d`` or
+``abs()`` of a Python complex could; the trace is a Python complex sum,
+which overflows to ``inf`` without a warning and fails its check.
+``density_from_bloch`` builds ``(I + r . sigma) / 2`` entry by entry with
+the additions and roundings of numpy's
+``0.5 * (I + x sigma_x + y sigma_y + z sigma_z)``, so its entries, signed
+zeros included, are those of the matrix expression.  ``json_object`` and
+``json_numbers`` check parsed JSON before any of the package's types are
+built from it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -69,6 +88,10 @@ def measurement_matrix() -> np.ndarray:
     return np.stack([vec(_PAULI[a]).conj() for a in AXES])
 
 
+_MEASUREMENT = measurement_matrix()
+_MEASUREMENT.flags.writeable = False
+
+
 def json_object(obj, name: str, required: Sequence[str] = (), optional: Sequence[str] = ()) -> dict:
     """``obj``, checked to be a JSON object with the given keys.
 
@@ -115,8 +138,8 @@ def json_numbers(value, shape: Sequence[int], name: str) -> np.ndarray:
 class DensityMatrix:
     """A validated qubit density matrix.
 
-    Construction rejects matrices that are not Hermitian, not unit trace,
-    or have an eigenvalue below ``-1e-12``.
+    Construction rejects matrices with a non-finite entry, and those that
+    are not Hermitian, not unit trace, or have an eigenvalue below ``-1e-12``.
     """
 
     matrix: np.ndarray
@@ -125,13 +148,19 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+        (m00, m01), (m10, m11) = m.tolist()
+        if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
+            raise ValueError("density matrix entries must be finite")
         # in halves, which cannot overflow where m - m^H could and scale exactly
-        if np.abs(0.5 * m - 0.5 * m.conj().T).max() > 0.5 * HERMITICITY_TOL:
+        off = math.hypot(0.5 * m01.real - 0.5 * m10.real, 0.5 * m01.imag + 0.5 * m10.imag)
+        if max(abs(m00.imag), abs(m11.imag), off) > 0.5 * HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
-        trace = complex(m[0, 0]) + complex(m[1, 1])  # Python complex: overflows to inf silently
+        trace = m00 + m11  # Python complex: overflows to inf silently
         if math.hypot(trace.real - 1.0, trace.imag) > TRACE_TOL:
             raise ValueError(f"density matrix trace {trace:.16g} != 1")
-        if np.linalg.eigvalsh(m).min() < -EIGENVALUE_TOL:
+        # the smaller eigenvalue of the lower triangle, as eigvalsh reads it
+        a, d = 0.5 * m00.real, 0.5 * m11.real
+        if a + d - math.hypot(a - d, m10.real, m10.imag) < -EIGENVALUE_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -159,7 +188,7 @@ class DensityMatrix:
 def bloch_from_density(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """Bloch vector ``(Tr(sigma_x rho), Tr(sigma_y rho), Tr(sigma_z rho))``."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    out = measurement_matrix() @ m.reshape(-1)
+    out = _MEASUREMENT @ m.reshape(-1)
     if np.abs(out.imag).max() > 1e-9:
         raise ValueError("Bloch components have a non-negligible imaginary part")
     return out.real.copy()
@@ -174,13 +203,33 @@ def density_from_bloch(r: np.ndarray) -> DensityMatrix:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
-    norm = float(np.linalg.norm(r))
+    norm = math.sqrt(r.dot(r))  # numpy.linalg.norm's own sum of squares, so the same bits
     if norm > 1.0 + 1e-9:
         raise ValueError(f"Bloch vector norm {norm:.12g} exceeds 1")
+    x, y, z = r.tolist()
     if norm > 1.0:
-        r = r / norm
-    m = 0.5 * (np.eye(2, dtype=complex) + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
-    return DensityMatrix(m)
+        x, y, z = x / norm, y / norm, z / norm
+    # numpy's sums for I + x sigma_x + y sigma_y + z sigma_z: 1 + z and 1 - z
+    # on the diagonal, with imaginary part +0; off it, real part 0 + x and
+    # imaginary parts 0 - y and 0 + y (the other terms are signed zeros that
+    # change none of these), then the product (0.5 p - 0 q) + i (0.5 q + 0 p)
+    # with the complex 0.5
+    u, v, w = 0.0 + x, 0.0 - y, 0.0 + y
+    return DensityMatrix(
+        [
+            [complex(0.5 * (1.0 + z), 0.0), complex(_half_plus(u, -(0.0 * v)), _half_plus(v, 0.0 * u))],
+            [complex(_half_plus(u, -(0.0 * w)), _half_plus(w, 0.0 * u)), complex(0.5 * (1.0 - z), 0.0)],
+        ]
+    )
+
+
+def _half_plus(p: float, zero: float) -> float:
+    """``0.5 * p + zero`` rounded once, as numpy's fused complex product does.
+
+    ``zero`` is a signed zero, so it decides only the sign of an exact zero;
+    a subnormal ``p`` whose half rounds to zero keeps its own sign.
+    """
+    return 0.5 * p if p != 0.0 else 0.5 * p + zero
 
 
 def frobenius_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:

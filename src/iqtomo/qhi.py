@@ -9,9 +9,10 @@ the full sampled readout pipeline.
 Sampled observation gives the same b and delta_b, bit for bit, as
 simulating and discriminating one dataset per (step, axis) block.  It
 computes once per trajectory what no block changes: the Bloch vector of
-every state, both clouds' singularity check and Cholesky factor, and their
-means and inverse-covariance entries.  Per block it draws the outcome count
-and the I-Q points from the block's own streams under
+every state, both clouds' singularity check and Cholesky factor, their
+means and inverse-covariance entries, and one Philox generator.  Per block
+it re-keys that generator to draw the outcome count and the I-Q points from
+the block's own streams under
 ``stream = mix_seed(seed, trajectory_id, step, axis index)``, as before,
 then counts hard labels or sums soft memberships exactly.
 
@@ -55,6 +56,8 @@ from .qst import qst_closed_form
 from .readout import axis_points, cloud_factors, mix_seed, write_text_atomic
 
 _VEC_ID = np.eye(2, dtype=complex).reshape(-1)
+_EYE2 = np.eye(2)
+_KRON_EYE2 = _EYE2.reshape(2, 1, 2, 1)
 
 # CPTP projection stops once a Dykstra sweep moves its iterate by at most
 # PROJECTION_TOL relative to the input's norm, or after PROJECTION_MAX_SWEEPS sweeps
@@ -98,6 +101,8 @@ class ChannelSuperoperator:
         g = np.array(self.g, dtype=complex)
         if g.shape != (4, 4):
             raise ValueError(f"superoperator must be 4x4, got {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError("superoperator entries must be finite")
         # in halves, which cannot overflow where sums of entries could and scale exactly
         half = 0.5 * g
         if np.abs(_VEC_ID.conj() @ half - 0.5 * _VEC_ID.conj()).max() > 0.5e-9:
@@ -124,6 +129,8 @@ class ChoiMatrix:
         c = np.array(self.c, dtype=complex)
         if c.shape != (4, 4):
             raise ValueError(f"Choi matrix must be 4x4, got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("Choi matrix entries must be finite")
         # in halves, which cannot overflow where c + c^H could and scale exactly
         half = 0.5 * c
         if np.abs(half - half.conj().T).max() > 0.5e-9:
@@ -240,6 +247,7 @@ def observe_trajectory(
             raise ValueError("shot count must be >= 1")
         factors = cloud_factors(theta.zero, theta.one)
         clouds = cloud_entries(theta)
+        rng = np.random.Generator(np.random.Philox(key=0))  # axis_points re-keys it per stream
         with np.errstate(over="ignore", invalid="ignore"):  # cloud_distances rejects what overflows
             for step, r in enumerate([bloch_from_density(state) for state in trajectory.states]):
                 b = np.empty(3)
@@ -247,7 +255,7 @@ def observe_trajectory(
                 for idx in range(len(AXES)):
                     stream = mix_seed(seed, trajectory.trajectory_id, step, idx)
                     xy = axis_points(
-                        r[idx], n, factors, theta.noise, mix_seed(stream, 1), mix_seed(stream, 2)
+                        r[idx], n, factors, theta.noise, mix_seed(stream, 1), mix_seed(stream, 2), rng
                     )
                     d0, d1 = cloud_distances(xy[:, 0], xy[:, 1], clouds)
                     b[idx], delta[idx] = b_from_distances(d0, d1, discriminator)
@@ -331,8 +339,10 @@ def _psd_project(h: np.ndarray) -> np.ndarray:
 
 
 def _tp_project(c: np.ndarray) -> np.ndarray:
-    deficit = np.eye(2) - partial_trace_out(c)
-    return c + np.kron(np.eye(2), deficit / 2.0)
+    deficit = _EYE2 - partial_trace_out(c)
+    # np.kron(np.eye(2), deficit / 2.0) without its Python overhead: the same
+    # broadcast product, so off the diagonal blocks it adds the same signed zeros
+    return c + (_KRON_EYE2 * (deficit / 2.0).reshape(1, 2, 1, 2)).reshape(4, 4)
 
 
 def cptp_project(h: np.ndarray) -> ChoiMatrix:

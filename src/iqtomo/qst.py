@@ -16,6 +16,7 @@ closed-form solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -51,7 +52,7 @@ class BilevelResult:
 
 def _as_b_array(b) -> np.ndarray:
     arr = np.asarray(b.b if isinstance(b, BVector) else b, dtype=float).reshape(3)
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError("b must be finite")
     return arr
 
@@ -71,7 +72,7 @@ def qst_closed_form(b, delta: Optional[np.ndarray] = None) -> QstResult:
     ``b`` to the Bloch ball.
     """
     arr = _as_b_array(b)
-    norm = float(np.linalg.norm(arr))
+    norm = math.sqrt(arr.dot(arr))  # numpy.linalg.norm's own sum of squares, so the same bits
     r = arr if norm <= 1.0 else arr / norm
     rho = density_from_bloch(r)
     residual = max(0.0, norm - 1.0) ** 2

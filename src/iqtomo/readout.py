@@ -17,7 +17,9 @@ rejects a numerically singular covariance) and one generator.
 Sampled trajectory observation computes ``cloud_factors`` once per
 trajectory and calls ``axis_points`` once per (step, axis) block, which
 draws that block's outcome count and points from their own two streams
-and skips the shuffle.
+and skips the shuffle.  A block does not build a generator per stream: it
+re-keys one Philox generator, which then draws the same numbers as a new
+generator with that key.
 """
 
 from __future__ import annotations
@@ -90,6 +92,19 @@ def _is_seed(value) -> bool:
 
 def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed & _MASK64)))
+
+
+def _rekey(rng: np.random.Generator, seed: int) -> np.random.Generator:
+    """``rng``, a Philox generator, re-keyed in place to the stream of ``_philox(seed)``."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed & _MASK64, 0], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -174,14 +189,14 @@ def sample_outcomes(rho: DensityMatrix, axis: str, n: int, seed: int) -> tuple[i
     """
     if n < 1:
         raise ValueError("shot count must be >= 1")
-    n0 = _outcome_count(bloch_from_density(rho)[AXES.index(axis)], n, seed)
+    n0 = _outcome_count(bloch_from_density(rho)[AXES.index(axis)], n, _philox(seed))
     return n0, n - n0
 
 
-def _outcome_count(r: float, n: int, seed: int) -> int:
+def _outcome_count(r: float, n: int, rng: np.random.Generator) -> int:
     """Zero outcomes among ``n`` shots of an axis whose Bloch component is ``r``."""
     p0 = min(max(0.5 * (1.0 + r), 0.0), 1.0)
-    return int(np.count_nonzero(_philox(seed).random(n) < p0))
+    return int(np.count_nonzero(rng.random(n) < p0))
 
 
 def cloud_factors(theta0: ComponentParams, theta1: ComponentParams) -> CloudFactors:
@@ -224,13 +239,16 @@ def axis_points(
     contamination: Optional[ContaminationSpec],
     outcome_seed: int,
     iq_seed: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """The I-Q points :func:`simulate_axis` draws for ``n`` shots of an axis
     with Bloch component ``r``, before its shuffle: zero-cloud points first,
     then one-cloud points, then contamination.  ``factors`` come from
-    :func:`cloud_factors`."""
-    n0 = _outcome_count(r, n, outcome_seed)
-    return _draw_points(n0, n - n0, factors, contamination, _philox(iq_seed))
+    :func:`cloud_factors`.  ``rng`` is any Philox generator: it is re-keyed
+    to ``outcome_seed``, then to ``iq_seed``, so it draws what two new
+    generators with those keys would."""
+    n0 = _outcome_count(r, n, _rekey(rng, outcome_seed))
+    return _draw_points(n0, n - n0, factors, contamination, _rekey(rng, iq_seed))
 
 
 def synthesize_iq(

@@ -20,7 +20,12 @@ sort-and-split, and this solver checks it.  ``observe_trajectory_reference``
 is sampled trajectory observation one dataset per (step, axis) block: it
 draws, shuffles and validates each block as ``simulate_axis`` does and
 discriminates it with ``memberships_for``, where the package hoists the
-per-trajectory work and counts hard labels.
+per-trajectory work and counts hard labels.  ``density_problem_reference``,
+``density_from_bloch_reference``, ``bloch_from_density_reference`` and
+``tp_project_reference`` are the small-array numpy forms of the package's
+scalar single-qubit code: ``DensityMatrix``'s checks with ``eigvalsh``, the
+matrix sum ``0.5 * (I + r . sigma)``, the measurement matrix built on every
+call, and the trace-preserving step with ``np.kron``.
 """
 
 from __future__ import annotations
@@ -51,6 +56,16 @@ from iqtomo import (
     pauli,
 )
 from iqtomo.discriminate import COVARIANCE_FLOOR, LABEL_NAMES
+from iqtomo.qcore import (
+    EIGENVALUE_TOL,
+    HERMITICITY_TOL,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    TRACE_TOL,
+    measurement_matrix,
+)
+from iqtomo.qhi import partial_trace_out
 from iqtomo.readout import simulate_axis, write_text_atomic
 
 
@@ -508,3 +523,38 @@ def observe_trajectory_reference(trajectory, n: int, theta, seed: int, discrimin
             b[idx], delta[idx] = b_from_memberships(memberships_for(dataset, theta, discriminator))
         observations.append(BVector(b=b, delta=delta))
     return dataclasses.replace(trajectory, observations=tuple(observations))
+
+
+def density_problem_reference(m) -> Optional[str]:
+    """The message ``DensityMatrix`` raises for a finite 2x2 ``m``, or None,
+    from numpy's matrix forms: halves of ``m - m^H`` and ``eigvalsh``."""
+    m = np.array(m, dtype=complex)
+    if np.abs(0.5 * m - 0.5 * m.conj().T).max() > 0.5 * HERMITICITY_TOL:
+        return "density matrix is not Hermitian"
+    trace = complex(m[0, 0]) + complex(m[1, 1])
+    if math.hypot(trace.real - 1.0, trace.imag) > TRACE_TOL:
+        return f"density matrix trace {trace:.16g} != 1"
+    if np.linalg.eigvalsh(m).min() < -EIGENVALUE_TOL:
+        return "density matrix has a negative eigenvalue"
+    return None
+
+
+def density_from_bloch_reference(r) -> np.ndarray:
+    """``(I + r . sigma) / 2`` as a numpy matrix sum, after the rescaling of a
+    norm in ``(1, 1 + 1e-9]`` onto the sphere."""
+    r = np.asarray(r, dtype=float)
+    norm = float(np.linalg.norm(r))
+    if norm > 1.0:
+        r = r / norm
+    return 0.5 * (np.eye(2, dtype=complex) + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
+
+
+def bloch_from_density_reference(m) -> np.ndarray:
+    """Bloch vector with the measurement matrix built for this call."""
+    return (measurement_matrix() @ np.asarray(m, dtype=complex).reshape(-1)).real.copy()
+
+
+def tp_project_reference(c: np.ndarray) -> np.ndarray:
+    """Trace-preserving step: ``c + I (x) (I - Tr_out c) / 2`` by ``np.kron``."""
+    deficit = np.eye(2) - partial_trace_out(c)
+    return c + np.kron(np.eye(2), deficit / 2.0)

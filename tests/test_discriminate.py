@@ -90,6 +90,14 @@ class TestParams:
         with pytest.raises(ValueError, match="^covariance must be symmetric$"):
             _component([0.0, 0.0], cov)
 
+    # the halves check would subtract inf - inf
+    @pytest.mark.parametrize(
+        "cov", [[[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]], ids=["diagonal", "off_diagonal"]
+    )
+    def test_rejects_infinite_covariance(self, cov):
+        with pytest.raises(ValueError, match="covariance .* must be finite"):
+            _component([0.0, 0.0], cov)
+
     def test_huge_singular_covariance_is_not_positive_definite(self):
         with pytest.raises(ValueError, match="^covariance must be positive definite$"):
             _component([0.0, 0.0], [[1e308, 1e308], [1e308, 1e308]])
@@ -202,7 +210,7 @@ class TestMahalanobis:
     def test_rejects_singular_and_ill_conditioned(self):
         with pytest.raises(ValueError, match="positive definite"):
             _component([0, 0], [[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(ValueError, match="positive definite"):
+        with pytest.raises(ValueError, match="must be finite"):
             _component([0, 0], [[1.0, 0.0], [0.0, float("nan")]])
         with pytest.raises(ValueError, match="ill-conditioned"):
             _component([0, 0], [[1e8, 1e8 - 1.0], [1e8 - 1.0, 1e8]])

@@ -1,8 +1,9 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iqtomo import (
@@ -16,7 +17,12 @@ from iqtomo import (
     unvec,
     vec,
 )
-from oracles import psd_unit_trace_project
+from oracles import (
+    bloch_from_density_reference,
+    density_from_bloch_reference,
+    density_problem_reference,
+    psd_unit_trace_project,
+)
 
 # the two bundled reference reconstructions (simulator counts / joint fit)
 RECON_SIMULATOR = np.array([[0.0571, -0.0003 + 0.2321j], [-0.0003 - 0.2321j, 0.9429]])
@@ -110,6 +116,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
             DensityMatrix(np.array(m))
 
+    @pytest.mark.parametrize(
+        "m",
+        [[[np.nan, 0.0], [0.0, 0.5]], [[0.5, np.inf], [np.inf, 0.5]]],
+        ids=["nan_diagonal", "inf_off_diagonal"],
+    )
+    def test_rejects_non_finite_entries(self, m):
+        with pytest.raises(ValueError, match="^density matrix entries must be finite$"):
+            DensityMatrix(np.array(m))
+
     def test_rejects_overflowing_trace_without_overflow(self):
         with pytest.raises(ValueError, match=r"^density matrix trace inf\+0j != 1$"):
             DensityMatrix(np.diag([1e308, 1e308]))
@@ -161,9 +176,75 @@ def test_bloch_round_trip_random(seed):
 def test_density_from_bloch_rejects_outside_ball():
     with pytest.raises(ValueError):
         density_from_bloch([1.1, 0, 0])
+    with pytest.raises(ValueError, match="must be finite"):
+        density_from_bloch([np.nan, 0, 0])
     # norms within the 1e-9 validation band are rescaled onto the sphere
     rho = density_from_bloch([1.0 + 5e-10, 0, 0])
     assert np.linalg.norm(bloch_from_density(rho)) <= 1.0
+
+
+# Bloch components with both zeros, subnormals and exact values, and the
+# generic floats of the unit interval
+_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.5, -0.5, 1.0, -1.0]),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+class TestScalarFormsMatchNumpy:
+    """The scalar single-qubit code against its numpy matrix forms in ``oracles``."""
+
+    @pytest.mark.parametrize(
+        "r",
+        [r for r in itertools.product([0.0, -0.0, 0.5, -0.5, 1.0, -1.0], repeat=3) if np.linalg.norm(r) <= 1.0],
+    )
+    def test_density_from_bloch_signed_zeros(self, r):
+        assert density_from_bloch(r).matrix.tobytes() == density_from_bloch_reference(r).tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT))
+    def test_density_from_bloch_inside_the_ball(self, r):
+        assume(np.linalg.norm(r) <= 1.0)
+        rho = density_from_bloch(r)
+        assert rho.matrix.tobytes() == density_from_bloch_reference(r).tobytes()
+        assert bloch_from_density(rho).tobytes() == bloch_from_density_reference(rho.matrix).tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.tuples(_COMPONENT, _COMPONENT, _COMPONENT),
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e-9, exclude_min=True)),
+    )
+    def test_density_from_bloch_on_and_just_outside_the_sphere(self, direction, excess):
+        norm = np.linalg.norm(direction)
+        assume(norm > 0.0)
+        r = np.array(direction) / norm * (1.0 + excess)
+        assume(np.linalg.norm(r) <= 1.0 + 1e-9)
+        rho = density_from_bloch(r)
+        assert rho.matrix.tobytes() == density_from_bloch_reference(r).tobytes()
+        assert bloch_from_density(rho).tobytes() == bloch_from_density_reference(rho.matrix).tobytes()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        direction=st.tuples(_COMPONENT, _COMPONENT, _COMPONENT),
+        radius=st.one_of(st.floats(0.0, 1.5), st.floats(1.0 - 1e-10, 1.0 + 1e-10)),
+        skew=st.sampled_from([0.0, 1e-14, 4e-13, 6e-13, 1e-10]),
+        trace_shift=st.sampled_from([0.0, 5e-13, 2e-12, -3e-12]),
+    )
+    def test_checks_agree_with_eigvalsh_away_from_the_thresholds(self, direction, radius, skew, trace_shift):
+        norm = np.linalg.norm(direction)
+        assume(norm > 0.0)
+        r = np.array(direction) / norm * radius
+        m = 0.5 * (np.eye(2) + r[0] * pauli("x") + r[1] * pauli("y") + r[2] * pauli("z"))
+        # an anti-Hermitian part and a trace offset, each on both sides of its tolerance
+        m = m + skew * np.array([[1j, 0.3 + 0.2j], [-0.3 + 0.2j, -0.5j]]) + 0.5 * trace_shift * np.eye(2)
+        assume(abs(np.linalg.eigvalsh(m).min() + 1e-12) > 1e-14)
+        assume(abs(np.abs(0.5 * m - 0.5 * m.conj().T).max() - 0.5e-12) > 1e-15)
+        try:
+            DensityMatrix(m)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == density_problem_reference(m)
 
 
 def test_bloch_norm_one_iff_pure():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqtomo import (
     ChannelSuperoperator,
@@ -28,7 +30,7 @@ from iqtomo import (
 )
 from iqtomo import qhi
 from iqtomo.qhi import step_unitary
-from oracles import observe_trajectory_reference
+from oracles import observe_trajectory_reference, tp_project_reference
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -338,6 +340,21 @@ class TestCptpProject:
         with pytest.raises(ValueError):
             cptp_project(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=32, max_size=32))
+    def test_tp_step_matches_kron_on_hermitian_matrices(self, entries):
+        m = np.array(entries[:16]).reshape(4, 4) + 1j * np.array(entries[16:]).reshape(4, 4)
+        h = m + m.conj().T
+        assert qhi._tp_project(h).tobytes() == tp_project_reference(h).tobytes()
+
+    # entries of both signed zeros: np.kron adds signed zeros off the diagonal blocks
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.25, 1.0]), min_size=32, max_size=32))
+    def test_tp_step_matches_kron_on_signed_zeros(self, entries):
+        c = np.empty((4, 4), dtype=complex)
+        c.real, c.imag = np.array(entries[:16]).reshape(4, 4), np.array(entries[16:]).reshape(4, 4)
+        assert qhi._tp_project(c).tobytes() == tp_project_reference(c).tobytes()
+
     @pytest.mark.parametrize("cap", [1, 3])
     def test_sweep_cap_warns_and_still_returns_a_choi_matrix(self, monkeypatch, cap):
         monkeypatch.setattr(qhi, "PROJECTION_MAX_SWEEPS", cap)
@@ -361,6 +378,16 @@ class TestChannelTypes:
         for m in (np.full((4, 4), entry), entry * np.eye(4), np.diag([1.0, entry, 0.5 * entry, 1.0])):
             with pytest.raises(ValueError):
                 cls(m)
+
+    def test_superoperator_rejects_nan(self):
+        with pytest.raises(ValueError, match="^superoperator entries must be finite$"):
+            ChannelSuperoperator(np.full((4, 4), np.nan))
+
+    def test_choi_rejects_nan(self):
+        m = _identity_choi()
+        m[1, 2] = m[2, 1] = np.nan
+        with pytest.raises(ValueError, match="^Choi matrix entries must be finite$"):
+            ChoiMatrix(m)
 
     def test_choi_must_be_psd(self):
         bad = _identity_choi() - 0.5 * np.eye(4)

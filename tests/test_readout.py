@@ -21,6 +21,7 @@ from iqtomo import (
     save_dataset,
     synthesize_iq,
 )
+from iqtomo.readout import _rekey
 from oracles import load_dataset_reference, save_dataset_reference
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -65,6 +66,20 @@ def test_axis_seed_derivation():
 def test_axis_seed_rejects_unknown_axis():
     with pytest.raises(ValueError):
         axis_seed(0, "q")
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**64 - 1])
+def test_rekeyed_generator_draws_the_stream_of_a_new_one(key):
+    rng = np.random.Generator(np.random.Philox(key=12345))
+    rng.random(5)
+    rng.integers(0, 2**32, dtype=np.uint32)  # leaves a buffered half word behind
+    _rekey(rng, key)
+    fresh = np.random.Generator(np.random.Philox(key=key))
+    assert rng.random(9).tobytes() == fresh.random(9).tobytes()
+    assert rng.integers(0, 2**32, size=5, dtype=np.uint32).tobytes() == fresh.integers(
+        0, 2**32, size=5, dtype=np.uint32
+    ).tobytes()
+    assert rng.bit_generator.state["state"]["key"].tolist() == [key, 0]
 
 
 class TestSampleOutcomes:
