@@ -4,7 +4,8 @@
 Runs the two-stage (EM + hard counts) and collapsed-bilevel (soft, true
 mixture) pipelines over a range of seeds and prints median / 90th
 percentile Frobenius error to the reference state, plus EM parameter
-deviations.  Useful for checking the stochastic acceptance margins.
+deviations and iteration counts (with how many fits stopped at the
+iteration cap).  Useful for checking the stochastic acceptance margins.
 """
 
 import argparse
@@ -12,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from iqtomo.discriminate import EM_MAX_ITER
 from iqtomo.repro import DEFAULT_MIXTURE, reconstruct_seed
 
 
@@ -29,9 +31,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--n", type=_positive_int, default=10_000, help="shots per axis")
     args = parser.parse_args(argv)
 
-    errors, mean_dev, cov_dev = [], [], []
+    errors, mean_dev, cov_dev, iterations = [], [], [], []
     for seed in range(args.start, args.start + args.seeds):
         run = reconstruct_seed(seed, args.n)
+        iterations.extend(run.em_iterations.values())
         for theta_hat in run.em.values():
             for comp, truth in (
                 (theta_hat.zero, DEFAULT_MIXTURE.zero),
@@ -54,6 +57,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     line("collapsed error", collapsed)
     line("EM |mu - mu*|_inf", mean_dev)
     line("EM |Sigma - I|_F", cov_dev)
+    counts = np.asarray(iterations)
+    print(
+        f"{'EM iterations':<22} median={np.median(counts):g}  p90={np.quantile(counts, 0.9):g}"
+        f"  max={counts.max()}  at max_iter={EM_MAX_ITER}: {np.count_nonzero(counts == EM_MAX_ITER)}"
+    )
     return 0
 
 

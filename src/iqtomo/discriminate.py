@@ -1,7 +1,9 @@
 """State discrimination on I-Q plane readout records.
 
-Calibration fits a two-component Gaussian mixture with EM; classification
-offers three routes of increasing sophistication:
+Calibration fits a two-component Gaussian mixture with EM, started from the
+exact two-means cut of the samples along their principal axis, so a fit is
+a function of the coordinates alone; classification offers three routes of
+increasing sophistication:
 
 * ``hard``       -- Mahalanobis nearest-component argmax,
 * ``soft``       -- softmax memberships on negated squared distances,
@@ -47,9 +49,12 @@ COVARIANCE_FLOOR = 1e-6
 # EM stops once the log-likelihood changes by at most this much relative to its size
 EM_TOL = 1e-8
 
+# the default cap on EM iterations
+EM_MAX_ITER = 200
+
 
 class CalibrationWarning(UserWarning):
-    """Raised when EM hits a degenerate component and floors its covariance."""
+    """Raised when EM floors a degenerate covariance or stops at its iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -448,32 +453,45 @@ def _floor_covariance(s00: float, s01: float, s11: float) -> tuple[float, float,
     return _cov_entries((v * np.maximum(w, COVARIANCE_FLOOR)) @ v.T)
 
 
-def _kmeans_pp_init(i: np.ndarray, q: np.ndarray, seed: int) -> tuple[tuple[int, int], np.ndarray]:
-    """Seeded k-means++ pick of two centre samples, and each sample's nearer centre.
+def _principal_split(i: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The exact 2-means split of the samples' projections on their principal axis.
 
-    Returns the indices of the two centres and a mask that is True where a
-    sample lies strictly closer to the second; ties go to the first.
+    The axis is the leading eigenvector (cos t, sin t) of the 2x2 scatter,
+    t = atan2(s01, (s00 - s11) / 2) / 2, so it is the first axis when the
+    scatter is isotropic.  The projections are cut between two distinct
+    sorted values where the between-group sum of squares
+    (n S_k - k T)**2 / (n k (n - k)) is largest, S_k the sum of the k
+    smallest and T the total; its square root is compared, which cannot
+    overflow where the square could.  Returns a mask that is False on the
+    side of the first sample, whichever way the axis points.  Raises
+    ValueError if the samples all coincide or their scatter overflows.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     n = i.size
-    first = int(rng.integers(n))
     with np.errstate(over="ignore", invalid="ignore"):
-        d_first = (i - i[first]) ** 2 + (q - q[first]) ** 2
-        total = d_first.sum()
-        if not total < math.inf:
-            raise ValueError(f"k-means++ distances overflow: {_TOO_FAR}")
-        if total <= 0.0:
-            second = (first + 1) % n
-        else:
-            second = int(rng.choice(n, p=d_first / total))
-        d_second = (i - i[second]) ** 2 + (q - q[second]) ** 2
-    return (first, second), d_second < d_first
+        di = i - i.mean()
+        dq = q - q.mean()
+        s00, s01, s11 = float(di @ di), float(di @ dq), float(dq @ dq)
+        if not all(map(math.isfinite, (s00, s01, s11))):
+            raise ValueError(f"principal-axis scatter overflows: {_TOO_FAR}")
+    t = 0.5 * math.atan2(s01, 0.5 * s00 - 0.5 * s11)
+    proj = math.cos(t) * di
+    proj += math.sin(t) * dq
+    ordered = np.sort(proj)
+    sums = np.cumsum(ordered)
+    k = np.arange(1.0, n)
+    gap = np.abs(n * sums[:-1] - k * sums[-1]) / np.sqrt(n * k * (n - k))
+    gap[ordered[1:] == ordered[:-1]] = -1.0  # no cut between equal projections
+    cut = int(np.argmax(gap))
+    if gap[cut] < 0.0:
+        raise ValueError("EM needs samples at two or more distinct points")
+    upper = proj > ordered[cut]
+    return ~upper if upper[0] else upper
 
 
 def em_fit(
     dataset: "IQDataset",
     init: Optional[tuple[ComponentParams, ComponentParams]] = None,
-    max_iter: int = 200,
+    max_iter: int = EM_MAX_ITER,
     log_history: Optional[list] = None,
 ) -> MixtureParams:
     """Fit a two-component Gaussian mixture to the I-Q samples by EM.
@@ -483,12 +501,15 @@ def em_fit(
     dataset : IQDataset
         Readout records; only the (i, q) coordinates are used.
     init : (ComponentParams, ComponentParams), optional
-        Explicit starting components; by default a k-means++ initialisation
-        seeded from the dataset seed, so repeated fits of the same dataset
-        are identical.
+        Explicit starting components.  By default EM starts from the two
+        sides of :func:`_principal_split` (the exact 2-means cut of the
+        samples along their principal axis): each side's share of the
+        samples, mean and floored covariance.  The start involves no random
+        draw, so the fit depends on the (i, q) coordinates alone.
     max_iter : int
         Iteration cap; EM also stops once the log-likelihood changes by at
-        most ``EM_TOL`` relative to its size.
+        most ``EM_TOL`` relative to its size.  A run that reaches the cap
+        first warns ``CalibrationWarning`` with its last relative change.
     log_history : list, optional
         If given, the per-iteration total log-likelihood is appended to it.
 
@@ -501,7 +522,9 @@ def em_fit(
     ------
     ValueError
         If the log-likelihood falls by more than 1e-9 from one iteration to
-        the next, or a component covariance stops being invertible.
+        the next, or a component covariance stops being invertible; if the
+        samples all coincide; or if their scatter overflows (a sample lies
+        too far from the rest).
     """
     i, q = dataset.i, dataset.q
     n = i.size
@@ -511,19 +534,11 @@ def em_fit(
         raise ValueError("max_iter must be >= 1")
 
     if init is None:
-        centers, to_second = _kmeans_pp_init(i, q, (dataset.seed ^ 0xE41B17) & 0xFFFFFFFFFFFFFFFF)
-        means = [(float(i[k]), float(q[k])) for k in centers]
-        covs = []
-        weights = np.empty(2)
-        for c, mask in enumerate((~to_second, to_second)):
-            # np.cov of the transposed (m, 2) rows: its sums follow that memory layout
-            sel = np.stack([i[mask], q[mask]], axis=1)
-            weights[c] = max(sel.shape[0], 1) / n
-            if sel.shape[0] >= 2:
-                covs.append(_floor_covariance(*_cov_entries(np.cov(sel.T, bias=True))))
-            else:
-                covs.append((1.0, 0.0, 1.0))
-        weights = weights / weights.sum()
+        upper = _principal_split(i, q)
+        # one M-step on the split's hard memberships; both sides hold a
+        # sample, so no previous mean is ever carried over
+        gamma = [(~upper).astype(float), upper.astype(float)]
+        weights, means, covs = _m_step(i, q, gamma, [(0.0, 0.0)] * 2)
     else:
         theta0, theta1 = init
         means = [(float(t.mean[0]), float(t.mean[1])) for t in init]
@@ -534,6 +549,7 @@ def em_fit(
         weights = np.array([theta0.weight, theta1.weight]) / total
 
     log_lik_prev = None
+    change = math.inf
     for iteration in range(1, max_iter + 1):
         log_dens = []
         for c in range(2):
@@ -553,11 +569,19 @@ def em_fit(
                     f"EM log-likelihood decreased at iteration {iteration} "
                     f"by {log_lik_prev - log_lik:.3g} (from {log_lik_prev!r} to {log_lik!r})"
                 )
-            if abs(log_lik - log_lik_prev) <= EM_TOL * (1.0 + abs(log_lik)):
+            step = abs(log_lik - log_lik_prev)
+            if step <= EM_TOL * (1.0 + abs(log_lik)):
                 break
+            change = step / (1.0 + abs(log_lik))
         log_lik_prev = log_lik
         gamma = [np.exp(log_dens[c] - log_norm) for c in range(2)]
         weights, means, covs = _m_step(i, q, gamma, means)
+    else:
+        warnings.warn(
+            f"EM stopped at max_iter={max_iter} before converging: last relative "
+            f"log-likelihood change {change:.3g} (EM_TOL {EM_TOL:g})",
+            CalibrationWarning,
+        )
 
     if means[0][0] < means[1][0]:
         means = means[::-1]

@@ -50,35 +50,29 @@ class BilevelResult:
     mode: str
 
 
-def _as_b_array(b) -> np.ndarray:
-    arr = np.asarray(b.b if isinstance(b, BVector) else b, dtype=float).reshape(3)
-    if not all(map(math.isfinite, arr.tolist())):
-        raise ValueError("b must be finite")
-    return arr
-
-
-def _as_delta(b, delta) -> np.ndarray:
-    if isinstance(b, BVector):
-        return b.delta
-    if delta is None:
-        return np.zeros(3)
-    return np.asarray(delta, dtype=float).reshape(3)
-
-
 def qst_closed_form(b, delta: Optional[np.ndarray] = None) -> QstResult:
     """Reconstruct a state from ``b`` by radial projection onto the ball.
 
+    ``b`` is a ``BVector``, kept as ``b_used`` (``delta`` is then ignored),
+    or three numbers with optional errors ``delta`` (zeros by default).
     ``residual_sq`` is ``max(0, |b| - 1)^2``, the squared distance from
     ``b`` to the Bloch ball.
     """
-    arr = _as_b_array(b)
+    if isinstance(b, BVector):
+        b_used = b
+    else:
+        arr = np.asarray(b, dtype=float).reshape(3)
+        if not all(map(math.isfinite, arr.tolist())):
+            raise ValueError("b must be finite")
+        b_used = BVector(b=arr, delta=np.zeros(3) if delta is None else delta)
+    arr = b_used.b
     norm = math.sqrt(arr.dot(arr))  # numpy.linalg.norm's own sum of squares, so the same bits
     r = arr if norm <= 1.0 else arr / norm
     rho = density_from_bloch(r)
     residual = max(0.0, norm - 1.0) ** 2
     return QstResult(
         rho=rho,
-        b_used=BVector(b=arr, delta=_as_delta(b, delta)),
+        b_used=b_used,
         residual_sq=residual,
         solver="closed_form",
         iterations=0,

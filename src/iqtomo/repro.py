@@ -65,6 +65,7 @@ class SeedRun:
 
     datasets: dict[str, IQDataset]
     em: dict[str, MixtureParams]
+    em_iterations: dict[str, int]
     truth_counts: QstResult
     two_stage: QstResult
     collapsed: QstResult
@@ -82,10 +83,12 @@ def reconstruct_seed(seed: int, n: int = 10_000) -> SeedRun:
     """Simulate ``n`` shots per axis of the reference state and reconstruct it three ways."""
     datasets = simulate_datasets(REFERENCE_STATE, DEFAULT_MIXTURE, n, seed)
     dx, dy, dz = (datasets[axis] for axis in AXES)
-    em = {axis: em_fit(datasets[axis]) for axis in AXES}
+    histories: dict[str, list] = {axis: [] for axis in AXES}
+    em = {axis: em_fit(datasets[axis], log_history=histories[axis]) for axis in AXES}
     return SeedRun(
         datasets=datasets,
         em=em,
+        em_iterations={axis: len(history) for axis, history in histories.items()},
         truth_counts=truth_count_qst(datasets),
         two_stage=bilevel_qst(dx, dy, dz, em, mode="hard").qst,
         collapsed=bilevel_qst(dx, dy, dz, DEFAULT_MIXTURE, mode="soft").qst,

@@ -10,11 +10,11 @@ Mahalanobis distance to a quadratic form in homogeneous coordinates.
 matrix forms of the package's explicit 2x2 Gaussian kernel and EM loop:
 ``numpy.linalg`` inverses and determinants, an ``einsum`` quadratic form,
 ``ComponentParams``-style checks on every iteration and a compensated
-log-likelihood sum; ``kmeans_pp_init_reference`` is the matrix form of
-their k-means++ start.  ``save_dataset_reference`` and
-``load_dataset_reference`` are the per-line ``json.dumps``/``json.loads``
-forms of the dataset writer and reader.  ``min_cost_assignment_reference``
-is a general n x k capacitated assignment by successive shortest paths;
+log-likelihood sum; ``principal_split_reference`` finds their start's
+principal axis with ``eigh`` and its cut by a within-group scan.
+``save_dataset_reference`` and ``load_dataset_reference`` are the
+per-line ``json.dumps``/``json.loads`` forms of the dataset writer and
+reader.  ``min_cost_assignment_reference`` is a general n x k capacitated assignment by successive shortest paths;
 the package solves only the case it meets (a constant noise column) by
 sort-and-split, and this solver checks it.  ``observe_trajectory_reference``
 is sampled trajectory observation one dataset per (step, axis) block: it
@@ -218,25 +218,33 @@ def _reference_floor(cov: np.ndarray) -> np.ndarray:
     return (v * np.maximum(w, COVARIANCE_FLOOR)) @ v.T
 
 
-def kmeans_pp_init_reference(points: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded k-means++ centres of an (n, 2) point matrix and each point's nearest centre.
+def principal_split_reference(points: np.ndarray) -> np.ndarray:
+    """Exact 2-means split of an (n, 2) point matrix along its principal axis.
 
-    Distances to both centres come from one (n, 2, 2) difference array; the
-    argmin gives ties to the first centre.
+    The axis is the ``numpy.linalg.eigh`` eigenvector of the largest
+    eigenvalue of the centred scatter.  Every cut between two distinct
+    sorted projections is scored by its within-group sum of squares, from
+    running sums of the projections and of their squares, and the first
+    least one wins.  False marks the side of the first point.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    first = int(rng.integers(points.shape[0]))
-    d2 = np.sum((points - points[first]) ** 2, axis=1)
-    total = d2.sum()
-    if total <= 0.0:
-        second = (first + 1) % points.shape[0]
-    else:
-        second = int(rng.choice(points.shape[0], p=d2 / total))
-    centers = points[[first, second]].copy()
-    assign = np.argmin(
-        ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1
-    )
-    return centers, assign
+    centred = points - points.mean(axis=0)
+    _, vectors = np.linalg.eigh(centred.T @ centred)
+    proj = centred @ vectors[:, 1]
+    ordered = np.sort(proj)
+    n = ordered.size
+    best_k, best_within = None, math.inf
+    sums, squares = np.cumsum(ordered), np.cumsum(ordered**2)
+    for k in range(1, n):
+        if ordered[k] == ordered[k - 1]:
+            continue
+        low = squares[k - 1] - sums[k - 1] ** 2 / k
+        high = (squares[-1] - squares[k - 1]) - (sums[-1] - sums[k - 1]) ** 2 / (n - k)
+        if low + high < best_within:
+            best_k, best_within = k, low + high
+    if best_k is None:
+        raise ValueError("all points coincide")
+    upper = proj > ordered[best_k - 1]
+    return upper != upper[0]
 
 
 def em_fit_reference(
@@ -244,7 +252,6 @@ def em_fit_reference(
     init: Optional[tuple[ComponentParams, ComponentParams]] = None,
     max_iter: int = 200,
     tol: float = 1e-8,
-    seed: Optional[int] = None,
     log_history: Optional[list] = None,
 ) -> MixtureParams:
     """Two-component Gaussian-mixture EM on the (n, 2) point matrix.
@@ -258,20 +265,11 @@ def em_fit_reference(
     points = dataset.points()
     n = points.shape[0]
     if init is None:
-        if seed is None:
-            seed = (dataset.seed ^ 0xE41B17) & 0xFFFFFFFFFFFFFFFF
-        centers, assign = kmeans_pp_init_reference(points, seed)
-        means = centers
-        covs = []
-        weights = np.empty(2)
-        for c in range(2):
-            sel = points[assign == c]
-            weights[c] = max(sel.shape[0], 1) / n
-            if sel.shape[0] >= 2:
-                covs.append(_reference_floor(np.cov(sel.T, bias=True)))
-            else:
-                covs.append(np.eye(2))
-        weights = weights / weights.sum()
+        upper = principal_split_reference(points)
+        sides = [points[~upper], points[upper]]
+        weights = np.array([sel.shape[0] / n for sel in sides])
+        means = np.stack([sel.mean(axis=0) for sel in sides])
+        covs = [_reference_floor(np.cov(sel.T, bias=True)) for sel in sides]
     else:
         theta0, theta1 = init
         means = np.stack([theta0.mean, theta1.mean])

@@ -607,6 +607,19 @@ def test_sample_too_far_from_both_clouds_is_exit_1(far_sample_dir, tmp_path, cap
     assert re.fullmatch(r"error: [^\n]*: a sample lies too far from both clouds\n", err)
 
 
+def test_em_on_coinciding_samples_is_exit_1(tmp_path, capsys):
+    # two clouds cannot be fitted to one point; the start has no split to make
+    for axis in iqtomo.AXES:
+        lines = [json.dumps({"obs": axis, "seed": 1})]
+        lines += [json.dumps({"i": 0.5, "q": 0.25, "truth": "zero"})] * 6
+        (tmp_path / f"iq_{axis}.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "tomo", "--data-dir", str(tmp_path), "--calibrate", "em", "--out", str(tmp_path / "o"),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: EM needs samples at two or more distinct points\n"
+
+
 def test_discriminate_rejects_a_sample_too_far_from_both_clouds(far_sample_dir, tmp_path, capsys):
     code, _, err = run(
         capsys, "discriminate", "--data", str(far_sample_dir / "iq_x.jsonl"),
@@ -630,13 +643,19 @@ def test_seed_sweep_prints_the_shared_reconstruction_medians(capsys):
     assert script.main(["--seeds", "2", "--n", "2000"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "2 seeds from 0, n=2000 per axis"
-    names = ["two-stage error", "collapsed error", "EM |mu - mu*|_inf", "EM |Sigma - I|_F"]
+    names = ["two-stage error", "collapsed error", "EM |mu - mu*|_inf", "EM |Sigma - I|_F", "EM iterations"]
     assert [line[:22].rstrip() for line in lines[1:]] == names
-    for line in lines[1:]:
+    for line in lines[1:5]:
         assert re.fullmatch(r".{22} median=\d\.\d{4}  p90=\d\.\d{4}  max=\d\.\d{4}", line)
-    two_stage, collapsed = zip(*(reconstruct_seed(seed, 2000).errors for seed in (0, 1)))
+    runs = [reconstruct_seed(seed, 2000) for seed in (0, 1)]
+    two_stage, collapsed = zip(*(run.errors for run in runs))
     assert f"median={np.median(two_stage):.4f} " in lines[1]
     assert f"median={np.median(collapsed):.4f} " in lines[2]
+    iterations = [k for run in runs for k in run.em_iterations.values()]
+    assert lines[5] == (
+        f"{'EM iterations':<22} median={np.median(iterations):g}  "
+        f"p90={np.quantile(iterations, 0.9):g}  max={max(iterations)}  at max_iter=200: 0"
+    )
 
 
 @pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seeds", "-3"], ["--n", "0"], ["--n", "x"]])

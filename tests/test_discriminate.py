@@ -30,7 +30,7 @@ from iqtomo import (
 from iqtomo import discriminate
 from iqtomo.readout import simulate_datasets
 from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE
-from oracles import em_fit_reference, f_matrix, kmeans_pp_init_reference, mahalanobis_sq_einsum
+from oracles import em_fit_reference, f_matrix, mahalanobis_sq_einsum, principal_split_reference
 
 
 def _component(mean, cov=None, weight=0.5) -> ComponentParams:
@@ -60,11 +60,18 @@ def _random_spd(rng, max_condition: float) -> np.ndarray:
 
 
 def _worse_m_step(monkeypatch):
-    """Patch the EM M-step so every update moves both means 5 units along I."""
+    """Patch the EM M-step so every update moves both means 5 units along I.
+
+    The first call, the M-step on the start's split, is left as it is.
+    """
     real = discriminate._m_step
+    calls = []
 
     def worse(i, q, gamma, means):
         weights, new_means, covs = real(i, q, gamma, means)
+        calls.append(None)
+        if len(calls) == 1:
+            return weights, new_means, covs
         return weights, [(mi + 5.0, mq) for mi, mq in new_means], covs
 
     monkeypatch.setattr(discriminate, "_m_step", worse)
@@ -415,7 +422,8 @@ class TestEmFit:
 
     def test_warm_start_near_fixed_point(self, sep5_mixture):
         d = synthesize_iq(5000, 5000, sep5_mixture.zero, sep5_mixture.one, seed=15)
-        theta = em_fit(d, init=(sep5_mixture.zero, sep5_mixture.one), max_iter=1)
+        with pytest.warns(CalibrationWarning, match="max_iter=1"):
+            theta = em_fit(d, init=(sep5_mixture.zero, sep5_mixture.one), max_iter=1)
         assert np.abs(theta.zero.mean - [2.5, 2.0]).max() <= 0.05
         assert np.abs(theta.one.mean - [-2.5, 2.0]).max() <= 0.05
 
@@ -446,39 +454,95 @@ class TestEmFit:
                 got = em_fit(datasets[axis], log_history=got_history)
                 want = em_fit_reference(datasets[axis], log_history=want_history)
                 assert len(got_history) == len(want_history), (seed, axis)
+                # the principal-axis start needs at most 15 iterations here
+                assert len(got_history) <= 25, (seed, axis)
                 np.testing.assert_allclose(got_history, want_history, rtol=1e-12, atol=0.0)
                 for g, w in ((got.zero, want.zero), (got.one, want.one)):
                     assert abs(g.weight - w.weight) <= 1e-10
                     np.testing.assert_allclose(g.mean, w.mean, rtol=0.0, atol=1e-10)
                     np.testing.assert_allclose(g.cov, w.cov, rtol=0.0, atol=1e-10)
 
-    def test_kmeans_pp_init_matches_reference_on_criterion_04_axes(self):
+    def test_principal_split_matches_reference_on_criterion_04_axes(self):
         for seed in range(20):
             datasets = simulate_datasets(REFERENCE_STATE, DEFAULT_MIXTURE, 10_000, seed)
             for axis in AXES:
                 d = datasets[axis]
-                init_seed = (d.seed ^ 0xE41B17) & 0xFFFFFFFFFFFFFFFF
-                centers, to_second = discriminate._kmeans_pp_init(d.i, d.q, init_seed)
-                want_centers, want_assign = kmeans_pp_init_reference(d.points(), init_seed)
-                assert np.array_equal(d.points()[list(centers)], want_centers), (seed, axis)
-                assert np.array_equal(to_second.astype(int), want_assign), (seed, axis)
+                upper = discriminate._principal_split(d.i, d.q)
+                assert np.array_equal(upper, principal_split_reference(d.points())), (seed, axis)
 
-    def test_kmeans_pp_init_ties_go_to_first_centre(self):
-        # on an integer lattice many samples lie equidistant from both centres
-        grid = np.array([(x, y) for x in range(-2, 3) for y in range(-2, 3)] + [(5, 5)] * 4, float)
-        ties = 0
-        for seed in range(8):
-            centers, to_second = discriminate._kmeans_pp_init(grid[:, 0], grid[:, 1], seed)
-            want_centers, want_assign = kmeans_pp_init_reference(grid, seed)
-            assert np.array_equal(grid[list(centers)], want_centers), seed
-            assert np.array_equal(to_second.astype(int), want_assign), seed
-            d2 = ((grid[:, None, :] - want_centers[None, :, :]) ** 2).sum(axis=2)
-            ties += int(np.count_nonzero(d2[:, 0] == d2[:, 1]))
-        assert ties > 0
-        # all samples equal: the second centre is the next sample, every tie to the first
-        same = np.zeros(4)
-        centers, to_second = discriminate._kmeans_pp_init(same, same, 3)
-        assert centers[1] == (centers[0] + 1) % 4 and not to_second.any()
+    def test_principal_split_matches_reference_on_small_sets(self):
+        rng = np.random.default_rng(23)
+        sets = []
+        for _ in range(40):
+            n = int(rng.integers(4, 12))
+            pts = rng.normal(scale=2.0, size=(n, 2))
+            ties = rng.integers(0, n, size=int(rng.integers(1, n)))
+            sets.append(np.vstack([pts, pts[ties]]))  # repeated points tie in every projection
+        for _ in range(10):
+            t = rng.normal(size=6)
+            for direction in ([1.0, 0.0], [0.0, 1.0], [0.6, -0.8]):
+                sets.append(np.r_[t, t[:2]][:, None] * direction + [0.1, 0.3])  # collinear, with ties
+        sets.append(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]))  # n = 4
+        checked_ties = 0
+        for pts in sets:
+            upper = discriminate._principal_split(pts[:, 0], pts[:, 1])
+            assert np.array_equal(upper, principal_split_reference(pts)), pts
+            assert 0 < np.count_nonzero(upper) < pts.shape[0]
+            # repeated points always fall on one side
+            _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+            assert np.array_equal(upper, upper[first][inverse.ravel()])
+            checked_ties += pts.shape[0] - first.size
+        assert checked_ties > 0
+
+    def test_all_equal_samples_are_rejected(self):
+        same = np.full((6, 2), [0.1, 0.3])
+        with pytest.raises(ValueError, match="all points coincide"):
+            principal_split_reference(same)
+        with pytest.raises(ValueError, match="two or more distinct points"):
+            em_fit(_dataset(same))
+
+    def test_scatter_overflow_is_a_value_error(self, sep5_mixture):
+        d = synthesize_iq(50, 50, sep5_mixture.zero, sep5_mixture.one, seed=19)
+        i = d.i.copy()
+        i[5] = -1e200
+        far = IQDataset("x", i, d.q, d.truth, seed=d.seed)
+        # the suite turns numpy RuntimeWarnings into errors, so none leaks here
+        with pytest.raises(ValueError, match="a sample lies too far from both clouds$"):
+            em_fit(far)
+
+    def test_iteration_cap_warns(self, sep5_mixture):
+        d = synthesize_iq(2000, 2000, sep5_mixture.zero, sep5_mixture.one, seed=14)
+        history: list[float] = []
+        with pytest.warns(CalibrationWarning) as got:
+            em_fit(d, max_iter=2, log_history=history)
+        assert len(got) == 1 and len(history) == 2
+        change = abs(history[1] - history[0]) / (1.0 + abs(history[1]))
+        assert str(got[0].message) == (
+            f"EM stopped at max_iter=2 before converging: last relative "
+            f"log-likelihood change {change:.3g} (EM_TOL 1e-08)"
+        )
+
+    def test_converged_fit_does_not_warn(self, sep5_mixture, recwarn):
+        em_fit(synthesize_iq(2000, 2000, sep5_mixture.zero, sep5_mixture.one, seed=14))
+        assert not [w for w in recwarn if issubclass(w.category, CalibrationWarning)]
+
+    def test_criterion_04_seed_4_x_axis_converges_near_truth(self):
+        # a random start used to stall here at the 200-iteration cap with b_x = 0.149
+        dx = simulate_datasets(REFERENCE_STATE, DEFAULT_MIXTURE, 10_000, 4)["x"]
+        history: list[float] = []
+        theta = em_fit(dx, log_history=history)
+        assert len(history) < 200
+        b_x, _ = b_from_memberships(memberships_for(dx, theta, "hard"))
+        assert abs(b_x) <= 0.05
+
+    def test_fit_does_not_depend_on_dataset_seed(self, sep5_mixture):
+        d = synthesize_iq(700, 300, sep5_mixture.zero, sep5_mixture.one, seed=16)
+        a = em_fit(d)
+        b = em_fit(IQDataset(d.observable, d.i, d.q, d.truth, seed=d.seed + 12345))
+        for got, want in ((a.zero, b.zero), (a.one, b.one)):
+            assert got.weight == want.weight
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.cov.tobytes() == want.cov.tobytes()
 
     def test_likelihood_decrease_is_an_error(self, sep5_mixture, monkeypatch):
         d = synthesize_iq(500, 500, sep5_mixture.zero, sep5_mixture.one, seed=18)

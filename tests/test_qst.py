@@ -73,6 +73,14 @@ class TestClosedForm:
         res = qst_closed_form(est)
         assert np.array_equal(res.b_used.delta, [0.01, 0.02, 0.03])
 
+    def test_bvector_input_is_kept_as_is(self):
+        est = BVector(b=[0.3, -0.5, 1.2], delta=[0.01, 0.02, 0.03])
+        b_bytes, delta_bytes = est.b.tobytes(), est.delta.tobytes()
+        res = qst_closed_form(est, delta=np.ones(3))
+        assert res.b_used is est
+        assert (est.b.tobytes(), est.delta.tobytes()) == (b_bytes, delta_bytes)
+        assert res.residual_sq == pytest.approx((np.linalg.norm(est.b) - 1.0) ** 2)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             qst_closed_form(np.array([np.inf, 0.0, 0.0]))
