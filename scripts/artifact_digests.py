@@ -7,8 +7,10 @@ bilevel (three modes), qhi (exact, and sampled readout with hard and
 with soft discrimination), plot-iq and repro-paper -- into a fresh
 directory.  It also writes ``export_csv`` of the simulated z dataset and
 a ``load_dataset`` -> ``save_dataset`` round trip of each simulated axis
-file, so the digests pin the dataset reader as well as the writers.  It
-then prints one sorted ``relpath sha256`` line per file written.  Shot
+file and a ``load_trajectory`` -> ``save_trajectory`` round trip of each
+qhi trajectory file, so the digests pin the dataset and trajectory readers
+as well as the writers.  It then prints one sorted ``relpath sha256`` line
+per file written.  Shot
 counts and trajectory lengths are small, so a run takes seconds.
 
 Two checkouts write byte-identical artifacts when the printed lists are
@@ -108,6 +110,13 @@ def main() -> int:
     run(["qhi", "--config", cfg_sampled, "--out", os.path.join(out, "qhi_sampled")])
     qhi_soft = ["qhi", "--config", cfg_sampled, "--mode", "soft"]
     run([*qhi_soft, "--out", os.path.join(out, "qhi_sampled_soft")])
+    files = os.path.join(out, "trajectory_files")
+    os.makedirs(files)
+    for run_dir in ("qhi_exact", "qhi_sampled", "qhi_sampled_soft"):
+        for name in sorted(os.listdir(os.path.join(out, run_dir))):
+            if name.startswith("trajectory_"):
+                trajectory = iqtomo.load_trajectory(os.path.join(out, run_dir, name))
+                iqtomo.save_trajectory(trajectory, os.path.join(files, f"{run_dir}_{name}"))
     svg = os.path.join(plot, "iq_x.svg")
     run(["plot-iq", "--data", os.path.join(sim, "iq_x.jsonl"), "--out", svg])
     run(["repro-paper", "--config", cfg, "--out", os.path.join(out, "repro")])

@@ -407,10 +407,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON run configuration")
     sub.add_argument("--seed", type=int, help="override the config seed")
-    sub.add_argument("--out", required=out_required, help="output directory")
+    sub.add_argument("--out", help="output directory")
     sub.add_argument("--mode", choices=MODES, help="discrimination mode")
 
 

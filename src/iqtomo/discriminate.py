@@ -49,7 +49,7 @@ COVARIANCE_FLOOR = 1e-6
 # EM stops once the log-likelihood changes by at most this much relative to its size
 EM_TOL = 1e-8
 
-# the default cap on EM iterations
+# EM warns and stops after this many iterations if it has not converged
 EM_MAX_ITER = 200
 
 
@@ -184,9 +184,11 @@ class MembershipMatrix:
     mode: str
 
     def __post_init__(self) -> None:
+        rows = np.array(self.rows, dtype=float)
+        if not np.isfinite(rows).all():
+            raise ValueError("membership weights must be finite")
         if self.mode not in MODES:
             raise ValueError(f"unknown membership mode {self.mode!r}")
-        rows = np.array(self.rows, dtype=float)
         expected_cols = 3 if self.mode == "assignment" else 2
         if rows.ndim != 2 or rows.shape[1] != expected_cols or rows.shape[0] < 1:
             raise ValueError(
@@ -488,30 +490,17 @@ def _principal_split(i: np.ndarray, q: np.ndarray) -> np.ndarray:
     return ~upper if upper[0] else upper
 
 
-def em_fit(
-    dataset: "IQDataset",
-    init: Optional[tuple[ComponentParams, ComponentParams]] = None,
-    max_iter: int = EM_MAX_ITER,
-    log_history: Optional[list] = None,
-) -> MixtureParams:
+def em_fit(dataset: "IQDataset", log_history: Optional[list] = None) -> MixtureParams:
     """Fit a two-component Gaussian mixture to the I-Q samples by EM.
 
-    Parameters
-    ----------
-    dataset : IQDataset
-        Readout records; only the (i, q) coordinates are used.
-    init : (ComponentParams, ComponentParams), optional
-        Explicit starting components.  By default EM starts from the two
-        sides of :func:`_principal_split` (the exact 2-means cut of the
-        samples along their principal axis): each side's share of the
-        samples, mean and floored covariance.  The start involves no random
-        draw, so the fit depends on the (i, q) coordinates alone.
-    max_iter : int
-        Iteration cap; EM also stops once the log-likelihood changes by at
-        most ``EM_TOL`` relative to its size.  A run that reaches the cap
-        first warns ``CalibrationWarning`` with its last relative change.
-    log_history : list, optional
-        If given, the per-iteration total log-likelihood is appended to it.
+    EM starts from the two sides of :func:`_principal_split` (the exact
+    2-means cut of the samples along their principal axis): each side's
+    share of the samples, mean and floored covariance.  The start involves
+    no random draw, so the fit depends on the (i, q) coordinates alone.  EM
+    stops once the log-likelihood changes by at most ``EM_TOL`` relative to
+    its size; a run that reaches ``EM_MAX_ITER`` iterations first warns
+    ``CalibrationWarning`` with its last relative change.  If ``log_history``
+    is given, the per-iteration total log-likelihood is appended to it.
 
     Returns
     -------
@@ -527,30 +516,18 @@ def em_fit(
         too far from the rest).
     """
     i, q = dataset.i, dataset.q
-    n = i.size
-    if n < 4:
+    if i.size < 4:
         raise ValueError("EM needs at least four samples")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
 
-    if init is None:
-        upper = _principal_split(i, q)
-        # one M-step on the split's hard memberships; both sides hold a
-        # sample, so no previous mean is ever carried over
-        gamma = [(~upper).astype(float), upper.astype(float)]
-        weights, means, covs = _m_step(i, q, gamma, [(0.0, 0.0)] * 2)
-    else:
-        theta0, theta1 = init
-        means = [(float(t.mean[0]), float(t.mean[1])) for t in init]
-        covs = [_cov_entries(t.cov) for t in init]
-        total = theta0.weight + theta1.weight
-        if total <= 0.0:
-            raise ValueError("initial component weights must not both be zero")
-        weights = np.array([theta0.weight, theta1.weight]) / total
+    upper = _principal_split(i, q)
+    # one M-step on the split's hard memberships; both sides hold a sample,
+    # so no previous mean is ever carried over
+    gamma = [(~upper).astype(float), upper.astype(float)]
+    weights, means, covs = _m_step(i, q, gamma, [(0.0, 0.0)] * 2)
 
     log_lik_prev = None
     change = math.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, EM_MAX_ITER + 1):
         log_dens = []
         for c in range(2):
             *inv, log_det = _inverse_2x2(*covs[c])
@@ -578,7 +555,7 @@ def em_fit(
         weights, means, covs = _m_step(i, q, gamma, means)
     else:
         warnings.warn(
-            f"EM stopped at max_iter={max_iter} before converging: last relative "
+            f"EM stopped at max_iter={EM_MAX_ITER} before converging: last relative "
             f"log-likelihood change {change:.3g} (EM_TOL {EM_TOL:g})",
             CalibrationWarning,
         )

@@ -49,7 +49,6 @@ from .qcore import (
     json_numbers,
     json_object,
     pauli,
-    unvec,
     vec,
 )
 from .qst import qst_closed_form
@@ -114,7 +113,7 @@ class ChannelSuperoperator:
         object.__setattr__(self, "g", g)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        out = unvec(self.g @ vec(rho.matrix))
+        out = (self.g @ rho.matrix.reshape(4)).reshape(2, 2)
         out = 0.5 * (out + out.conj().T)
         return DensityMatrix(out / out.trace().real)
 
@@ -265,29 +264,27 @@ def observe_trajectory(
     return replace(trajectory, observations=tuple(observations))
 
 
-def save_trajectory(trajectory: Trajectory, path: str, include_states: bool = False) -> None:
-    """Write JSON-lines: header {id, dt}, then {step, b[, rho]} per step."""
+def save_trajectory(trajectory: Trajectory, path: str) -> None:
+    """Write the observations as JSON-lines: header {id, dt}, then {step, b} per step.
+
+    Raises ValueError for a trajectory that has not been observed.
+    """
+    if trajectory.observations is None:
+        raise ValueError("only an observed trajectory can be saved")
     lines = [json.dumps({"id": trajectory.trajectory_id, "dt": trajectory.dt}, sort_keys=True)]
-    length = trajectory.steps + 1
-    for step in range(length):
-        if trajectory.observations is not None:
-            b = trajectory.observations[step].b
-        else:
-            b = bloch_from_density(trajectory.states[step])
-        record: dict = {"step": step, "b": [float(v) for v in b]}
-        if include_states and trajectory.states is not None:
-            record["rho"] = trajectory.states[step].to_json_dict()
-        lines.append(json.dumps(record, sort_keys=True))
+    for step, observation in enumerate(trajectory.observations):
+        lines.append(json.dumps({"step": step, "b": [float(v) for v in observation.b]}, sort_keys=True))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_trajectory(path: str) -> Trajectory:
-    """Read a trajectory written by :func:`save_trajectory`.
+    """Read the observations written by :func:`save_trajectory`.
 
     Any defect raises ValueError naming its 1-based line.  The header must be
     ``{"id": <integer >= 0>, "dt": <finite number > 0>}``; record k must be
-    ``{"step": k, "b": [three numbers]}``, plus ``"rho"`` on every record or
-    on none.  Blank lines are skipped.
+    ``{"step": k, "b": [three finite numbers]}``, with no other key.  Blank
+    lines are skipped.  The trajectory has no states, and every observation
+    a zero ``delta``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = [(n, raw) for n, raw in enumerate(handle.read().splitlines(), 1) if raw.strip()]
@@ -303,28 +300,19 @@ def load_trajectory(path: str) -> Trajectory:
         dt = float(json_numbers(header["dt"], (), "trajectory dt"))
         if dt <= 0.0:
             raise ValueError(f"trajectory dt must be positive, got {dt!r}")
-        observations, states = [], []
+        observations = []
         for position, (lineno, raw) in enumerate(lines[1:]):
-            record = json_object(json.loads(raw), "trajectory record", ("step", "b"), ("rho",))
+            record = json_object(json.loads(raw), "trajectory record", required=("step", "b"))
             step = record["step"]
             if type(step) is not int or step != position:
                 raise ValueError(f"expected step {position}, got {step!r}")
             b = json_numbers(record["b"], (3,), "trajectory b")
             observations.append(BVector(b=b, delta=np.zeros(3)))
-            if "rho" in record:
-                states.append(DensityMatrix.from_json_dict(record["rho"]))
-            if len(states) not in (0, position + 1):
-                raise ValueError("rho must be on every record or on none")
     except json.JSONDecodeError as exc:
         raise ValueError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from exc
-    return Trajectory(
-        trajectory_id=trajectory_id,
-        dt=dt,
-        states=tuple(states) if states else None,
-        observations=tuple(observations),
-    )
+    return Trajectory(trajectory_id=trajectory_id, dt=dt, observations=tuple(observations))
 
 
 # ---------------------------------------------------------------------------

@@ -50,21 +50,14 @@ class BilevelResult:
     mode: str
 
 
-def qst_closed_form(b, delta: Optional[np.ndarray] = None) -> QstResult:
+def qst_closed_form(b) -> QstResult:
     """Reconstruct a state from ``b`` by radial projection onto the ball.
 
-    ``b`` is a ``BVector``, kept as ``b_used`` (``delta`` is then ignored),
-    or three numbers with optional errors ``delta`` (zeros by default).
-    ``residual_sq`` is ``max(0, |b| - 1)^2``, the squared distance from
-    ``b`` to the Bloch ball.
+    ``b`` is a ``BVector``, kept as ``b_used``, or three finite numbers,
+    taken with zero errors.  ``residual_sq`` is ``max(0, |b| - 1)^2``, the
+    squared distance from ``b`` to the Bloch ball.
     """
-    if isinstance(b, BVector):
-        b_used = b
-    else:
-        arr = np.asarray(b, dtype=float).reshape(3)
-        if not all(map(math.isfinite, arr.tolist())):
-            raise ValueError("b must be finite")
-        b_used = BVector(b=arr, delta=np.zeros(3) if delta is None else delta)
+    b_used = b if isinstance(b, BVector) else BVector(b=b, delta=np.zeros(3))
     arr = b_used.b
     norm = math.sqrt(arr.dot(arr))  # numpy.linalg.norm's own sum of squares, so the same bits
     r = arr if norm <= 1.0 else arr / norm

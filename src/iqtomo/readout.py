@@ -48,6 +48,8 @@ from .qcore import AXES, DensityMatrix, bloch_from_density
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN64 = 0x9E3779B97F4A7C15
+# the labels a dataset's truth column may hold: unknown, zero, one, noise
+_TRUTH_CODES = (-1, LABEL_ZERO, LABEL_ONE, LABEL_NOISE)
 
 
 # (mean, Cholesky factor of the covariance) of the zero cloud, then the one cloud
@@ -57,11 +59,9 @@ CloudFactors = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray
 class DatasetFormatError(ValueError):
     """Malformed dataset file; carries the offending 1-based line number."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}: {message}")
 
 
 def axis_seed(base_seed: int, axis: str) -> int:
@@ -130,12 +130,14 @@ def _uniform_disc(rng: np.random.Generator, n: int, center: tuple[float, float],
     return np.stack([center[0] + r * np.cos(phi), center[1] + r * np.sin(phi)], axis=1)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class IQDataset:
     """One observable's worth of I-Q readout records.
 
     ``truth`` holds per-sample generator labels as small ints
-    (0 = zero, 1 = one, 2 = noise, -1 = unknown).
+    (0 = zero, 1 = one, 2 = noise, -1 = unknown).  The dataset is immutable:
+    ``i``, ``q`` and ``truth`` are its own read-only contiguous copies, so
+    every check made here still holds when the dataset is saved.
     """
 
     observable: str
@@ -148,22 +150,25 @@ class IQDataset:
     def __post_init__(self) -> None:
         if self.observable not in AXES:
             raise ValueError(f"observable must be one of {AXES}, got {self.observable!r}")
-        self.i = np.asarray(self.i, dtype=float)
-        self.q = np.asarray(self.q, dtype=float)
-        self.truth = np.asarray(self.truth, dtype=np.int8)
-        if not (self.i.shape == self.q.shape == self.truth.shape) or self.i.ndim != 1:
+        i = np.array(self.i, dtype=float)
+        q = np.array(self.q, dtype=float)
+        truth = np.asarray(self.truth)
+        if not (i.shape == q.shape == truth.shape) or i.ndim != 1:
             raise ValueError("i, q and truth must be 1-d arrays of equal length")
-        if self.i.size < 1:
+        if i.size < 1:
             raise ValueError("dataset must contain at least one sample")
-        self._check_values()
-        self.seed = int(self.seed)
-
-    def _check_values(self) -> None:
-        """Finite coordinates and a seed in [0, 2**64): what a dataset file can hold."""
-        if not (np.all(np.isfinite(self.i)) and np.all(np.isfinite(self.q))):
+        if not (np.all(np.isfinite(i)) and np.all(np.isfinite(q))):
             raise ValueError("i/q coordinates must be finite")
+        # before the int8 cast, which would wrap 258 to 2
+        if not np.isin(truth, _TRUTH_CODES).all():
+            raise ValueError(f"truth labels must be among {list(_TRUTH_CODES)}")
         if not _is_seed(self.seed):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        truth = truth.astype(np.int8)  # always a copy
+        for name, arr in (("i", i), ("q", q), ("truth", truth)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n_samples(self) -> int:
@@ -385,7 +390,6 @@ def save_dataset(dataset: IQDataset, path: str) -> None:
     Every sample line reads ``{"i": <float repr>, "q": <float repr>,
     "truth": "zero"|"one"|"noise"|null}``.
     """
-    dataset._check_values()  # the fields may have changed since construction
     header: dict = {"obs": dataset.observable, "seed": dataset.seed}
     if dataset.mixture is not None:
         header["mixture"] = dataset.mixture.to_json_dict()

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .discriminate import ComponentParams, MixtureParams, delta_b, em_fit, hard_b
+from .discriminate import BVector, ComponentParams, MixtureParams, delta_b, em_fit, hard_b
 from .qcore import AXES, DensityMatrix, frobenius_distance
 from .qst import QstResult, bilevel_qst, qst_closed_form
 from .readout import IQDataset, simulate_datasets
@@ -54,8 +54,10 @@ def truth_count_qst(datasets: Mapping[str, IQDataset]) -> QstResult:
     with the binomial ``delta_b`` of each count."""
     counts = [datasets[axis].truth_counts()[:2] for axis in AXES]
     return qst_closed_form(
-        np.asarray([hard_b(n0, n1) for n0, n1 in counts]),
-        delta=np.asarray([delta_b(n0, n1) for n0, n1 in counts]),
+        BVector(
+            b=[hard_b(n0, n1) for n0, n1 in counts],
+            delta=[delta_b(n0, n1) for n0, n1 in counts],
+        )
     )
 
 

@@ -249,7 +249,6 @@ def principal_split_reference(points: np.ndarray) -> np.ndarray:
 
 def em_fit_reference(
     dataset,
-    init: Optional[tuple[ComponentParams, ComponentParams]] = None,
     max_iter: int = 200,
     tol: float = 1e-8,
     log_history: Optional[list] = None,
@@ -264,17 +263,11 @@ def em_fit_reference(
     """
     points = dataset.points()
     n = points.shape[0]
-    if init is None:
-        upper = principal_split_reference(points)
-        sides = [points[~upper], points[upper]]
-        weights = np.array([sel.shape[0] / n for sel in sides])
-        means = np.stack([sel.mean(axis=0) for sel in sides])
-        covs = [_reference_floor(np.cov(sel.T, bias=True)) for sel in sides]
-    else:
-        theta0, theta1 = init
-        means = np.stack([theta0.mean, theta1.mean])
-        covs = [theta0.cov.copy(), theta1.cov.copy()]
-        weights = np.array([theta0.weight, theta1.weight]) / (theta0.weight + theta1.weight)
+    upper = principal_split_reference(points)
+    sides = [points[~upper], points[upper]]
+    weights = np.array([sel.shape[0] / n for sel in sides])
+    means = np.stack([sel.mean(axis=0) for sel in sides])
+    covs = [_reference_floor(np.cov(sel.T, bias=True)) for sel in sides]
 
     log_lik_prev = None
     for _ in range(max_iter):

@@ -40,6 +40,7 @@ class TestClosedForm:
         assert np.array_equal(res.rho.matrix, np.eye(2) / 2)
         assert res.residual_sq == 0.0
         assert res.solver == "closed_form"
+        assert res.b_used.delta.tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("name", sorted(TABLE_ROWS))
     def test_reference_rows(self, name):
@@ -76,7 +77,7 @@ class TestClosedForm:
     def test_bvector_input_is_kept_as_is(self):
         est = BVector(b=[0.3, -0.5, 1.2], delta=[0.01, 0.02, 0.03])
         b_bytes, delta_bytes = est.b.tobytes(), est.delta.tobytes()
-        res = qst_closed_form(est, delta=np.ones(3))
+        res = qst_closed_form(est)
         assert res.b_used is est
         assert (est.b.tobytes(), est.delta.tobytes()) == (b_bytes, delta_bytes)
         assert res.residual_sq == pytest.approx((np.linalg.norm(est.b) - 1.0) ** 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tempfile
@@ -278,7 +279,9 @@ def _canonical_lines() -> list[str]:
     zero = ComponentParams(0.5, np.array([2.5, 2.0]), np.eye(2))
     one = ComponentParams(0.5, np.array([-2.5, 2.0]), np.eye(2))
     d = synthesize_iq(1500, 1350, zero, one, contamination=ContaminationSpec(weight=0.05), seed=11)
-    d.truth[::7] = -1
+    truth = d.truth.copy()
+    truth[::7] = -1
+    d = IQDataset(d.observable, d.i, d.q, truth, seed=d.seed, mixture=d.mixture)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.jsonl")
         save_dataset(d, path)
@@ -383,12 +386,13 @@ class TestDatasetReaderWriter:
                 assert got.read() == want.read()
             assert _bit_identical(load_dataset(path), d)
 
-    def test_save_rejects_non_finite(self, tmp_path):
+    def test_saved_coordinates_cannot_be_made_non_finite(self, tmp_path):
         d = IQDataset("z", [1.0, 2.0], [0.0, 0.0], [0, 1], seed=1)
-        d.i[1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            save_dataset(d, str(tmp_path / "d.jsonl"))
-        assert not list(tmp_path.iterdir())
+        with pytest.raises(ValueError, match="read-only"):
+            d.i[1] = np.nan
+        path = str(tmp_path / "d.jsonl")
+        save_dataset(d, path)
+        assert load_dataset(path).i.tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize("where", [FIRST_BLOCK, SECOND_BLOCK], ids=["block1", "block2"])
     @pytest.mark.parametrize("name", sorted(LINE_MUTATIONS))
@@ -515,12 +519,37 @@ class TestIQDataset:
         d = IQDataset("z", [0.0], [0.0], [0], seed=np.uint64(2**64 - 1))
         assert type(d.seed) is int and d.seed == 2**64 - 1
 
-    def test_save_rejects_seed_set_after_construction(self, tmp_path):
+    @pytest.mark.parametrize("name", ["observable", "i", "q", "truth", "seed", "mixture"])
+    def test_fields_cannot_be_set_after_construction(self, name):
         d = IQDataset("z", [0.0], [0.0], [0], seed=1)
-        d.seed = -1
-        with pytest.raises(ValueError, match="seed must be an integer"):
-            save_dataset(d, str(tmp_path / "d.jsonl"))
-        assert not list(tmp_path.iterdir())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, -1)
+        assert (d.observable, d.i.tolist(), d.truth.tolist(), d.seed) == ("z", [0.0], [0], 1)
+
+    @pytest.mark.parametrize(
+        "truth",
+        [[0, 5], [-2, 0], np.array([0, 258], dtype=np.int64), [0, 0.5], [0, np.nan], [0, "1"], [0, None]],
+        ids=["five", "minus_two", "wraps_to_noise", "fraction", "nan", "string", "none"],
+    )
+    def test_rejects_truth_outside_the_labels(self, truth):
+        with pytest.raises(ValueError, match=r"truth labels must be among \[-1, 0, 1, 2\]"):
+            IQDataset("z", [0.0, 1.0], [0.0, 1.0], truth, seed=1)
+
+    def test_accepts_every_label(self):
+        d = IQDataset("z", [0.0] * 4, [0.0] * 4, np.array([-1, 0, 1, 2], dtype=np.int64), seed=1)
+        assert d.truth.dtype == np.int8 and d.truth.tolist() == [-1, 0, 1, 2]
+
+    def test_columns_are_read_only_contiguous_copies(self):
+        xy = np.arange(12.0).reshape(6, 2)
+        truth = np.zeros(6, dtype=np.int8)
+        d = IQDataset("z", xy[:, 0], xy[:, 1], truth, seed=1)
+        for got, given in ((d.i, xy[:, 0]), (d.q, xy[:, 1]), (d.truth, truth)):
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert not np.shares_memory(got, given)
+        xy[:] = -1.0
+        truth[:] = 1
+        assert d.i.tolist() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+        assert d.truth.tolist() == [0] * 6
 
     def test_truth_counts(self):
         d = IQDataset("z", [0.0] * 4, [0.0] * 4, [0, 1, 1, 2], seed=1)
