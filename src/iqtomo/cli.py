@@ -170,6 +170,8 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
                 raw = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise ConfigError(f"config is not valid JSON: {exc}") from exc
         cfg = parse_config_dict(raw)
     else:
         cfg = RunConfig()
@@ -470,7 +472,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.print_help()
             return 1
         return args.func(args)
-    except ValueError as exc:  # ConfigError and DatasetFormatError among them
+    except (ValueError, MemoryError) as exc:  # ConfigError and DatasetFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

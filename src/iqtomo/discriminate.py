@@ -111,10 +111,6 @@ class ContaminationSpec:
             raise ValueError("contamination radius must be positive")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
-    def density(self) -> float:
-        """Uniform probability density over the disc."""
-        return 1.0 / (math.pi * self.radius**2)
-
 
 @dataclass(frozen=True)
 class MixtureParams:

@@ -1,9 +1,10 @@
-"""Minimal complex linear algebra for single-qubit states.
+"""Single-qubit states in closed form.
 
 Conventions used throughout the package:
 
 * Pauli matrices in the standard basis, ``sigma_y = [[0, -i], [i, 0]]``.
-* ``vec`` is row-major: ``vec(m) = (m[0,0], m[0,1], m[1,0], m[1,1])``.
+* Matrices are vectorised row-major, ``vec(m) = m.reshape(4) =
+  (m[0,0], m[0,1], m[1,0], m[1,1])``.
 * Bloch components are ``r_I = Tr(sigma_I rho)`` for I in (x, y, z).
 
 Density matrices are validated on construction, so any `DensityMatrix`
@@ -26,9 +27,12 @@ which overflows to ``inf`` without a warning and fails its check.
 ``density_from_bloch`` builds ``(I + r . sigma) / 2`` entry by entry with
 the additions and roundings of numpy's
 ``0.5 * (I + x sigma_x + y sigma_y + z sigma_z)``, so its entries, signed
-zeros included, are those of the matrix expression.  ``json_object`` and
-``json_numbers`` check parsed JSON before any of the package's types are
-built from it.
+zeros included, are those of the matrix expression.
+``bloch_from_density`` reads the Bloch vector off the entries with three
+real sums, each started from +0, which are the bits of ``A @ vec(rho)`` for
+the complex 3 x 4 measurement matrix ``A[I] = conj(vec(sigma_I))``.
+``json_object`` and ``json_numbers`` check parsed JSON before any of the
+package's types are built from it.
 """
 
 from __future__ import annotations
@@ -59,37 +63,6 @@ def pauli(axis: str) -> np.ndarray:
         return _PAULI[axis].copy()
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}, expected one of 'x', 'y', 'z'")
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Row-major vectorisation of a d x d matrix into a d^2 vector."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"vec expects a square matrix, got shape {m.shape}")
-    return m.reshape(-1).copy()
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec`; the length must be a perfect square."""
-    v = np.asarray(v, dtype=complex)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"unvec expects a square length, got {v.size}")
-    return v.reshape(d, d).copy()
-
-
-def measurement_matrix() -> np.ndarray:
-    """Stack of the three Pauli functionals as rows acting on vec(rho).
-
-    Returns the 3 x 4 complex matrix ``A`` with ``A[I] = vec(sigma_I)^dagger``
-    so that ``A @ vec(rho)`` equals the Bloch vector of ``rho`` (real up to
-    roundoff for Hermitian input).
-    """
-    return np.stack([vec(_PAULI[a]).conj() for a in AXES])
-
-
-_MEASUREMENT = measurement_matrix()
-_MEASUREMENT.flags.writeable = False
 
 
 def json_object(obj, name: str, required: Sequence[str] = (), optional: Sequence[str] = ()) -> dict:
@@ -185,13 +158,11 @@ class DensityMatrix:
         return bool(np.array_equal(self.matrix, other.matrix))
 
 
-def bloch_from_density(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Bloch vector ``(Tr(sigma_x rho), Tr(sigma_y rho), Tr(sigma_z rho))``."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    out = _MEASUREMENT @ m.reshape(-1)
-    if np.abs(out.imag).max() > 1e-9:
-        raise ValueError("Bloch components have a non-negligible imaginary part")
-    return out.real.copy()
+def bloch_from_density(rho: DensityMatrix) -> np.ndarray:
+    """Bloch vector ``(Tr(sigma_x rho), Tr(sigma_y rho), Tr(sigma_z rho))``, as
+    ``((0 + Re m01) + Re m10, (0 - Im m01) + Im m10, (0 + Re m00) - Re m11)``."""
+    (m00, m01), (m10, m11) = rho.matrix.tolist()
+    return np.array([(0.0 + m01.real) + m10.real, (0.0 - m01.imag) + m10.imag, (0.0 + m00.real) - m11.real])
 
 
 def density_from_bloch(r: np.ndarray) -> DensityMatrix:
@@ -212,46 +183,18 @@ def density_from_bloch(r: np.ndarray) -> DensityMatrix:
     # numpy's sums for I + x sigma_x + y sigma_y + z sigma_z: 1 + z and 1 - z
     # on the diagonal, with imaginary part +0; off it, real part 0 + x and
     # imaginary parts 0 - y and 0 + y (the other terms are signed zeros that
-    # change none of these), then the product (0.5 p - 0 q) + i (0.5 q + 0 p)
-    # with the complex 0.5
+    # change none of these), then the product with the complex 0.5, whose
+    # signed-zero terms change nothing either: a sum started from +0 is never -0
     u, v, w = 0.0 + x, 0.0 - y, 0.0 + y
     return DensityMatrix(
         [
-            [complex(0.5 * (1.0 + z), 0.0), complex(_half_plus(u, -(0.0 * v)), _half_plus(v, 0.0 * u))],
-            [complex(_half_plus(u, -(0.0 * w)), _half_plus(w, 0.0 * u)), complex(0.5 * (1.0 - z), 0.0)],
+            [complex(0.5 * (1.0 + z), 0.0), complex(0.5 * u, 0.5 * v)],
+            [complex(0.5 * u, 0.5 * w), complex(0.5 * (1.0 - z), 0.0)],
         ]
     )
-
-
-def _half_plus(p: float, zero: float) -> float:
-    """``0.5 * p + zero`` rounded once, as numpy's fused complex product does.
-
-    ``zero`` is a signed zero, so it decides only the sign of an exact zero;
-    a subnormal ``p`` whose half rounds to zero keeps its own sign.
-    """
-    return 0.5 * p if p != 0.0 else 0.5 * p + zero
 
 
 def frobenius_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:
     ma = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a, dtype=complex)
     mb = b.matrix if isinstance(b, DensityMatrix) else np.asarray(b, dtype=complex)
     return float(np.linalg.norm(ma - mb))
-
-
-def evolve_state(hamiltonian: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:
-    """Evolve a pure state: ``psi(t) = exp(-i H t) psi0``.
-
-    Uses the Hermitian eigendecomposition of ``H``; the result keeps the
-    norm of ``psi0`` up to roundoff.
-    """
-    h = np.asarray(hamiltonian, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
-    if np.abs(h - h.conj().T).max() > 1e-9:
-        raise ValueError("Hamiltonian must be Hermitian")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (h.shape[0],):
-        raise ValueError(f"state shape {psi0.shape} does not match the Hamiltonian")
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * float(t))
-    return v @ (phases * (v.conj().T @ psi0))

@@ -27,6 +27,8 @@ projection instead of being zeroed.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -45,11 +47,9 @@ from .qcore import (
     AXES,
     DensityMatrix,
     bloch_from_density,
-    evolve_state,
     json_numbers,
     json_object,
     pauli,
-    vec,
 )
 from .qst import qst_closed_form
 from .readout import axis_points, cloud_factors, mix_seed, write_text_atomic
@@ -153,12 +153,21 @@ def unitary_superoperator(u: np.ndarray) -> ChannelSuperoperator:
 
 
 def step_unitary(axis: str, rate: float, dt: float) -> np.ndarray:
-    """One-step propagator exp(-i rate * sigma_axis * dt)."""
-    h = rate * pauli(axis)
-    basis = np.eye(2, dtype=complex)
-    return np.stack(
-        [evolve_state(h, dt, basis[:, 0]), evolve_state(h, dt, basis[:, 1])], axis=1
-    )
+    """One-step propagator exp(-i rate * sigma_axis * dt), from the eigenvectors
+    ``v`` of ``rate * sigma_axis``: column k is ``v @ (phases * conj(v)[k])``."""
+    w, v = np.linalg.eigh(rate * pauli(axis))
+    phases = np.exp(-1j * w * float(dt))
+    # one matrix-vector product per column: (v * phases) @ v^H rounds differently
+    return np.stack([v @ (phases * v.conj()[k]) for k in range(2)], axis=1)
+
+
+def _header(tid, dt) -> tuple[int, float]:
+    """``(id, dt)`` as Python numbers: an integer id >= 0 and a finite dt > 0, neither a bool."""
+    if isinstance(tid, bool) or not isinstance(tid, numbers.Integral) or tid < 0:
+        raise ValueError(f"trajectory id must be an integer >= 0, got {tid!r}")
+    if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0.0 < dt <= sys.float_info.max:
+        raise ValueError(f"trajectory dt must be a finite number > 0, got {dt!r}")
+    return int(tid), float(dt)
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,9 @@ class Trajectory:
     observations: Optional[tuple[BVector, ...]] = None
 
     def __post_init__(self) -> None:
+        trajectory_id, dt = _header(self.trajectory_id, self.dt)
+        object.__setattr__(self, "trajectory_id", trajectory_id)
+        object.__setattr__(self, "dt", dt)
         if self.states is None and self.observations is None:
             raise ValueError("trajectory needs states or observations")
         if self.steps < 1:
@@ -203,7 +215,7 @@ def simulate_trajectory(
     for _ in range(n_steps):
         current = channel.apply(current)
         states.append(current)
-    return Trajectory(trajectory_id=trajectory_id, dt=float(dt), states=tuple(states))
+    return Trajectory(trajectory_id=trajectory_id, dt=dt, states=tuple(states))
 
 
 def observe_trajectory(
@@ -294,12 +306,7 @@ def load_trajectory(path: str) -> Trajectory:
             raise ValueError("a trajectory needs a header line and at least two steps")
         lineno, raw = lines[0]
         header = json_object(json.loads(raw), "trajectory header", required=("id", "dt"))
-        trajectory_id = header["id"]
-        if type(trajectory_id) is not int or trajectory_id < 0:
-            raise ValueError(f"trajectory id must be an integer >= 0, got {trajectory_id!r}")
-        dt = float(json_numbers(header["dt"], (), "trajectory dt"))
-        if dt <= 0.0:
-            raise ValueError(f"trajectory dt must be positive, got {dt!r}")
+        trajectory_id, dt = _header(header["id"], header["dt"])
         observations = []
         for position, (lineno, raw) in enumerate(lines[1:]):
             record = json_object(json.loads(raw), "trajectory record", required=("step", "b"))
@@ -310,7 +317,7 @@ def load_trajectory(path: str) -> Trajectory:
             observations.append(BVector(b=b, delta=np.zeros(3)))
     except json.JSONDecodeError as exc:
         raise ValueError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply to parse
         raise ValueError(f"line {lineno}: {exc}") from exc
     return Trajectory(trajectory_id=trajectory_id, dt=dt, observations=tuple(observations))
 
@@ -419,8 +426,8 @@ def fit_channel(
     for trajectory in trajectories:
         sequence = _trajectory_states(trajectory, mode)
         for previous, current in zip(sequence[:-1], sequence[1:]):
-            x_cols.append(vec(previous.matrix))
-            y_cols.append(vec(current.matrix))
+            x_cols.append(previous.matrix.reshape(4))
+            y_cols.append(current.matrix.reshape(4))
     x = np.stack(x_cols, axis=1)
     y = np.stack(y_cols, axis=1)
 
@@ -449,7 +456,6 @@ def fit_channel(
     x_pinv = (vh.conj().T * inv_s) @ u.conj().T
 
     g = np.eye(4, dtype=complex)
-    loss = float(np.linalg.norm(g @ x - y) ** 2)
     previous_loss = None
     for _ in range(FIT_MAX_ALTERNATIONS):
         candidate = g - (g @ x - y) @ x_pinv

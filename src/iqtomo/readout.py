@@ -150,6 +150,8 @@ class IQDataset:
     def __post_init__(self) -> None:
         if self.observable not in AXES:
             raise ValueError(f"observable must be one of {AXES}, got {self.observable!r}")
+        if self.mixture is not None and not isinstance(self.mixture, MixtureParams):
+            raise ValueError(f"mixture must be None or a MixtureParams, got {self.mixture!r}")
         i = np.array(self.i, dtype=float)
         q = np.array(self.q, dtype=float)
         truth = np.asarray(self.truth)
@@ -476,6 +478,8 @@ def _parse_header(raw: str) -> tuple[str, int, Optional[MixtureParams]]:
         header = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON in header: {exc.msg}", line=1) from exc
+    except RecursionError as exc:
+        raise DatasetFormatError(f"invalid JSON in header: {exc}", line=1) from exc
     if not isinstance(header, dict):
         raise DatasetFormatError("header must be a JSON object", line=1)
     if "obs" not in header:
@@ -523,6 +527,8 @@ def _parse_samples(
             record = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"invalid JSON in sample: {exc.msg}", line=lineno) from exc
+        except RecursionError as exc:
+            raise DatasetFormatError(f"invalid JSON in sample: {exc}", line=lineno) from exc
         if not isinstance(record, dict):
             raise DatasetFormatError("sample must be a JSON object", line=lineno)
         for key, values in (("i", i_vals), ("q", q_vals)):

@@ -21,11 +21,14 @@ is sampled trajectory observation one dataset per (step, axis) block: it
 draws, shuffles and validates each block as ``simulate_axis`` does and
 discriminates it with ``memberships_for``, where the package hoists the
 per-trajectory work and counts hard labels.  ``density_problem_reference``,
-``density_from_bloch_reference``, ``bloch_from_density_reference`` and
-``tp_project_reference`` are the small-array numpy forms of the package's
-scalar single-qubit code: ``DensityMatrix``'s checks with ``eigvalsh``, the
-matrix sum ``0.5 * (I + r . sigma)``, the measurement matrix built on every
-call, and the trace-preserving step with ``np.kron``.
+``density_from_bloch_reference``, ``bloch_from_density_reference``,
+``step_unitary_reference`` and ``tp_project_reference`` are the small-array
+numpy forms of the package's closed-form single-qubit code:
+``DensityMatrix``'s checks with ``eigvalsh``, the matrix sum
+``0.5 * (I + r . sigma)``, the product with the paper's measurement matrix
+``measurement_matrix()`` built on every call, a general Hamiltonian
+evolution of each basis vector, and the trace-preserving step with
+``np.kron``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from iqtomo import (
     MixtureParams,
     QstResult,
     b_from_memberships,
-    bloch_from_density,
     memberships_for,
     mix_seed,
     pauli,
@@ -63,10 +65,15 @@ from iqtomo.qcore import (
     SIGMA_Y,
     SIGMA_Z,
     TRACE_TOL,
-    measurement_matrix,
 )
 from iqtomo.qhi import partial_trace_out
 from iqtomo.readout import simulate_axis, write_text_atomic
+
+
+def measurement_matrix() -> np.ndarray:
+    """The paper's A: the 3 x 4 complex matrix with rows ``conj(vec(sigma_I))``
+    for row-major ``vec``, so ``A @ vec(rho)`` is the Bloch vector of ``rho``."""
+    return np.stack([sigma.reshape(4).conj() for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 
 def _simplex_project(w: np.ndarray) -> np.ndarray:
@@ -132,6 +139,7 @@ def qst_projected_gradient(
     elif delta is None:
         delta = np.zeros(3)
     paulis = [pauli(axis) for axis in ("x", "y", "z")]
+    a = measurement_matrix()
 
     rho = np.eye(2, dtype=complex) / 2.0
     best = rho
@@ -139,7 +147,7 @@ def qst_projected_gradient(
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        r = bloch_from_density(rho)
+        r = (a @ rho.reshape(4)).real
         obj = float(np.sum((r - target) ** 2))
         if obj < best_obj:
             best_obj = obj
@@ -154,7 +162,7 @@ def qst_projected_gradient(
     if converged:
         best = rho
     final = DensityMatrix(0.5 * (best + best.conj().T))
-    residual = float(np.sum((bloch_from_density(final) - target) ** 2))
+    residual = float(np.sum(((a @ final.matrix.reshape(4)).real - target) ** 2))
     return QstResult(
         rho=final,
         b_used=BVector(b=target, delta=delta),
@@ -541,8 +549,21 @@ def density_from_bloch_reference(r) -> np.ndarray:
 
 
 def bloch_from_density_reference(m) -> np.ndarray:
-    """Bloch vector with the measurement matrix built for this call."""
+    """Bloch vector as ``A @ vec(rho)``, with the measurement matrix built for this call."""
     return (measurement_matrix() @ np.asarray(m, dtype=complex).reshape(-1)).real.copy()
+
+
+def step_unitary_reference(axis: str, rate: float, dt: float) -> np.ndarray:
+    """``exp(-i rate sigma_axis dt)`` column by column, each column the general
+    pure-state evolution ``v @ (phases * (v^H @ e_k))`` of a basis vector from
+    the ``eigh`` eigenvectors ``v`` of the Hamiltonian."""
+
+    def evolve(psi0):
+        w, v = np.linalg.eigh(np.asarray(rate * pauli(axis), dtype=complex))
+        return v @ (np.exp(-1j * w * float(dt)) * (v.conj().T @ psi0))
+
+    basis = np.eye(2, dtype=complex)
+    return np.stack([evolve(basis[:, 0]), evolve(basis[:, 1])], axis=1)
 
 
 def tp_project_reference(c: np.ndarray) -> np.ndarray:

@@ -149,7 +149,7 @@ def test_criterion_05_assignment_exactness(criterion):
         cost = np.zeros((n, 3))
         d0, d1 = cloud_distances(points[:, 0], points[:, 1], cloud_entries(theta))
         cost[:, 0], cost[:, 1] = _assignment_costs(d0, d1, theta)
-        cost[:, 2] = -math.log(theta.noise.density())
+        cost[:, 2] = -math.log(1.0 / (math.pi * theta.noise.radius**2))  # -log of the uniform disc density
         caps = capacities_from_weights(theta.weights(), n)
         got = math.fsum(cost[s, labels[s]] for s in range(n))
         best = math.inf

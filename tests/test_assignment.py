@@ -198,7 +198,7 @@ class TestSolverAgainstReference:
                 cost = np.zeros((dataset.n_samples, 3))
                 cost[:, :2] = _state_costs(dataset, theta)
                 if theta.noise is not None:
-                    cost[:, 2] = -math.log(theta.noise.density())
+                    cost[:, 2] = -math.log(1.0 / (math.pi * theta.noise.radius**2))  # -log of the uniform disc density
                 caps = capacities_from_weights(theta.weights(), dataset.n_samples)
                 assert (caps[2] > 0) == (calibration == "header")
                 expected = min_cost_assignment_reference(cost, caps)

@@ -1,18 +1,23 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iqtomo
-from iqtomo import DensityMatrix, IQDataset, delta_b, frobenius_distance, save_dataset
+from iqtomo import DensityMatrix, FitWarning, IQDataset, delta_b, frobenius_distance, save_dataset
 from iqtomo.cli import RunConfig, load_config, main, parse_config_dict
 from iqtomo.readout import simulate_datasets
 from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE, reconstruct_seed
@@ -40,6 +45,8 @@ WIDE_MIXTURE = {
     "noise": None,
 }
 NOISY_MIXTURE = dict(WIDE_MIXTURE, alpha=[0.4, 0.5, 0.1])
+# a JSON array nested far deeper than the parser's recursion limit
+_DEEP = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +104,18 @@ class TestConfigValidation:
         bad.write_text("{not json", encoding="utf-8")
         code, _, err = run(capsys, "simulate", "--config", str(bad), "--out", str(tmp_path / "o"))
         assert code == 1 and "JSON" in err
+
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(_DEEP, encoding="utf-8")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1 and err.startswith("error: config is not valid JSON: ")
+
+    def test_shot_count_too_large_to_allocate_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", n_per_axis=10**15)
+        code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 1 and err.startswith("error: ")
+        assert not (tmp_path / "o" / "iq_x.jsonl").exists()
 
     def test_seed_must_fit_u64(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", seed=2**64)
@@ -361,7 +380,9 @@ class TestBilevel:
 class TestQhi:
     def test_noiseless_channel_report(self, tmp_path, capsys):
         out = tmp_path / "qhi"
-        code, text, _ = run(capsys, "qhi", "--out", str(out), "--seed", "1")
+        # every trajectory starts from cfg.state, so the data span 3 of 4 directions
+        with pytest.warns(FitWarning, match="3 of 4"):
+            code, text, _ = run(capsys, "qhi", "--out", str(out), "--seed", "1")
         assert code == 0 and "fit loss" in text
         channel = json.loads((out / "channel.json").read_text(encoding="utf-8"))
         assert channel["frobenius_to_truth"] <= 1e-6
@@ -450,12 +471,15 @@ class TestPlotIq:
             (_header_with_mixture("0.5, 0.5, 0.0", '"0.5", 0.5, 0.0'), 1),
             (_header_with_mixture("0.5, 0.5, 0.0", "0.5, 0.5, false"), 1),
             (_header_with_mixture('"noise": null', '"noise": null, "skew": 2'), 1),
+            (_DEEP + '\n{"i": 0.0, "q": 0.0, "truth": null}\n', 1),
+            ('{"obs": "z"}\n' + _DEEP + "\n", 2),
         ],
         ids=[
             "null_seed", "overflowing_seed", "400_digit_coordinate", "list_label", "float_seed",
             "string_seed", "negative_seed", "bool_seed", "bool_coordinate", "number_as_string",
             "nan_as_string", "overflowing_mixture_mean", "mixture_alpha_string",
-            "mixture_alpha_bool", "mixture_unknown_key",
+            "mixture_alpha_bool", "mixture_unknown_key", "deeply_nested_header",
+            "deeply_nested_sample",
         ],
     )
     def test_malformed_dataset_is_invalid_input(self, tmp_path, capsys, text, line):
@@ -683,3 +707,85 @@ def test_frobenius_to_ref_matches_manual(sim_dir, tmp_path, capsys):
     rho = DensityMatrix.from_json_dict(report["rho"])
     target = DensityMatrix(np.array([[0.056, 0.229j], [-0.229j, 0.944]]))
     assert abs(report["frobenius_to_ref"] - frobenius_distance(rho, target)) <= 1e-12
+
+
+# JSON as Python's json module writes and reads it, NaN and infinities included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=10,
+)
+
+
+def _or_json(*values):
+    """One of ``values``, or arbitrary JSON."""
+    return st.one_of(st.sampled_from(values), _JSON)
+
+
+_MIXTURE = st.one_of(
+    _or_json(WIDE_MIXTURE, NOISY_MIXTURE),
+    st.builds(lambda key, value: dict(NOISY_MIXTURE, **{key: value}), st.sampled_from(sorted(WIDE_MIXTURE)), _JSON),
+)
+_STATE = {"re": [[0.056, 0.0], [0.0, 0.944]], "im": [[0.0, 0.229], [-0.229, 0.0]]}
+# n_per_axis is small or too large to allocate, so no example writes more than a few kB
+_CONFIG = st.one_of(
+    _JSON.filter(lambda value: not isinstance(value, dict)),
+    st.fixed_dictionaries(
+        {
+            "n_per_axis": st.one_of(
+                st.integers(-5, 50),
+                st.integers(min_value=10**15),
+                _JSON.filter(lambda value: isinstance(value, bool) or not isinstance(value, int)),
+            )
+        },
+        optional={
+            "seed": st.integers() | _JSON,
+            "state": _or_json(_STATE, dict(_STATE, im=[[0.0, 0.0], [0.0, 0.0]])),
+            "mixture": _MIXTURE,
+            "mode": _or_json(*iqtomo.MODES),
+            "paths": _or_json({"out": "elsewhere"}, {}),
+            "qhi": _or_json({"steps": 3, "dt": 0.5}, {}),
+            "typo": _JSON,
+        },
+    ),
+)
+_HEADER = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {"obs": _or_json(*iqtomo.AXES)},
+        optional={"seed": st.integers() | _JSON, "mixture": _MIXTURE, "typo": _JSON},
+    ),
+)
+
+
+def _exit_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestArbitraryJsonInput:
+    """Any JSON a user can write ends in a run or in exit 1 with an ``error:`` line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CONFIG)
+    def test_simulate_config(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(config, handle)
+            code, err = _exit_and_stderr(["simulate", "--config", path, "--out", os.path.join(tmp, "out")])
+        assert code in (0, 1)
+        assert code == 0 or err.startswith("error: "), err
+
+    @settings(max_examples=300, deadline=None)
+    @given(_HEADER)
+    def test_plot_iq_dataset_header(self, header):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "one.jsonl")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(header) + '\n{"i": 0.5, "q": -0.25, "truth": null}\n')
+            code, err = _exit_and_stderr(["plot-iq", "--data", path, "--out", os.path.join(tmp, "one.svg")])
+        assert code in (0, 1)
+        assert code == 0 or err.startswith("error: "), err

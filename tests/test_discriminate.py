@@ -142,10 +142,6 @@ class TestParams:
         except ValueError:
             pass
 
-    def test_contamination_density(self):
-        spec = ContaminationSpec(weight=0.1, center=(0.0, 2.0), radius=6.0)
-        assert spec.density() == pytest.approx(1.0 / (math.pi * 36.0))
-
     def test_mixture_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
             MixtureParams(zero=_component([1, 0], weight=0.6), one=_component([-1, 0], weight=0.6))

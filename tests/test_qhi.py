@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqtomo import (
+    AXES,
+    BVector,
     ChannelSuperoperator,
     ChoiMatrix,
     ComponentParams,
@@ -23,15 +26,14 @@ from iqtomo import (
     fit_channel,
     load_trajectory,
     observe_trajectory,
+    pauli,
     save_trajectory,
     simulate_trajectory,
     unitary_superoperator,
-    unvec,
-    vec,
 )
 from iqtomo import qhi
 from iqtomo.qhi import step_unitary
-from oracles import observe_trajectory_reference, tp_project_reference
+from oracles import observe_trajectory_reference, step_unitary_reference, tp_project_reference
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -61,7 +63,7 @@ class TestUnitarySuperoperator:
     def test_bit_flip(self):
         g = unitary_superoperator(SIGMA_X).g
         rho0 = np.diag([1.0, 0.0]).astype(complex)
-        np.testing.assert_allclose(unvec(g @ vec(rho0)), np.diag([0.0, 1.0]), atol=1e-15)
+        np.testing.assert_allclose((g @ rho0.reshape(4)).reshape(2, 2), np.diag([0.0, 1.0]), atol=1e-15)
 
     def test_matches_state_evolution(self):
         u = step_unitary("x", np.pi / 5.0, 0.02)
@@ -71,11 +73,26 @@ class TestUnitarySuperoperator:
             r = rng.normal(size=3)
             r *= rng.uniform() ** (1 / 3) / np.linalg.norm(r)
             rho = density_from_bloch(r).matrix
-            np.testing.assert_allclose(unvec(g @ vec(rho)), u @ rho @ u.conj().T, atol=1e-10)
+            np.testing.assert_allclose((g @ rho.reshape(4)).reshape(2, 2), u @ rho @ u.conj().T, atol=1e-10)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             unitary_superoperator(np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+class TestStepUnitary:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.sampled_from(AXES),
+        st.one_of(st.sampled_from([0.0, -0.0, 5e-324, np.pi / 5.0]), st.floats(-20.0, 20.0)),
+        st.one_of(st.sampled_from([0.0, 0.02, 1e-300]), st.floats(0.0, 2.0)),
+    )
+    def test_matches_the_per_column_evolution_and_the_rotation(self, axis, rate, dt):
+        u = step_unitary(axis, rate, dt)
+        assert u.tobytes() == step_unitary_reference(axis, rate, dt).tobytes()
+        theta = rate * dt
+        rotation = math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * pauli(axis)
+        assert np.abs(u - rotation).max() <= 1e-15
 
     def test_identity_choi_shape(self):
         g = unitary_superoperator(np.eye(2)).g
@@ -136,6 +153,8 @@ def _trajectory_lines(draw) -> list:
 _HEADER = '{"dt": 0.02, "id": 0}'
 _STEP0 = '{"b": [0, 0, 1], "step": 0}'
 _STEP1 = '{"b": [0, 0, 1], "step": 1}'
+# a JSON array nested far deeper than the parser's recursion limit
+_DEEP = "[" * 100_000 + "]" * 100_000
 
 
 class TestObserveTrajectory:
@@ -222,11 +241,14 @@ class TestObserveTrajectory:
             ([_HEADER, '{"b": [0, 0], "step": 0}', _STEP1], 2),
             ([_HEADER, "", _STEP0], 4),
             ([_HEADER, _STEP0, '{"b": [0, 0, 1], "rho": {"im": [[0, 0], [0, 0]], "re": [[1, 0], [0, 0]]}, "step": 1}'], 3),
+            ([_DEEP, _STEP0, _STEP1], 1),
+            ([_HEADER, _STEP0, _DEEP], 3),
         ],
         ids=[
             "record_without_b", "header_not_object", "truncated_record", "b_as_strings",
             "fractional_id", "steps_out_of_order", "negative_dt", "overflowing_dt",
             "negative_id", "bool_step", "short_b", "one_step_after_blank", "rho_record",
+            "deeply_nested_header", "deeply_nested_record",
         ],
     )
     def test_malformed_file_names_the_line(self, tmp_path, lines, line):
@@ -439,7 +461,7 @@ class TestChannelTypes:
             channel = ChannelSuperoperator(choi_from_super(cptp_project((m + m.conj().T) / 2).c))
             r = rng.normal(size=3)
             rho = density_from_bloch(r * rng.uniform() ** (1 / 3) / np.linalg.norm(r))
-            out = unvec(channel.g @ vec(rho.matrix))
+            out = (channel.g @ rho.matrix.reshape(4)).reshape(2, 2)
             out = 0.5 * (out + out.conj().T)
             assert channel.apply(rho).matrix.tobytes() == (out / out.trace().real).tobytes()
 
@@ -499,13 +521,33 @@ class TestFitChannel:
 
 
 class TestTrajectoryType:
+    @pytest.mark.parametrize(
+        "trajectory_id, dt",
+        [(-1, 0.02), (True, 0.02), (1.5, 0.02), (0, -0.02), (0, math.nan)],
+        ids=["negative_id", "bool_id", "fractional_id", "negative_dt", "nan_dt"],
+    )
+    def test_header_the_loader_refuses_is_refused_at_construction(self, tmp_path, rho22, trajectory_id, dt):
+        with pytest.raises(ValueError, match="^trajectory (id|dt) must be "):
+            Trajectory(trajectory_id=trajectory_id, dt=dt, states=(rho22, rho22))
+        path = tmp_path / "traj.jsonl"
+        path.write_text("\n".join([json.dumps({"dt": dt, "id": trajectory_id}), _STEP0, _STEP1]) + "\n")
+        with pytest.raises(ValueError, match="^line 1: trajectory (id|dt) must "):
+            load_trajectory(str(path))
+
+    def test_numpy_header_numbers_are_saved_as_json_numbers(self, tmp_path, rho22):
+        obs = (BVector(b=np.zeros(3), delta=np.zeros(3)),) * 2
+        traj = Trajectory(trajectory_id=np.int64(3), dt=np.float64(0.02), observations=obs)
+        assert type(traj.trajectory_id) is int and type(traj.dt) is float
+        path = tmp_path / "traj.jsonl"
+        save_trajectory(traj, str(path))
+        back = load_trajectory(str(path))
+        assert (back.trajectory_id, back.dt) == (3, 0.02)
+
     def test_needs_two_entries(self, rho22):
         with pytest.raises(ValueError):
             Trajectory(trajectory_id=0, dt=0.02, states=(rho22,), observations=None)
 
     def test_length_mismatch_rejected(self, rho22):
-        from iqtomo import BVector
-
         obs = (BVector(b=np.zeros(3), delta=np.zeros(3)),)
         with pytest.raises(ValueError):
             Trajectory(trajectory_id=0, dt=0.02, states=(rho22, rho22), observations=obs)

@@ -13,13 +13,11 @@ from iqtomo import (
     bloch_from_density,
     density_from_bloch,
     frobenius_distance,
-    measurement_matrix,
     qst_closed_form,
     synthesize_iq,
     tomography_report,
-    vec,
 )
-from oracles import qst_projected_gradient
+from oracles import measurement_matrix, qst_projected_gradient
 
 TABLE_ROWS = {
     "simulator": ((-0.0006, -0.4674, -0.8920),
@@ -66,7 +64,7 @@ class TestClosedForm:
         for _ in range(200):
             b = _ball_point(rng)
             res = qst_closed_form(b)
-            direct = float(np.linalg.norm((a @ vec(res.rho.matrix)).real - b) ** 2)
+            direct = float(np.linalg.norm((a @ res.rho.matrix.reshape(4)).real - b) ** 2)
             assert abs(res.residual_sq - direct) <= 1e-9
 
     def test_accepts_bvector_and_keeps_delta(self):

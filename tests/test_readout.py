@@ -515,6 +515,11 @@ class TestIQDataset:
         with pytest.raises(ValueError, match="seed must be an integer"):
             IQDataset("z", [0.0], [0.0], [0], seed=seed)
 
+    @pytest.mark.parametrize("mixture", [{"alpha": 1}, "wide", 0, []], ids=["dict", "string", "zero", "list"])
+    def test_rejects_a_mixture_that_is_not_mixture_params(self, mixture):
+        with pytest.raises(ValueError, match="^mixture must be None or a MixtureParams"):
+            IQDataset("z", [0.0], [0.0], [0], seed=1, mixture=mixture)
+
     def test_numpy_integer_seed_is_stored_as_int(self):
         d = IQDataset("z", [0.0], [0.0], [0], seed=np.uint64(2**64 - 1))
         assert type(d.seed) is int and d.seed == 2**64 - 1
