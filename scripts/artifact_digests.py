@@ -5,13 +5,16 @@ Runs each subcommand in-process through ``iqtomo.cli.main`` -- simulate,
 discriminate (three modes), tomo (three modes x header/EM calibration),
 bilevel (three modes), qhi (exact, and sampled readout with hard and
 with soft discrimination), plot-iq and repro-paper -- into a fresh
-directory.  It also writes ``export_csv`` of the simulated z dataset and
-a ``load_dataset`` -> ``save_dataset`` round trip of each simulated axis
-file and a ``load_trajectory`` -> ``save_trajectory`` round trip of each
-qhi trajectory file, so the digests pin the dataset and trajectory readers
-as well as the writers.  It then prints one sorted ``relpath sha256`` line
-per file written.  Shot
-counts and trajectory lengths are small, so a run takes seconds.
+directory.  It also writes ``export_csv`` of the simulated z dataset, a
+``load_dataset`` -> ``save_dataset`` round trip of each simulated axis
+file, the same round trip of a re-spaced copy of the z file (``": "``
+written as ``":  "``, so the per-line parser reads every line; it must
+save to the bytes of the canonical z round trip, or the script exits with
+an error) and a ``load_trajectory`` -> ``save_trajectory`` round trip of
+each qhi trajectory file, so the digests pin the dataset and trajectory
+readers as well as the writers.  It then prints one sorted ``relpath
+sha256`` line per file written.  Shot counts and trajectory lengths are
+small, so a run takes seconds.
 
 Two checkouts write byte-identical artifacts when the printed lists are
 equal; the package is imported from wherever ``PYTHONPATH`` points:
@@ -28,6 +31,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 import iqtomo
 from iqtomo.cli import main as cli_main
@@ -96,6 +100,17 @@ def main() -> int:
         dataset = iqtomo.load_dataset(os.path.join(sim, f"iq_{axis}.jsonl"))
         iqtomo.save_dataset(dataset, os.path.join(files, f"iq_{axis}.jsonl"))
     iqtomo.export_csv(dataset, os.path.join(files, "iq_z.csv"))
+    with tempfile.TemporaryDirectory() as tmp:
+        respaced = os.path.join(tmp, "iq_z.jsonl")
+        with open(os.path.join(sim, "iq_z.jsonl"), encoding="utf-8") as handle:
+            text = handle.read()
+        with open(respaced, "w", encoding="utf-8") as handle:
+            handle.write(text.replace(": ", ":  "))
+        saved = os.path.join(files, "iq_z_respaced.jsonl")
+        iqtomo.save_dataset(iqtomo.load_dataset(respaced), saved)
+    with open(saved, "rb") as got, open(os.path.join(files, "iq_z.jsonl"), "rb") as want:
+        if got.read() != want.read():
+            raise SystemExit("the re-spaced z dataset does not load to the canonical one")
     for mode in MODES:
         flags = ["--config", cfg, "--mode", mode]
         z_data = os.path.join(sim, "iq_z.jsonl")

@@ -36,7 +36,7 @@ from .discriminate import (
     memberships_for,
 )
 from .plot import render_iq_svg
-from .qcore import AXES, DensityMatrix, json_object
+from .qcore import AXES, DensityMatrix, json_object, json_text
 from .qhi import (
     fit_channel,
     observe_trajectory,
@@ -95,8 +95,7 @@ class RunConfig:
     seed: int = 1
     n_per_axis: int = 10_000
     state: DensityMatrix = field(default_factory=lambda: REFERENCE_STATE)
-    mixture: MixtureParams = field(default_factory=lambda: DEFAULT_MIXTURE)
-    mixture_explicit: bool = False
+    mixture: Optional[MixtureParams] = None  # None: the config names none, DEFAULT_MIXTURE applies
     mode: str = "hard"
     out: Optional[str] = None
     qhi: QhiConfig = field(default_factory=QhiConfig)
@@ -108,6 +107,8 @@ class RunConfig:
             raise ConfigError("n_per_axis must be >= 1")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.out == "":
+            raise ConfigError("the output directory (--out or paths.out) must not be empty")
 
 
 def _typed(section: dict, key: str, name: str, number: bool = False):
@@ -138,7 +139,6 @@ def parse_config_dict(obj: dict) -> RunConfig:
             kwargs["mixture"] = MixtureParams.from_json_dict(obj["mixture"])
         except ValueError as exc:
             raise ConfigError(f"invalid mixture: {exc}") from exc
-        kwargs["mixture_explicit"] = True
     if "mode" in obj:
         kwargs["mode"] = obj["mode"]
     if "paths" in obj:
@@ -166,13 +166,7 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
     """Read the config file (if any) and apply command-line overrides."""
     if path is not None:
         with open(path, "r", encoding="utf-8") as handle:
-            try:
-                raw = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc.msg}") from exc
-            except RecursionError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        cfg = parse_config_dict(raw)
+            cfg = parse_config_dict(json_text(handle.read(), "config"))
     else:
         cfg = RunConfig()
     updates = {
@@ -206,7 +200,7 @@ def _json_text(obj) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args)
     out_dir = _require_out(cfg)
-    datasets = simulate_datasets(cfg.state, cfg.mixture, cfg.n_per_axis, cfg.seed)
+    datasets = simulate_datasets(cfg.state, cfg.mixture or DEFAULT_MIXTURE, cfg.n_per_axis, cfg.seed)
     print("axis  n_zero  n_one  n_noise  file")
     for axis, dataset in datasets.items():
         path = _dataset_path(out_dir, axis)
@@ -218,8 +212,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _calibrate(dataset: IQDataset, cfg: RunConfig, source: str) -> MixtureParams:
     """Pick mixture parameters: explicit config > dataset header > EM fit."""
-    if source == "config" or (source == "auto" and cfg.mixture_explicit):
-        return cfg.mixture
+    if source == "config" or (source == "auto" and cfg.mixture is not None):
+        return cfg.mixture or DEFAULT_MIXTURE
     if source == "header" or (source == "auto" and dataset.mixture is not None):
         if dataset.mixture is None:
             raise ConfigError("dataset header carries no mixture parameters")
@@ -323,7 +317,7 @@ def cmd_qhi(args: argparse.Namespace) -> int:
             trajectory,
             mode=q.observe,
             n=cfg.n_per_axis,
-            theta=cfg.mixture,
+            theta=cfg.mixture or DEFAULT_MIXTURE,
             seed=mix_seed(cfg.seed, 0xB1E),
             discriminator="hard" if cfg.mode == "assignment" else cfg.mode,
         )

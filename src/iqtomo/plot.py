@@ -13,30 +13,37 @@ POINT_COLORS = {0: "#1f77b4", 1: "#d62728", 2: "#999999", -1: "#555555"}
 WIDTH, HEIGHT = 640, 480  # SVG canvas size in pixels
 
 
-def _svg_components(dataset: IQDataset) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(mean, covariance) pairs to draw: mixture if recorded, else empirical."""
-    if dataset.mixture is not None:
-        return [
-            (dataset.mixture.zero.mean, dataset.mixture.zero.cov),
-            (dataset.mixture.one.mean, dataset.mixture.one.cov),
-        ]
+def _svg_components(dataset: IQDataset) -> tuple[int, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """(e, shots, (mean, covariance) pairs to draw) in units of 2**e.
+
+    The pairs are the mixture's if recorded, else empirical.  e >= 0 is the
+    binary exponent of the largest coordinate, mixture mean or mixture
+    standard deviation, so none exceeds 1 and no frame or overlay arithmetic
+    overflows; dividing by a power of two is exact.
+    """
     points = dataset.points()
+    mixture = dataset.mixture
+    pairs = [] if mixture is None else [(c.mean, c.cov) for c in (mixture.zero, mixture.one)]
+    extents = [np.abs(points).max()] + [
+        max(np.abs(mean).max(), math.sqrt(np.diag(cov).max())) for mean, cov in pairs
+    ]
+    e = max(math.frexp(max(extents))[1], 0)
+    points = np.ldexp(points, -e)
+    if pairs:
+        return e, points, [(np.ldexp(mean, -e), np.ldexp(cov, -2 * e)) for mean, cov in pairs]
     out = []
-    labelled = False
     for code in (0, 1):
         sel = points[dataset.truth == code]
         if sel.shape[0] >= 2:
             out.append((sel.mean(axis=0), np.cov(sel.T, bias=True)))
-            labelled = True
-    if not labelled and points.shape[0] >= 2:
+    if not out and points.shape[0] >= 2:
         out.append((points.mean(axis=0), np.cov(points.T, bias=True)))
-    return out
+    return e, points, out
 
 
 def render_iq_svg(dataset: IQDataset) -> str:
     """Deterministic WIDTH x HEIGHT SVG scatter: one circle per sample, cluster overlays."""
-    points = dataset.points()
-    components = _svg_components(dataset)
+    e, points, components = _svg_components(dataset)
     margin = 48.0
 
     xs = [points[:, 0].min(), points[:, 0].max()]
@@ -47,7 +54,7 @@ def render_iq_svg(dataset: IQDataset) -> str:
         ys += [mean[1] - spread, mean[1] + spread]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    span = max(x_hi - x_lo, y_hi - y_lo, 1e-9)
+    span = max(x_hi - x_lo, y_hi - y_lo, math.ldexp(1e-9, -e))
     scale = (min(WIDTH, HEIGHT) - 2.0 * margin) / span
     x_mid = 0.5 * (x_lo + x_hi)
     y_mid = 0.5 * (y_lo + y_hi)
@@ -67,16 +74,16 @@ def render_iq_svg(dataset: IQDataset) -> str:
         f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
         f'font-size="13" transform="rotate(-90 16 {HEIGHT / 2:.1f})">Q</text>',
     ]
-    for x, y, code in zip(dataset.i, dataset.q, dataset.truth):
-        px, py = to_px(float(x), float(y))
-        color = POINT_COLORS.get(int(code), POINT_COLORS[-1])
+    for (x, y), code in zip(points.tolist(), dataset.truth.tolist()):
+        px, py = to_px(x, y)
+        color = POINT_COLORS.get(code, POINT_COLORS[-1])
         parts.append(
             f'<circle class="pt" cx="{px:.2f}" cy="{py:.2f}" r="2" fill="{color}" '
             f'fill-opacity="0.6"/>'
         )
     for mean, cov in components:
-        mx, my = float(mean[0]), float(mean[1])
-        px, py = to_px(mx, my)
+        px, py = to_px(float(mean[0]), float(mean[1]))
+        mx, my = (math.ldexp(float(m), e) for m in mean)
         w, v = np.linalg.eigh(np.asarray(cov, dtype=float))
         rx = 2.0 * math.sqrt(max(w[1], 0.0)) * scale
         ry = 2.0 * math.sqrt(max(w[0], 0.0)) * scale

@@ -31,13 +31,15 @@ zeros included, are those of the matrix expression.
 ``bloch_from_density`` reads the Bloch vector off the entries with three
 real sums, each started from +0, which are the bits of ``A @ vec(rho)`` for
 the complex 3 x 4 measurement matrix ``A[I] = conj(vec(sigma_I))``.
-``json_object`` and ``json_numbers`` check parsed JSON before any of the
+Every file the package reads is parsed with ``json_text`` and checked with
+``json_object``, ``json_number`` and ``json_numbers`` before any of the
 package's types are built from it.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -76,33 +78,46 @@ def json_object(obj, name: str, required: Sequence[str] = (), optional: Sequence
     missing = [key for key in required if key not in obj]
     if missing:
         raise ValueError(f"{name} is missing key(s): {', '.join(missing)}")
-    unknown = sorted(set(obj) - set(required) - set(optional))
+    unknown = set(obj).difference(required, optional)
     if unknown:
-        raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown {name} key(s): {', '.join(sorted(unknown))}")
     return obj
 
 
-def json_numbers(value, shape: Sequence[int], name: str) -> np.ndarray:
-    """Float array of ``shape`` from nested JSON lists of finite numbers.
+def json_text(raw: str, name: str):
+    """``raw`` parsed as JSON; ValueError ``invalid JSON in <name>: ...`` otherwise,
+    also for text nested too deeply or an integer too long for the parser."""
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ValueError(f"invalid JSON in {name}: {getattr(exc, 'msg', exc)}") from exc
 
-    ``true``/``false``, numbers written as strings, other shapes, NaN,
-    infinities and integers beyond the float range raise ValueError.
-    """
+
+def json_number(item, name: str) -> float:
+    """``item`` as a float: a finite JSON number, not ``true``/``false`` or a
+    number written as a string; NaN, infinities and integers beyond the float
+    range raise ValueError."""
+    if isinstance(item, bool) or not isinstance(item, (int, float)):
+        raise ValueError(f"{name} must hold JSON numbers, got {item!r}")
+    try:
+        number = float(item)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must hold finite numbers, got {item!r}")
+    return number
+
+
+def json_numbers(value, shape: Sequence[int], name: str) -> np.ndarray:
+    """Float array of ``shape`` from nested JSON lists of :func:`json_number` items;
+    ValueError for lists of another shape."""
 
     def convert(item, dims):
-        if dims:
-            if not isinstance(item, list) or len(item) != dims[0]:
-                raise ValueError(f"{name} must be a {list(shape)} list of numbers, got {item!r}")
-            return [convert(sub, dims[1:]) for sub in item]
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ValueError(f"{name} must hold JSON numbers, got {item!r}")
-        try:
-            number = float(item)
-        except OverflowError:
-            number = math.inf
-        if not math.isfinite(number):
-            raise ValueError(f"{name} must hold finite numbers, got {item!r}")
-        return number
+        if not dims:
+            return json_number(item, name)
+        if not isinstance(item, list) or len(item) != dims[0]:
+            raise ValueError(f"{name} must be a {list(shape)} list of numbers, got {item!r}")
+        return [convert(sub, dims[1:]) for sub in item]
 
     return np.array(convert(value, tuple(shape)), dtype=float)
 

@@ -49,6 +49,7 @@ from .qcore import (
     bloch_from_density,
     json_numbers,
     json_object,
+    json_text,
     pauli,
 )
 from .qst import qst_closed_form
@@ -305,19 +306,21 @@ def load_trajectory(path: str) -> Trajectory:
         if len(lines) < 3:
             raise ValueError("a trajectory needs a header line and at least two steps")
         lineno, raw = lines[0]
-        header = json_object(json.loads(raw), "trajectory header", required=("id", "dt"))
+        header = json_object(
+            json_text(raw, "trajectory header"), "trajectory header", required=("id", "dt")
+        )
         trajectory_id, dt = _header(header["id"], header["dt"])
         observations = []
         for position, (lineno, raw) in enumerate(lines[1:]):
-            record = json_object(json.loads(raw), "trajectory record", required=("step", "b"))
+            record = json_object(
+                json_text(raw, "trajectory record"), "trajectory record", required=("step", "b")
+            )
             step = record["step"]
             if type(step) is not int or step != position:
                 raise ValueError(f"expected step {position}, got {step!r}")
             b = json_numbers(record["b"], (3,), "trajectory b")
             observations.append(BVector(b=b, delta=np.zeros(3)))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply to parse
+    except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from exc
     return Trajectory(trajectory_id=trajectory_id, dt=dt, observations=tuple(observations))
 

@@ -44,7 +44,7 @@ from .discriminate import (
     ContaminationSpec,
     MixtureParams,
 )
-from .qcore import AXES, DensityMatrix, bloch_from_density
+from .qcore import AXES, DensityMatrix, bloch_from_density, json_number, json_object, json_text
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -373,7 +373,6 @@ def write_csv_lines(path: str, header: Sequence[str], lines: Iterable[str]) -> N
 # save_dataset writes each sample line as json.dumps(record, sort_keys=True)
 # would: keys in the order i, q, truth and floats printed by float.__repr__.
 _LABEL_TOKENS = tuple(json.dumps(name) for name in LABEL_NAMES)
-_LABEL_CODES = {name: code for code, name in enumerate(LABEL_NAMES)}
 _TOKEN_CODES = {token: code for code, token in enumerate(_LABEL_TOKENS)} | {"null": -1}
 # JSON numbers with a fraction or an exponent; json.loads parses these with
 # float(), as numpy does.  Integers stay on the json.loads path, which keeps
@@ -410,9 +409,9 @@ def load_dataset(path: str) -> IQDataset:
 
     Lines are numbered as ``str.splitlines`` splits them.  Samples are read
     in blocks of about 64 KiB.  A block made only of canonical sample lines,
-    as :func:`save_dataset` writes them, is converted with one numpy call
-    per column; any other block is parsed line by line with ``json.loads``,
-    and that path reports every defect.
+    as :func:`save_dataset` writes them, with finite coordinates, is
+    converted with one numpy call per column; any other block is parsed and
+    checked line by line, and that path reports every defect.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -427,26 +426,10 @@ def load_dataset(path: str) -> IQDataset:
         with open(path, "r", encoding="utf-8") as handle:
             handle.read()  # raises again, with the byte offset counted from the file start
         raise
-    if not any(lines for *_, lines in parsed):
+    if not any(i_part.size for i_part, _, _ in parsed):
         raise DatasetFormatError("dataset contains no samples", line=n_lines)
-    i_parts, q_parts, truth_parts, sample_lines = zip(*parsed)
-    i_arr = np.concatenate(i_parts)
-    q_arr = np.concatenate(q_parts)
-    finite = np.isfinite(i_arr) & np.isfinite(q_arr)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        line = list(itertools.chain.from_iterable(sample_lines))[bad]
-        raise DatasetFormatError(
-            f"non-finite coordinate (i={i_arr[bad]!r}, q={q_arr[bad]!r})", line=line
-        )
-    return IQDataset(
-        observable=observable,
-        i=i_arr,
-        q=q_arr,
-        truth=np.concatenate(truth_parts),
-        seed=seed,
-        mixture=mixture,
-    )
+    i_arr, q_arr, truth = (np.concatenate(parts) for parts in zip(*parsed))
+    return IQDataset(observable, i_arr, q_arr, truth, seed=seed, mixture=mixture)
 
 
 def _line_blocks(handle) -> Iterator[str]:
@@ -456,7 +439,7 @@ def _line_blocks(handle) -> Iterator[str]:
 
 
 def _parse_blocks(blocks: Iterator[str]) -> tuple[tuple, list[list], int]:
-    """Header fields, each block's parsed samples, and the file's line count."""
+    """Header fields, each block's (i, q, truth) columns, and the file's line count."""
     first = next(blocks, "")
     if not first:
         raise DatasetFormatError("empty file, expected a header line", line=1)
@@ -467,96 +450,67 @@ def _parse_blocks(blocks: Iterator[str]) -> tuple[tuple, list[list], int]:
     next_line = 2
     for block in itertools.chain([first[len(first_line) :]], blocks):
         if block:
-            *columns, next_line = _parse_samples(block, next_line)
+            *columns, n_block_lines = _parse_samples(block, next_line)
             parsed.append(columns)
+            next_line += n_block_lines
     return header, parsed, next_line - 1
 
 
 def _parse_header(raw: str) -> tuple[str, int, Optional[MixtureParams]]:
     """(observable, seed, mixture) from the header line."""
     try:
-        header = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"invalid JSON in header: {exc.msg}", line=1) from exc
-    except RecursionError as exc:
-        raise DatasetFormatError(f"invalid JSON in header: {exc}", line=1) from exc
-    if not isinstance(header, dict):
-        raise DatasetFormatError("header must be a JSON object", line=1)
-    if "obs" not in header:
-        raise DatasetFormatError("header is missing required field 'obs'", line=1)
-    observable = header["obs"]
-    if observable not in AXES:
-        raise DatasetFormatError(f"unknown observable {observable!r}", line=1)
-    seed = header.get("seed", 0)
-    if not _is_seed(seed):
-        raise DatasetFormatError(f"invalid seed {seed!r}: not an integer in [0, 2**64)", line=1)
-    mixture = None
-    if header.get("mixture") is not None:
-        try:
-            mixture = MixtureParams.from_json_dict(header["mixture"])
-        except ValueError as exc:
-            raise DatasetFormatError(f"invalid mixture parameters: {exc}", line=1) from exc
+        header = json_object(
+            json_text(raw, "header"), "header", required=("obs",), optional=("seed", "mixture")
+        )
+        observable = header["obs"]
+        if observable not in AXES:
+            raise ValueError(f"unknown observable {observable!r}")
+        seed = header.get("seed", 0)
+        if not _is_seed(seed):
+            raise ValueError(f"invalid seed {seed!r}: not an integer in [0, 2**64)")
+        mixture = header.get("mixture")
+        if mixture is not None:
+            try:
+                mixture = MixtureParams.from_json_dict(mixture)
+            except ValueError as exc:
+                raise ValueError(f"invalid mixture parameters: {exc}") from exc
+    except ValueError as exc:
+        raise DatasetFormatError(str(exc), line=1) from exc
     return observable, seed, mixture
 
 
-def _parse_samples(
-    block: str, first_line: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int], int]:
-    """(i, q, truth, sample line numbers, next line number) of a block starting at ``first_line``."""
+def _parse_samples(block: str, first_line: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(i, q, truth, line count) of a block whose first line is ``first_line``."""
     text = block if block.endswith("\n") else block + "\n"
     rows = _CANONICAL_SAMPLE.findall(text)
     # a match is always one whole line, so as many matches as lines is every line
     if rows and len(rows) == text.count("\n"):
         i_txt, q_txt, t_txt = zip(*rows)
-        return (
-            np.array(i_txt, dtype=float),
-            np.array(q_txt, dtype=float),
-            np.array([_TOKEN_CODES[token] for token in t_txt], dtype=np.int8),
-            range(first_line, first_line + len(rows)),
-            first_line + len(rows),
-        )
+        i_vals = np.array(i_txt, dtype=float)
+        q_vals = np.array(q_txt, dtype=float)
+        # a coordinate such as 1e400 converts to inf; the per-line path reports its line
+        if np.isfinite(i_vals).all() and np.isfinite(q_vals).all():
+            truth = np.array([_TOKEN_CODES[token] for token in t_txt], dtype=np.int8)
+            return i_vals, q_vals, truth, len(rows)
     raw_lines = block.splitlines()
-    i_vals: list[float] = []
-    q_vals: list[float] = []
-    truth: list[int] = []
-    lines: list[int] = []
+    values: list[float] = []  # i, q and truth code of each sample in turn
     for lineno, raw in enumerate(raw_lines, start=first_line):
         if not raw.strip():
             continue
         try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"invalid JSON in sample: {exc.msg}", line=lineno) from exc
-        except RecursionError as exc:
-            raise DatasetFormatError(f"invalid JSON in sample: {exc}", line=lineno) from exc
-        if not isinstance(record, dict):
-            raise DatasetFormatError("sample must be a JSON object", line=lineno)
-        for key, values in (("i", i_vals), ("q", q_vals)):
-            if key not in record:
-                raise DatasetFormatError(f"sample is missing required field {key!r}", line=lineno)
-            value = record[key]
-            # a JSON number only: not true/false, not a number written as a string
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DatasetFormatError(f"non-numeric coordinate {key}={value!r}", line=lineno)
-            try:
-                values.append(float(value))
-            except OverflowError as exc:
-                raise DatasetFormatError(f"coordinate out of float range: {exc}", line=lineno) from exc
-        label = record.get("truth")
-        if label is None:
-            truth.append(-1)
-        elif isinstance(label, str) and label in _LABEL_CODES:
-            truth.append(_LABEL_CODES[label])
-        else:
-            raise DatasetFormatError(f"unknown truth label {label!r}", line=lineno)
-        lines.append(lineno)
-    return (
-        np.asarray(i_vals, dtype=float),
-        np.asarray(q_vals, dtype=float),
-        np.asarray(truth, dtype=np.int8),
-        lines,
-        first_line + len(raw_lines),
-    )
+            record = json_object(
+                json_text(raw, "sample"), "sample", required=("i", "q"), optional=("truth",)
+            )
+            i_val = json_number(record["i"], "sample i")
+            q_val = json_number(record["q"], "sample q")
+            label = record.get("truth")
+            if label is not None and label not in LABEL_NAMES:
+                raise ValueError(f"unknown truth label {label!r}")
+            values += (i_val, q_val, -1 if label is None else LABEL_NAMES.index(label))
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc), line=lineno) from exc
+    i_col, q_col, t_col = np.array(values, dtype=float).reshape(-1, 3).T
+    return i_col, q_col, t_col.astype(np.int8), len(raw_lines)
 
 
 def export_csv(dataset: IQDataset, path: str) -> None:

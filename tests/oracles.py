@@ -348,75 +348,82 @@ def save_dataset_reference(dataset, path: str) -> None:
 
 
 def load_dataset_reference(path: str):
-    """Whole-file ``splitlines`` and one ``json.loads`` per line."""
+    """Whole-file ``splitlines`` and one ``json.loads`` per line.
+
+    The header holds ``obs`` and optionally ``seed`` and ``mixture``; a sample
+    holds ``i``, ``q`` and optionally ``truth``.  A missing key, then an
+    unknown key, is a defect, as is a coordinate that is not a finite JSON
+    number.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         raw_lines = handle.read().splitlines()
     if not raw_lines:
         raise DatasetFormatError("empty file, expected a header line", line=1)
 
-    try:
-        header = json.loads(raw_lines[0])
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"invalid JSON in header: {exc.msg}", line=1) from exc
-    if not isinstance(header, dict):
-        raise DatasetFormatError("header must be a JSON object", line=1)
-    if "obs" not in header:
-        raise DatasetFormatError("header is missing required field 'obs'", line=1)
+    def record_of(raw: str, name: str, lineno: int, required: tuple, optional: tuple) -> dict:
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"invalid JSON in {name}: {exc.msg}", line=lineno) from exc
+        if not isinstance(record, dict):
+            raise DatasetFormatError(f"{name} must be a JSON object", line=lineno)
+        missing = [key for key in required if key not in record]
+        if missing:
+            raise DatasetFormatError(f"{name} is missing key(s): {', '.join(missing)}", line=lineno)
+        unknown = sorted(key for key in record if key not in required + optional)
+        if unknown:
+            raise DatasetFormatError(f"unknown {name} key(s): {', '.join(unknown)}", line=lineno)
+        return record
+
+    header = record_of(raw_lines[0], "header", 1, ("obs",), ("seed", "mixture"))
     observable = header["obs"]
     if observable not in AXES:
         raise DatasetFormatError(f"unknown observable {observable!r}", line=1)
-    seed = int(header.get("seed", 0))
+    seed = header.get("seed", 0)
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise DatasetFormatError(f"invalid seed {seed!r}: not an integer in [0, 2**64)", line=1)
     mixture = None
     if header.get("mixture") is not None:
         try:
             mixture = MixtureParams.from_json_dict(header["mixture"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise DatasetFormatError(f"invalid mixture parameters: {exc}", line=1) from exc
 
     label_codes = {name: code for code, name in enumerate(LABEL_NAMES)}
-    i_vals: list[float] = []
-    q_vals: list[float] = []
+    columns: dict[str, list[float]] = {"i": [], "q": []}
     truth: list[int] = []
     for lineno, raw in enumerate(raw_lines[1:], start=2):
         if not raw.strip():
             continue
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"invalid JSON in sample: {exc.msg}", line=lineno) from exc
-        if not isinstance(record, dict):
-            raise DatasetFormatError("sample must be a JSON object", line=lineno)
-        try:
-            i_vals.append(float(record["i"]))
-            q_vals.append(float(record["q"]))
-        except KeyError as exc:
-            raise DatasetFormatError(
-                f"sample is missing required field {exc.args[0]!r}", line=lineno
-            ) from exc
-        except (TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"non-numeric coordinate: {exc}", line=lineno) from exc
+        record = record_of(raw, "sample", lineno, ("i", "q"), ("truth",))
+        for key, values in columns.items():
+            value = record[key]
+            if type(value) not in (int, float):
+                raise DatasetFormatError(
+                    f"sample {key} must hold JSON numbers, got {value!r}", line=lineno
+                )
+            try:
+                number = float(value)
+            except OverflowError:  # an integer beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise DatasetFormatError(
+                    f"sample {key} must hold finite numbers, got {value!r}", line=lineno
+                )
+            values.append(number)
         label = record.get("truth")
         if label is None:
             truth.append(-1)
-        elif label in label_codes:
+        elif isinstance(label, str) and label in label_codes:
             truth.append(label_codes[label])
         else:
             raise DatasetFormatError(f"unknown truth label {label!r}", line=lineno)
-    if not i_vals:
+    if not truth:
         raise DatasetFormatError("dataset contains no samples", line=len(raw_lines))
-    i_arr = np.asarray(i_vals)
-    q_arr = np.asarray(q_vals)
-    finite = np.isfinite(i_arr) & np.isfinite(q_arr)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        sample_lines = [n for n, raw in enumerate(raw_lines[1:], start=2) if raw.strip()]
-        raise DatasetFormatError(
-            f"non-finite coordinate (i={i_arr[bad]!r}, q={q_arr[bad]!r})", line=sample_lines[bad]
-        )
     return IQDataset(
         observable=observable,
-        i=i_arr,
-        q=q_arr,
+        i=np.asarray(columns["i"]),
+        q=np.asarray(columns["q"]),
         truth=np.asarray(truth, dtype=np.int8),
         seed=seed,
         mixture=mixture,

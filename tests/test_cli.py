@@ -109,7 +109,16 @@ class TestConfigValidation:
         cfg = tmp_path / "c.json"
         cfg.write_text(_DEEP, encoding="utf-8")
         code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
-        assert code == 1 and err.startswith("error: config is not valid JSON: ")
+        assert code == 1 and err.startswith("error: invalid JSON in config: ")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+    )
+    def test_integer_too_long_to_parse_is_invalid_json(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"seed": 1' + "0" * (sys.get_int_max_str_digits() + 1) + "}", encoding="utf-8")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1 and err.startswith("error: invalid JSON in config: ")
 
     def test_shot_count_too_large_to_allocate_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", n_per_axis=10**15)
@@ -236,6 +245,16 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--seed", "1")
         assert code == 1 and "output directory" in err
 
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_empty_out_is_invalid_config(self, tmp_path, capsys, spelling):
+        if spelling == "flag":
+            argv = ["--out", ""]
+        else:
+            argv = ["--config", write_config(tmp_path / "c.json", paths={"out": ""})]
+        code, _, err = run(capsys, "simulate", *argv)
+        assert code == 1
+        assert err.startswith("error: ") and "output directory" in err
+
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x", encoding="utf-8")
@@ -269,6 +288,23 @@ class TestDiscriminate:
         lines = (out / "memberships_y.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "sample_index,gamma0,gamma1,gamma_noise"
         assert len(lines) == 10_001
+
+    def test_calibration_sources(self, sim_dir, tmp_path, capsys):
+        wide = write_config(tmp_path / "wide.json", mixture=WIDE_MIXTURE)
+        default = write_config(tmp_path / "default.json", mixture=DEFAULT_MIXTURE.to_json_dict())
+
+        data = ["discriminate", "--data", str(sim_dir / "iq_z.jsonl"), "--mode", "soft"]
+
+        def b_line(*argv):
+            code, out, _ = run(capsys, *data, *argv)
+            assert code == 0
+            return out
+
+        # a config that names no mixture calibrates from DEFAULT_MIXTURE
+        assert b_line("--calibrate", "config") == b_line("--config", default, "--calibrate", "config")
+        # auto takes the config's mixture when it names one, else the header's
+        assert b_line("--config", wide) == b_line("--config", wide, "--calibrate", "config")
+        assert b_line() == b_line("--calibrate", "header") != b_line("--config", wide)
 
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "discriminate", "--data", str(tmp_path / "nope.jsonl"))
@@ -420,6 +456,20 @@ class TestPlotIq:
         code, _, _ = run(capsys, "plot-iq", "--data", str(data), "--out", str(out))
         assert code == 0
         assert out.read_text(encoding="utf-8").count('class="pt"') == 2
+
+    @pytest.mark.parametrize("big", [1e200, 1.7e308])
+    def test_huge_coordinates_draw_finite_overlays(self, tmp_path, capsys, big):
+        # the suite turns numpy RuntimeWarnings into errors, so a pass also means none was raised
+        dataset = IQDataset(
+            "z", [big, -big, big, -big, -big, big], [0.0, 1.0, -1.0, 2.0, 0.5, -0.5],
+            [0, 0, 0, 1, 1, 1], seed=0,
+        )
+        data, out = tmp_path / "big.jsonl", tmp_path / "big.svg"
+        save_dataset(dataset, str(data))
+        assert run(capsys, "plot-iq", "--data", str(data), "--out", str(out))[0] == 0
+        svg = out.read_text(encoding="utf-8")
+        assert svg.count('class="cov"') == 2
+        assert not re.search(r"(?<![a-z])(nan|inf)(?![a-z])", svg)
 
     def test_same_input_same_bytes(self, sim_dir, tmp_path, capsys):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -340,12 +340,11 @@ LINE_MUTATIONS = {
 }
 
 
-# the per-line reference loader accepts these (or, for "nan", fails on the
-# non-finite value); load_dataset takes a coordinate only as a JSON number
+# a coordinate is only a JSON number: not a string, not true/false
 REJECTED_MUTATIONS = {
-    "number_as_string": "non-numeric coordinate i='1.25'",
-    "nan_as_string": "non-numeric coordinate q='nan'",
-    "bool_coordinate": "non-numeric coordinate i=True",
+    "number_as_string": "sample i must hold JSON numbers, got '1.25'",
+    "nan_as_string": "sample q must hold JSON numbers, got 'nan'",
+    "bool_coordinate": "sample i must hold JSON numbers, got True",
 }
 
 
@@ -462,7 +461,7 @@ class TestDatasetReaderWriter:
         [
             ('{"obs": "z", "seed": null}', None, 1, "invalid seed None"),
             ('{"obs": "z", "seed": 1.5e400}', None, 1, "invalid seed inf"),
-            (None, '{"i": 1' + "0" * 400 + ', "q": 0.0, "truth": null}', 3, "out of float range"),
+            (None, '{"i": 1' + "0" * 400 + ', "q": 0.0, "truth": null}', 3, "i must hold finite numbers"),
             (None, '{"i": 0.5, "q": 0.0, "truth": ["zero"]}', 3, "unknown truth label ['zero']"),
         ],
         ids=["null_seed", "overflowing_seed", "400_digit_coordinate", "list_label"],
@@ -495,6 +494,77 @@ class TestDatasetReaderWriter:
         assert d.seed == 2**64 - 1
         save_dataset(d, str(tmp_path / "e.jsonl"))
         assert (tmp_path / "e.jsonl").read_text() == path.read_text()
+
+
+# JSON as Python's json module writes and reads it, NaN and infinities included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=10,
+)
+# objects over the keys a dataset line may hold, and near misses of them
+_LINE_OBJECT = st.dictionaries(
+    st.sampled_from(["i", "q", "truth", "obs", "seed", "mixture", "Truth", "sead", ""]),
+    st.one_of(_JSON, st.sampled_from(["x", "z", "zero", "one", "noise", 0.5, 7])),
+    max_size=5,
+)
+
+
+_SAMPLE = '{"i": 0.0, "q": 0.0, "truth": "zero"}\n'
+_HEAD = '{"obs": "z", "seed": 5}\n' + _SAMPLE
+
+
+class TestDatasetLineKeys:
+    """One rule for every dataset line: the keys it must hold, and no other key."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(where=st.integers(1, 6), value=st.one_of(_JSON, _LINE_OBJECT))
+    def test_arbitrary_json_line_loads_or_names_its_line(self, tmp_path_factory, where, value):
+        lines = list(CANONICAL[:6])
+        lines[where - 1] = json.dumps(value)
+        path = tmp_path_factory.getbasetemp() / "arbitrary_line.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            dataset = load_dataset(str(path))
+        except DatasetFormatError as exc:
+            assert exc.line == where, str(exc)
+        else:
+            assert isinstance(dataset, IQDataset)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ('{"obs": "z", "sead": 5}\n' + _SAMPLE, 1, "unknown header key(s): sead"),
+            (_HEAD + '{"i": 0.5, "q": 0.0, "Truth": "one"}\n', 3, "unknown sample key(s): Truth"),
+            (_HEAD + '{"extra": 1, "i": 0.5, "q": 0.0}\n', 3, "unknown sample key(s): extra"),
+        ],
+        ids=["header_sead", "sample_Truth", "sample_extra"],
+    )
+    def test_unknown_key_is_refused(self, tmp_path, text, line, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(str(path))
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_overflowing_canonical_line_in_second_block_names_its_line(self, tmp_path):
+        lines = list(CANONICAL)
+        canonical = lines[SECOND_BLOCK - 1]
+        lines[SECOND_BLOCK - 1] = '{"i": 1e400' + canonical[canonical.index(', "q": ') :]
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(str(path))
+        assert err.value.line == SECOND_BLOCK
+        assert str(err.value) == f"line {SECOND_BLOCK}: sample i must hold finite numbers, got inf"
+
+    def test_respaced_copy_loads_bit_for_bit(self, tmp_path):
+        saved, respaced = tmp_path / "saved.jsonl", tmp_path / "respaced.jsonl"
+        saved.write_text("\n".join(CANONICAL) + "\n", encoding="utf-8")
+        respaced.write_text(saved.read_text(encoding="utf-8").replace(": ", ":  "), encoding="utf-8")
+        assert _bit_identical(load_dataset(str(respaced)), load_dataset(str(saved)))
 
 
 class TestIQDataset:
