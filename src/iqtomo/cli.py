@@ -36,7 +36,7 @@ from .discriminate import (
     memberships_for,
 )
 from .plot import render_iq_svg
-from .qcore import AXES, DensityMatrix, json_object, json_text
+from .qcore import AXES, DensityMatrix, json_integer, json_number, json_object, json_text
 from .qhi import (
     fit_channel,
     observe_trajectory,
@@ -73,15 +73,13 @@ class QhiConfig:
     rotation_rate: float = math.pi / 5.0
 
     def __post_init__(self) -> None:
-        for name in ("dt", "rotation_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"qhi.{name} must be finite")
-        if self.steps < 1:
-            raise ConfigError("qhi.steps must be >= 1")
-        if self.dt <= 0:
-            raise ConfigError("qhi.dt must be positive")
-        if self.trajectories < 1:
-            raise ConfigError("qhi.trajectories must be >= 1")
+        for name in ("steps", "trajectories"):
+            object.__setattr__(self, name, json_integer(getattr(self, name), f"qhi.{name}", 1))
+        dt = json_number(self.dt, "qhi.dt")
+        if dt <= 0:
+            raise ConfigError(f"qhi.dt must be > 0, got {self.dt!r}")
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "rotation_rate", json_number(self.rotation_rate, "qhi.rotation_rate"))
         if self.observe not in ("exact", "sampled"):
             raise ConfigError(f"unknown qhi.observe {self.observe!r}")
         if self.fit not in ("from_states", "from_qst"):
@@ -101,23 +99,12 @@ class RunConfig:
     qhi: QhiConfig = field(default_factory=QhiConfig)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be an unsigned 64-bit integer")
-        if self.n_per_axis < 1:
-            raise ConfigError("n_per_axis must be >= 1")
+        object.__setattr__(self, "seed", json_integer(self.seed, "seed", 0, 2**64))
+        object.__setattr__(self, "n_per_axis", json_integer(self.n_per_axis, "n_per_axis", 1))
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.out == "":
             raise ConfigError("the output directory (--out or paths.out) must not be empty")
-
-
-def _typed(section: dict, key: str, name: str, number: bool = False):
-    """``section[key]``, which must be an integer (or any real number if ``number``)."""
-    value = section[key]
-    # bool is a subclass of int, but `true` is not a count, a seed or a rate
-    if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
-        raise ConfigError(f"{name} must be {'a number' if number else 'an integer'}")
-    return value
 
 
 def parse_config_dict(obj: dict) -> RunConfig:
@@ -125,10 +112,7 @@ def parse_config_dict(obj: dict) -> RunConfig:
     json_object(
         obj, "config", optional=("seed", "n_per_axis", "state", "mixture", "mode", "paths", "qhi")
     )
-    kwargs: dict = {}
-    for key in ("seed", "n_per_axis"):
-        if key in obj:
-            kwargs[key] = _typed(obj, key, key)
+    kwargs = {key: obj[key] for key in ("seed", "n_per_axis", "mode") if key in obj}
     if "state" in obj:
         try:
             kwargs["state"] = DensityMatrix.from_json_dict(obj["state"])
@@ -139,27 +123,15 @@ def parse_config_dict(obj: dict) -> RunConfig:
             kwargs["mixture"] = MixtureParams.from_json_dict(obj["mixture"])
         except ValueError as exc:
             raise ConfigError(f"invalid mixture: {exc}") from exc
-    if "mode" in obj:
-        kwargs["mode"] = obj["mode"]
     if "paths" in obj:
         out = json_object(obj["paths"], "paths", optional=("out",)).get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError("paths.out must be a string")
         kwargs["out"] = out
-    qhi: dict = {}
     if "qhi" in obj:
         qhi = json_object(obj["qhi"], "qhi", optional=[f.name for f in fields(QhiConfig)])
-        for key in ("steps", "trajectories", "dt", "rotation_rate"):
-            if key in qhi:
-                _typed(qhi, key, f"qhi.{key}", number=key in ("dt", "rotation_rate"))
-    try:
-        if qhi:
-            kwargs["qhi"] = QhiConfig(**qhi)
-        return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+        kwargs["qhi"] = QhiConfig(**qhi)
+    return RunConfig(**kwargs)
 
 
 def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
@@ -252,24 +224,6 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_axis_datasets(args: argparse.Namespace) -> dict[str, IQDataset]:
-    if getattr(args, "data_dir", None) is not None:
-        paths = {axis: _dataset_path(args.data_dir, axis) for axis in AXES}
-    else:
-        paths = {"x": args.dx, "y": args.dy, "z": args.dz}
-        if any(path is None for path in paths.values()):
-            raise ConfigError("provide --data-dir or all of --dx, --dy, --dz")
-    datasets = {}
-    for axis, path in paths.items():
-        dataset = load_dataset(path)
-        if dataset.observable != axis:
-            raise ConfigError(
-                f"{path} holds observable {dataset.observable!r}, expected {axis!r}"
-            )
-        datasets[axis] = dataset
-    return datasets
-
-
 def _write_b_table(path: str, rows: dict[str, tuple[float, float, float]]) -> None:
     write_csv_lines(
         path,
@@ -283,7 +237,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     three datasets, write report.json, then the subcommand's own files."""
     cfg = load_config(args.config, args)
     out_dir = _require_out(cfg)
-    datasets = _load_axis_datasets(args)
+    datasets = {axis: load_dataset(_dataset_path(args.data_dir, axis)) for axis in AXES}
     theta = {axis: _calibrate(datasets[axis], cfg, args.calibrate) for axis in AXES}
     result = bilevel_qst(datasets["x"], datasets["y"], datasets["z"], theta, mode=cfg.mode)
     report = tomography_report(result, reference=cfg.state)
@@ -436,10 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("tomo", "bilevel"):
         sub = commands.add_parser(name, help=f"{name} reconstruction from three datasets")
         _add_common(sub)
-        sub.add_argument("--data-dir", help="directory holding iq_x/y/z.jsonl")
-        sub.add_argument("--dx", help="x-axis dataset path")
-        sub.add_argument("--dy", help="y-axis dataset path")
-        sub.add_argument("--dz", help="z-axis dataset path")
+        sub.add_argument("--data-dir", required=True, help="directory holding iq_x/y/z.jsonl")
         _add_calibrate(sub)
         sub.set_defaults(func=cmd_reconstruct)
 

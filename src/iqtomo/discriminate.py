@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .qcore import json_numbers, json_object
+from .qcore import json_number, json_numbers, json_object
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .readout import IQDataset
@@ -107,9 +107,10 @@ class ContaminationSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.weight < 1.0:
             raise ValueError(f"contamination weight {self.weight} outside [0, 1)")
-        if self.radius <= 0.0:
+        if json_number(self.radius, "contamination radius") <= 0.0:
             raise ValueError("contamination radius must be positive")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        center = tuple(json_numbers(list(self.center), (2,), "contamination center").tolist())
+        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)
@@ -611,6 +612,8 @@ def capacities_from_weights(alpha: Sequence[float], n: int) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (3,):
         raise ValueError("expected three class weights")
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"class weights must be finite, got {alpha.tolist()}")
     if alpha.min() < -1e-12:
         raise ValueError("class weights must be non-negative")
     if abs(alpha.sum() - 1.0) > 1e-9:

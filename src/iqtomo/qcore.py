@@ -32,8 +32,9 @@ zeros included, are those of the matrix expression.
 real sums, each started from +0, which are the bits of ``A @ vec(rho)`` for
 the complex 3 x 4 measurement matrix ``A[I] = conj(vec(sigma_I))``.
 Every file the package reads is parsed with ``json_text`` and checked with
-``json_object``, ``json_number`` and ``json_numbers`` before any of the
-package's types are built from it.
+``json_object``, ``json_integer``, ``json_number`` and ``json_numbers`` before
+any of the package's types are built from it; the types that store a count,
+seed, id or step size check it with the same two scalar rules.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -93,11 +95,27 @@ def json_text(raw: str, name: str):
         raise ValueError(f"invalid JSON in {name}: {getattr(exc, 'msg', exc)}") from exc
 
 
+def json_integer(item, name: str, low: int, end: Optional[int] = None) -> int:
+    """``item`` as an int: a Python or numpy integer, not ``true``/``false``, in
+    ``[low, end)``, or at least ``low`` if ``end`` is None; ValueError otherwise."""
+    if isinstance(item, numbers.Integral) and not isinstance(item, bool):
+        value = int(item)
+        if low <= value and (end is None or value < end):
+            return value
+    if end is None:
+        bound = f">= {low}"
+    elif end.bit_count() == 1:  # a power of two reads as one: [0, 2**64)
+        bound = f"in [{low}, 2**{end.bit_length() - 1})"
+    else:
+        bound = f"in [{low}, {end})"
+    raise ValueError(f"{name} must be an integer {bound}, got {item!r}")
+
+
 def json_number(item, name: str) -> float:
-    """``item`` as a float: a finite JSON number, not ``true``/``false`` or a
-    number written as a string; NaN, infinities and integers beyond the float
-    range raise ValueError."""
-    if isinstance(item, bool) or not isinstance(item, (int, float)):
+    """``item`` as a float: a finite real number (numpy's among them), not
+    ``true``/``false`` or a number written as a string; NaN, infinities and
+    integers beyond the float range raise ValueError."""
+    if isinstance(item, bool) or not isinstance(item, numbers.Real):
         raise ValueError(f"{name} must hold JSON numbers, got {item!r}")
     try:
         number = float(item)

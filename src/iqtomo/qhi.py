@@ -27,8 +27,6 @@ projection instead of being zeroed.
 from __future__ import annotations
 
 import json
-import numbers
-import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -47,6 +45,8 @@ from .qcore import (
     AXES,
     DensityMatrix,
     bloch_from_density,
+    json_integer,
+    json_number,
     json_numbers,
     json_object,
     json_text,
@@ -163,12 +163,12 @@ def step_unitary(axis: str, rate: float, dt: float) -> np.ndarray:
 
 
 def _header(tid, dt) -> tuple[int, float]:
-    """``(id, dt)`` as Python numbers: an integer id >= 0 and a finite dt > 0, neither a bool."""
-    if isinstance(tid, bool) or not isinstance(tid, numbers.Integral) or tid < 0:
-        raise ValueError(f"trajectory id must be an integer >= 0, got {tid!r}")
-    if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0.0 < dt <= sys.float_info.max:
-        raise ValueError(f"trajectory dt must be a finite number > 0, got {dt!r}")
-    return int(tid), float(dt)
+    """``(id, dt)`` as Python numbers: an integer id >= 0 and a finite dt > 0."""
+    trajectory_id = json_integer(tid, "trajectory id", 0)
+    dt_value = json_number(dt, "trajectory dt")
+    if dt_value <= 0.0:
+        raise ValueError(f"trajectory dt must be > 0, got {dt!r}")
+    return trajectory_id, dt_value
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,9 @@ from .discriminate import (
     ContaminationSpec,
     MixtureParams,
 )
-from .qcore import AXES, DensityMatrix, bloch_from_density, json_number, json_object, json_text
+from .qcore import (
+    AXES, DensityMatrix, bloch_from_density, json_integer, json_number, json_object, json_text
+)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -83,11 +85,6 @@ def mix_seed(base_seed: int, *salts: int) -> int:
     for salt in salts:
         out = _splitmix64(out ^ ((int(salt) * _GOLDEN64) & _MASK64))
     return out
-
-
-def _is_seed(value) -> bool:
-    """True for an integer in [0, 2**64): the seeds a dataset can carry."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value <= _MASK64
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -164,13 +161,11 @@ class IQDataset:
         # before the int8 cast, which would wrap 258 to 2
         if not np.isin(truth, _TRUTH_CODES).all():
             raise ValueError(f"truth labels must be among {list(_TRUTH_CODES)}")
-        if not _is_seed(self.seed):
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "seed", json_integer(self.seed, "seed", 0, 2**64))
         truth = truth.astype(np.int8)  # always a copy
         for name, arr in (("i", i), ("q", q), ("truth", truth)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n_samples(self) -> int:
@@ -347,7 +342,10 @@ def simulate_datasets(
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file + rename so readers never see partials."""
+    """Write via a sibling temp file + rename so readers never see partials;
+    ValueError for an empty path, which names no file."""
+    if not path:
+        raise ValueError("output path must not be empty")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -465,9 +463,7 @@ def _parse_header(raw: str) -> tuple[str, int, Optional[MixtureParams]]:
         observable = header["obs"]
         if observable not in AXES:
             raise ValueError(f"unknown observable {observable!r}")
-        seed = header.get("seed", 0)
-        if not _is_seed(seed):
-            raise ValueError(f"invalid seed {seed!r}: not an integer in [0, 2**64)")
+        seed = json_integer(header.get("seed", 0), "header seed", 0, 2**64)
         mixture = header.get("mixture")
         if mixture is not None:
             try:

@@ -381,7 +381,7 @@ def load_dataset_reference(path: str):
         raise DatasetFormatError(f"unknown observable {observable!r}", line=1)
     seed = header.get("seed", 0)
     if type(seed) is not int or not 0 <= seed < 2**64:
-        raise DatasetFormatError(f"invalid seed {seed!r}: not an integer in [0, 2**64)", line=1)
+        raise DatasetFormatError(f"header seed must be an integer in [0, 2**64), got {seed!r}", line=1)
     mixture = None
     if header.get("mixture") is not None:
         try:

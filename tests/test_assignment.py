@@ -99,6 +99,12 @@ class TestCapacities:
             assert caps.sum() == n
             assert caps.min() >= 0
 
+    # the suite turns numpy's RuntimeWarning for a NaN cast to int into an error
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_is_refused_before_any_arithmetic(self, bad):
+        with pytest.raises(ValueError, match="^class weights must be finite"):
+            capacities_from_weights([bad, 0.5, 0.5], 10)
+
     def test_remainder_tie_is_deterministic(self):
         a = capacities_from_weights([1 / 3, 1 / 3, 1 / 3], 4)
         b = capacities_from_weights([1 / 3, 1 / 3, 1 / 3], 4)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -313,19 +314,28 @@ class TestDiscriminate:
 
 class TestTomo:
     def test_missing_axis_file_is_io_error(self, sim_dir, tmp_path, capsys):
-        code, _, _ = run(
-            capsys,
-            "tomo",
-            "--dx",
-            str(sim_dir / "iq_x.jsonl"),
-            "--dy",
-            str(sim_dir / "iq_y.jsonl"),
-            "--dz",
-            str(tmp_path / "missing.jsonl"),
-            "--out",
-            str(tmp_path / "o"),
-        )
+        data = tmp_path / "data"
+        data.mkdir()
+        for axis in ("x", "y"):
+            shutil.copy(sim_dir / f"iq_{axis}.jsonl", data)
+        code, _, _ = run(capsys, "tomo", "--data-dir", str(data), "--out", str(tmp_path / "o"))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["tomo", "bilevel"])
+    def test_data_dir_is_the_only_spelling(self, sim_dir, tmp_path, capsys, command):
+        code, _, err = run(capsys, command, "--dx", str(sim_dir / "iq_x.jsonl"), "--out", str(tmp_path / "o"))
+        assert code == 1 and err.startswith("error: ") and "--data-dir" in err
+        code, _, err = run(capsys, command, "--data-dir", str(sim_dir), "--dx", str(sim_dir / "iq_x.jsonl"))
+        assert code == 1 and err.startswith("error: unrecognized arguments: --dx")
+        assert not (tmp_path / "o").exists()
+
+    def test_mislabelled_axis_file_is_invalid_input(self, sim_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for axis, source in (("x", "x"), ("y", "x"), ("z", "z")):
+            shutil.copy(sim_dir / f"iq_{source}.jsonl", data / f"iq_{axis}.jsonl")
+        code, _, err = run(capsys, "tomo", "--data-dir", str(data), "--out", str(tmp_path / "o"))
+        assert code == 1 and err == "error: dataset for axis 'y' is labelled 'x'\n"
 
     def test_hard_b_matches_label_counts_exactly(self, tmp_path, capsys):
         # clusters 16 sigma apart: the classifier cannot disagree with truth
@@ -495,6 +505,14 @@ class TestPlotIq:
         )
         for got, want in zip(drawn, sample_means):
             assert abs(got[0] - want[0]) <= 0.05 and abs(got[1] - want[1]) <= 0.05
+
+    def test_empty_out_is_invalid_input_and_writes_nothing(self, sim_dir, tmp_path, capsys, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, _, err = run(capsys, "plot-iq", "--data", str(sim_dir / "iq_z.jsonl"), "--out", "")
+        assert code == 1 and err == "error: output path must not be empty\n"
+        assert list(tmp_path.rglob("*")) == [work]
 
     def test_empty_dataset_is_invalid_input(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

@@ -142,6 +142,20 @@ class TestParams:
         except ValueError:
             pass
 
+    @pytest.mark.parametrize(
+        "center, radius, message",
+        [
+            ((math.nan, 2.0), 6.0, "contamination center must hold finite numbers, got nan"),
+            ((0.0, 2.0), math.inf, "contamination radius must hold finite numbers, got inf"),
+            ((0.0, 2.0, 5.0), 6.0, "contamination center must be a [2] list of numbers, got [0.0, 2.0, 5.0]"),
+        ],
+        ids=["nan_center", "infinite_radius", "three_coordinates"],
+    )
+    def test_contamination_center_and_radius_are_checked(self, center, radius, message):
+        with pytest.raises(ValueError) as err:
+            ContaminationSpec(0.1, center, radius)
+        assert str(err.value) == message
+
     def test_mixture_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
             MixtureParams(zero=_component([1, 0], weight=0.6), one=_component([-1, 0], weight=0.6))

@@ -527,7 +527,7 @@ class TestTrajectoryType:
         ids=["negative_id", "bool_id", "fractional_id", "negative_dt", "nan_dt"],
     )
     def test_header_the_loader_refuses_is_refused_at_construction(self, tmp_path, rho22, trajectory_id, dt):
-        with pytest.raises(ValueError, match="^trajectory (id|dt) must be "):
+        with pytest.raises(ValueError, match="^trajectory (id|dt) must "):
             Trajectory(trajectory_id=trajectory_id, dt=dt, states=(rho22, rho22))
         path = tmp_path / "traj.jsonl"
         path.write_text("\n".join([json.dumps({"dt": dt, "id": trajectory_id}), _STEP0, _STEP1]) + "\n")

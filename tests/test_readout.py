@@ -251,6 +251,15 @@ class TestDatasetFiles:
         save_dataset(d, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("write", [save_dataset, export_csv])
+    def test_empty_path_is_refused_and_writes_nothing(self, tmp_path, monkeypatch, write):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(ValueError, match="^output path must not be empty$"):
+            write(IQDataset("z", [1.5], [0.25], [0], seed=0), "")
+        assert list(tmp_path.rglob("*")) == [work]
+
     def test_export_csv(self, tmp_path):
         d = IQDataset("z", [1.5, -2.0], [0.25, 3.0], [0, 1], seed=0)
         path = tmp_path / "d.csv"
@@ -459,8 +468,8 @@ class TestDatasetReaderWriter:
     @pytest.mark.parametrize(
         "header, sample, line, message",
         [
-            ('{"obs": "z", "seed": null}', None, 1, "invalid seed None"),
-            ('{"obs": "z", "seed": 1.5e400}', None, 1, "invalid seed inf"),
+            ('{"obs": "z", "seed": null}', None, 1, "header seed must be an integer in [0, 2**64), got None"),
+            ('{"obs": "z", "seed": 1.5e400}', None, 1, "header seed must be an integer in [0, 2**64), got inf"),
             (None, '{"i": 1' + "0" * 400 + ', "q": 0.0, "truth": null}', 3, "i must hold finite numbers"),
             (None, '{"i": 0.5, "q": 0.0, "truth": ["zero"]}', 3, "unknown truth label ['zero']"),
         ],
@@ -485,7 +494,7 @@ class TestDatasetReaderWriter:
         path.write_text(f'{{"obs": "z", "seed": {seed}}}\n{{"i": 0.0, "q": 0.0, "truth": null}}\n')
         with pytest.raises(DatasetFormatError) as err:
             load_dataset(str(path))
-        assert str(err.value).startswith(f"line 1: invalid seed {json.loads(seed)!r}: ")
+        assert str(err.value) == f"line 1: header seed must be an integer in [0, 2**64), got {json.loads(seed)!r}"
 
     def test_largest_header_seed_round_trips(self, tmp_path):
         path = tmp_path / "d.jsonl"
