@@ -250,7 +250,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         _write_b_table(os.path.join(out_dir, "b_table.csv"), table)
     else:
         for axis in AXES:
-            write_membership_csv(result.memberships[axis], out_dir, axis)
+            write_membership_csv(memberships_for(datasets[axis], theta[axis], cfg.mode), out_dir, axis)
     print(f"b = {b.tolist()}")
     print(f"report written to {os.path.join(out_dir, 'report.json')}")
     return 0

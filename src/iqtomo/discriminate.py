@@ -15,9 +15,15 @@ All three start from one distance path: :func:`cloud_distances` gives each
 sample's squared Mahalanobis distances to the two clouds, and rejects with
 a ValueError, never a label, a sample whose distance overflows.  Assignment
 costs are the negated Gaussian log-densities built from those distances.
-Each route produces a membership matrix from which an expectation-value
-estimate ``b`` and its one-sigma error ``delta_b`` are derived: hard labels
-are counted, soft and assignment memberships summed with ``math.fsum``.
+Each route gives an expectation-value estimate ``b`` and its one-sigma
+error ``delta_b`` from effective counts: hard labels are counted, soft and
+assignment memberships summed exactly.  Hard and soft need no membership
+matrix: :func:`b_from_distances` counts the labels, or takes the softmax of
+(-d0, -d1) column by column, straight from the two distance arrays.  The
+exact sum (:func:`_exact_sum`) equals ``math.fsum`` bit for bit without a
+Python list: it splits every ``np.frexp`` mantissa into two integer halves,
+totals them per exponent with ``np.bincount`` and divides the combined
+Python int once.
 """
 
 from __future__ import annotations
@@ -364,12 +370,22 @@ def _hard_ones(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
     return d0 > d1
 
 
-def _soft_rows(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
-    """(n, 2) softmax memberships on the exponents (-d0, -d1), largest subtracted first."""
-    exponents = np.stack([-d0, -d1], axis=1)
-    exponents -= exponents.max(axis=1, keepdims=True)
-    weights = np.exp(exponents)
-    return weights / weights.sum(axis=1, keepdims=True)
+def _soft_columns(d0: np.ndarray, d1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax memberships (w0, w1) on the exponents (-d0, -d1), largest subtracted first.
+
+    With m = max(-d0, -d1) and e_k = exp(-d_k - m), w_k = e_k / (e0 + e1),
+    rounded step for step as the row-wise softmax of the (n, 2) stack.
+    """
+    e0, e1 = np.negative(d0), np.negative(d1)
+    scale = np.maximum(e0, e1)  # m, then e0 + e1
+    e0 -= scale
+    e1 -= scale
+    np.exp(e0, out=e0)
+    np.exp(e1, out=e1)
+    np.add(e0, e1, out=scale)
+    e0 /= scale
+    e1 /= scale
+    return e0, e1
 
 
 def hard_b(n0: float, n1: float) -> float:
@@ -397,10 +413,40 @@ def _counted_b(ones: np.ndarray) -> tuple[float, float]:
     return hard_b(float(n0), float(n1)), delta_b(float(n0), float(n1))
 
 
-def _summed_b(rows: np.ndarray) -> tuple[float, float]:
-    """(b, delta_b) from the exactly rounded sums of the zero and one columns."""
-    n0_eff = math.fsum(rows[:, 0].tolist())
-    n1_eff = math.fsum(rows[:, 1].tolist())
+# values per block of _exact_sum: each half-mantissa is below 2**27 in size, so
+# bincount's float totals over a block stay below 2**53 and are exact
+_SUM_BLOCK = 2**26
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """``math.fsum(x.tolist())`` bit for bit, for finite ``x``, without the list.
+
+    ``np.frexp`` writes each value as M * 2**(e - 53) with an integer
+    |M| < 2**53, split as M = hi * 2**26 + lo with 0 <= lo < 2**26.  Per block
+    of at most ``_SUM_BLOCK`` values, ``np.bincount`` totals hi and lo for
+    each exponent exactly; the totals of every block are combined as one
+    Python int, and a single int/int division rounds the exact sum
+    correctly, as ``math.fsum`` does.
+    """
+    mant, exp = np.frexp(x)
+    mant *= 2.0**53
+    hi = np.floor(mant * 2.0**-26)
+    lo = mant - hi * 2.0**26
+    low = min(int(exp.min()), 0)  # so the scale 2**(low - 53) is a division
+    exp -= low
+    total = 0
+    for start in range(0, x.size, _SUM_BLOCK):
+        stop = start + _SUM_BLOCK
+        for half, shift in ((hi, 26), (lo, 0)):
+            bins = np.bincount(exp[start:stop], weights=half[start:stop]).astype(np.int64)
+            total += sum(map(int.__lshift__, bins.tolist(), range(shift, shift + bins.size)))
+    return total / (1 << (53 - low))
+
+
+def _summed_b(w0: np.ndarray, w1: np.ndarray) -> tuple[float, float]:
+    """(b, delta_b) from the exactly rounded sums of the zero and one weights."""
+    n0_eff = _exact_sum(w0)
+    n1_eff = _exact_sum(w1)
     if n0_eff + n1_eff <= 0.0:
         raise ValueError("all samples carry zero state mass (everything assigned to noise)")
     return hard_b(n0_eff, n1_eff), delta_b(n0_eff, n1_eff)
@@ -413,7 +459,7 @@ def b_from_memberships(memberships: MembershipMatrix) -> tuple[float, float]:
     """
     if memberships.mode == "hard":
         return _counted_b(memberships.rows[:, 1] == 1.0)
-    return _summed_b(memberships.rows)
+    return _summed_b(memberships.rows[:, 0], memberships.rows[:, 1])
 
 
 def b_from_distances(d0: np.ndarray, d1: np.ndarray, mode: str) -> tuple[float, float]:
@@ -425,7 +471,7 @@ def b_from_distances(d0: np.ndarray, d1: np.ndarray, mode: str) -> tuple[float, 
     if mode == "hard":
         return _counted_b(_hard_ones(d0, d1))
     if mode == "soft":
-        return _summed_b(_soft_rows(d0, d1))
+        return _summed_b(*_soft_columns(d0, d1))
     raise ValueError(f"b from distances needs mode 'hard' or 'soft', got {mode!r}")
 
 
@@ -721,7 +767,7 @@ def memberships_for(dataset: "IQDataset", theta: MixtureParams, mode: str) -> Me
     with np.errstate(over="ignore", invalid="ignore"):
         d0, d1 = cloud_distances(dataset.i, dataset.q, cloud_entries(theta))
     if mode == "soft":
-        return MembershipMatrix(rows=_soft_rows(d0, d1), mode="soft")
+        return MembershipMatrix(rows=np.stack(_soft_columns(d0, d1), axis=1), mode="soft")
     if mode == "assignment":
         caps = capacities_from_weights(theta.weights(), d0.size)
         assign = _sort_and_split(*_assignment_costs(d0, d1, theta), caps)

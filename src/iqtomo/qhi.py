@@ -14,7 +14,9 @@ means and inverse-covariance entries, and one Philox generator.  Per block
 it re-keys that generator to draw the outcome count and the I-Q points from
 the block's own streams under
 ``stream = mix_seed(seed, trajectory_id, step, axis index)``, as before,
-then counts hard labels or sums soft memberships exactly.
+then counts hard labels or sums soft memberships exactly, both straight
+from the two squared-distance arrays (``b_from_distances``): the soft ones
+are a column softmax, summed without a Python list.
 
 Fitting alternates a least-squares update of ``g`` over all consecutive
 state pairs with a projection of its Choi matrix onto the CPTP set

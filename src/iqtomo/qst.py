@@ -10,8 +10,10 @@ has a closed form for one qubit: in Bloch coordinates the objective is
 closed-form projection of Smolin, Gambetta & Smith, PRL 108, 070502).
 
 ``bilevel_qst`` composes the discrimination stage with the tomography
-stage: per-axis memberships collapse to ``b`` estimates which feed the
-closed-form solver.
+stage: each axis's I-Q samples give a ``b`` estimate, which feeds the
+closed-form solver.  Hard and soft ``b`` come straight from the samples'
+squared distances to the two clouds, with no membership matrix; the
+``assignment`` mode sums the memberships its solver assigns.
 """
 
 from __future__ import annotations
@@ -22,7 +24,16 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
 
-from .discriminate import BVector, MembershipMatrix, MixtureParams, b_from_memberships, memberships_for
+from .discriminate import (
+    MODES,
+    BVector,
+    MixtureParams,
+    b_from_distances,
+    b_from_memberships,
+    cloud_distances,
+    cloud_entries,
+    memberships_for,
+)
 from .qcore import AXES, DensityMatrix, density_from_bloch, frobenius_distance
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -46,7 +57,6 @@ class BilevelResult:
     """Joint discrimination + tomography output."""
 
     qst: QstResult
-    memberships: Mapping[str, MembershipMatrix]
     mode: str
 
 
@@ -83,25 +93,37 @@ def bilevel_qst(
     """Discriminate three per-axis datasets and reconstruct the state.
 
     ``theta`` is either one mixture reused for every axis or a mapping
-    ``{"x": ..., "y": ..., "z": ...}``.  The returned ``b_used`` always
-    equals the estimate recomputed from the stored memberships.
+    ``{"x": ..., "y": ..., "z": ...}``.  Each axis's ``b_used`` entry equals
+    ``b_from_memberships(memberships_for(dataset, theta_axis, mode))``:
+    ``hard`` and ``soft`` reach it from the cloud distances alone
+    (:func:`b_from_distances`), ``assignment`` from its solved memberships.
+    Raises ValueError for an unknown mode, a dataset labelled with another
+    axis, or an axis whose ``theta`` is missing or not a ``MixtureParams``.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown discrimination mode {mode!r}")
     datasets = {"x": dx, "y": dy, "z": dz}
+    thetas = {}
     for axis, dataset in datasets.items():
         if dataset.observable != axis:
             raise ValueError(
                 f"dataset for axis {axis!r} is labelled {dataset.observable!r}"
             )
-    memberships: dict[str, MembershipMatrix] = {}
+        thetas[axis] = theta.get(axis) if isinstance(theta, Mapping) else theta
+        if not isinstance(thetas[axis], MixtureParams):
+            raise ValueError(f"theta for axis {axis!r} must be a MixtureParams, got {thetas[axis]!r}")
     b = np.empty(3)
     delta = np.empty(3)
     for idx, axis in enumerate(AXES):
-        theta_axis = theta[axis] if isinstance(theta, Mapping) else theta
-        member = memberships_for(datasets[axis], theta_axis, mode)
-        memberships[axis] = member
-        b[idx], delta[idx] = b_from_memberships(member)
+        dataset = datasets[axis]
+        if mode == "assignment":
+            b[idx], delta[idx] = b_from_memberships(memberships_for(dataset, thetas[axis], mode))
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):  # cloud_distances rejects what overflows
+            d0, d1 = cloud_distances(dataset.i, dataset.q, cloud_entries(thetas[axis]))
+        b[idx], delta[idx] = b_from_distances(d0, d1, mode)
     result = qst_closed_form(BVector(b=b, delta=delta))
-    return BilevelResult(qst=result, memberships=memberships, mode=mode)
+    return BilevelResult(qst=result, mode=mode)
 
 
 def tomography_report(

@@ -16,7 +16,9 @@ principal axis with ``eigh`` and its cut by a within-group scan.
 per-line ``json.dumps``/``json.loads`` forms of the dataset writer and
 reader.  ``min_cost_assignment_reference`` is a general n x k capacitated assignment by successive shortest paths;
 the package solves only the case it meets (a constant noise column) by
-sort-and-split, and this solver checks it.  ``observe_trajectory_reference``
+sort-and-split, and this solver checks it.  ``soft_rows_reference`` is the
+row-wise softmax of the (n, 2) stack of negated distances, which the
+package computes column by column.  ``observe_trajectory_reference``
 is sampled trajectory observation one dataset per (step, axis) block: it
 draws, shuffles and validates each block as ``simulate_axis`` does and
 discriminates it with ``memberships_for``, where the package hoists the
@@ -509,6 +511,14 @@ def min_cost_assignment_reference(cost: np.ndarray, caps: np.ndarray) -> np.ndar
             for s, c in zip(members, classes):
                 assign[s] = c
     return assign
+
+
+def soft_rows_reference(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """(n, 2) softmax memberships on the exponents (-d0, -d1), largest subtracted first."""
+    exponents = np.stack([-d0, -d1], axis=1)
+    exponents -= exponents.max(axis=1, keepdims=True)
+    weights = np.exp(exponents)
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def observe_trajectory_reference(trajectory, n: int, theta, seed: int, discriminator: str = "hard"):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from iqtomo import (
 from iqtomo import discriminate
 from iqtomo.readout import simulate_datasets
 from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE
-from oracles import em_fit_reference, f_matrix, mahalanobis_sq_einsum, principal_split_reference
+from oracles import (
+    em_fit_reference,
+    f_matrix,
+    mahalanobis_sq_einsum,
+    principal_split_reference,
+    soft_rows_reference,
+)
 
 
 def _component(mean, cov=None, weight=0.5) -> ComponentParams:
@@ -338,6 +345,99 @@ class TestBEstimates:
         member = MembershipMatrix(rows=np.tile([0.0, 0.0, 1.0], (3, 1)), mode="assignment")
         with pytest.raises(ValueError):
             b_from_memberships(member)
+
+
+class TestExactSum:
+    """``_exact_sum`` is ``math.fsum`` bit for bit, without a Python list."""
+
+    # zero, one, the smallest subnormal, the largest subnormal, the smallest
+    # normal and the neighbours of one half and of one
+    SPECIAL = (0.0, 1.0, 5e-324, 2.0**-1022 - 5e-324, 2.0**-1022, 0.5, 0.5 - 2.0**-54, 1.0 - 2.0**-53)
+
+    @staticmethod
+    @st.composite
+    def unit_arrays(draw, max_size=5000):
+        """Arrays in [0, 1] of length 1 to ``max_size``: uniform values scaled by
+        2**-k, k up to a drawn spread (past 1074 they underflow to subnormals
+        and zero), with special values placed at drawn positions."""
+        n = draw(st.integers(1, max_size))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        spread = draw(st.sampled_from([0, 1, 60, 1100]))
+        x = rng.uniform(size=n) * 2.0 ** -rng.integers(0, spread + 1, size=n).astype(float)
+        value = st.one_of(st.sampled_from(TestExactSum.SPECIAL), st.floats(0.0, 1.0))
+        for pos, v in draw(st.lists(st.tuples(st.integers(0, n - 1), value), max_size=20)):
+            x[pos] = v
+        return x
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=unit_arrays())
+    def test_equals_fsum_on_unit_arrays(self, x):
+        assert discriminate._exact_sum(x) == math.fsum(x.tolist())
+
+    @pytest.mark.parametrize("value", SPECIAL)
+    def test_equals_fsum_on_one_value_repeated(self, value):
+        for n in (1, 2, 3, 4999, 5000):
+            x = np.full(n, value)
+            assert discriminate._exact_sum(x) == math.fsum(x.tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=unit_arrays(max_size=40), block=st.integers(1, 7))
+    def test_blocks_add_up_exactly(self, x, block):
+        # a block of _SUM_BLOCK values keeps bincount exact; shorter blocks
+        # exercise the sum over several of them
+        with mock.patch.object(discriminate, "_SUM_BLOCK", block):
+            assert discriminate._exact_sum(x) == math.fsum(x.tolist())
+
+    def test_soft_membership_columns_sum_as_fsum(self):
+        rows = np.array([[0.25, 0.75], [1.0, 0.0], [5e-324, 1.0 - 5e-324], [0.5, 0.5]])
+        n0, n1 = math.fsum(rows[:, 0].tolist()), math.fsum(rows[:, 1].tolist())
+        assert b_from_memberships(MembershipMatrix(rows=rows, mode="soft")) == (
+            hard_b(n0, n1),
+            delta_b(n0, n1),
+        )
+
+
+class TestSoftColumns:
+    """The column softmax equals the row-wise oracle bit for bit."""
+
+    @staticmethod
+    def assert_bit_equal(d0, d1):
+        d0, d1 = np.asarray(d0, dtype=float), np.asarray(d1, dtype=float)
+        got = np.stack(discriminate._soft_columns(d0, d1), axis=1)
+        assert got.tobytes() == soft_rows_reference(d0, d1).tobytes()
+
+    def test_ties_zeros_and_huge_distances(self):
+        big = np.finfo(float).max
+        pairs = [
+            (0.0, 0.0), (3.5, 3.5), (1e308, 1e308), (big, big),  # exact ties
+            (0.0, 1.0), (1.0, 0.0), (0.0, 745.2), (0.0, 1e308), (big, 0.0),
+            (1e308, 1.7e308), (1.7e308, 1e308), (5e-324, 0.0), (708.4, 0.25),
+        ]
+        d0, d1 = zip(*pairs)
+        self.assert_bit_equal(d0, d1)
+
+    distance = st.one_of(
+        st.sampled_from([0.0, 5e-324, 1.0, 745.0, 746.0, 1e308, np.finfo(float).max]),
+        st.floats(0.0, 50.0),
+        st.floats(0.0, np.finfo(float).max),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(distance, distance), min_size=1, max_size=300))
+    def test_equals_row_softmax(self, pairs):
+        d0, d1 = zip(*pairs)
+        self.assert_bit_equal(d0, d1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_row_softmax_on_criterion_04_axes(self, seed):
+        datasets = simulate_datasets(REFERENCE_STATE, DEFAULT_MIXTURE, 10_000, seed)
+        for axis in AXES:
+            d = datasets[axis]
+            theta = em_fit(d)
+            d0, d1 = discriminate.cloud_distances(d.i, d.q, discriminate.cloud_entries(theta))
+            self.assert_bit_equal(d0, d1)
+            rows = memberships_for(d, theta, "soft").rows
+            assert rows.tobytes() == soft_rows_reference(d0, d1).tobytes()
 
 
 class TestHardCounts:

@@ -189,18 +189,43 @@ class TestBilevel:
         assert frobenius_distance(res.qst.rho, rho22) <= 0.03
 
     def test_b_used_consistent_with_memberships(self, rho22, sep5_mixture):
-        from iqtomo import b_from_memberships
+        from iqtomo import b_from_memberships, memberships_for
 
         dx, dy, dz = self._datasets(rho22, sep5_mixture, 2000, seed=44)
-        res = bilevel_qst(dx, dy, dz, sep5_mixture, mode="soft")
-        for idx, axis in enumerate("xyz"):
-            b, _ = b_from_memberships(res.memberships[axis])
-            assert abs(b - res.qst.b_used.b[idx]) <= 1e-9
+        for mode in ("hard", "soft", "assignment"):
+            res = bilevel_qst(dx, dy, dz, sep5_mixture, mode=mode)
+            for idx, d in enumerate((dx, dy, dz)):
+                want = b_from_memberships(memberships_for(d, sep5_mixture, mode))
+                assert (res.qst.b_used.b[idx], res.qst.b_used.delta[idx]) == want, (mode, idx)
 
     def test_axis_mismatch_rejected(self, rho22, sep5_mixture):
         dx, dy, dz = self._datasets(rho22, sep5_mixture, 100, seed=45)
         with pytest.raises(ValueError):
             bilevel_qst(dy, dx, dz, sep5_mixture, mode="hard")
+
+    def test_unknown_mode_rejected_before_any_work(self, rho22, sep5_mixture):
+        dx, dy, dz = self._datasets(rho22, sep5_mixture, 100, seed=45)
+        with pytest.raises(ValueError, match="^unknown discrimination mode 'bogus'$"):
+            bilevel_qst(dx, dy, dz, sep5_mixture, mode="bogus")
+        # the mode is checked before the datasets and theta
+        with pytest.raises(ValueError, match="^unknown discrimination mode 'bogus'$"):
+            bilevel_qst(dy, dx, dz, "not a mixture", mode="bogus")
+
+    @pytest.mark.parametrize(
+        "make_theta, axis, got",
+        [
+            (lambda m: {"x": m, "y": m}, "z", "None"),
+            (lambda m: "not a mixture", "x", "'not a mixture'"),
+            (lambda m: {"x": m, "y": "sep5", "z": m}, "y", "'sep5'"),
+        ],
+        ids=["missing axis", "not a mixture", "one axis not a mixture"],
+    )
+    def test_theta_without_a_mixture_for_an_axis_rejected(self, rho22, sep5_mixture, make_theta, axis, got):
+        dx, dy, dz = self._datasets(rho22, sep5_mixture, 100, seed=45)
+        message = f"^theta for axis '{axis}' must be a MixtureParams, got {got}$"
+        for mode in ("hard", "soft", "assignment"):
+            with pytest.raises(ValueError, match=message):
+                bilevel_qst(dx, dy, dz, make_theta(sep5_mixture), mode=mode)
 
     def test_per_axis_theta_mapping(self, rho22, sep5_mixture):
         dx, dy, dz = self._datasets(rho22, sep5_mixture, 500, seed=46)
