@@ -4,16 +4,16 @@
 Usage, from the root of a checkout:
 
     python3 scripts/bench_pairs.py --parent <rev> --out BENCH_<n>.json
-    python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 2 --seconds 2 --out /tmp/b.json
 
 The parent side is ``git archive <rev> src perfbench`` unpacked into a
 temporary directory; the change side is a copy of this checkout's ``src``
 and ``perfbench``.  Both run ``perfbench/run.py`` in their own directory,
-one workload per process, with the standard library only on this side.
+one workload per process for ``BENCHMARK.json``'s ``run_seconds``, with the
+standard library only on this side.
 
-* Pairs: pair k runs the parent first for odd k and the change first for
-  even k; within a pair both sides run one workload back to back, the
-  workloads in ``perfbench/run.py``'s order.
+* Pairs: ten of them; pair k runs the parent first for odd k and the change
+  first for even k; within a pair both sides run one workload back to back,
+  the workloads in ``BENCHMARK.json``'s order.
 * Confirmation (``--confirm-seed``): the same pairs on the claimed workload
   only, at a seed the pairs do not use.
 * Trace (``--trace-seed``): one ``--all --trace 1`` run per side; every
@@ -25,9 +25,9 @@ quartiles (inclusive method), how many pairs the change wins, the median
 ratio, the relative worsening of the median, the parent's relative
 interquartile range and whether the worsening is within the metric's
 bound in ``BENCHMARK.json``.  ``resolved`` means both sides' relative
-interquartile ranges lie within that bound.  The claim holds when the
-change wins at least 9 of every 10 pairs and the medians differ by more
-than the parent's interquartile range.
+interquartile ranges lie within that bound.  The claim, ``ops_per_s`` on
+``tomo_sweep`` (``CLAIM``), holds when the change wins at least 9 of the 10
+pairs and the medians differ by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -46,8 +46,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("tomo_sweep", "qhi_sampled", "channel_fit", "dataset_files")
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in SPEC["workloads"])
+SECONDS = SPEC["run_seconds"]
+BOUNDS = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in SPEC["end_to_end"]}
 SIDES = ("parent", "change")
+PAIRS = 10
+CLAIM = ("tomo_sweep", "ops_per_s")  # (workload, end-to-end metric) the change claims to improve
 
 
 def _checkout_parent(rev: str, dest: Path) -> str:
@@ -70,7 +75,7 @@ def _copy_change(dest: Path) -> None:
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
 
 
-def _run(side_dir: Path, argv: list[str], seconds: float) -> dict:
+def _run(side_dir: Path, argv: list[str], seconds: float = SECONDS) -> dict:
     """One ``perfbench/run.py`` process in ``side_dir``; its last stdout line as JSON."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
@@ -118,21 +123,21 @@ def _summary(parent: list[float], change: list[float], unit: str, better: str, b
     }
 
 
-def _pairs(dirs: dict, workloads: tuple, count: int, seed: int, seconds: float, bounds: dict) -> dict:
+def _pairs(dirs: dict, workloads: tuple, seed: int) -> dict:
     runs = {w: {side: [] for side in SIDES} for w in workloads}
-    for k in range(1, count + 1):
+    for k in range(1, PAIRS + 1):
         order = SIDES if k % 2 else SIDES[::-1]
         for workload in workloads:
             for side in order:
-                argv = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-                result = _run(dirs[side], argv, seconds)
+                argv = ["--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+                result = _run(dirs[side], argv)
                 runs[workload][side].append(result)
                 ops = result["metrics"]["ops_per_s"]["value"]
-                print(f"pair {k}/{count} {workload} {side}: {ops:.2f} ops/s", file=sys.stderr, flush=True)
+                print(f"pair {k}/{PAIRS} {workload} {side}: {ops:.2f} ops/s", file=sys.stderr, flush=True)
     out = {}
     for workload, sides in runs.items():
         metrics = {}
-        for name, (unit, better, bound) in bounds.items():
+        for name, (unit, better, bound) in BOUNDS.items():
             parent = [r["metrics"][name]["value"] for r in sides["parent"]]
             change = [r["metrics"][name]["value"] for r in sides["change"]]
             metrics[name] = _summary(parent, change, unit, better, bound)
@@ -145,10 +150,11 @@ def _pairs(dirs: dict, workloads: tuple, count: int, seed: int, seconds: float, 
     return out
 
 
-def _claim_holds(summary: dict) -> bool:
+def _claim_holds(pairs: dict) -> bool:
+    workload, metric = CLAIM
+    summary = pairs[workload]["metrics"][metric]
     pq, cq = summary["parent_quartiles"], summary["change_quartiles"]
-    needed = -(-9 * len(summary["parent"]) // 10)
-    return summary["change_wins"] >= needed and abs(cq[1] - pq[1]) > pq[2] - pq[0]
+    return summary["change_wins"] >= 9 and abs(cq[1] - pq[1]) > pq[2] - pq[0]
 
 
 def _highlights(parent: dict, change: dict) -> dict:
@@ -178,27 +184,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--out", required=True, help="path of the BENCH JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10, help="number of pairs, at least 2")
-    parser.add_argument("--seconds", type=float, default=25.0, help="seconds per run")
     parser.add_argument("--seed", type=int, default=1010, help="seed of the pairs")
-    parser.add_argument("--claim", default="tomo_sweep:ops_per_s", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--confirm-seed", type=int, help="seed of the confirmation pairs on the claimed workload")
     parser.add_argument("--trace-seed", type=int, help="seed of one traced --all run per side")
     args = parser.parse_args(argv)
-    claim_workload, _, claim_metric = args.claim.partition(":")
-    if args.pairs < 2 or args.seconds <= 0 or claim_workload not in WORKLOADS:
-        parser.error("--pairs must be >= 2, --seconds > 0 and --claim name a workload")
+    claim_workload, claim_metric = CLAIM
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    bounds = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]}
-    if claim_metric not in bounds:
-        parser.error(f"--claim metric must be one of {sorted(bounds)}")
     numpy_version = subprocess.run(
         [sys.executable, "-c", "import numpy; print(numpy.__version__)"], capture_output=True, text=True
     ).stdout.strip()
-    run_cmd = f"python3 perfbench/run.py --workload {{}} --seed {{}} --seconds {args.seconds:g} --trace 0"
+    run_cmd = f"python3 perfbench/run.py --workload {{}} --seed {{}} --seconds {SECONDS} --trace 0"
     claim_text = (
-        f"{claim_workload} {claim_metric}: change wins >= 9 of 10 pairs and the difference "
+        f"{claim_workload} {claim_metric}: change wins >= 9 of {PAIRS} pairs and the difference "
         "of medians exceeds the parent's interquartile range"
     )
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -214,30 +211,30 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "numpy": numpy_version,
         }
-        pairs = _pairs(dirs, WORKLOADS, args.pairs, args.seed, args.seconds, bounds)
+        pairs = _pairs(dirs, WORKLOADS, args.seed)
         record["pairs"] = {
-            "count": args.pairs,
+            "count": PAIRS,
             "order": "pair k runs the parent first for odd k and the change first for even k; "
             "within a pair both sides run one workload back to back, workloads in the order "
             + ", ".join(WORKLOADS),
             "claim": claim_text,
-            "claim_holds": _claim_holds(pairs[claim_workload]["metrics"][claim_metric]),
+            "claim_holds": _claim_holds(pairs),
             "workloads": pairs,
         }
         if args.confirm_seed is not None:
             record["confirmation_command"] = run_cmd.format(claim_workload, args.confirm_seed)
-            confirm = _pairs(dirs, (claim_workload,), args.pairs, args.confirm_seed, args.seconds, bounds)
+            confirm = _pairs(dirs, (claim_workload,), args.confirm_seed)
             record["confirmation"] = {
                 "seed": args.confirm_seed,
-                "count": args.pairs,
+                "count": PAIRS,
                 "order": f"as above, {claim_workload} only",
-                "claim_holds": _claim_holds(confirm[claim_workload]["metrics"][claim_metric]),
+                "claim_holds": _claim_holds(confirm),
                 "workloads": confirm,
             }
         if args.trace_seed is not None:
-            trace_argv = ["--all", "--seed", str(args.trace_seed), "--seconds", str(args.seconds), "--trace", "1"]
+            trace_argv = ["--all", "--seed", str(args.trace_seed), "--seconds", str(SECONDS), "--trace", "1"]
             record["traced_command"] = "python3 perfbench/run.py " + " ".join(trace_argv)
-            traced = {side: _run(dirs[side], trace_argv, 4 * args.seconds) for side in SIDES}
+            traced = {side: _run(dirs[side], trace_argv, len(WORKLOADS) * SECONDS) for side in SIDES}
             record["runs"] = {side: {"trace_1": traced[side]} for side in SIDES}
             record["trace_highlights"] = _highlights(traced["parent"], traced["change"])
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

@@ -29,6 +29,7 @@ import numpy as np
 
 from .discriminate import (
     MODES,
+    BVector,
     MembershipMatrix,
     MixtureParams,
     b_from_memberships,
@@ -45,7 +46,7 @@ from .qhi import (
     step_unitary,
     unitary_superoperator,
 )
-from .qst import bilevel_qst, tomography_report
+from .qst import BilevelResult, axis_thetas, bilevel_qst, qst_closed_form, tomography_report
 from .readout import (
     IQDataset,
     load_dataset,
@@ -238,8 +239,13 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args)
     out_dir = _require_out(cfg)
     datasets = {axis: load_dataset(_dataset_path(args.data_dir, axis)) for axis in AXES}
-    theta = {axis: _calibrate(datasets[axis], cfg, args.calibrate) for axis in AXES}
-    result = bilevel_qst(datasets["x"], datasets["y"], datasets["z"], theta, mode=cfg.mode)
+    theta = axis_thetas(datasets, {axis: _calibrate(datasets[axis], cfg, args.calibrate) for axis in AXES})
+    if args.command == "tomo":
+        result = bilevel_qst(datasets["x"], datasets["y"], datasets["z"], theta, mode=cfg.mode)
+    else:  # discriminate each axis once: its memberships give both b and the CSV
+        members = {axis: memberships_for(datasets[axis], theta[axis], cfg.mode) for axis in AXES}
+        b_delta = np.array([b_from_memberships(members[axis]) for axis in AXES])
+        result = BilevelResult(qst=qst_closed_form(BVector(b=b_delta[:, 0], delta=b_delta[:, 1])), mode=cfg.mode)
     report = tomography_report(result, reference=cfg.state)
     write_text_atomic(os.path.join(out_dir, "report.json"), _json_text(report))
     b = result.qst.b_used.b
@@ -250,7 +256,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         _write_b_table(os.path.join(out_dir, "b_table.csv"), table)
     else:
         for axis in AXES:
-            write_membership_csv(memberships_for(datasets[axis], theta[axis], cfg.mode), out_dir, axis)
+            write_membership_csv(members[axis], out_dir, axis)
     print(f"b = {b.tolist()}")
     print(f"report written to {os.path.join(out_dir, 'report.json')}")
     return 0

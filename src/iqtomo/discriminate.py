@@ -754,6 +754,12 @@ def _assignment_costs(
 # ---------------------------------------------------------------------------
 
 
+def _dataset_distances(dataset: "IQDataset", theta: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cloud_distances` of a dataset's samples to ``theta``'s two clouds."""
+    with np.errstate(over="ignore", invalid="ignore"):  # cloud_distances rejects what overflows
+        return cloud_distances(dataset.i, dataset.q, cloud_entries(theta))
+
+
 def memberships_for(dataset: "IQDataset", theta: MixtureParams, mode: str) -> MembershipMatrix:
     """Membership matrix of a dataset under the requested discrimination mode.
 
@@ -764,8 +770,7 @@ def memberships_for(dataset: "IQDataset", theta: MixtureParams, mode: str) -> Me
     """
     if mode not in MODES:
         raise ValueError(f"unknown discrimination mode {mode!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        d0, d1 = cloud_distances(dataset.i, dataset.q, cloud_entries(theta))
+    d0, d1 = _dataset_distances(dataset, theta)
     if mode == "soft":
         return MembershipMatrix(rows=np.stack(_soft_columns(d0, d1), axis=1), mode="soft")
     if mode == "assignment":
@@ -777,3 +782,17 @@ def memberships_for(dataset: "IQDataset", theta: MixtureParams, mode: str) -> Me
     rows[:, 0] = ~ones
     rows[:, 1] = ones
     return MembershipMatrix(rows=rows, mode="hard")
+
+
+def b_for(dataset: "IQDataset", theta: MixtureParams, mode: str) -> tuple[float, float]:
+    """(b, delta_b) of a dataset: ``b_from_memberships(memberships_for(dataset, theta, mode))``.
+
+    ``hard`` and ``soft`` take it straight from the cloud distances
+    (:func:`b_from_distances`), with no membership matrix; ``assignment``
+    sums the memberships its solver assigns.
+    """
+    if mode == "assignment":
+        return b_from_memberships(memberships_for(dataset, theta, mode))
+    if mode not in MODES:
+        raise ValueError(f"unknown discrimination mode {mode!r}")
+    return b_from_distances(*_dataset_distances(dataset, theta), mode)

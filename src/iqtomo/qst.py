@@ -24,16 +24,7 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
 
-from .discriminate import (
-    MODES,
-    BVector,
-    MixtureParams,
-    b_from_distances,
-    b_from_memberships,
-    cloud_distances,
-    cloud_entries,
-    memberships_for,
-)
+from .discriminate import MODES, BVector, MixtureParams, b_for
 from .qcore import AXES, DensityMatrix, density_from_bloch, frobenius_distance
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -83,6 +74,27 @@ def qst_closed_form(b) -> QstResult:
     )
 
 
+def axis_thetas(
+    datasets: Mapping[str, "IQDataset"], theta: MixtureParams | Mapping[str, MixtureParams]
+) -> dict[str, MixtureParams]:
+    """Each axis's mixture, once every ``datasets[axis]`` is checked to be labelled ``axis``.
+
+    ``theta`` is one mixture for every axis or a mapping from axis to mixture.
+    Raises ValueError for a dataset labelled with another axis, or an axis
+    whose ``theta`` is missing or not a ``MixtureParams``.
+    """
+    thetas = {}
+    for axis, dataset in datasets.items():
+        if dataset.observable != axis:
+            raise ValueError(
+                f"dataset for axis {axis!r} is labelled {dataset.observable!r}"
+            )
+        thetas[axis] = theta.get(axis) if isinstance(theta, Mapping) else theta
+        if not isinstance(thetas[axis], MixtureParams):
+            raise ValueError(f"theta for axis {axis!r} must be a MixtureParams, got {thetas[axis]!r}")
+    return thetas
+
+
 def bilevel_qst(
     dx: "IQDataset",
     dy: "IQDataset",
@@ -96,32 +108,17 @@ def bilevel_qst(
     ``{"x": ..., "y": ..., "z": ...}``.  Each axis's ``b_used`` entry equals
     ``b_from_memberships(memberships_for(dataset, theta_axis, mode))``:
     ``hard`` and ``soft`` reach it from the cloud distances alone
-    (:func:`b_from_distances`), ``assignment`` from its solved memberships.
-    Raises ValueError for an unknown mode, a dataset labelled with another
-    axis, or an axis whose ``theta`` is missing or not a ``MixtureParams``.
+    (:func:`b_for`), ``assignment`` from its solved memberships.
+    Raises ValueError for an unknown mode, and as :func:`axis_thetas` does.
     """
     if mode not in MODES:
         raise ValueError(f"unknown discrimination mode {mode!r}")
     datasets = {"x": dx, "y": dy, "z": dz}
-    thetas = {}
-    for axis, dataset in datasets.items():
-        if dataset.observable != axis:
-            raise ValueError(
-                f"dataset for axis {axis!r} is labelled {dataset.observable!r}"
-            )
-        thetas[axis] = theta.get(axis) if isinstance(theta, Mapping) else theta
-        if not isinstance(thetas[axis], MixtureParams):
-            raise ValueError(f"theta for axis {axis!r} must be a MixtureParams, got {thetas[axis]!r}")
+    thetas = axis_thetas(datasets, theta)
     b = np.empty(3)
     delta = np.empty(3)
     for idx, axis in enumerate(AXES):
-        dataset = datasets[axis]
-        if mode == "assignment":
-            b[idx], delta[idx] = b_from_memberships(memberships_for(dataset, thetas[axis], mode))
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):  # cloud_distances rejects what overflows
-            d0, d1 = cloud_distances(dataset.i, dataset.q, cloud_entries(thetas[axis]))
-        b[idx], delta[idx] = b_from_distances(d0, d1, mode)
+        b[idx], delta[idx] = b_for(datasets[axis], thetas[axis], mode)
     result = qst_closed_form(BVector(b=b, delta=delta))
     return BilevelResult(qst=result, mode=mode)
 

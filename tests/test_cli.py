@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -329,13 +330,15 @@ class TestTomo:
         assert code == 1 and err.startswith("error: unrecognized arguments: --dx")
         assert not (tmp_path / "o").exists()
 
-    def test_mislabelled_axis_file_is_invalid_input(self, sim_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["tomo", "bilevel"])
+    def test_mislabelled_axis_file_is_invalid_input(self, sim_dir, tmp_path, capsys, command):
         data = tmp_path / "data"
         data.mkdir()
         for axis, source in (("x", "x"), ("y", "x"), ("z", "z")):
             shutil.copy(sim_dir / f"iq_{source}.jsonl", data / f"iq_{axis}.jsonl")
-        code, _, err = run(capsys, "tomo", "--data-dir", str(data), "--out", str(tmp_path / "o"))
+        code, _, err = run(capsys, command, "--data-dir", str(data), "--out", str(tmp_path / "o"))
         assert code == 1 and err == "error: dataset for axis 'y' is labelled 'x'\n"
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_hard_b_matches_label_counts_exactly(self, tmp_path, capsys):
         # clusters 16 sigma apart: the classifier cannot disagree with truth
@@ -421,6 +424,25 @@ class TestBilevel:
         for axis in "xyz":
             lines = (out / f"memberships_{axis}.csv").read_text(encoding="utf-8").splitlines()
             assert len(lines) == 10_001
+
+    @pytest.mark.parametrize("mode", ["hard", "soft", "assignment"])
+    def test_each_axis_discriminated_once(self, sim_dir, tmp_path, capsys, mode):
+        # the memberships written to the CSVs are the ones the report's b comes from
+        calls = []
+
+        def counted(dataset, theta, mode):
+            calls.append(dataset.observable)
+            return iqtomo.memberships_for(dataset, theta, mode)
+
+        out = tmp_path / "bi"
+        with mock.patch("iqtomo.cli.memberships_for", counted):
+            code, _, _ = run(capsys, "bilevel", "--data-dir", str(sim_dir), "--mode", mode, "--out", str(out))
+        assert code == 0 and calls == ["x", "y", "z"]
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        tomo_out = tmp_path / "tomo"
+        assert run(capsys, "tomo", "--data-dir", str(sim_dir), "--mode", mode, "--out", str(tomo_out))[0] == 0
+        tomo_report = json.loads((tomo_out / "report.json").read_text(encoding="utf-8"))
+        assert (report["b"], report["delta_b"]) == (tomo_report["b"], tomo_report["delta_b"])
 
 
 class TestQhi:

@@ -470,6 +470,17 @@ class TestHardCounts:
         assert member.rows.tolist() == [[1.0, 0.0]] * 4
         assert b_from_memberships(member) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("mode", ["hard", "soft", "assignment"])
+    def test_b_for_is_b_of_the_memberships(self, sep5_mixture, mode):
+        d = synthesize_iq(700, 300, sep5_mixture.zero, sep5_mixture.one, seed=13)
+        want = b_from_memberships(memberships_for(d, sep5_mixture, mode))
+        assert discriminate.b_for(d, sep5_mixture, mode) == want
+
+    def test_b_for_rejects_an_unknown_mode(self, sep5_mixture):
+        d = synthesize_iq(7, 3, sep5_mixture.zero, sep5_mixture.one, seed=13)
+        with pytest.raises(ValueError, match="^unknown discrimination mode 'bogus'$"):
+            discriminate.b_for(d, sep5_mixture, "bogus")
+
     def test_b_from_distances_has_no_assignment_mode(self):
         with pytest.raises(ValueError, match="'hard' or 'soft'"):
             discriminate.b_from_distances(np.zeros(2), np.ones(2), "assignment")
