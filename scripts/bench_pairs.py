@@ -15,7 +15,7 @@ standard library only on this side.
   first for even k; within a pair both sides run one workload back to back,
   the workloads in ``BENCHMARK.json``'s order.
 * Confirmation (``--confirm-seed``): the same pairs on the claimed workload
-  only, at a seed the pairs do not use.
+  only, at a seed the pairs do not use; an error when nothing is claimed.
 * Trace (``--trace-seed``): one ``--all --trace 1`` run per side; every
   per-layer ``busy_s`` the parent spends time in, and the ``bench.*`` rows,
   are listed with their change/parent ratio under ``trace_highlights``.
@@ -25,8 +25,10 @@ quartiles (inclusive method), how many pairs the change wins, the median
 ratio, the relative worsening of the median, the parent's relative
 interquartile range and whether the worsening is within the metric's
 bound in ``BENCHMARK.json``.  ``resolved`` means both sides' relative
-interquartile ranges lie within that bound.  The claim, ``ops_per_s`` on
-``tomo_sweep`` (``CLAIM``), holds when the change wins at least 9 of the 10
+interquartile ranges lie within that bound.  ``CLAIM`` names the
+(workload, end-to-end metric) a change claims to improve, or is None for a
+change that claims nothing: the file then records ``"claim": null`` and no
+``claim_holds``.  A claim holds when the change wins at least 9 of the 10
 pairs and the medians differ by more than the parent's interquartile range.
 """
 
@@ -52,7 +54,7 @@ SECONDS = SPEC["run_seconds"]
 BOUNDS = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in SPEC["end_to_end"]}
 SIDES = ("parent", "change")
 PAIRS = 10
-CLAIM = ("tomo_sweep", "ops_per_s")  # (workload, end-to-end metric) the change claims to improve
+CLAIM = None  # (workload, end-to-end metric) the change claims to improve, or None
 
 
 def _checkout_parent(rev: str, dest: Path) -> str:
@@ -188,14 +190,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--confirm-seed", type=int, help="seed of the confirmation pairs on the claimed workload")
     parser.add_argument("--trace-seed", type=int, help="seed of one traced --all run per side")
     args = parser.parse_args(argv)
-    claim_workload, claim_metric = CLAIM
+    if CLAIM is None and args.confirm_seed is not None:
+        parser.error("argument --confirm-seed: CLAIM is None, so there is no claim to confirm")
 
     numpy_version = subprocess.run(
         [sys.executable, "-c", "import numpy; print(numpy.__version__)"], capture_output=True, text=True
     ).stdout.strip()
     run_cmd = f"python3 perfbench/run.py --workload {{}} --seed {{}} --seconds {SECONDS} --trace 0"
-    claim_text = (
-        f"{claim_workload} {claim_metric}: change wins >= 9 of {PAIRS} pairs and the difference "
+    claim_text = None if CLAIM is None else (
+        f"{CLAIM[0]} {CLAIM[1]}: change wins >= 9 of {PAIRS} pairs and the difference "
         "of medians exceeds the parent's interquartile range"
     )
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -218,16 +221,16 @@ def main(argv: list[str] | None = None) -> int:
             "within a pair both sides run one workload back to back, workloads in the order "
             + ", ".join(WORKLOADS),
             "claim": claim_text,
-            "claim_holds": _claim_holds(pairs),
+            **({"claim_holds": _claim_holds(pairs)} if CLAIM else {}),
             "workloads": pairs,
         }
         if args.confirm_seed is not None:
-            record["confirmation_command"] = run_cmd.format(claim_workload, args.confirm_seed)
-            confirm = _pairs(dirs, (claim_workload,), args.confirm_seed)
+            record["confirmation_command"] = run_cmd.format(CLAIM[0], args.confirm_seed)
+            confirm = _pairs(dirs, (CLAIM[0],), args.confirm_seed)
             record["confirmation"] = {
                 "seed": args.confirm_seed,
                 "count": PAIRS,
-                "order": f"as above, {claim_workload} only",
+                "order": f"as above, {CLAIM[0]} only",
                 "claim_holds": _claim_holds(confirm),
                 "workloads": confirm,
             }

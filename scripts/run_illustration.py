@@ -18,10 +18,24 @@ from iqtomo.readout import write_text_atomic
 from iqtomo.repro import REFERENCE_STATE, reconstruct_seed
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--n", type=int, default=10_000, help="shots per axis")
+    parser.add_argument("--seed", type=_seed, default=7)
+    parser.add_argument("--n", type=_positive_int, default=10_000, help="shots per axis")
     parser.add_argument("--out", help="optional artifact directory")
     args = parser.parse_args(argv)
 

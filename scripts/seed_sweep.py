@@ -24,12 +24,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_positive_int, default=20, help="number of seeds")
-    parser.add_argument("--start", type=int, default=0, help="first seed")
+    parser.add_argument("--start", type=_seed, default=0, help="first seed")
     parser.add_argument("--n", type=_positive_int, default=10_000, help="shots per axis")
     args = parser.parse_args(argv)
+    if args.start + args.seeds > 2**64:
+        parser.error(f"argument --start: the last seed {args.start + args.seeds - 1} is not below 2**64")
 
     errors, mean_dev, cov_dev, iterations = [], [], [], []
     for seed in range(args.start, args.start + args.seeds):

@@ -279,7 +279,7 @@ def cmd_qhi(args: argparse.Namespace) -> int:
             n=cfg.n_per_axis,
             theta=cfg.mixture or DEFAULT_MIXTURE,
             seed=mix_seed(cfg.seed, 0xB1E),
-            discriminator="hard" if cfg.mode == "assignment" else cfg.mode,
+            discriminator=cfg.mode,
         )
         save_trajectory(
             trajectory, os.path.join(out_dir, f"trajectory_{j:03d}.jsonl")

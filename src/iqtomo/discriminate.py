@@ -11,10 +11,12 @@ increasing sophistication:
   solved exactly by sorting the samples on their cost difference between
   the two states and choosing the best split point.
 
-All three start from one distance path: :func:`cloud_distances` gives each
-sample's squared Mahalanobis distances to the two clouds, and rejects with
-a ValueError, never a label, a sample whose distance overflows.  Assignment
-costs are the negated Gaussian log-densities built from those distances.
+All three start from one distance path: :func:`cloud_distances` reads each
+cloud's mean and inverse covariance from the mixture, gives each sample's
+squared Mahalanobis distances to the two clouds, and rejects with a
+ValueError, never a label or a numpy warning, a sample whose distance
+overflows.  Assignment costs and EM's E-step share one rule for the
+negated Gaussian log-density of a distance (:func:`_gaussian_cost`).
 Each route gives an expectation-value estimate ``b`` and its one-sigma
 error ``delta_b`` from effective counts: hard labels are counted, soft and
 assignment memberships summed exactly.  Hard and soft need no membership
@@ -116,6 +118,9 @@ class ContaminationSpec:
         if json_number(self.radius, "contamination radius") <= 0.0:
             raise ValueError("contamination radius must be positive")
         center = tuple(json_numbers(list(self.center), (2,), "contamination center").tolist())
+        # a point drawn in the disc then rounds to a finite coordinate
+        if not all(math.isfinite(abs(c) + self.radius) for c in center):
+            raise ValueError("contamination disc reaches past the largest double")
         object.__setattr__(self, "center", center)
 
 
@@ -315,49 +320,38 @@ def _dist_sq(
     return np.maximum(out, 0.0, out=out)
 
 
-def _log_density(
-    i: np.ndarray,
-    q: np.ndarray,
-    mean: Sequence[float],
-    inv: Sequence[float],
-    log_det: float,
-) -> np.ndarray:
-    """Gaussian log-density -dist/2 - log_det/2 - log(2 pi) at each (i, q)."""
-    out = _dist_sq(i, q, mean, inv)
-    out *= -0.5
-    out -= 0.5 * log_det
-    out -= _LOG_2PI
-    return out
+def _gaussian_cost(d: np.ndarray, log_det: float) -> np.ndarray:
+    """Negated Gaussian log-density 0.5*d + 0.5*log_det + log(2 pi) at squared distance ``d``.
+
+    EM's E-step and the assignment objective both use this one rule.  Round
+    to nearest is symmetric in sign, so the negation equals the log-density
+    -d/2 - log_det/2 - log(2 pi), summed in that order, bit for bit but for
+    the sign of an exact zero.
+    """
+    cost = 0.5 * d
+    cost += 0.5 * log_det
+    cost += _LOG_2PI
+    return cost
 
 
 # the end of every message that rejects an overflowing distance or cost
 _TOO_FAR = "a sample lies too far from both clouds"
 
-# (mean, inverse-covariance entries (a, b, c)) of the zero cloud, then the one cloud
-CloudEntries = tuple[tuple[np.ndarray, tuple[float, float, float]], ...]
-
-
-def cloud_entries(theta: MixtureParams) -> CloudEntries:
-    """What :func:`cloud_distances` needs of ``theta``, read once."""
-    return tuple(
-        (c.mean, (float(c.cov_inv[0, 0]), float(c.cov_inv[0, 1]), float(c.cov_inv[1, 1])))
-        for c in (theta.zero, theta.one)
-    )
-
 
 def cloud_distances(
-    i: np.ndarray, q: np.ndarray, clouds: CloudEntries
+    i: np.ndarray, q: np.ndarray, theta: MixtureParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Squared Mahalanobis distances (d0, d1) of each sample to the two clouds.
+    """Squared Mahalanobis distances (d0, d1) of each sample to ``theta``'s two clouds.
 
-    Call it under ``np.errstate(over="ignore", invalid="ignore")``: a distance
-    that is not finite raises ValueError here instead of a numpy warning.  A
+    A distance that is not finite raises ValueError, and no numpy warning.  A
     non-finite coordinate always makes one (the inverse covariance has a
     positive diagonal), so that case is told apart only on failure.
     """
-    (mean0, inv0), (mean1, inv1) = clouds
-    d0 = _dist_sq(i, q, mean0, inv0)
-    d1 = _dist_sq(i, q, mean1, inv1)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below instead
+        d0, d1 = (
+            _dist_sq(i, q, c.mean, (c.cov_inv[0, 0], c.cov_inv[0, 1], c.cov_inv[1, 1]))
+            for c in (theta.zero, theta.one)
+        )
     if d0.max() < math.inf and d1.max() < math.inf:  # False for inf and for NaN
         return d0, d1
     if not (np.isfinite(i).all() and np.isfinite(q).all()):
@@ -574,9 +568,8 @@ def em_fit(dataset: "IQDataset", log_history: Optional[list] = None) -> MixtureP
         log_dens = []
         for c in range(2):
             *inv, log_det = _inverse_2x2(*covs[c])
-            log_dens.append(
-                math.log(max(weights[c], 1e-300)) + _log_density(i, q, means[c], inv, log_det)
-            )
+            cost = _gaussian_cost(_dist_sq(i, q, means[c], inv), log_det)
+            log_dens.append(np.subtract(math.log(max(weights[c], 1e-300)), cost, out=cost))
         log_norm = np.maximum(log_dens[0], log_dens[1]) + np.log1p(
             np.exp(-np.abs(log_dens[0] - log_dens[1]))
         )
@@ -730,34 +723,9 @@ def _sort_and_split(c0: np.ndarray, c1: np.ndarray, caps: Sequence[int]) -> np.n
     return assign
 
 
-def _assignment_costs(
-    d0: np.ndarray, d1: np.ndarray, theta: MixtureParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero and one costs 0.5*d + 0.5*log_det + log(2 pi) of samples at distances (d0, d1).
-
-    Rounded step for step as the negation of :func:`_log_density`, so each cost
-    is minus EM's Gaussian log-density bit for bit.  The objective is the
-    summed class log-likelihood; noise adds k2 * log(disc density) whichever
-    samples it holds, so only these two columns enter :func:`_sort_and_split`.
-    """
-    costs = []
-    for d, component in ((d0, theta.zero), (d1, theta.one)):
-        cost = 0.5 * d
-        cost += 0.5 * component.log_det
-        cost += _LOG_2PI
-        costs.append(cost)
-    return costs[0], costs[1]
-
-
 # ---------------------------------------------------------------------------
 # Dataset-level estimates
 # ---------------------------------------------------------------------------
-
-
-def _dataset_distances(dataset: "IQDataset", theta: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`cloud_distances` of a dataset's samples to ``theta``'s two clouds."""
-    with np.errstate(over="ignore", invalid="ignore"):  # cloud_distances rejects what overflows
-        return cloud_distances(dataset.i, dataset.q, cloud_entries(theta))
 
 
 def memberships_for(dataset: "IQDataset", theta: MixtureParams, mode: str) -> MembershipMatrix:
@@ -770,12 +738,13 @@ def memberships_for(dataset: "IQDataset", theta: MixtureParams, mode: str) -> Me
     """
     if mode not in MODES:
         raise ValueError(f"unknown discrimination mode {mode!r}")
-    d0, d1 = _dataset_distances(dataset, theta)
+    d0, d1 = cloud_distances(dataset.i, dataset.q, theta)
     if mode == "soft":
         return MembershipMatrix(rows=np.stack(_soft_columns(d0, d1), axis=1), mode="soft")
     if mode == "assignment":
         caps = capacities_from_weights(theta.weights(), d0.size)
-        assign = _sort_and_split(*_assignment_costs(d0, d1, theta), caps)
+        costs = _gaussian_cost(d0, theta.zero.log_det), _gaussian_cost(d1, theta.one.log_det)
+        assign = _sort_and_split(*costs, caps)
         return MembershipMatrix(rows=np.eye(3)[assign], mode="assignment")
     ones = _hard_ones(d0, d1)
     rows = np.empty((ones.size, 2))
@@ -795,4 +764,4 @@ def b_for(dataset: "IQDataset", theta: MixtureParams, mode: str) -> tuple[float,
         return b_from_memberships(memberships_for(dataset, theta, mode))
     if mode not in MODES:
         raise ValueError(f"unknown discrimination mode {mode!r}")
-    return b_from_distances(*_dataset_distances(dataset, theta), mode)
+    return b_from_distances(*cloud_distances(dataset.i, dataset.q, theta), mode)

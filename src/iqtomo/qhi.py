@@ -9,14 +9,15 @@ the full sampled readout pipeline.
 Sampled observation gives the same b and delta_b, bit for bit, as
 simulating and discriminating one dataset per (step, axis) block.  It
 computes once per trajectory what no block changes: the Bloch vector of
-every state, both clouds' singularity check and Cholesky factor, their
-means and inverse-covariance entries, and one Philox generator.  Per block
-it re-keys that generator to draw the outcome count and the I-Q points from
-the block's own streams under
-``stream = mix_seed(seed, trajectory_id, step, axis index)``, as before,
-then counts hard labels or sums soft memberships exactly, both straight
-from the two squared-distance arrays (``b_from_distances``): the soft ones
-are a column softmax, summed without a Python list.
+every state, both clouds' singularity check and Cholesky factor, and one
+Philox generator.  Per block it re-keys that generator to draw the outcome
+count and the I-Q points from the block's own streams under
+``stream = mix_seed(seed, trajectory_id, step, axis index)``, takes the
+points' squared distances to the two clouds (``cloud_distances``, which
+rejects one that overflows), then counts hard labels or sums soft
+memberships exactly, both straight from the two distance arrays
+(``b_from_distances``): the soft ones are a column softmax, summed without
+a Python list.
 
 Fitting alternates a least-squares update of ``g`` over all consecutive
 state pairs with a projection of its Choi matrix onto the CPTP set
@@ -41,7 +42,6 @@ from .discriminate import (
     MixtureParams,
     b_from_distances,
     cloud_distances,
-    cloud_entries,
 )
 from .qcore import (
     AXES,
@@ -260,20 +260,18 @@ def observe_trajectory(
         if n < 1:
             raise ValueError("shot count must be >= 1")
         factors = cloud_factors(theta.zero, theta.one)
-        clouds = cloud_entries(theta)
         rng = np.random.Generator(np.random.Philox(key=0))  # axis_points re-keys it per stream
-        with np.errstate(over="ignore", invalid="ignore"):  # cloud_distances rejects what overflows
-            for step, r in enumerate([bloch_from_density(state) for state in trajectory.states]):
-                b = np.empty(3)
-                delta = np.empty(3)
-                for idx in range(len(AXES)):
-                    stream = mix_seed(seed, trajectory.trajectory_id, step, idx)
-                    xy = axis_points(
-                        r[idx], n, factors, theta.noise, mix_seed(stream, 1), mix_seed(stream, 2), rng
-                    )
-                    d0, d1 = cloud_distances(xy[:, 0], xy[:, 1], clouds)
-                    b[idx], delta[idx] = b_from_distances(d0, d1, discriminator)
-                observations.append(BVector(b=b, delta=delta))
+        for step, r in enumerate([bloch_from_density(state) for state in trajectory.states]):
+            b = np.empty(3)
+            delta = np.empty(3)
+            for idx in range(len(AXES)):
+                stream = mix_seed(seed, trajectory.trajectory_id, step, idx)
+                xy = axis_points(
+                    r[idx], n, factors, theta.noise, mix_seed(stream, 1), mix_seed(stream, 2), rng
+                )
+                d0, d1 = cloud_distances(xy[:, 0], xy[:, 1], theta)
+                b[idx], delta[idx] = b_from_distances(d0, d1, discriminator)
+            observations.append(BVector(b=b, delta=delta))
     else:
         raise ValueError(f"unknown observation mode {mode!r}")
     return replace(trajectory, observations=tuple(observations))

@@ -19,7 +19,8 @@ trajectory and calls ``axis_points`` once per (step, axis) block, which
 draws that block's outcome count and points from their own two streams
 and skips the shuffle.  A block does not build a generator per stream: it
 re-keys one Philox generator, which then draws the same numbers as a new
-generator with that key.
+generator with that key.  ``ContaminationSpec`` keeps its disc inside the
+float range, so every drawn coordinate is finite, with no numpy warning.
 """
 
 from __future__ import annotations

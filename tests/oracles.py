@@ -257,6 +257,11 @@ def principal_split_reference(points: np.ndarray) -> np.ndarray:
     return upper != upper[0]
 
 
+def log_density_reference(d: np.ndarray, log_det: float) -> np.ndarray:
+    """Gaussian log-density -d/2 - log_det/2 - log(2 pi) at squared Mahalanobis distance ``d``."""
+    return -0.5 * d - 0.5 * log_det - math.log(2.0 * math.pi)
+
+
 def em_fit_reference(
     dataset,
     max_iter: int = 200,
@@ -284,11 +289,7 @@ def em_fit_reference(
         log_dens = np.empty((n, 2))
         for c in range(2):
             cov_inv, log_det = _reference_inverse(covs[c])
-            log_gauss = (
-                -0.5 * mahalanobis_sq_einsum(points, means[c], cov_inv)
-                - 0.5 * log_det
-                - math.log(2.0 * math.pi)
-            )
+            log_gauss = log_density_reference(mahalanobis_sq_einsum(points, means[c], cov_inv), log_det)
             log_dens[:, c] = np.log(max(weights[c], 1e-300)) + log_gauss
         top = log_dens.max(axis=1, keepdims=True)
         log_norm = top[:, 0] + np.log(np.exp(log_dens - top).sum(axis=1))

@@ -33,7 +33,7 @@ from iqtomo import (
     synthesize_iq,
     unitary_superoperator,
 )
-from iqtomo.discriminate import _assignment_costs, cloud_distances, cloud_entries
+from iqtomo.discriminate import _gaussian_cost, cloud_distances
 from iqtomo.qcore import frobenius_distance
 from iqtomo.qhi import step_unitary
 from iqtomo.readout import simulate_datasets
@@ -147,8 +147,8 @@ def test_criterion_05_assignment_exactness(criterion):
         labels = np.argmax(member.rows, axis=1)
 
         cost = np.zeros((n, 3))
-        d0, d1 = cloud_distances(points[:, 0], points[:, 1], cloud_entries(theta))
-        cost[:, 0], cost[:, 1] = _assignment_costs(d0, d1, theta)
+        d0, d1 = cloud_distances(points[:, 0], points[:, 1], theta)
+        cost[:, 0], cost[:, 1] = _gaussian_cost(d0, theta.zero.log_det), _gaussian_cost(d1, theta.one.log_det)
         cost[:, 2] = -math.log(1.0 / (math.pi * theta.noise.radius**2))  # -log of the uniform disc density
         caps = capacities_from_weights(theta.weights(), n)
         got = math.fsum(cost[s, labels[s]] for s in range(n))
@@ -177,7 +177,7 @@ def test_criterion_06_f_matrix_identity(criterion):
         x = rng.normal(scale=4.0, size=(100, 2))
         lifted = np.hstack([x, np.ones((100, 1))])
         quad = np.einsum("ij,jk,ik->i", lifted, f, lifted)
-        d_sq, _ = cloud_distances(x[:, 0], x[:, 1], cloud_entries(MixtureParams(comp, comp)))
+        d_sq, _ = cloud_distances(x[:, 0], x[:, 1], MixtureParams(comp, comp))
         worst = max(worst, float(np.abs(quad + d_sq).max()))
     criterion(
         6,

@@ -25,7 +25,7 @@ from iqtomo import (
     memberships_for,
     synthesize_iq,
 )
-from iqtomo.discriminate import _assignment_costs, _sort_and_split, cloud_distances, cloud_entries
+from iqtomo.discriminate import _gaussian_cost, _sort_and_split, cloud_distances
 from iqtomo.readout import simulate_datasets
 from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE
 from oracles import min_cost_assignment_reference
@@ -49,8 +49,8 @@ def _objective(cost: np.ndarray, assign: np.ndarray) -> float:
 
 def _state_costs(dataset: IQDataset, theta: MixtureParams) -> np.ndarray:
     """(n, 2) zero and one costs of the dataset's samples, as the solver computes them."""
-    d0, d1 = cloud_distances(dataset.i, dataset.q, cloud_entries(theta))
-    return np.stack(_assignment_costs(d0, d1, theta), axis=1)
+    d0, d1 = cloud_distances(dataset.i, dataset.q, theta)
+    return np.stack([_gaussian_cost(d0, theta.zero.log_det), _gaussian_cost(d1, theta.one.log_det)], axis=1)
 
 
 def _hard_weighted(dataset: IQDataset, theta: MixtureParams) -> tuple[np.ndarray, MixtureParams]:

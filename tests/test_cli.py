@@ -462,10 +462,19 @@ class TestQhi:
         losses = [float(row[1]) for row in rows[1:]]
         assert losses and all(b <= a for a, b in zip(losses, losses[1:]))
 
-    @pytest.mark.filterwarnings("ignore:trajectory data span")
-    def test_sampled_assignment_mode_discriminates_hard(self, tmp_path, capsys):
+    def test_sampled_assignment_mode_is_refused(self, tmp_path, capsys):
+        # assignment's capacities come from the mixture weights, so its b would ignore the shots
         qhi = {"steps": 3, "observe": "sampled"}
         cfg = write_config(tmp_path / "c.json", n_per_axis=200, qhi=qhi)
+        out = tmp_path / "o"
+        code, text, err = run(capsys, "qhi", "--config", cfg, "--mode", "assignment", "--out", str(out))
+        assert (code, text) == (1, "")
+        assert err == "error: sampled observation cannot discriminate with 'assignment'\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.filterwarnings("ignore:trajectory data span")
+    def test_exact_observation_ignores_the_mode(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", qhi={"steps": 3})
         hard, assignment = tmp_path / "hard", tmp_path / "assignment"
         for mode, out in (("hard", hard), ("assignment", assignment)):
             assert run(capsys, "qhi", "--config", cfg, "--mode", mode, "--out", str(out))[0] == 0
@@ -662,12 +671,15 @@ def test_em_likelihood_decrease_is_exit_1(sim_dir, tmp_path, capsys, monkeypatch
     assert err.startswith("error: EM log-likelihood decreased at iteration 2")
 
 
-def test_run_illustration_reports_delta_b(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "run_illustration", REPO_ROOT / "scripts" / "run_illustration.py"
-    )
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_run_illustration_reports_delta_b(tmp_path):
+    script = _load_script("run_illustration")
     assert script.main(["--seed", "7", "--n", "2000", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "illustration.json").read_text(encoding="utf-8"))
     for method in ("truth_counts", "em_hard", "soft_collapsed"):
@@ -677,6 +689,17 @@ def test_run_illustration_reports_delta_b(tmp_path):
         delta_b(*datasets[axis].truth_counts()[:2]) for axis in iqtomo.AXES
     ]
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "argv", [["--n", "0"], ["--n", "-5"], ["--seed", "-1"], ["--seed", str(2**64)], ["--seed", "x"]]
+)
+def test_run_illustration_rejects_bad_counts_and_seeds(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _load_script("run_illustration").main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[0]}" in err and "Traceback" not in err
 
 
 def test_header_mixture_with_overflowing_mean_is_line_1(sim_dir, tmp_path, capsys):
@@ -743,17 +766,8 @@ def test_discriminate_rejects_a_sample_too_far_from_both_clouds(far_sample_dir, 
     assert err == "error: squared distances overflow: a sample lies too far from both clouds\n"
 
 
-def _load_seed_sweep():
-    spec = importlib.util.spec_from_file_location(
-        "seed_sweep", REPO_ROOT / "scripts" / "seed_sweep.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def test_seed_sweep_prints_the_shared_reconstruction_medians(capsys):
-    script = _load_seed_sweep()
+    script = _load_script("seed_sweep")
     assert script.main(["--seeds", "2", "--n", "2000"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "2 seeds from 0, n=2000 per axis"
@@ -775,9 +789,43 @@ def test_seed_sweep_prints_the_shared_reconstruction_medians(capsys):
 @pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seeds", "-3"], ["--n", "0"], ["--n", "x"]])
 def test_seed_sweep_rejects_counts_below_one(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        _load_seed_sweep().main(argv)
+        _load_script("seed_sweep").main(argv)
     assert exc.value.code == 2
     assert f"argument {argv[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--start", "-3"], ["--start", str(2**64)], ["--start", str(2**64 - 1), "--seeds", "2"]],
+)
+def test_seed_sweep_rejects_seeds_outside_64_bits(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _load_script("seed_sweep").main(argv)
+    assert exc.value.code == 2
+    assert "argument --start" in capsys.readouterr().err
+
+
+def test_bench_pairs_records_a_claim_only_when_one_is_made(tmp_path, monkeypatch, capsys):
+    script = _load_script("bench_pairs")
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(script, "CLAIM", None)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--parent", "HEAD", "--out", str(out), "--confirm-seed", "5"])
+    assert exc.value.code == 2
+    assert "argument --confirm-seed" in capsys.readouterr().err
+    assert not out.exists()
+    # no benchmark runs: the parent checkout, the copy and the pairs are stubbed
+    monkeypatch.setattr(script, "_checkout_parent", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(script, "_copy_change", lambda dest: None)
+    monkeypatch.setattr(script, "_pairs", lambda dirs, workloads, seed: {})
+    assert script.main(["--parent", "HEAD", "--out", str(out)]) == 0
+    pairs = json.loads(out.read_text(encoding="utf-8"))["pairs"]
+    assert pairs["claim"] is None and "claim_holds" not in pairs
+    monkeypatch.setattr(script, "CLAIM", ("tomo_sweep", "ops_per_s"))
+    monkeypatch.setattr(script, "_claim_holds", lambda pairs: False)
+    assert script.main(["--parent", "HEAD", "--out", str(out)]) == 0
+    pairs = json.loads(out.read_text(encoding="utf-8"))["pairs"]
+    assert pairs["claim"].startswith("tomo_sweep ops_per_s: ") and pairs["claim_holds"] is False
 
 
 def test_module_entry_matches_api(capsys):

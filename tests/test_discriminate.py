@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -34,6 +35,7 @@ from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE
 from oracles import (
     em_fit_reference,
     f_matrix,
+    log_density_reference,
     mahalanobis_sq_einsum,
     principal_split_reference,
     soft_rows_reference,
@@ -48,8 +50,7 @@ def _dist_sq(points, component: ComponentParams) -> np.ndarray:
     """Squared Mahalanobis distances of (2,) or (n, 2) points to ``component``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     pair = ComponentParams(0.5, component.mean, component.cov)
-    clouds = discriminate.cloud_entries(MixtureParams(zero=pair, one=pair))
-    return discriminate.cloud_distances(pts[:, 0], pts[:, 1], clouds)[0]
+    return discriminate.cloud_distances(pts[:, 0], pts[:, 1], MixtureParams(zero=pair, one=pair))[0]
 
 
 def _dataset(points) -> IQDataset:
@@ -155,13 +156,21 @@ class TestParams:
             ((math.nan, 2.0), 6.0, "contamination center must hold finite numbers, got nan"),
             ((0.0, 2.0), math.inf, "contamination radius must hold finite numbers, got inf"),
             ((0.0, 2.0, 5.0), 6.0, "contamination center must be a [2] list of numbers, got [0.0, 2.0, 5.0]"),
+            ((1.797e308, 0.0), 1e307, "contamination disc reaches past the largest double"),
+            ((0.0, -1e308), 1e308, "contamination disc reaches past the largest double"),
         ],
-        ids=["nan_center", "infinite_radius", "three_coordinates"],
+        ids=["nan_center", "infinite_radius", "three_coordinates", "disc_past_i_range", "disc_past_q_range"],
     )
     def test_contamination_center_and_radius_are_checked(self, center, radius, message):
         with pytest.raises(ValueError) as err:
             ContaminationSpec(0.1, center, radius)
         assert str(err.value) == message
+
+    def test_disc_at_the_edge_of_the_float_range_draws_finite_points(self):
+        edge = ContaminationSpec(0.5, (1.6e308, -1.6e308), 1.7e308 - 1.6e308)
+        # the suite turns numpy RuntimeWarnings into errors, so no draw overflows
+        d = synthesize_iq(200, 200, _component([2.5, 2.0]), _component([-2.5, 2.0]), edge, seed=3)
+        assert np.isfinite(d.i).all() and np.isfinite(d.q).all() and d.truth.tolist().count(2) == 400
 
     def test_mixture_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
@@ -231,6 +240,26 @@ class TestMahalanobis:
             np.testing.assert_allclose(c.cov_inv, exact, rtol=1e-15, atol=0.0)
             assert abs(c.log_det - math.log(det)) <= 1e-15 * max(1.0, abs(c.log_det))
 
+    @pytest.mark.parametrize(
+        "point, cov, message",
+        [
+            ((1e200, 2.0), np.eye(2), "squared distances overflow: a sample lies too far from both clouds"),
+            ((-1e200, 2.0), np.eye(2), "squared distances overflow: a sample lies too far from both clouds"),
+            # 2 * b * di * dq is -inf here and a * di**2 inf, so the sum is NaN
+            ((1e200, 1e200), [[1.0, 0.5], [0.5, 1.0]], "squared distances overflow: a sample lies too far from both clouds"),
+            ((math.inf, 2.0), np.eye(2), "i/q coordinates must be finite"),
+            ((0.0, math.nan), np.eye(2), "i/q coordinates must be finite"),
+        ],
+    )
+    def test_far_sample_raises_without_a_numpy_warning(self, point, cov, message):
+        theta = MixtureParams(_component([2.5, 2.0], cov), _component([-2.5, 2.0], cov))
+        i, q = np.array([0.0, point[0], 1.0]), np.array([2.0, point[1], 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no caller-side np.errstate: no RuntimeWarning may leak
+            with pytest.raises(ValueError) as err:
+                discriminate.cloud_distances(i, q, theta)
+        assert str(err.value) == message
+
     def test_rejects_singular_and_ill_conditioned(self):
         with pytest.raises(ValueError, match="positive definite"):
             _component([0, 0], [[1.0, 1.0], [1.0, 1.0]])
@@ -238,6 +267,28 @@ class TestMahalanobis:
             _component([0, 0], [[1.0, 0.0], [0.0, float("nan")]])
         with pytest.raises(ValueError, match="ill-conditioned"):
             _component([0, 0], [[1e8, 1e8 - 1.0], [1e8 - 1.0, 1e8]])
+
+
+class TestGaussianCost:
+    """EM's E-step and the assignment objective share one cost: minus the Gaussian log-density."""
+
+    distance = st.one_of(
+        st.sampled_from([0.0, 5e-324, 1.0, 1e300, np.finfo(float).max]),
+        st.floats(0.0, np.finfo(float).max),
+    )
+    log_det = st.one_of(
+        st.sampled_from([0.0, -2.0 * math.log(2.0 * math.pi), -23.0, 1418.0]),
+        st.floats(-1e4, 1e4),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.lists(distance, min_size=1, max_size=50), log_det=log_det)
+    def test_negated_cost_is_the_reference_log_density(self, d, log_det):
+        d = np.array(d)
+        got = -discriminate._gaussian_cost(d, log_det)
+        want = log_density_reference(d, log_det)
+        # bit for bit, except that an exact zero may differ in sign (+ 0.0 makes it +0)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 class TestFMatrix:
@@ -434,7 +485,7 @@ class TestSoftColumns:
         for axis in AXES:
             d = datasets[axis]
             theta = em_fit(d)
-            d0, d1 = discriminate.cloud_distances(d.i, d.q, discriminate.cloud_entries(theta))
+            d0, d1 = discriminate.cloud_distances(d.i, d.q, theta)
             self.assert_bit_equal(d0, d1)
             rows = memberships_for(d, theta, "soft").rows
             assert rows.tobytes() == soft_rows_reference(d0, d1).tobytes()
@@ -452,14 +503,12 @@ class TestHardCounts:
             n0, n1 = math.fsum(member.rows[:, 0]), math.fsum(member.rows[:, 1])
             b, err = b_from_memberships(member)
             assert (b, err) == (hard_b(n0, n1), delta_b(n0, n1))
-            d0, d1 = discriminate.cloud_distances(
-                datasets[axis].i, datasets[axis].q, discriminate.cloud_entries(theta)
-            )
+            d0, d1 = discriminate.cloud_distances(datasets[axis].i, datasets[axis].q, theta)
             assert discriminate.b_from_distances(d0, d1, "hard") == (b, err)
 
     def test_soft_b_from_distances_matches_memberships(self, sep5_mixture):
         d = synthesize_iq(700, 300, sep5_mixture.zero, sep5_mixture.one, seed=13)
-        d0, d1 = discriminate.cloud_distances(d.i, d.q, discriminate.cloud_entries(sep5_mixture))
+        d0, d1 = discriminate.cloud_distances(d.i, d.q, sep5_mixture)
         want = b_from_memberships(memberships_for(d, sep5_mixture, "soft"))
         assert discriminate.b_from_distances(d0, d1, "soft") == want
 
