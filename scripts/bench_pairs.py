@@ -54,7 +54,7 @@ SECONDS = SPEC["run_seconds"]
 BOUNDS = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in SPEC["end_to_end"]}
 SIDES = ("parent", "change")
 PAIRS = 10
-CLAIM = None  # (workload, end-to-end metric) the change claims to improve, or None
+CLAIM = ("qhi_sampled", "ops_per_s")  # (workload, end-to-end metric) the change claims to improve, or None
 
 
 def _checkout_parent(rev: str, dest: Path) -> str:

@@ -10,14 +10,16 @@ Sampled observation gives the same b and delta_b, bit for bit, as
 simulating and discriminating one dataset per (step, axis) block.  It
 computes once per trajectory what no block changes: the Bloch vector of
 every state, both clouds' singularity check and Cholesky factor, and one
-Philox generator.  Per block it re-keys that generator to draw the outcome
-count and the I-Q points from the block's own streams under
-``stream = mix_seed(seed, trajectory_id, step, axis index)``, takes the
-points' squared distances to the two clouds (``cloud_distances``, which
-rejects one that overflows), then counts hard labels or sums soft
-memberships exactly, both straight from the two distance arrays
-(``b_from_distances``): the soft ones are a column softmax, summed without
-a Python list.
+Philox generator.  Per step it re-keys that generator to each axis's
+outcome stream under ``stream = mix_seed(seed, trajectory_id, step, axis
+index)`` for its outcome count, then draws the three axes' I-Q points in
+one pass as two columns (``draw_shots``: every axis's zero shots, then
+every axis's one shots, then every axis's contamination, each axis from
+its own stream).  The points' squared distances to the two clouds are
+taken once per step (``cloud_distances``, which rejects one that
+overflows); each axis then counts hard labels or sums soft memberships
+exactly over its own three segments (``b_from_distances``): the soft
+ones are a column softmax, summed without a Python list.
 
 Fitting alternates a least-squares update of ``g`` over all consecutive
 state pairs with a projection of its Choi matrix onto the CPTP set
@@ -55,7 +57,7 @@ from .qcore import (
     pauli,
 )
 from .qst import qst_closed_form
-from .readout import axis_points, cloud_factors, mix_seed, write_text_atomic
+from .readout import cloud_factors, draw_shots, mix_seed, outcome_counts, write_text_atomic
 
 _VEC_ID = np.eye(2, dtype=complex).reshape(-1)
 _EYE2 = np.eye(2)
@@ -240,8 +242,12 @@ def observe_trajectory(
     with outcome seed ``mix_seed(stream, 1)`` and I-Q seed
     ``mix_seed(stream, 2)``, then ``memberships_for`` and
     ``b_from_memberships``, for ``stream = mix_seed(seed, trajectory_id,
-    step, axis index)``.  A block skips the dataset's shuffle, which changes
-    neither a label count nor an exactly rounded sum.
+    step, axis index)``.  The three axes of a step are drawn together into
+    one pair of I-Q columns, in segments by class, and their distances are
+    taken in one call; each axis gathers its own segments.  This skips the
+    dataset's shuffle, which changes neither a label count nor an exactly
+    rounded sum.  ``n`` must be an integer >= 1 and ``seed`` one in
+    [0, 2**64).
     """
     if trajectory.states is None:
         raise ValueError("observation requires simulated states")
@@ -257,20 +263,23 @@ def observe_trajectory(
             raise ValueError("sampled observation cannot discriminate with 'assignment'")
         if discriminator not in MODES:
             raise ValueError(f"unknown discrimination mode {discriminator!r}")
-        if n < 1:
-            raise ValueError("shot count must be >= 1")
+        n = json_integer(n, "shot count", 1)
+        seed = json_integer(seed, "seed", 0, 2**64)
         factors = cloud_factors(theta.zero, theta.one)
-        rng = np.random.Generator(np.random.Philox(key=0))  # axis_points re-keys it per stream
+        rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed per stream
         for step, r in enumerate([bloch_from_density(state) for state in trajectory.states]):
+            streams = [mix_seed(seed, trajectory.trajectory_id, step, idx) for idx in range(len(AXES))]
+            counts = [outcome_counts(r[idx], n, mix_seed(s, 1), rng) for idx, s in enumerate(streams)]
+            i, q, blocks = draw_shots(counts, [mix_seed(s, 2) for s in streams], factors, theta.noise, rng)
+            d0, d1 = cloud_distances(i, q, theta)
             b = np.empty(3)
             delta = np.empty(3)
-            for idx in range(len(AXES)):
-                stream = mix_seed(seed, trajectory.trajectory_id, step, idx)
-                xy = axis_points(
-                    r[idx], n, factors, theta.noise, mix_seed(stream, 1), mix_seed(stream, 2), rng
+            for idx, block in enumerate(blocks):
+                b[idx], delta[idx] = b_from_distances(
+                    np.concatenate([d0[cut] for cut in block]),
+                    np.concatenate([d1[cut] for cut in block]),
+                    discriminator,
                 )
-                d0, d1 = cloud_distances(xy[:, 0], xy[:, 1], theta)
-                b[idx], delta[idx] = b_from_distances(d0, d1, discriminator)
             observations.append(BVector(b=b, delta=delta))
     else:
         raise ValueError(f"unknown observation mode {mode!r}")

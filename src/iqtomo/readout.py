@@ -7,20 +7,23 @@ uniform disc for contamination).
 
 All randomness flows through a counter-based Philox bit generator, with
 normal deviates produced by an explicit Box-Muller transform on its
-uniform stream, so identical seeds give bit-identical datasets across
-platforms.
+uniform stream, and no BLAS call draws a point: the same numpy build and C
+math library give the same bits.
 
-One core draws every I-Q point: ``_draw_points`` takes the outcome counts,
-both clouds' means and Cholesky factors (``cloud_factors``, which also
-rejects a numerically singular covariance) and one generator.
-``synthesize_iq`` calls it and then shuffles and records provenance.
-Sampled trajectory observation computes ``cloud_factors`` once per
-trajectory and calls ``axis_points`` once per (step, axis) block, which
-draws that block's outcome count and points from their own two streams
-and skips the shuffle.  A block does not build a generator per stream: it
-re-keys one Philox generator, which then draws the same numbers as a new
-generator with that key.  ``ContaminationSpec`` keeps its disc inside the
-float range, so every drawn coordinate is finite, with no numpy warning.
+One core draws every I-Q point: ``draw_shots`` takes the outcome counts of
+one or more blocks, one stream seed per block, both clouds' means and
+Cholesky factors (``cloud_factors``, which also rejects a numerically
+singular covariance) and one Philox generator, which it re-keys per block
+and which then draws the same numbers as a new generator with that key.
+It writes I and Q as two contiguous columns: every block's zero shots,
+then every block's one shots, then every block's contamination, and runs
+Box-Muller, the disc transform and each cloud's Cholesky map once over
+each segment.  ``synthesize_iq`` draws one block and then permutes the two
+columns and the truth column and records provenance; sampled trajectory
+observation draws the three axes of one step together (``outcome_counts``
+re-keys the same generator for their outcome counts) and skips the
+permutation.  ``ContaminationSpec`` keeps its disc inside the float range,
+so every drawn coordinate is finite, with no numpy warning.
 """
 
 from __future__ import annotations
@@ -105,29 +108,6 @@ def _rekey(rng: np.random.Generator, seed: int) -> np.random.Generator:
     return rng
 
 
-def _standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Box-Muller deviates from the counter-based uniform stream."""
-    if n == 0:
-        return np.empty(0)
-    pairs = (n + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # (0, 1], keeps the log finite
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
-    return out[:n]
-
-
-def _uniform_disc(rng: np.random.Generator, n: int, center: tuple[float, float], radius: float) -> np.ndarray:
-    if n == 0:
-        return np.empty((0, 2))
-    r = radius * np.sqrt(rng.random(n))
-    phi = 2.0 * np.pi * rng.random(n)
-    return np.stack([center[0] + r * np.cos(phi), center[1] + r * np.sin(phi)], axis=1)
-
-
 @dataclass(frozen=True, eq=False)
 class IQDataset:
     """One observable's worth of I-Q readout records.
@@ -190,16 +170,17 @@ def sample_outcomes(rho: DensityMatrix, axis: str, n: int, seed: int) -> tuple[i
     The zero-outcome probability is p0 = (1 + r_axis) / 2 for r the Bloch
     vector of ``rho``.
     """
-    if n < 1:
-        raise ValueError("shot count must be >= 1")
-    n0 = _outcome_count(bloch_from_density(rho)[AXES.index(axis)], n, _philox(seed))
-    return n0, n - n0
+    n = json_integer(n, "shot count", 1)
+    seed = json_integer(seed, "seed", 0, 2**64)
+    return outcome_counts(bloch_from_density(rho)[AXES.index(axis)], n, seed, _philox(seed))
 
 
-def _outcome_count(r: float, n: int, rng: np.random.Generator) -> int:
-    """Zero outcomes among ``n`` shots of an axis whose Bloch component is ``r``."""
+def outcome_counts(r: float, n: int, seed: int, rng: np.random.Generator) -> tuple[int, int]:
+    """(n0, n1) among ``n`` shots of an axis whose Bloch component is ``r``, drawn
+    by ``rng``, any Philox generator, re-keyed to ``seed``."""
     p0 = min(max(0.5 * (1.0 + r), 0.0), 1.0)
-    return int(np.count_nonzero(rng.random(n) < p0))
+    n0 = int(np.count_nonzero(_rekey(rng, seed).random(n) < p0))
+    return n0, n - n0
 
 
 def cloud_factors(theta0: ComponentParams, theta1: ComponentParams) -> CloudFactors:
@@ -215,43 +196,75 @@ def cloud_factors(theta0: ComponentParams, theta1: ComponentParams) -> CloudFact
     return factors[0], factors[1]
 
 
-def _draw_points(
-    n0: int,
-    n1: int,
+def _cholesky_map(i: np.ndarray, q: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> None:
+    """``(i, q) <- mean + chol @ (i, q)`` per shot, in place.
+
+    Each coordinate is two products and one sum, as in the row product
+    ``z @ chol.T``, then the mean; one ufunc per operation, so no
+    multiply-add is fused and a shot maps the same alone or among others.
+    """
+    lower = i * chol[1, 0]
+    i *= chol[0, 0]
+    i += q * chol[0, 1]
+    q *= chol[1, 1]
+    q += lower
+    i += mean[0]
+    q += mean[1]
+
+
+def draw_shots(
+    counts: Sequence[tuple[int, int]],
+    seeds: Sequence[int],
     factors: CloudFactors,
     contamination: Optional[ContaminationSpec],
     rng: np.random.Generator,
-) -> np.ndarray:
-    """I-Q points of ``n0`` zero, ``n1`` one and ``floor(w (n0 + n1) / (1 - w))``
-    contamination shots of weight ``w``, drawn from ``rng`` and stacked in that order."""
-    blocks = []
-    for count, (mean, chol) in zip((n0, n1), factors):
-        z = _standard_normal(rng, 2 * count).reshape(count, 2)
-        blocks.append(mean + z @ chol.T)
+) -> tuple[np.ndarray, np.ndarray, list[list[slice]]]:
+    """I and Q columns of the shots of every block, and each block's (zero,
+    one, contamination) segments of them.
+
+    Block k has ``counts[k] = (n0, n1)`` state shots and ``floor(w (n0 + n1)
+    / (1 - w))`` contamination shots of weight ``w``.  It draws from ``rng``,
+    any Philox generator, re-keyed to ``seeds[k]``: the zero pairs, the one
+    pairs, then the contamination, each as its first uniforms, then its
+    second.  The columns hold every block's zero shots, then every block's
+    one shots, then every block's contamination, each in block order.
+    ``factors`` come from :func:`cloud_factors`.
+    """
+    w = 0.0 if contamination is None else contamination.weight
+    sizes = [n0 for n0, _ in counts] + [n1 for _, n1 in counts]
+    sizes += [math.floor(w * (n0 + n1) / (1.0 - w)) for n0, n1 in counts]
+    edges = list(itertools.accumulate(sizes, initial=0))
+    cuts = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    blocks = [cuts[k :: len(counts)] for k in range(len(counts))]
+    i = np.empty(edges[-1])
+    q = np.empty(edges[-1])
+    for block, seed in zip(blocks, seeds):
+        _rekey(rng, seed)
+        for cut in block:
+            rng.random(out=i[cut])
+            rng.random(out=q[cut])
+    zero_end, state_end = edges[len(counts)], edges[2 * len(counts)]
+    # radii in i: Box-Muller's sqrt(-2 log(1 - u)) for state shots, r sqrt(u) in the disc
+    radius = i[:state_end]
+    np.subtract(1.0, radius, out=radius)  # (0, 1], keeps the log finite
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
     if contamination is not None:
-        w = contamination.weight
-        n_noise = math.floor(w * (n0 + n1) / (1.0 - w))
-        blocks.append(_uniform_disc(rng, n_noise, contamination.center, contamination.radius))
-    return np.concatenate(blocks, axis=0)
-
-
-def axis_points(
-    r: float,
-    n: int,
-    factors: CloudFactors,
-    contamination: Optional[ContaminationSpec],
-    outcome_seed: int,
-    iq_seed: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The I-Q points :func:`simulate_axis` draws for ``n`` shots of an axis
-    with Bloch component ``r``, before its shuffle: zero-cloud points first,
-    then one-cloud points, then contamination.  ``factors`` come from
-    :func:`cloud_factors`.  ``rng`` is any Philox generator: it is re-keyed
-    to ``outcome_seed``, then to ``iq_seed``, so it draws what two new
-    generators with those keys would."""
-    n0 = _outcome_count(r, n, _rekey(rng, outcome_seed))
-    return _draw_points(n0, n - n0, factors, contamination, _rekey(rng, iq_seed))
+        radius = i[state_end:]
+        np.sqrt(radius, out=radius)
+        radius *= contamination.radius
+    q *= 2.0 * np.pi  # angles
+    cos = np.cos(q)
+    np.sin(q, out=q)
+    q *= i
+    i *= cos
+    for (mean, chol), part in zip(factors, (slice(0, zero_end), slice(zero_end, state_end))):
+        _cholesky_map(i[part], q[part], mean, chol)
+    if contamination is not None:
+        i[state_end:] += contamination.center[0]
+        q[state_end:] += contamination.center[1]
+    return i, q, blocks
 
 
 def synthesize_iq(
@@ -271,21 +284,18 @@ def synthesize_iq(
     ``w``.  Sample order is a seed-deterministic shuffle, and the recorded
     mixture provenance carries the realised class fractions.
     """
-    if n0 < 0 or n1 < 0 or n0 + n1 < 1:
+    n0 = json_integer(n0, "n0", 0)
+    n1 = json_integer(n1, "n1", 0)
+    seed = json_integer(seed, "seed", 0, 2**64)
+    if n0 + n1 < 1:
         raise ValueError("need n0, n1 >= 0 with n0 + n1 >= 1")
     n_state = n0 + n1
     rng = _philox(seed)
-    xy = _draw_points(n0, n1, cloud_factors(theta0, theta1), contamination, rng)
-    truth = np.concatenate(
-        [
-            np.full(n0, LABEL_ZERO, dtype=np.int8),
-            np.full(n1, LABEL_ONE, dtype=np.int8),
-            np.full(xy.shape[0] - n_state, LABEL_NOISE, dtype=np.int8),
-        ]
+    i, q, _ = draw_shots([(n0, n1)], [seed], cloud_factors(theta0, theta1), contamination, rng)
+    truth = np.repeat(
+        np.array([LABEL_ZERO, LABEL_ONE, LABEL_NOISE], dtype=np.int8), [n0, n1, i.size - n_state]
     )
-    perm = rng.permutation(xy.shape[0])
-    xy = xy[perm]
-    truth = truth[perm]
+    perm = rng.permutation(i.size)
 
     noise_weight = contamination.weight if contamination is not None else 0.0
     state_fraction = 1.0 - noise_weight
@@ -296,10 +306,10 @@ def synthesize_iq(
     )
     return IQDataset(
         observable=observable,
-        i=xy[:, 0],
-        q=xy[:, 1],
-        truth=truth,
-        seed=int(seed),
+        i=i[perm],
+        q=q[perm],
+        truth=truth[perm],
+        seed=seed,
         mixture=mixture,
     )
 
@@ -330,6 +340,8 @@ def simulate_datasets(
     state: DensityMatrix, mixture: MixtureParams, n: int, seed: int
 ) -> dict[str, IQDataset]:
     """The three per-axis datasets of one run; axis ``a`` draws from ``axis_seed(seed, a)``."""
+    n = json_integer(n, "shot count", 1)
+    seed = json_integer(seed, "seed", 0, 2**64)
     datasets = {}
     for axis in AXES:
         stream = axis_seed(seed, axis)

@@ -522,6 +522,39 @@ def soft_rows_reference(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=1, keepdims=True)
 
 
+def synthesize_iq_reference(n0: int, n1: int, theta0, theta1, contamination, seed: int):
+    """(i, q, truth) of ``synthesize_iq``, drawn as interleaved rows: each cloud
+    takes (n, 2) Box-Muller deviates from its u1 and u2 uniforms, mapped row by
+    row in Python floats, then the disc's radii and angles, then one permutation."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rows = []
+    for count, comp in ((n0, theta0), (n1, theta1)):
+        u1 = 1.0 - rng.random(count)
+        u2 = rng.random(count)
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = 2.0 * np.pi * u2
+        z = np.empty((count, 2))
+        z[:, 0] = radius * np.cos(angle)
+        z[:, 1] = radius * np.sin(angle)
+        m, l = comp.mean.tolist(), np.linalg.cholesky(comp.cov).tolist()
+        rows += [
+            (m[0] + (a * l[0][0] + b * l[0][1]), m[1] + (a * l[1][0] + b * l[1][1]))
+            for a, b in z.tolist()
+        ]
+    n_noise = 0
+    if contamination is not None:
+        w = contamination.weight
+        n_noise = math.floor(w * (n0 + n1) / (1.0 - w))
+        r = contamination.radius * np.sqrt(rng.random(n_noise))
+        phi = 2.0 * np.pi * rng.random(n_noise)
+        (cx, cy) = contamination.center
+        rows += list(zip((cx + r * np.cos(phi)).tolist(), (cy + r * np.sin(phi)).tolist()))
+    xy = np.array(rows, dtype=float).reshape(-1, 2)
+    truth = np.array([0] * n0 + [1] * n1 + [2] * n_noise, dtype=np.int8)
+    perm = rng.permutation(len(rows))
+    return xy[perm, 0], xy[perm, 1], truth[perm]
+
+
 def observe_trajectory_reference(trajectory, n: int, theta, seed: int, discriminator: str = "hard"):
     """Sampled observation one dataset at a time: every (step, axis) block runs
     ``simulate_axis`` (outcomes, synthesis, shuffle, an ``IQDataset``), then

@@ -283,17 +283,20 @@ def _tilted(noise_weight: float) -> MixtureParams:
 class TestSampledObservation:
     """The per-trajectory observation against the per-block oracle, bit for bit."""
 
-    @pytest.mark.parametrize("noise_weight", [0.0, 0.1])
+    # 0.01 draws no contamination shot for n < 99, 0.1 none for n < 9
+    @pytest.mark.parametrize("noise_weight", [0.0, 0.01, 0.1])
     @pytest.mark.parametrize("discriminator", ["hard", "soft"])
+    # at a pole the z axis draws n0 = n (north) or n0 = 0 (south) at step 0
+    @pytest.mark.parametrize("start", [[0.3, -0.5, 0.6], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     @pytest.mark.parametrize(
         "seed, trajectory_id, n",
-        [(0, 0, 1), (7, 3, 2), (123, 1, 257), (2**63 + 5, 2, 2000)],
+        [(0, 0, 1), (7, 3, 2), (5, 4, 7), (123, 1, 257), (2**63 + 5, 2, 2000)],
     )
     def test_matches_per_block_reference(
-        self, rotation, seed, trajectory_id, n, discriminator, noise_weight
+        self, rotation, seed, trajectory_id, n, start, discriminator, noise_weight
     ):
         theta = _tilted(noise_weight)
-        rho0 = density_from_bloch([0.3, -0.5, 0.6])
+        rho0 = density_from_bloch(start)
         traj = simulate_trajectory(rotation, rho0, 4, trajectory_id=trajectory_id)
         got = observe_trajectory(
             traj, mode="sampled", n=n, theta=theta, seed=seed, discriminator=discriminator
@@ -313,7 +316,7 @@ class TestSampledObservation:
 
     def test_rejects_zero_shots(self, rotation, rho22, sep5_mixture):
         traj = simulate_trajectory(rotation, rho22, 2)
-        with pytest.raises(ValueError, match="shot count must be >= 1"):
+        with pytest.raises(ValueError, match="^shot count must be an integer >= 1, got 0$"):
             observe_trajectory(traj, mode="sampled", n=0, theta=sep5_mixture, seed=1)
 
     def test_rejects_singular_cloud(self, rotation, rho22):

@@ -22,8 +22,8 @@ from iqtomo import (
     save_dataset,
     synthesize_iq,
 )
-from iqtomo.readout import _rekey
-from oracles import load_dataset_reference, save_dataset_reference
+from iqtomo.readout import _cholesky_map, _rekey
+from oracles import load_dataset_reference, save_dataset_reference, synthesize_iq_reference
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK = 0xFFFFFFFFFFFFFFFF
@@ -102,7 +102,7 @@ class TestSampleOutcomes:
         assert sample_outcomes(rho22, "y", 5000, 77) == sample_outcomes(rho22, "y", 5000, 77)
 
     def test_rejects_empty(self, rho22):
-        with pytest.raises(ValueError, match="^shot count must be >= 1$"):
+        with pytest.raises(ValueError, match="^shot count must be an integer >= 1, got 0$"):
             sample_outcomes(rho22, "z", 0, 1)
 
     def test_binomial_concentration_over_seeds(self, rho22):
@@ -178,6 +178,49 @@ class TestSynthesizeIq:
         assert d.mixture is not None
         assert d.mixture.zero.weight == pytest.approx(0.75)
         assert d.mixture.noise is None
+
+
+# a cloud whose Cholesky factor has a non-zero off-diagonal entry
+TILTED = ComponentParams(0.5, np.array([2.5, 2.0]), np.array([[1.2, 0.3], [0.3, 0.8]]))
+TILTED_ONE = ComponentParams(0.5, np.array([-2.0, 1.5]), np.array([[0.7, -0.2], [-0.2, 1.1]]))
+
+
+class TestShotCore:
+    def test_cholesky_map_rounds_a_shot_the_same_alone_or_among_others(self):
+        # the row product z @ chol.T through BLAS rounds some of these rows
+        # differently inside a many-row z than alone
+        mean = TILTED.mean
+        chol = np.linalg.cholesky(TILTED.cov)
+        z = np.random.default_rng(5).normal(size=(2, 1000))
+        i_all, q_all = z[0].copy(), z[1].copy()
+        _cholesky_map(i_all, q_all, mean, chol)
+        alone = []
+        for zi, zq in z.T.tolist():
+            i_one, q_one = np.array([zi]), np.array([zq])
+            _cholesky_map(i_one, q_one, mean, chol)
+            alone.append((i_one[0], q_one[0]))
+        assert np.array(alone).T.tobytes() == np.stack([i_all, q_all]).tobytes()
+        # Python floats round each product and sum on its own, with no fused multiply-add
+        l = chol.tolist()
+        unfused = [
+            (mean[0] + (zi * l[0][0] + zq * l[0][1]), mean[1] + (zi * l[1][0] + zq * l[1][1]))
+            for zi, zq in z.T.tolist()
+        ]
+        assert np.array(unfused).T.tobytes() == np.stack([i_all, q_all]).tobytes()
+
+    @pytest.mark.parametrize("tilted", [False, True])
+    @pytest.mark.parametrize("weight", [None, 0.01, 0.3])
+    @pytest.mark.parametrize("n0, n1, seed", [(1, 0, 0), (0, 2, 9), (7, 5, 2**64 - 1), (300, 211, 31)])
+    def test_synthesize_iq_matches_the_interleaved_reference(self, n0, n1, seed, weight, tilted):
+        zero, one = (TILTED, TILTED_ONE) if tilted else (
+            ComponentParams(0.5, np.array([2.5, 2.0]), np.eye(2)),
+            ComponentParams(0.5, np.array([-2.5, 2.0]), np.diag([0.5, 2.0])),
+        )
+        noise = None if weight is None else ContaminationSpec(weight=weight, center=(0.5, -1.0))
+        d = synthesize_iq(n0, n1, zero, one, contamination=noise, seed=seed)
+        i, q, truth = synthesize_iq_reference(n0, n1, zero, one, noise, seed)
+        assert d.i.tobytes() == i.tobytes() and d.q.tobytes() == q.tobytes()
+        assert d.truth.tobytes() == truth.tobytes()
 
 
 class TestDatasetFiles:

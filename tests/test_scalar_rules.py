@@ -6,10 +6,24 @@ import json
 import numpy as np
 import pytest
 
-from iqtomo import BVector, IQDataset, Trajectory, load_dataset, load_trajectory
+from iqtomo import (
+    BVector,
+    ComponentParams,
+    DensityMatrix,
+    IQDataset,
+    MixtureParams,
+    Trajectory,
+    load_dataset,
+    load_trajectory,
+    observe_trajectory,
+    sample_outcomes,
+    simulate_trajectory,
+    synthesize_iq,
+    unitary_superoperator,
+)
 from iqtomo.cli import main
 from iqtomo.qcore import json_integer, json_number
-from iqtomo.readout import DatasetFormatError
+from iqtomo.readout import DatasetFormatError, simulate_datasets
 
 SEED_RULE = "be an integer in [0, 2**64)"
 # 2**64 is a valid count or id: only seeds have an upper bound
@@ -129,3 +143,65 @@ def test_json_number_accepts_numpy_reals(item):
 def test_float32_dt_still_constructs():
     trajectory = Trajectory(trajectory_id=0, dt=np.float32(0.02), observations=_OBSERVATIONS)
     assert type(trajectory.dt) is float and trajectory.dt == float(np.float32(0.02))
+
+
+class TestReadoutEntryPoints:
+    """A seed or shot count that would alias another (2**64 as 0, 1.5 as 1,
+    True as 1) is refused once per call, with the shared message."""
+
+    SEEDS = [2**64, -1, 1.5, True, np.float64(3.0)]
+    COUNTS = [0, 2.5, True, -3]
+    CASES = [("seed", SEED_RULE, v) for v in SEEDS] + [
+        ("shot count", "be an integer >= 1", v) for v in COUNTS
+    ]
+    MIXTURE = MixtureParams(
+        zero=ComponentParams(0.5, np.array([2.5, 2.0]), np.eye(2)),
+        one=ComponentParams(0.5, np.array([-2.5, 2.0]), np.eye(2)),
+    )
+    RHO = DensityMatrix(np.eye(2) / 2)
+
+    @staticmethod
+    def _refuses(call, name, rule, value):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{name} must {rule}, got {value!r}"
+
+    @staticmethod
+    def _args(name, value):
+        """(shot count, seed) with ``name`` set to ``value`` and the other valid."""
+        return (value, 1) if name == "shot count" else (10, value)
+
+    @pytest.mark.parametrize("name, rule, value", CASES)
+    def test_sample_outcomes(self, name, rule, value):
+        n, seed = self._args(name, value)
+        self._refuses(lambda: sample_outcomes(self.RHO, "z", n, seed), name, rule, value)
+
+    @pytest.mark.parametrize(
+        "name, rule, value",
+        [c for c in CASES if c[0] == "seed"]
+        + [(k, "be an integer >= 0", v) for k in ("n0", "n1") for v in (-1, 2.5, True)],
+    )
+    def test_synthesize_iq(self, name, rule, value):
+        kwargs = {"n0": 3, "n1": 4, "seed": 1} | {name: value}
+        self._refuses(
+            lambda: synthesize_iq(theta0=self.MIXTURE.zero, theta1=self.MIXTURE.one, **kwargs),
+            name,
+            rule,
+            value,
+        )
+
+    @pytest.mark.parametrize("name, rule, value", CASES)
+    def test_simulate_datasets(self, name, rule, value):
+        n, seed = self._args(name, value)
+        self._refuses(lambda: simulate_datasets(self.RHO, self.MIXTURE, n, seed), name, rule, value)
+
+    @pytest.mark.parametrize("name, rule, value", CASES)
+    def test_observe_trajectory(self, name, rule, value):
+        n, seed = self._args(name, value)
+        traj = simulate_trajectory(unitary_superoperator(np.eye(2)), self.RHO, 2)
+        self._refuses(
+            lambda: observe_trajectory(traj, mode="sampled", n=n, theta=self.MIXTURE, seed=seed),
+            name,
+            rule,
+            value,
+        )
