@@ -16,9 +16,13 @@ standard library only on this side.
   the workloads in ``BENCHMARK.json``'s order.
 * Confirmation (``--confirm-seed``): the same pairs on the claimed workload
   only, at a seed the pairs do not use; an error when nothing is claimed.
-* Trace (``--trace-seed``): one ``--all --trace 1`` run per side; every
-  per-layer ``busy_s`` the parent spends time in, and the ``bench.*`` rows,
-  are listed with their change/parent ratio under ``trace_highlights``.
+* Trace (``--trace-seed``): four ``--all --trace 1`` runs, parent, change,
+  change, parent, so that a drift of the machine's speed over them weighs
+  on both sides alike; every per-layer ``busy_s`` the parent spends time in,
+  and the ``bench.*`` rows, are listed under ``trace_highlights`` with both
+  sides' values, their change/parent ratio of means and, beside it, the
+  same ratio of ``bench.reference_kernel_ms`` over the same runs: a fixed
+  kernel, so a ratio that only follows it is the machine, not the change.
 
 For each end-to-end metric the file gives both sides' runs, their
 quartiles (inclusive method), how many pairs the change wins, the median
@@ -54,7 +58,8 @@ SECONDS = SPEC["run_seconds"]
 BOUNDS = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in SPEC["end_to_end"]}
 SIDES = ("parent", "change")
 PAIRS = 10
-CLAIM = ("qhi_sampled", "ops_per_s")  # (workload, end-to-end metric) the change claims to improve, or None
+TRACE_ORDER = ("parent", "change", "change", "parent")
+CLAIM = ("dataset_files", "ops_per_s")  # (workload, end-to-end metric) the change claims to improve, or None
 
 
 def _checkout_parent(rev: str, dest: Path) -> str:
@@ -159,15 +164,26 @@ def _claim_holds(pairs: dict) -> bool:
     return summary["change_wins"] >= 9 and abs(cq[1] - pq[1]) > pq[2] - pq[0]
 
 
-def _highlights(parent: dict, change: dict) -> dict:
+def _highlights(parent: list[dict], change: list[dict]) -> dict:
     out = {}
-    for workload, run in parent.items():
+    for workload in parent[0]:
+        def values(runs: list[dict], name: str) -> list[float]:
+            return [run[workload]["metrics"][name]["value"] for run in runs]
+
+        def ratio(name: str) -> float | None:
+            before = statistics.fmean(values(parent, name))
+            return statistics.fmean(values(change, name)) / before if before else None
+
+        kernel = ratio("bench.reference_kernel_ms")
         rows = {}
-        for name, row in run["metrics"].items():
-            if not (name.startswith("bench.") or (name.endswith(".busy_s") and row["value"] > 0)):
-                continue
-            before, after = row["value"], change[workload]["metrics"][name]["value"]
-            rows[name] = {"parent": before, "change": after, "ratio": after / before if before else None}
+        for name in parent[0][workload]["metrics"]:
+            if name.startswith("bench.") or (name.endswith(".busy_s") and max(values(parent, name)) > 0):
+                rows[name] = {
+                    "parent": values(parent, name),
+                    "change": values(change, name),
+                    "ratio": ratio(name),
+                    "reference_kernel_ratio": kernel,
+                }
         out[workload] = rows
     return out
 
@@ -188,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="path of the BENCH JSON file to write")
     parser.add_argument("--seed", type=int, default=1010, help="seed of the pairs")
     parser.add_argument("--confirm-seed", type=int, help="seed of the confirmation pairs on the claimed workload")
-    parser.add_argument("--trace-seed", type=int, help="seed of one traced --all run per side")
+    parser.add_argument("--trace-seed", type=int, help="seed of the alternating traced --all runs")
     args = parser.parse_args(argv)
     if CLAIM is None and args.confirm_seed is not None:
         parser.error("argument --confirm-seed: CLAIM is None, so there is no claim to confirm")
@@ -237,8 +253,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.trace_seed is not None:
             trace_argv = ["--all", "--seed", str(args.trace_seed), "--seconds", str(SECONDS), "--trace", "1"]
             record["traced_command"] = "python3 perfbench/run.py " + " ".join(trace_argv)
-            traced = {side: _run(dirs[side], trace_argv, len(WORKLOADS) * SECONDS) for side in SIDES}
-            record["runs"] = {side: {"trace_1": traced[side]} for side in SIDES}
+            record["traced_order"] = ", ".join(TRACE_ORDER)
+            traced = {side: [] for side in SIDES}
+            for side in TRACE_ORDER:
+                traced[side].append(_run(dirs[side], trace_argv, len(WORKLOADS) * SECONDS))
+                print(f"traced run {side} done", file=sys.stderr, flush=True)
+            record["runs"] = {
+                side: {f"trace_{k}": run for k, run in enumerate(traced[side], start=1)} for side in SIDES
+            }
             record["trace_highlights"] = _highlights(traced["parent"], traced["change"])
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)

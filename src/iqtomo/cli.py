@@ -18,6 +18,7 @@ and every file is written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -379,6 +380,7 @@ def _add_calibrate(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # parse_args leaves the parser as it found it, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="iqtomo", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command")

@@ -205,7 +205,12 @@ class MembershipMatrix:
             )
         if rows.min() < -1e-12 or rows.max() > 1.0 + 1e-12:
             raise ValueError("membership weights must lie in [0, 1]")
-        if np.abs(rows.sum(axis=1) - 1.0).max() > 1e-9:
+        # the row sums column by column, in the order of rows.sum(axis=1), whose
+        # reduction over a short axis costs most of a hard matrix's construction
+        totals = rows[:, 0] + rows[:, 1]
+        if expected_cols == 3:
+            totals += rows[:, 2]
+        if np.abs(totals - 1.0).max() > 1e-9:
             raise ValueError("membership rows must sum to 1")
         if self.mode == "hard" and not np.all((rows == 0.0) | (rows == 1.0)):
             raise ValueError("hard membership rows must be one-hot")
@@ -426,7 +431,7 @@ def _exact_sum(x: np.ndarray) -> float:
     mant *= 2.0**53
     hi = np.floor(mant * 2.0**-26)
     lo = mant - hi * 2.0**26
-    low = min(int(exp.min()), 0)  # so the scale 2**(low - 53) is a division
+    low = int(exp.min(initial=0))  # <= 0, so the scale 2**(low - 53) is a division
     exp -= low
     total = 0
     for start in range(0, x.size, _SUM_BLOCK):
@@ -673,16 +678,20 @@ def _k_smallest_sums(values: np.ndarray, k: int) -> np.ndarray:
 
     Each value enters and leaves the sum at most once, so its rounding error
     stays below ``len * 2**-51 * sum(|values|)``.  Equal swaps, equal sets.
+    The k-th smallest only falls, so only values below its first level are
+    visited; the rows between two swaps repeat the earlier one.
     """
-    vals = values.tolist()
-    heap = sorted(-v for v in vals[:k])  # a sorted list is a heap
-    rows = [(math.fsum(vals[:k]), 0)]
-    for v in vals[k:]:
-        total, swaps = rows[-1]
-        if k and v < -heap[0]:
-            total, swaps = total + (v + heapq.heapreplace(heap, -v)), swaps + 1
-        rows.append((total, swaps))
-    return np.array(rows).T
+    heap = np.sort(-values[:k], kind="stable").tolist()  # a sorted list is a heap
+    sums = [_exact_sum(values[:k])]
+    at = np.zeros(values.size - k + 1, dtype=np.intp)  # row -> swaps up to it
+    rest = values[k:]
+    seen = np.flatnonzero(rest < (-heap[0] if k else -math.inf))
+    for t, v in zip(seen.tolist(), rest[seen].tolist()):
+        if v < -heap[0]:
+            sums.append(sums[-1] + (v + heapq.heapreplace(heap, -v)))
+            at[t + 1] = len(sums) - 1
+    at = np.maximum.accumulate(at)
+    return np.array([np.array(sums)[at], at])
 
 
 def _sort_and_split(c0: np.ndarray, c1: np.ndarray, caps: Sequence[int]) -> np.ndarray:

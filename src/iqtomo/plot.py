@@ -1,5 +1,10 @@
 """Deterministic SVG scatter of an I-Q dataset: shots coloured by their
-generator label, with each cluster's mean marker and 2-sigma ellipse."""
+generator label, with each cluster's mean marker and 2-sigma ellipse.
+
+The shots are drawn without a per-shot Python step: their pixel
+coordinates are two numpy columns, their colours index a palette by truth
+code, and one ``%`` format writes every circle.  ``%.2f`` rounds as
+``{:.2f}`` does, so the bytes are those of formatting each shot alone."""
 
 from __future__ import annotations
 
@@ -11,6 +16,7 @@ from .readout import IQDataset
 
 POINT_COLORS = {0: "#1f77b4", 1: "#d62728", 2: "#999999", -1: "#555555"}
 WIDTH, HEIGHT = 640, 480  # SVG canvas size in pixels
+_PALETTE = np.array([POINT_COLORS[code] for code in (-1, 0, 1, 2)])  # indexed by truth code + 1
 
 
 def _svg_components(dataset: IQDataset) -> tuple[int, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
@@ -42,7 +48,13 @@ def _svg_components(dataset: IQDataset) -> tuple[int, np.ndarray, list[tuple[np.
 
 
 def render_iq_svg(dataset: IQDataset) -> str:
-    """Deterministic WIDTH x HEIGHT SVG scatter: one circle per sample, cluster overlays."""
+    """Deterministic WIDTH x HEIGHT SVG scatter: one circle per sample, cluster overlays.
+
+    The frame spans the shots and each overlay's 2-sigma extent.  A shot's
+    pixel coordinates take the same separate operations as an overlay's,
+    ``WIDTH / 2 + (x - x_mid) * scale`` with one ufunc each (no fused
+    multiply-add), so both round alike.
+    """
     e, points, components = _svg_components(dataset)
     margin = 48.0
 
@@ -54,7 +66,8 @@ def render_iq_svg(dataset: IQDataset) -> str:
         ys += [mean[1] - spread, mean[1] + spread]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    span = max(x_hi - x_lo, y_hi - y_lo, math.ldexp(1e-9, -e))
+    # a floor of 1e-9 data units, and of 2**-1000 so that the scale stays finite
+    span = max(x_hi - x_lo, y_hi - y_lo, math.ldexp(1e-9, -e), 2.0**-1000)
     scale = (min(WIDTH, HEIGHT) - 2.0 * margin) / span
     x_mid = 0.5 * (x_lo + x_hi)
     y_mid = 0.5 * (y_lo + y_hi)
@@ -74,13 +87,14 @@ def render_iq_svg(dataset: IQDataset) -> str:
         f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
         f'font-size="13" transform="rotate(-90 16 {HEIGHT / 2:.1f})">Q</text>',
     ]
-    for (x, y), code in zip(points.tolist(), dataset.truth.tolist()):
-        px, py = to_px(x, y)
-        color = POINT_COLORS.get(code, POINT_COLORS[-1])
-        parts.append(
-            f'<circle class="pt" cx="{px:.2f}" cy="{py:.2f}" r="2" fill="{color}" '
-            f'fill-opacity="0.6"/>'
-        )
+    flat: list = [None] * (3 * dataset.n_samples)
+    flat[0::3] = (WIDTH / 2.0 + (points[:, 0] - x_mid) * scale).tolist()
+    flat[1::3] = (HEIGHT / 2.0 - (points[:, 1] - y_mid) * scale).tolist()
+    flat[2::3] = _PALETTE[dataset.truth + 1].tolist()
+    parts.append(
+        "\n".join(['<circle class="pt" cx="%.2f" cy="%.2f" r="2" fill="%s" fill-opacity="0.6"/>']
+                  * dataset.n_samples) % tuple(flat)
+    )
     for mean, cov in components:
         px, py = to_px(float(mean[0]), float(mean[1]))
         mx, my = (math.ldexp(float(m), e) for m in mean)

@@ -389,10 +389,12 @@ _TOKEN_CODES = {token: code for code, token in enumerate(_LABEL_TOKENS)} | {"nul
 # float(), as numpy does.  Integers stay on the json.loads path, which keeps
 # them ints: "-0" loads as 0.0, not -0.0, and 400 digits overflow float().
 _JSON_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
-_CANONICAL_SAMPLE = re.compile(
-    rf'^\{{"i": ({_JSON_FLOAT}), "q": ({_JSON_FLOAT}), "truth": ({"|".join(_TOKEN_CODES)})\}}\n',
-    re.MULTILINE,
+_CANONICAL_BLOCK = re.compile(
+    rf'(?:\{{"i": {_JSON_FLOAT}, "q": {_JSON_FLOAT}, "truth": (?:{"|".join(_TOKEN_CODES)})\}}\n)+'
 )
+# deleting these characters leaves a canonical line's three values, space-separated
+_STRIP = str.maketrans("", "", '{}":,iqtruh')
+_STRIPPED_CODES = {token.translate(_STRIP): code for token, code in _TOKEN_CODES.items()}
 _BLOCK_CHARS = 1 << 16
 
 
@@ -419,10 +421,12 @@ def load_dataset(path: str) -> IQDataset:
     """Read a JSON-lines dataset; reports the line number of any defect.
 
     Lines are numbered as ``str.splitlines`` splits them.  Samples are read
-    in blocks of about 64 KiB.  A block made only of canonical sample lines,
-    as :func:`save_dataset` writes them, with finite coordinates, is
-    converted with one numpy call per column; any other block is parsed and
-    checked line by line, and that path reports every defect.
+    in blocks of about 64 KiB.  A block that one regular-expression match
+    shows to hold only canonical sample lines, as :func:`save_dataset`
+    writes them, is stripped to its values and split into tokens once, and
+    each column is converted with one numpy call.  A block with a
+    non-finite coordinate, or any other block, is parsed and checked line
+    by line, and that path reports every defect.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -491,16 +495,14 @@ def _parse_header(raw: str) -> tuple[str, int, Optional[MixtureParams]]:
 def _parse_samples(block: str, first_line: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """(i, q, truth, line count) of a block whose first line is ``first_line``."""
     text = block if block.endswith("\n") else block + "\n"
-    rows = _CANONICAL_SAMPLE.findall(text)
-    # a match is always one whole line, so as many matches as lines is every line
-    if rows and len(rows) == text.count("\n"):
-        i_txt, q_txt, t_txt = zip(*rows)
-        i_vals = np.array(i_txt, dtype=float)
-        q_vals = np.array(q_txt, dtype=float)
+    if _CANONICAL_BLOCK.fullmatch(text):
+        tokens = text.translate(_STRIP).split()
+        i_vals = np.array(tokens[0::3], dtype=float)
+        q_vals = np.array(tokens[1::3], dtype=float)
         # a coordinate such as 1e400 converts to inf; the per-line path reports its line
         if np.isfinite(i_vals).all() and np.isfinite(q_vals).all():
-            truth = np.array([_TOKEN_CODES[token] for token in t_txt], dtype=np.int8)
-            return i_vals, q_vals, truth, len(rows)
+            truth = np.fromiter(map(_STRIPPED_CODES.__getitem__, tokens[2::3]), np.int8, i_vals.size)
+            return i_vals, q_vals, truth, i_vals.size
     raw_lines = block.splitlines()
     values: list[float] = []  # i, q and truth code of each sample in turn
     for lineno, raw in enumerate(raw_lines, start=first_line):

@@ -16,7 +16,9 @@ principal axis with ``eigh`` and its cut by a within-group scan.
 per-line ``json.dumps``/``json.loads`` forms of the dataset writer and
 reader.  ``min_cost_assignment_reference`` is a general n x k capacitated assignment by successive shortest paths;
 the package solves only the case it meets (a constant noise column) by
-sort-and-split, and this solver checks it.  ``soft_rows_reference`` is the
+sort-and-split, and this solver checks it; ``k_smallest_sums_reference``
+is that split's running sums with a heap step for every value, where the
+package visits only the values below the first threshold.  ``soft_rows_reference`` is the
 row-wise softmax of the (n, 2) stack of negated distances, which the
 package computes column by column.  ``observe_trajectory_reference``
 is sampled trajectory observation one dataset per (step, axis) block: it
@@ -30,7 +32,9 @@ numpy forms of the package's closed-form single-qubit code:
 ``0.5 * (I + r . sigma)``, the product with the paper's measurement matrix
 ``measurement_matrix()`` built on every call, a general Hamiltonian
 evolution of each basis vector, and the trace-preserving step with
-``np.kron``.
+``np.kron``.  ``render_iq_svg_reference`` is the SVG scatter with one
+pixel mapping and one f-string per shot, where the package maps and
+formats all shots at once.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from iqtomo.qcore import (
     SIGMA_Z,
     TRACE_TOL,
 )
+from iqtomo.plot import HEIGHT, POINT_COLORS, WIDTH, _svg_components
 from iqtomo.qhi import partial_trace_out
 from iqtomo.readout import simulate_axis, write_text_atomic
 
@@ -514,6 +519,19 @@ def min_cost_assignment_reference(cost: np.ndarray, caps: np.ndarray) -> np.ndar
     return assign
 
 
+def k_smallest_sums_reference(values: np.ndarray, k: int) -> np.ndarray:
+    """Rows (sum, swaps) of ``_k_smallest_sums``, visiting every value in a heap loop."""
+    vals = values.tolist()
+    heap = sorted(-v for v in vals[:k])  # a sorted list is a heap
+    rows = [(math.fsum(vals[:k]), 0)]
+    for v in vals[k:]:
+        total, swaps = rows[-1]
+        if k and v < -heap[0]:
+            total, swaps = total + (v + heapq.heapreplace(heap, -v)), swaps + 1
+        rows.append((total, swaps))
+    return np.array(rows).T
+
+
 def soft_rows_reference(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
     """(n, 2) softmax memberships on the exponents (-d0, -d1), largest subtracted first."""
     exponents = np.stack([-d0, -d1], axis=1)
@@ -621,3 +639,65 @@ def tp_project_reference(c: np.ndarray) -> np.ndarray:
     """Trace-preserving step: ``c + I (x) (I - Tr_out c) / 2`` by ``np.kron``."""
     deficit = np.eye(2) - partial_trace_out(c)
     return c + np.kron(np.eye(2), deficit / 2.0)
+
+
+def render_iq_svg_reference(dataset) -> str:
+    """``render_iq_svg`` with one ``to_px`` call and one f-string per shot."""
+    e, points, components = _svg_components(dataset)
+    margin = 48.0
+
+    xs = [points[:, 0].min(), points[:, 0].max()]
+    ys = [points[:, 1].min(), points[:, 1].max()]
+    for mean, cov in components:
+        spread = 2.0 * math.sqrt(max(np.linalg.eigvalsh(cov).max(), 0.0))
+        xs += [mean[0] - spread, mean[0] + spread]
+        ys += [mean[1] - spread, mean[1] + spread]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+    # a floor of 1e-9 data units, and of 2**-1000 so that the scale stays finite
+    span = max(x_hi - x_lo, y_hi - y_lo, math.ldexp(1e-9, -e), 2.0**-1000)
+    scale = (min(WIDTH, HEIGHT) - 2.0 * margin) / span
+    x_mid = 0.5 * (x_lo + x_hi)
+    y_mid = 0.5 * (y_lo + y_hi)
+
+    def to_px(x: float, y: float) -> tuple[float, float]:
+        return (
+            WIDTH / 2.0 + (x - x_mid) * scale,
+            HEIGHT / 2.0 - (y - y_mid) * scale,
+        )
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 12:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">I (obs {dataset.observable})</text>',
+        f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="13" transform="rotate(-90 16 {HEIGHT / 2:.1f})">Q</text>',
+    ]
+    for (x, y), code in zip(points.tolist(), dataset.truth.tolist()):
+        px, py = to_px(x, y)
+        color = POINT_COLORS.get(code, POINT_COLORS[-1])
+        parts.append(
+            f'<circle class="pt" cx="{px:.2f}" cy="{py:.2f}" r="2" fill="{color}" '
+            f'fill-opacity="0.6"/>'
+        )
+    for mean, cov in components:
+        px, py = to_px(float(mean[0]), float(mean[1]))
+        mx, my = (math.ldexp(float(m), e) for m in mean)
+        w, v = np.linalg.eigh(np.asarray(cov, dtype=float))
+        rx = 2.0 * math.sqrt(max(w[1], 0.0)) * scale
+        ry = 2.0 * math.sqrt(max(w[0], 0.0)) * scale
+        angle = -math.degrees(math.atan2(v[1, 1], v[0, 1]))
+        parts.append(
+            f'<ellipse class="cov" cx="{px:.2f}" cy="{py:.2f}" rx="{rx:.2f}" ry="{ry:.2f}" '
+            f'transform="rotate({angle:.2f} {px:.2f} {py:.2f})" fill="none" '
+            f'stroke="#000000" stroke-dasharray="4 3"/>'
+        )
+        parts.append(
+            f'<path class="mean" data-mean="{mx!r},{my!r}" '
+            f'd="M {px - 6:.2f} {py:.2f} H {px + 6:.2f} M {px:.2f} {py - 6:.2f} '
+            f'V {py + 6:.2f}" stroke="#000000" stroke-width="1.5"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqtomo import (
     ComponentParams,
@@ -25,10 +27,10 @@ from iqtomo import (
     memberships_for,
     synthesize_iq,
 )
-from iqtomo.discriminate import _gaussian_cost, _sort_and_split, cloud_distances
+from iqtomo.discriminate import _gaussian_cost, _k_smallest_sums, _sort_and_split, cloud_distances
 from iqtomo.readout import simulate_datasets
 from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE
-from oracles import min_cost_assignment_reference
+from oracles import k_smallest_sums_reference, min_cost_assignment_reference
 
 
 def _enumerate_optimum(cost: np.ndarray, caps: np.ndarray) -> float:
@@ -186,6 +188,28 @@ class TestSolverAgainstEnumeration:
     def test_overflowing_costs_are_rejected(self):
         with pytest.raises(ValueError, match="too far"):
             _sort_and_split(np.array([0.0, math.inf]), np.zeros(2), np.array([1, 1, 0]))
+
+
+# few distinct values, so ties are common, with both zeros and a wide range of magnitudes
+_RUNNING_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e-300, 1e300, -1e300, 5e-324])
+
+
+class TestRunningSums:
+    """The split's running sums, bit for bit against a heap step per value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(_RUNNING_VALUES | st.floats(-1e6, 1e6), max_size=40),
+        pick=st.sampled_from(["zero", "one", "all", "any"]),
+        any_k=st.integers(0, 40),
+    )
+    def test_rows_match_reference(self, values, pick, any_k):
+        values = np.array(values, dtype=float)
+        k = {"zero": 0, "one": min(1, values.size), "all": values.size, "any": min(any_k, values.size)}[pick]
+        got = _k_smallest_sums(values, k)
+        want = k_smallest_sums_reference(values, k)
+        assert got.shape == want.shape == (2, values.size - k + 1)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestSolverAgainstReference:

@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 import iqtomo
 from iqtomo import DensityMatrix, FitWarning, IQDataset, delta_b, frobenius_distance, save_dataset
 from iqtomo.cli import RunConfig, load_config, main, parse_config_dict
+from iqtomo.plot import render_iq_svg
 from iqtomo.readout import simulate_datasets
 from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE, reconstruct_seed
+from oracles import render_iq_svg_reference
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -512,6 +514,13 @@ class TestPlotIq:
         assert svg.count('class="cov"') == 2
         assert not re.search(r"(?<![a-z])(nan|inf)(?![a-z])", svg)
 
+    def test_one_far_shot_is_drawn_at_the_centre(self, tmp_path, capsys):
+        # all shots at one point leave the span at its floor, which must not overflow the scale
+        data, out = tmp_path / "one.jsonl", tmp_path / "one.svg"
+        save_dataset(IQDataset("z", [0.0], [1e300], [0], seed=0), str(data))
+        assert run(capsys, "plot-iq", "--data", str(data), "--out", str(out))[0] == 0
+        assert '<circle class="pt" cx="320.00" cy="240.00" ' in out.read_text(encoding="utf-8")
+
     def test_same_input_same_bytes(self, sim_dir, tmp_path, capsys):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         for path in (a, b):
@@ -587,6 +596,32 @@ class TestPlotIq:
         code, _, err = run(capsys, "plot-iq", "--data", str(data), "--out", str(tmp_path / "b.svg"))
         assert code == 1
         assert err.startswith(f"error: line {line}: ")
+
+
+_SVG_COORDINATES = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300])
+
+
+class TestPlotIqAgainstReference:
+    """The vectorised scatter writes the bytes of one f-string per shot."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(_SVG_COORDINATES, _SVG_COORDINATES, st.integers(-1, 2)), min_size=1, max_size=30
+        ),
+        mixture=st.sampled_from([None, DEFAULT_MIXTURE]),
+    )
+    def test_svg_matches_reference(self, rows, mixture):
+        # no mixture takes the empirical overlays; RuntimeWarnings are errors in this suite
+        i_vals, q_vals, truth = zip(*rows)
+        dataset = IQDataset("y", list(i_vals), list(q_vals), list(truth), seed=3, mixture=mixture)
+        assert render_iq_svg(dataset) == render_iq_svg_reference(dataset)
+
+    def test_simulated_dataset_matches_reference(self, sim_dir):
+        from iqtomo import load_dataset
+
+        dataset = load_dataset(str(sim_dir / "iq_z.jsonl"))
+        assert render_iq_svg(dataset) == render_iq_svg_reference(dataset)
 
 
 class TestReproPaper:

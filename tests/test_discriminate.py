@@ -562,6 +562,30 @@ class TestMembershipMatrix:
         with pytest.raises(ValueError, match="membership weights must be finite"):
             MembershipMatrix(rows=rows, mode=mode)
 
+    @pytest.mark.parametrize(
+        "mode, row, message",
+        [
+            (mode, row, message)
+            for mode in ("hard", "soft", "assignment")
+            for row, message in (
+                ([math.nan, 1.0, 0.0], "membership weights must be finite"),
+                ([1.5, -0.5, 0.0], "membership weights must lie in [0, 1]"),
+                ([0.5, 0.25, 0.0], "membership rows must sum to 1"),
+            )
+        ]
+        + [
+            ("assignment", [0.5, 0.5, 0.5], "membership rows must sum to 1"),
+            ("hard", [0.25, 0.75], "hard membership rows must be one-hot"),
+        ],
+    )
+    def test_defect_in_a_late_row_is_refused(self, mode, row, message):
+        width = 3 if mode == "assignment" else 2
+        rows = np.eye(width)[np.arange(9) % 2]
+        rows[7] = row[:width]
+        with pytest.raises(ValueError) as err:
+            MembershipMatrix(rows=rows, mode=mode)
+        assert str(err.value) == message
+
     def test_memberships_for_hard_rows_are_binary(self, sep5_mixture):
         d = synthesize_iq(50, 50, sep5_mixture.zero, sep5_mixture.one, seed=12)
         member = memberships_for(d, sep5_mixture, "hard")

@@ -348,6 +348,11 @@ SECOND_BLOCK = 1 + next(
     k for k in range(1, len(CANONICAL)) if sum(len(x) + 1 for x in CANONICAL[:k]) > 70_000
 )
 
+# the first sample line of the second block: readlines stops once 64 KiB are read
+BLOCK_EDGE = 1 + next(
+    k for k in range(1, len(CANONICAL)) if sum(len(x) + 1 for x in CANONICAL[:k]) >= 65_536
+)
+
 
 def _set(field: str, token: str):
     """Mutation: write ``token`` as the raw JSON value of ``field``."""
@@ -436,6 +441,32 @@ class TestDatasetReaderWriter:
             with open(path, "rb") as got, open(reference, "rb") as want:
                 assert got.read() == want.read()
             assert _bit_identical(load_dataset(path), d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from([FIRST_BLOCK, BLOCK_EDGE, SECOND_BLOCK]),
+                st.integers(-3, 3),
+                # "lone_cr" ends its line in "\r\n" once the lines are joined
+                st.sampled_from(["integer", "extra_spaces", "overflowing_exponent", "blank_line", "lone_cr"]),
+            ),
+            max_size=4,
+        )
+    )
+    def test_mixed_lines_match_reference_loader(self, tmp_path_factory, edits):
+        # canonical blocks, and blocks with non-canonical lines, on both sides of a block edge
+        lines = list(CANONICAL)
+        for where, offset, name in edits:
+            lines[where + offset - 1] = LINE_MUTATIONS[name](lines[where + offset - 1])
+        path = tmp_path_factory.getbasetemp() / "mixed_lines.jsonl"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        got = _load_outcome(load_dataset, str(path))
+        want = _load_outcome(load_dataset_reference, str(path))
+        if isinstance(want, IQDataset):
+            assert isinstance(got, IQDataset) and _bit_identical(got, want)
+        else:
+            assert got == want
 
     def test_saved_coordinates_cannot_be_made_non_finite(self, tmp_path):
         d = IQDataset("z", [1.0, 2.0], [0.0, 0.0], [0, 1], seed=1)
