@@ -70,7 +70,6 @@ class QhiConfig:
     dt: float = 0.02
     trajectories: int = 1
     observe: str = "exact"
-    fit: str = "from_qst"
     rotation_axis: str = "x"
     rotation_rate: float = math.pi / 5.0
 
@@ -84,8 +83,6 @@ class QhiConfig:
         object.__setattr__(self, "rotation_rate", json_number(self.rotation_rate, "qhi.rotation_rate"))
         if self.observe not in ("exact", "sampled"):
             raise ConfigError(f"unknown qhi.observe {self.observe!r}")
-        if self.fit not in ("from_states", "from_qst"):
-            raise ConfigError(f"unknown qhi.fit {self.fit!r}")
         if self.rotation_axis not in AXES:
             raise ConfigError(f"unknown qhi.rotation_axis {self.rotation_axis!r}")
 
@@ -288,7 +285,7 @@ def cmd_qhi(args: argparse.Namespace) -> int:
         trajectories.append(trajectory)
 
     history: list[float] = []
-    channel, loss = fit_channel(trajectories, mode=q.fit, loss_history=history)
+    channel, loss = fit_channel(trajectories, mode="from_qst", loss_history=history)
     error = float(np.linalg.norm(channel.g - truth.g))
 
     write_csv_lines(
@@ -301,7 +298,7 @@ def cmd_qhi(args: argparse.Namespace) -> int:
         "g": {"re": channel.g.real.tolist(), "im": channel.g.imag.tolist()},
         "loss": loss,
         "frobenius_to_truth": error,
-        "fit_mode": q.fit,
+        "fit_mode": "from_qst",
         "observe": q.observe,
         "steps": q.steps,
         "trajectories": q.trajectories,

@@ -21,12 +21,11 @@ overflows); each axis then counts hard labels or sums soft memberships
 exactly over its own three segments (``b_from_distances``): the soft
 ones are a column softmax, summed without a Python list.
 
-Fitting alternates a least-squares update of ``g`` over all consecutive
-state pairs with a projection of its Choi matrix onto the CPTP set
-(Dykstra between the PSD cone and the trace-preservation affine set).
-The least-squares update is the minimum-change solution from the current
-iterate, so directions the data do not constrain are filled in by the
-projection instead of being zeroed.
+Fitting takes one step: the least-squares update of ``g`` over all
+consecutive state pairs that changes the identity least, so directions
+the data leave unconstrained keep the identity, then one projection of
+its Choi matrix onto the CPTP set (Dykstra between the PSD cone and the
+trace-preservation affine set), which makes the channel CPTP.
 """
 
 from __future__ import annotations
@@ -67,10 +66,6 @@ _KRON_EYE2 = _EYE2.reshape(2, 1, 2, 1)
 # PROJECTION_TOL relative to the input's norm, or after PROJECTION_MAX_SWEEPS sweeps
 PROJECTION_TOL = 1e-12
 PROJECTION_MAX_SWEEPS = 10_000
-# the channel fit stops once its loss changes by less than FIT_TOL, or after
-# FIT_MAX_ALTERNATIONS alternations
-FIT_TOL = 1e-10
-FIT_MAX_ALTERNATIONS = 200
 
 
 class ProjectionWarning(UserWarning):
@@ -421,15 +416,15 @@ def fit_channel(
     """Fit a CPTP superoperator to consecutive state pairs.
 
     For ``from_qst`` every observation is first mapped through the
-    closed-form tomography solver.  Alternates (i) the minimum-change
-    least-squares update of ``g`` over all pairs with (ii) CPTP projection
-    of its Choi matrix, until the loss
+    closed-form tomography solver.  Takes the least-squares update of ``g``
+    over all pairs that changes the identity least, so directions the data
+    leave unconstrained (below the SVD noise floor) keep the identity, then
+    projects its Choi matrix onto the CPTP set once.  Returns the channel
+    and its loss
 
         sum_ij || rho_ij - unvec(g vec(rho_i,j-1)) ||_F^2
 
-    changes by less than ``FIT_TOL``, for at most ``FIT_MAX_ALTERNATIONS``
-    alternations.  Returns the final channel and loss; the per-alternation
-    loss is appended to ``loss_history`` if given.
+    which is also appended to ``loss_history`` if given.
     """
     if not trajectories:
         raise ValueError("at least one trajectory is required")
@@ -468,22 +463,9 @@ def fit_channel(
     x_pinv = (vh.conj().T * inv_s) @ u.conj().T
 
     g = np.eye(4, dtype=complex)
-    previous_loss = None
-    for _ in range(FIT_MAX_ALTERNATIONS):
-        candidate = g - (g @ x - y) @ x_pinv
-        choi = cptp_project(choi_from_super(candidate))
-        candidate = choi_from_super(choi.c)
-        candidate_loss = float(np.linalg.norm(candidate @ x - y) ** 2)
-        if previous_loss is not None and candidate_loss > previous_loss:
-            # with noisy data the two constraint sets do not intersect and
-            # the alternation settles upward after its closest pass; keep
-            # the better iterate so the recorded loss is non-increasing
-            break
-        g = candidate
-        loss = candidate_loss
-        if loss_history is not None:
-            loss_history.append(loss)
-        if previous_loss is not None and abs(previous_loss - loss) < FIT_TOL:
-            break
-        previous_loss = loss
+    candidate = g - (g @ x - y) @ x_pinv
+    g = choi_from_super(cptp_project(choi_from_super(candidate)).c)
+    loss = float(np.linalg.norm(g @ x - y) ** 2)
+    if loss_history is not None:
+        loss_history.append(loss)
     return ChannelSuperoperator(g), loss

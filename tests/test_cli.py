@@ -98,6 +98,13 @@ class TestConfigValidation:
         code, _, err = run(capsys, "qhi", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 1 and "gain" in err
 
+    def test_qhi_fit_key_is_unknown(self, tmp_path, capsys):
+        # the qhi fit always reads what it observed
+        cfg = write_config(tmp_path / "c.json", qhi={"steps": 3, "observe": "sampled", "fit": "from_states"})
+        code, text, err = run(capsys, "qhi", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, text) == (1, "")
+        assert err == "error: unknown qhi key(s): fit\n"
+
     def test_zero_samples_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", n_per_axis=0)
         code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"))
@@ -461,8 +468,7 @@ class TestQhi:
         with open(out / "loss.csv", newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["alternation", "loss"]
-        losses = [float(row[1]) for row in rows[1:]]
-        assert losses and all(b <= a for a, b in zip(losses, losses[1:]))
+        assert [float(value) for _, value in rows[1:]] == [channel["loss"]]
 
     def test_sampled_assignment_mode_is_refused(self, tmp_path, capsys):
         # assignment's capacities come from the mixture weights, so its b would ignore the shots

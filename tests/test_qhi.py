@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from iqtomo import (
     load_trajectory,
     observe_trajectory,
     pauli,
+    qst_closed_form,
     save_trajectory,
     simulate_trajectory,
     unitary_superoperator,
@@ -473,6 +475,41 @@ class TestChannelTypes:
         assert abs(np.trace(out.matrix).real - 1.0) <= 1e-12
 
 
+def _damped_tetrahedral_trajectories(seed: int) -> list:
+    """The four tetrahedral starts under rotation plus amplitude damping, 25 steps of binomial b."""
+    rng = np.random.default_rng(seed)
+    shots, gamma = 10_000, 0.01
+    damping = [
+        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
+        np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]),
+    ]
+    g = sum(np.kron(k, k.conj()) for k in damping) @ unitary_superoperator(step_unitary("y", 2.0, 0.02)).g
+    channel = ChannelSuperoperator(g)
+    trajectories = []
+    for j, start in enumerate(np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)):
+        traj = simulate_trajectory(channel, density_from_bloch(start), 25, trajectory_id=j)
+        bloch = np.array([bloch_from_density(state) for state in traj.states])
+        n0 = rng.binomial(shots, np.clip(0.5 * (1.0 + bloch), 0.0, 1.0)).astype(float)
+        b = (2.0 * n0 - shots) / shots
+        delta = 2.0 * np.sqrt(n0 * (shots - n0) / shots**3)
+        observations = tuple(BVector(b=b[k], delta=delta[k]) for k in range(len(b)))
+        trajectories.append(Trajectory(trajectory_id=j, dt=traj.dt, observations=observations))
+    return trajectories
+
+
+def _fit_inputs(trajectories) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, y and the noise-floored pseudoinverse x^+ of a from_qst fit, rebuilt."""
+    states = [[qst_closed_form(obs).rho.matrix.reshape(4) for obs in t.observations] for t in trajectories]
+    x = np.stack([column for sequence in states for column in sequence[:-1]], axis=1)
+    y = np.stack([column for sequence in states for column in sequence[1:]], axis=1)
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    delta_sq = sum(float(np.dot(obs.delta, obs.delta)) for t in trajectories for obs in t.observations[:-1])
+    keep = s > max(s[0] * 1e-12, 2.0 * np.sqrt(0.5 * delta_sq))
+    inv_s = np.zeros_like(s)
+    inv_s[keep] = 1.0 / s[keep]
+    return x, y, (vh.conj().T * inv_s) @ u.conj().T
+
+
 class TestFitChannel:
     def test_noiseless_recovery(self, rotation, rho22):
         traj = simulate_trajectory(rotation, rho22, 100, dt=0.02)
@@ -485,10 +522,8 @@ class TestFitChannel:
         other = density_from_bloch([0.9, 0.1, 0.0])
         t1 = simulate_trajectory(rotation, rho22, 60, trajectory_id=0)
         t2 = simulate_trajectory(rotation, other, 60, trajectory_id=1)
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("error", FitWarning)  # rank must now be full
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FitWarning)  # rank must now be full
             fitted, _ = fit_channel([t1, t2], mode="from_states")
         assert np.linalg.norm(fitted.g - rotation.g) <= 1e-6
 
@@ -505,17 +540,53 @@ class TestFitChannel:
         with pytest.raises(ValueError):
             fit_channel([traj], mode="from_qst")
 
-    def test_loss_history_monotone(self, rotation, rho22, sep5_mixture):
-        import warnings as _w
-
+    def test_loss_history_holds_the_one_loss(self, rotation, rho22, sep5_mixture):
         traj = simulate_trajectory(rotation, rho22, 50)
         obs = observe_trajectory(traj, mode="sampled", n=2000, theta=sep5_mixture, seed=55)
         history: list[float] = []
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            fit_channel([obs], mode="from_qst", loss_history=history)
-        assert len(history) >= 1
-        assert all(b <= a for a, b in zip(history, history[1:]))
+        with pytest.warns(FitWarning):
+            _, loss = fit_channel([obs], mode="from_qst", loss_history=history)
+        assert history == [loss]
+
+    @pytest.mark.parametrize("rank", ["full", "deficient"])
+    def test_one_step_from_the_identity_then_one_projection(
+        self, monkeypatch, rotation, rho22, sep5_mixture, rank
+    ):
+        if rank == "full":
+            trajectories = _damped_tetrahedral_trajectories(seed=3)
+        else:
+            traj = simulate_trajectory(rotation, rho22, 40)
+            trajectories = [observe_trajectory(traj, mode="sampled", n=2000, theta=sep5_mixture, seed=7)]
+        x, y, x_pinv = _fit_inputs(trajectories)
+        assert (np.linalg.matrix_rank(x_pinv) == 4) == (rank == "full")
+        eye = np.eye(4, dtype=complex)
+        expected = choi_from_super(cptp_project(choi_from_super(eye - (eye @ x - y) @ x_pinv)).c)
+
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return cptp_project(h)
+
+        monkeypatch.setattr(qhi, "cptp_project", counted)
+        history: list[float] = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FitWarning)
+            fitted, loss = fit_channel(trajectories, mode="from_qst", loss_history=history)
+        assert len(calls) == 1
+        assert np.array_equal(fitted.g, expected)
+        assert history == [loss] == [float(np.linalg.norm(expected @ x - y) ** 2)]
+
+    def test_second_step_on_full_rank_data_stays_put(self):
+        # x x^+ = I, so a second minimum-change step only repeats the first
+        trajectories = _damped_tetrahedral_trajectories(seed=11)
+        x, y, x_pinv = _fit_inputs(trajectories)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FitWarning)
+            fitted, _ = fit_channel(trajectories, mode="from_qst")
+        g = fitted.g
+        again = choi_from_super(cptp_project(choi_from_super(g - (g @ x - y) @ x_pinv)).c)
+        assert np.linalg.norm(again - g) <= 1e-12
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
