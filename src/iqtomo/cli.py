@@ -99,7 +99,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", json_integer(self.seed, "seed", 0, 2**64))
-        object.__setattr__(self, "n_per_axis", json_integer(self.n_per_axis, "n_per_axis", 1))
+        object.__setattr__(self, "n_per_axis", json_integer(self.n_per_axis, "n_per_axis", 1, 2**63))
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.out == "":
@@ -284,16 +284,8 @@ def cmd_qhi(args: argparse.Namespace) -> int:
         )
         trajectories.append(trajectory)
 
-    history: list[float] = []
-    channel, loss = fit_channel(trajectories, mode="from_qst", loss_history=history)
+    channel, loss = fit_channel(trajectories, mode="from_qst")
     error = float(np.linalg.norm(channel.g - truth.g))
-
-    write_csv_lines(
-        os.path.join(out_dir, "loss.csv"),
-        ["alternation", "loss"],
-        (f"{idx},{value!r}\n" for idx, value in enumerate(history)),
-    )
-
     payload = {
         "g": {"re": channel.g.real.tolist(), "im": channel.g.imag.tolist()},
         "loss": loss,

@@ -241,8 +241,8 @@ def observe_trajectory(
     one pair of I-Q columns, in segments by class, and their distances are
     taken in one call; each axis gathers its own segments.  This skips the
     dataset's shuffle, which changes neither a label count nor an exactly
-    rounded sum.  ``n`` must be an integer >= 1 and ``seed`` one in
-    [0, 2**64).
+    rounded sum.  ``n`` must be an integer in [1, 2**63) and ``seed`` one
+    in [0, 2**64).
     """
     if trajectory.states is None:
         raise ValueError("observation requires simulated states")
@@ -258,7 +258,7 @@ def observe_trajectory(
             raise ValueError("sampled observation cannot discriminate with 'assignment'")
         if discriminator not in MODES:
             raise ValueError(f"unknown discrimination mode {discriminator!r}")
-        n = json_integer(n, "shot count", 1)
+        n = json_integer(n, "shot count", 1, 2**63)
         seed = json_integer(seed, "seed", 0, 2**64)
         factors = cloud_factors(theta.zero, theta.one)
         rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed per stream
@@ -282,7 +282,7 @@ def observe_trajectory(
 
 
 def save_trajectory(trajectory: Trajectory, path: str) -> None:
-    """Write the observations as JSON-lines: header {id, dt}, then {step, b} per step.
+    """Write the observations as JSON-lines: header {id, dt}, then {step, b, delta} per step.
 
     Raises ValueError for a trajectory that has not been observed.
     """
@@ -290,7 +290,8 @@ def save_trajectory(trajectory: Trajectory, path: str) -> None:
         raise ValueError("only an observed trajectory can be saved")
     lines = [json.dumps({"id": trajectory.trajectory_id, "dt": trajectory.dt}, sort_keys=True)]
     for step, observation in enumerate(trajectory.observations):
-        lines.append(json.dumps({"step": step, "b": [float(v) for v in observation.b]}, sort_keys=True))
+        record = {"step": step, "b": observation.b.tolist(), "delta": observation.delta.tolist()}
+        lines.append(json.dumps(record, sort_keys=True))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -299,9 +300,9 @@ def load_trajectory(path: str) -> Trajectory:
 
     Any defect raises ValueError naming its 1-based line.  The header must be
     ``{"id": <integer >= 0>, "dt": <finite number > 0>}``; record k must be
-    ``{"step": k, "b": [three finite numbers]}``, with no other key.  Blank
-    lines are skipped.  The trajectory has no states, and every observation
-    a zero ``delta``.
+    ``{"step": k, "b": [three finite numbers], "delta": [three finite
+    numbers >= 0]}``, with no other key.  Blank lines are skipped.  The
+    trajectory has no states.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = [(n, raw) for n, raw in enumerate(handle.read().splitlines(), 1) if raw.strip()]
@@ -317,13 +318,16 @@ def load_trajectory(path: str) -> Trajectory:
         observations = []
         for position, (lineno, raw) in enumerate(lines[1:]):
             record = json_object(
-                json_text(raw, "trajectory record"), "trajectory record", required=("step", "b")
+                json_text(raw, "trajectory record"),
+                "trajectory record",
+                required=("step", "b", "delta"),
             )
             step = record["step"]
             if type(step) is not int or step != position:
                 raise ValueError(f"expected step {position}, got {step!r}")
             b = json_numbers(record["b"], (3,), "trajectory b")
-            observations.append(BVector(b=b, delta=np.zeros(3)))
+            delta = json_numbers(record["delta"], (3,), "trajectory delta")
+            observations.append(BVector(b=b, delta=delta))
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from exc
     return Trajectory(trajectory_id=trajectory_id, dt=dt, observations=tuple(observations))

@@ -5,10 +5,11 @@ state in each Pauli eigenbasis; each shot is then given an I-Q plane
 coordinate drawn from its class cloud (Gaussian for the qubit states,
 uniform disc for contamination).
 
-All randomness flows through a counter-based Philox bit generator, with
-normal deviates produced by an explicit Box-Muller transform on its
-uniform stream, and no BLAS call draws a point: the same numpy build and C
-math library give the same bits.
+All randomness flows through a counter-based Philox bit generator: normal
+deviates are numpy's ziggurat (``standard_normal``), outcome counts are
+``binomial`` draws, and no BLAS call draws a point.  A fixed seed gives the
+same bits under one numpy release; NEP 19 does not freeze the ziggurat or
+binomial streams across releases.
 
 One core draws every I-Q point: ``draw_shots`` takes the outcome counts of
 one or more blocks, one stream seed per block, both clouds' means and
@@ -17,13 +18,13 @@ singular covariance) and one Philox generator, which it re-keys per block
 and which then draws the same numbers as a new generator with that key.
 It writes I and Q as two contiguous columns: every block's zero shots,
 then every block's one shots, then every block's contamination, and runs
-Box-Muller, the disc transform and each cloud's Cholesky map once over
-each segment.  ``synthesize_iq`` draws one block and then permutes the two
-columns and the truth column and records provenance; sampled trajectory
-observation draws the three axes of one step together (``outcome_counts``
-re-keys the same generator for their outcome counts) and skips the
-permutation.  ``ContaminationSpec`` keeps its disc inside the float range,
-so every drawn coordinate is finite, with no numpy warning.
+each cloud's Cholesky map and the disc transform once over each segment.
+``synthesize_iq`` draws one block and then permutes the two columns and
+the truth column and records provenance; sampled trajectory observation
+draws the three axes of one step together (``outcome_counts`` re-keys the
+same generator for their outcome counts) and skips the permutation.
+``ContaminationSpec`` keeps its disc inside the float range, so every
+drawn coordinate is finite, with no numpy warning.
 """
 
 from __future__ import annotations
@@ -170,16 +171,16 @@ def sample_outcomes(rho: DensityMatrix, axis: str, n: int, seed: int) -> tuple[i
     The zero-outcome probability is p0 = (1 + r_axis) / 2 for r the Bloch
     vector of ``rho``.
     """
-    n = json_integer(n, "shot count", 1)
+    n = json_integer(n, "shot count", 1, 2**63)
     seed = json_integer(seed, "seed", 0, 2**64)
     return outcome_counts(bloch_from_density(rho)[AXES.index(axis)], n, seed, _philox(seed))
 
 
 def outcome_counts(r: float, n: int, seed: int, rng: np.random.Generator) -> tuple[int, int]:
-    """(n0, n1) among ``n`` shots of an axis whose Bloch component is ``r``, drawn
-    by ``rng``, any Philox generator, re-keyed to ``seed``."""
+    """(n0, n1) among ``n`` shots of an axis whose Bloch component is ``r``: one
+    binomial draw by ``rng``, any Philox generator, re-keyed to ``seed``."""
     p0 = min(max(0.5 * (1.0 + r), 0.0), 1.0)
-    n0 = int(np.count_nonzero(_rekey(rng, seed).random(n) < p0))
+    n0 = int(_rekey(rng, seed).binomial(n, p0))
     return n0, n - n0
 
 
@@ -224,11 +225,12 @@ def draw_shots(
 
     Block k has ``counts[k] = (n0, n1)`` state shots and ``floor(w (n0 + n1)
     / (1 - w))`` contamination shots of weight ``w``.  It draws from ``rng``,
-    any Philox generator, re-keyed to ``seeds[k]``: the zero pairs, the one
-    pairs, then the contamination, each as its first uniforms, then its
-    second.  The columns hold every block's zero shots, then every block's
-    one shots, then every block's contamination, each in block order.
-    ``factors`` come from :func:`cloud_factors`.
+    any Philox generator, re-keyed to ``seeds[k]``: standard normals for the
+    zero shots, then the one shots, then uniforms for the contamination,
+    each segment as its I column, then its Q column.  The columns hold every
+    block's zero shots, then every block's one shots, then every block's
+    contamination, each in block order.  ``factors`` come from
+    :func:`cloud_factors`.
     """
     w = 0.0 if contamination is None else contamination.weight
     sizes = [n0 for n0, _ in counts] + [n1 for _, n1 in counts]
@@ -238,32 +240,27 @@ def draw_shots(
     blocks = [cuts[k :: len(counts)] for k in range(len(counts))]
     i = np.empty(edges[-1])
     q = np.empty(edges[-1])
+    draws = (rng.standard_normal, rng.standard_normal, rng.random)
     for block, seed in zip(blocks, seeds):
         _rekey(rng, seed)
-        for cut in block:
-            rng.random(out=i[cut])
-            rng.random(out=q[cut])
+        for draw, cut in zip(draws, block):
+            draw(out=i[cut])
+            draw(out=q[cut])
     zero_end, state_end = edges[len(counts)], edges[2 * len(counts)]
-    # radii in i: Box-Muller's sqrt(-2 log(1 - u)) for state shots, r sqrt(u) in the disc
-    radius = i[:state_end]
-    np.subtract(1.0, radius, out=radius)  # (0, 1], keeps the log finite
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    if contamination is not None:
-        radius = i[state_end:]
-        np.sqrt(radius, out=radius)
-        radius *= contamination.radius
-    q *= 2.0 * np.pi  # angles
-    cos = np.cos(q)
-    np.sin(q, out=q)
-    q *= i
-    i *= cos
     for (mean, chol), part in zip(factors, (slice(0, zero_end), slice(zero_end, state_end))):
         _cholesky_map(i[part], q[part], mean, chol)
     if contamination is not None:
-        i[state_end:] += contamination.center[0]
-        q[state_end:] += contamination.center[1]
+        # the disc: radius r sqrt(u) from the I uniforms, angle 2 pi u from the Q ones
+        radius, angle = i[state_end:], q[state_end:]
+        np.sqrt(radius, out=radius)
+        radius *= contamination.radius
+        angle *= 2.0 * np.pi
+        cos = np.cos(angle)
+        np.sin(angle, out=angle)
+        angle *= radius
+        radius *= cos
+        radius += contamination.center[0]
+        angle += contamination.center[1]
     return i, q, blocks
 
 
@@ -340,7 +337,7 @@ def simulate_datasets(
     state: DensityMatrix, mixture: MixtureParams, n: int, seed: int
 ) -> dict[str, IQDataset]:
     """The three per-axis datasets of one run; axis ``a`` draws from ``axis_seed(seed, a)``."""
-    n = json_integer(n, "shot count", 1)
+    n = json_integer(n, "shot count", 1, 2**63)
     seed = json_integer(seed, "seed", 0, 2**64)
     datasets = {}
     for axis in AXES:

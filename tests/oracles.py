@@ -542,22 +542,17 @@ def soft_rows_reference(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
 
 def synthesize_iq_reference(n0: int, n1: int, theta0, theta1, contamination, seed: int):
     """(i, q, truth) of ``synthesize_iq``, drawn as interleaved rows: each cloud
-    takes (n, 2) Box-Muller deviates from its u1 and u2 uniforms, mapped row by
-    row in Python floats, then the disc's radii and angles, then one permutation."""
+    takes ``standard_normal(count)`` for i, then for q, mapped row by row in
+    Python floats, then the disc's radii and angles, then one permutation."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = []
     for count, comp in ((n0, theta0), (n1, theta1)):
-        u1 = 1.0 - rng.random(count)
-        u2 = rng.random(count)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        z = np.empty((count, 2))
-        z[:, 0] = radius * np.cos(angle)
-        z[:, 1] = radius * np.sin(angle)
+        z_i = rng.standard_normal(count)
+        z_q = rng.standard_normal(count)
         m, l = comp.mean.tolist(), np.linalg.cholesky(comp.cov).tolist()
         rows += [
             (m[0] + (a * l[0][0] + b * l[0][1]), m[1] + (a * l[1][0] + b * l[1][1]))
-            for a, b in z.tolist()
+            for a, b in zip(z_i.tolist(), z_q.tolist())
         ]
     n_noise = 0
     if contamination is not None:

@@ -464,11 +464,7 @@ class TestQhi:
         channel = json.loads((out / "channel.json").read_text(encoding="utf-8"))
         assert channel["frobenius_to_truth"] <= 1e-6
         assert channel["fit_mode"] == "from_qst" and channel["observe"] == "exact"
-        assert (out / "trajectory_000.jsonl").is_file()
-        with open(out / "loss.csv", newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["alternation", "loss"]
-        assert [float(value) for _, value in rows[1:]] == [channel["loss"]]
+        assert sorted(path.name for path in out.iterdir()) == ["channel.json", "trajectory_000.jsonl"]
 
     def test_sampled_assignment_mode_is_refused(self, tmp_path, capsys):
         # assignment's capacities come from the mixture weights, so its b would ignore the shots
@@ -486,7 +482,7 @@ class TestQhi:
         hard, assignment = tmp_path / "hard", tmp_path / "assignment"
         for mode, out in (("hard", hard), ("assignment", assignment)):
             assert run(capsys, "qhi", "--config", cfg, "--mode", mode, "--out", str(out))[0] == 0
-        for name in ("trajectory_000.jsonl", "channel.json", "loss.csv"):
+        for name in ("trajectory_000.jsonl", "channel.json"):
             assert (hard / name).read_bytes() == (assignment / name).read_bytes()
 
 

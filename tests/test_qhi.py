@@ -135,6 +135,7 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 _FINITE = st.floats(-1.0, 1.0) | st.integers(-1, 1)
+_DELTA = st.floats(0.0, 1.0) | st.integers(0, 1)
 
 
 @st.composite
@@ -143,7 +144,8 @@ def _trajectory_lines(draw) -> list:
     header = {"id": draw(st.integers(0, 2**70)), "dt": draw(st.floats(1e-300, 1e300))}
     lines = [header]
     for position in range(draw(st.integers(1, 6))):
-        lines.append({"step": position, "b": draw(st.lists(_FINITE, min_size=3, max_size=3))})
+        b, delta = (draw(st.lists(values, min_size=3, max_size=3)) for values in (_FINITE, _DELTA))
+        lines.append({"step": position, "b": b, "delta": delta})
     for _ in range(draw(st.integers(0, 2))):
         target = lines[draw(st.integers(0, len(lines) - 1))]
         target[draw(st.sampled_from(["id", "dt", "step", "b", "rho", "delta"]))] = draw(_JSON)
@@ -153,8 +155,8 @@ def _trajectory_lines(draw) -> list:
 
 
 _HEADER = '{"dt": 0.02, "id": 0}'
-_STEP0 = '{"b": [0, 0, 1], "step": 0}'
-_STEP1 = '{"b": [0, 0, 1], "step": 1}'
+_STEP0 = '{"b": [0, 0, 1], "delta": [0, 0, 0], "step": 0}'
+_STEP1 = '{"b": [0, 0, 1], "delta": [0.1, 0.2, 0.3], "step": 1}'
 # a JSON array nested far deeper than the parser's recursion limit
 _DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -221,6 +223,16 @@ class TestObserveTrajectory:
         save_trajectory(back, str(again))
         assert again.read_bytes() == path.read_bytes()
 
+    def test_sampled_round_trip_keeps_delta(self, tmp_path, rotation, rho22, sep5_mixture):
+        traj = simulate_trajectory(rotation, rho22, 3)
+        traj = observe_trajectory(traj, mode="sampled", n=500, theta=sep5_mixture, seed=4)
+        path = tmp_path / "traj.jsonl"
+        save_trajectory(traj, str(path))
+        back = load_trajectory(str(path))
+        for a, b in zip(traj.observations, back.observations):
+            assert a.b.tobytes() + a.delta.tobytes() == b.b.tobytes() + b.delta.tobytes()
+        assert all(b.delta.all() for b in back.observations)
+
     def test_save_needs_observations(self, tmp_path, rotation, rho22):
         path = tmp_path / "traj.jsonl"
         with pytest.raises(ValueError, match="observed"):
@@ -230,27 +242,31 @@ class TestObserveTrajectory:
     @pytest.mark.parametrize(
         "lines, line",
         [
-            ([_HEADER, '{"step": 0}', _STEP1], 2),
+            ([_HEADER, '{"delta": [0, 0, 0], "step": 0}', _STEP1], 2),
             (["[0, 0.02]", _STEP0, _STEP1], 1),
             ([_HEADER, _STEP0, '{"b": [0, 0, 1], "st'], 3),
-            ([_HEADER, '{"b": ["0", "0", "1"], "step": 0}', _STEP1], 2),
+            ([_HEADER, '{"b": ["0", "0", "1"], "delta": [0, 0, 0], "step": 0}', _STEP1], 2),
             (['{"dt": 0.02, "id": 1.7}', _STEP0, _STEP1], 1),
             ([_HEADER, _STEP1, _STEP0], 2),
             (['{"dt": -0.02, "id": 0}', _STEP0, _STEP1], 1),
             (['{"dt": 1e400, "id": 0}', _STEP0, _STEP1], 1),
             (['{"dt": 0.02, "id": -1}', _STEP0, _STEP1], 1),
-            ([_HEADER, '{"b": [0, 0, 1], "step": true}', _STEP1], 2),
-            ([_HEADER, '{"b": [0, 0], "step": 0}', _STEP1], 2),
+            ([_HEADER, '{"b": [0, 0, 1], "delta": [0, 0, 0], "step": true}', _STEP1], 2),
+            ([_HEADER, '{"b": [0, 0], "delta": [0, 0, 0], "step": 0}', _STEP1], 2),
             ([_HEADER, "", _STEP0], 4),
-            ([_HEADER, _STEP0, '{"b": [0, 0, 1], "rho": {"im": [[0, 0], [0, 0]], "re": [[1, 0], [0, 0]]}, "step": 1}'], 3),
+            ([_HEADER, _STEP0, '{"b": [0, 0, 1], "delta": [0, 0, 0], "rho": {"im": [[0, 0], [0, 0]], "re": [[1, 0], [0, 0]]}, "step": 1}'], 3),
             ([_DEEP, _STEP0, _STEP1], 1),
             ([_HEADER, _STEP0, _DEEP], 3),
+            ([_HEADER, _STEP0, '{"b": [0, 0, 1], "step": 1}'], 3),
+            ([_HEADER, _STEP0, '{"b": [0, 0, 1], "delta": [0, -0.1, 0], "step": 1}'], 3),
+            ([_HEADER, '{"b": [0, 0, 1], "delta": [0, 0], "step": 0}', _STEP1], 2),
         ],
         ids=[
             "record_without_b", "header_not_object", "truncated_record", "b_as_strings",
             "fractional_id", "steps_out_of_order", "negative_dt", "overflowing_dt",
             "negative_id", "bool_step", "short_b", "one_step_after_blank", "rho_record",
-            "deeply_nested_header", "deeply_nested_record",
+            "deeply_nested_header", "deeply_nested_record", "record_without_delta",
+            "negative_delta", "short_delta",
         ],
     )
     def test_malformed_file_names_the_line(self, tmp_path, lines, line):
@@ -318,7 +334,7 @@ class TestSampledObservation:
 
     def test_rejects_zero_shots(self, rotation, rho22, sep5_mixture):
         traj = simulate_trajectory(rotation, rho22, 2)
-        with pytest.raises(ValueError, match="^shot count must be an integer >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^shot count must be an integer in \[1, 2\*\*63\), got 0$"):
             observe_trajectory(traj, mode="sampled", n=0, theta=sep5_mixture, seed=1)
 
     def test_rejects_singular_cloud(self, rotation, rho22):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import tempfile
@@ -15,14 +16,19 @@ from iqtomo import (
     DatasetFormatError,
     DensityMatrix,
     IQDataset,
+    MixtureParams,
     axis_seed,
+    density_from_bloch,
     export_csv,
     load_dataset,
+    observe_trajectory,
     sample_outcomes,
     save_dataset,
+    simulate_trajectory,
     synthesize_iq,
+    unitary_superoperator,
 )
-from iqtomo.readout import _cholesky_map, _rekey
+from iqtomo.readout import _cholesky_map, _rekey, outcome_counts
 from oracles import load_dataset_reference, save_dataset_reference, synthesize_iq_reference
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -102,7 +108,7 @@ class TestSampleOutcomes:
         assert sample_outcomes(rho22, "y", 5000, 77) == sample_outcomes(rho22, "y", 5000, 77)
 
     def test_rejects_empty(self, rho22):
-        with pytest.raises(ValueError, match="^shot count must be an integer >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^shot count must be an integer in \[1, 2\*\*63\), got 0$"):
             sample_outcomes(rho22, "z", 0, 1)
 
     def test_binomial_concentration_over_seeds(self, rho22):
@@ -115,6 +121,15 @@ class TestSampleOutcomes:
             if abs(n0 / n - p) > bound:
                 bad += 1
         assert bad <= 1
+
+    @pytest.mark.parametrize("r", [1.0, -1.0, 0.3, -0.888])
+    @pytest.mark.parametrize("n, seed", [(1, 0), (37, 5), (10**4, 2**64 - 1), (2**63 - 1, 2**63)])
+    def test_outcome_counts_is_one_binomial_draw(self, r, n, seed):
+        rng = np.random.Generator(np.random.Philox(key=99))
+        rng.standard_normal(3)  # a used generator is re-keyed first
+        p0 = 0.5 * (1.0 + r)
+        n0 = int(np.random.Generator(np.random.Philox(key=seed)).binomial(n, p0))
+        assert outcome_counts(r, n, seed, rng) == (n0, n - n0)
 
 
 class TestSynthesizeIq:
@@ -221,6 +236,27 @@ class TestShotCore:
         i, q, truth = synthesize_iq_reference(n0, n1, zero, one, noise, seed)
         assert d.i.tobytes() == i.tobytes() and d.q.tobytes() == q.tobytes()
         assert d.truth.tobytes() == truth.tobytes()
+
+    def test_numpy_release_draws_the_pinned_streams(self):
+        # NEP 19 leaves the ziggurat and binomial streams free to change between
+        # numpy releases; a release that changes either fails here, not in a digest
+        zero = ComponentParams(0.5, np.array([2.5, 2.0]), np.eye(2))
+        one = ComponentParams(0.5, np.array([-2.5, 2.0]), np.eye(2))
+        noise = ContaminationSpec(weight=0.2, center=(0.0, 2.0))
+        d = synthesize_iq(6, 5, zero, one, contamination=noise, seed=21)
+        assert hashlib.sha256(d.i.tobytes() + d.q.tobytes() + d.truth.tobytes()).hexdigest() == (
+            "baa5487db1c6064a2fbbafadf3790d3f1503f40c3092b6e5941dd774a741e364"
+        )
+        theta = MixtureParams(
+            zero=dataclasses.replace(zero, weight=0.4), one=dataclasses.replace(one, weight=0.4), noise=noise
+        )
+        start = density_from_bloch([0.3, -0.5, 0.6])
+        traj = simulate_trajectory(unitary_superoperator(np.eye(2)), start, 1)
+        step = observe_trajectory(traj, mode="sampled", n=40, theta=theta, seed=21, discriminator="soft")
+        obs = step.observations[1]
+        assert hashlib.sha256(obs.b.tobytes() + obs.delta.tobytes()).hexdigest() == (
+            "be9fcc331bc6901826755469962947822bacff720ab3859b2e31229003899fde"
+        )
 
 
 class TestDatasetFiles:

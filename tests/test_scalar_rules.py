@@ -26,7 +26,7 @@ from iqtomo.qcore import json_integer, json_number
 from iqtomo.readout import DatasetFormatError, simulate_datasets
 
 SEED_RULE = "be an integer in [0, 2**64)"
-# 2**64 is a valid count or id: only seeds have an upper bound
+# 2**64 is a valid step count or id: only seeds and shot counts have an upper bound
 INTEGERS = ["true", "1.5", "-1", '"7"', "null"]
 SEEDS = INTEGERS + [str(2**64)]
 COUNTS = INTEGERS + ["0"]
@@ -46,7 +46,7 @@ FIELDS = [
     ("config", "seed", SEED_RULE, SEEDS),
     # argparse refuses what is not an int before the rule sees it
     ("seed_flag", "seed", SEED_RULE, ["-1", str(2**64)]),
-    ("config", "n_per_axis", "be an integer >= 1", COUNTS),
+    ("config", "n_per_axis", "be an integer in [1, 2**63)", COUNTS + [str(2**63)]),
     ("config", "qhi.steps", "be an integer >= 1", COUNTS),
     ("config", "qhi.trajectories", "be an integer >= 1", COUNTS),
     ("config", "qhi.dt", None, DT_RULES),
@@ -150,9 +150,10 @@ class TestReadoutEntryPoints:
     True as 1) is refused once per call, with the shared message."""
 
     SEEDS = [2**64, -1, 1.5, True, np.float64(3.0)]
-    COUNTS = [0, 2.5, True, -3]
+    # Generator.binomial takes a C long, so 2**63 shots would overflow it
+    COUNTS = [0, 2.5, True, -3, 2**63]
     CASES = [("seed", SEED_RULE, v) for v in SEEDS] + [
-        ("shot count", "be an integer >= 1", v) for v in COUNTS
+        ("shot count", "be an integer in [1, 2**63)", v) for v in COUNTS
     ]
     MIXTURE = MixtureParams(
         zero=ComponentParams(0.5, np.array([2.5, 2.0]), np.eye(2)),
