@@ -38,7 +38,7 @@ from .discriminate import (
     memberships_for,
 )
 from .plot import render_iq_svg
-from .qcore import AXES, DensityMatrix, json_integer, json_number, json_object, json_text
+from .qcore import AXES, DensityMatrix, density_from_bloch, json_integer, json_number, json_object, json_text
 from .qhi import (
     fit_channel,
     observe_trajectory,
@@ -58,6 +58,10 @@ from .readout import (
     write_text_atomic,
 )
 from .repro import DEFAULT_MIXTURE, REFERENCE_STATE, reproduce_paper, truth_count_qst
+
+# qhi trajectory j >= 1 starts at 0.99 times tetrahedral Bloch vector (j - 1) mod 4, so that
+# trajectories beyond the first add directions to the channel fit
+_TETRAHEDRON = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
 
 
 class ConfigError(ValueError):
@@ -267,9 +271,8 @@ def cmd_qhi(args: argparse.Namespace) -> int:
     truth = unitary_superoperator(step_unitary(q.rotation_axis, q.rotation_rate, q.dt))
     trajectories = []
     for j in range(q.trajectories):
-        trajectory = simulate_trajectory(
-            truth, cfg.state, q.steps, trajectory_id=j, dt=q.dt
-        )
+        start = cfg.state if j == 0 else density_from_bloch(0.99 * _TETRAHEDRON[(j - 1) % 4])
+        trajectory = simulate_trajectory(truth, start, q.steps, trajectory_id=j, dt=q.dt)
         # exact observation ignores the readout arguments
         trajectory = observe_trajectory(
             trajectory,

@@ -2,7 +2,12 @@
 
 Calibration fits a two-component Gaussian mixture with EM, started from the
 exact two-means cut of the samples along their principal axis, so a fit is
-a function of the coordinates alone; classification offers three routes of
+a function of the coordinates alone.  EM works on the sufficient statistics
+(1, x, y, x**2, x*y, y**2) of the samples centred at their mean, one (6, n)
+matrix per fit: each E-step is one product of the two components' natural
+parameters with it, each M-step one product of the responsibilities with
+it.  No sum of a fit is split across BLAS threads, so its bits do not
+depend on the thread count.  Classification offers three routes of
 increasing sophistication:
 
 * ``hard``       -- Mahalanobis nearest-component argmax,
@@ -16,7 +21,9 @@ cloud's mean and inverse covariance from the mixture, gives each sample's
 squared Mahalanobis distances to the two clouds, and rejects with a
 ValueError, never a label or a numpy warning, a sample whose distance
 overflows.  Assignment costs and EM's E-step share one rule for the
-negated Gaussian log-density of a distance (:func:`_gaussian_cost`).
+negated Gaussian log-density of a distance (:func:`_gaussian_cost`): EM
+applies it to each mean's squared distance from the samples' mean, the
+constant term of the natural parameters.
 Each route gives an expectation-value estimate ``b`` and its one-sigma
 error ``delta_b`` from effective counts: hard labels are counted, soft and
 assignment memberships summed exactly.  Hard and soft need no membership
@@ -479,47 +486,55 @@ def b_from_distances(d0: np.ndarray, d1: np.ndarray, mode: str) -> tuple[float, 
 # ---------------------------------------------------------------------------
 
 
-def _cov_entries(cov: np.ndarray) -> tuple[float, float, float]:
-    """(s00, s01, s11) of a 2x2 covariance, averaging the off-diagonal pair."""
-    return float(cov[0, 0]), 0.5 * (float(cov[0, 1]) + float(cov[1, 0])), float(cov[1, 1])
-
-
 def _floor_covariance(s00: float, s01: float, s11: float) -> tuple[float, float, float]:
     """Covariance entries with every eigenvalue raised to at least COVARIANCE_FLOOR."""
     if _min_eigenvalue(s00, s01, s11) >= COVARIANCE_FLOOR:
         return s00, s01, s11
     w, v = np.linalg.eigh(np.array([[s00, s01], [s01, s11]]))
     warnings.warn(
-        f"degenerate cluster: covariance eigenvalue {w.min():.3g} floored at "
-        f"{COVARIANCE_FLOOR:g}",
+        f"degenerate cluster: covariance eigenvalue {w.min():.3g} floored at {COVARIANCE_FLOOR:g}",
         CalibrationWarning,
     )
-    return _cov_entries((v * np.maximum(w, COVARIANCE_FLOOR)) @ v.T)
+    cov = ((v * np.maximum(w, COVARIANCE_FLOOR)) @ v.T).tolist()
+    return cov[0][0], 0.5 * (cov[0][1] + cov[1][0]), cov[1][1]
+
+
+def _statistics(i: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+    """Rows 1, x, y, x**2, x*y, y**2 of the samples centred at their mean, and that mean.
+
+    An overflow leaves inf or NaN in a row, with no numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = float(i.mean()), float(q.mean())
+        x, y = i - centre[0], q - centre[1]
+        return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y]), centre
 
 
 def _principal_split(i: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`_principal_cut` of the samples (i, q)."""
+    return _principal_cut(_statistics(i, q)[0])
+
+
+def _principal_cut(stats: np.ndarray) -> np.ndarray:
     """The exact 2-means split of the samples' projections on their principal axis.
 
-    The axis is the leading eigenvector (cos t, sin t) of the 2x2 scatter,
-    t = atan2(s01, (s00 - s11) / 2) / 2, so it is the first axis when the
-    scatter is isotropic.  The projections are cut between two distinct
-    sorted values where the between-group sum of squares
-    (n S_k - k T)**2 / (n k (n - k)) is largest, S_k the sum of the k
-    smallest and T the total; its square root is compared, which cannot
-    overflow where the square could.  Returns a mask that is False on the
-    side of the first sample, whichever way the axis points.  Raises
-    ValueError if the samples all coincide or their scatter overflows.
+    The axis is the leading eigenvector (cos t, sin t) of the scatter (numpy
+    sums of the x**2, x*y, y**2 rows of :func:`_statistics`),
+    t = atan2(s01, (s00 - s11) / 2) / 2.  The projections are cut between two
+    distinct sorted values where the between-group sum of squares
+    (n S_k - k T)**2 / (n k (n - k)) is largest (S_k the sum of the k smallest,
+    T the total), by its square root, which cannot overflow.  The mask is False
+    on the first sample's side.  ValueError if the samples all coincide or
+    their scatter overflows.
     """
-    n = i.size
+    n = stats.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        di = i - i.mean()
-        dq = q - q.mean()
-        s00, s01, s11 = float(di @ di), float(di @ dq), float(dq @ dq)
-        if not all(map(math.isfinite, (s00, s01, s11))):
-            raise ValueError(f"principal-axis scatter overflows: {_TOO_FAR}")
+        s00, s01, s11 = stats[3:].sum(axis=1).tolist()
+    if not all(map(math.isfinite, (s00, s01, s11))):
+        raise ValueError(f"principal-axis scatter overflows: {_TOO_FAR}")
     t = 0.5 * math.atan2(s01, 0.5 * s00 - 0.5 * s11)
-    proj = math.cos(t) * di
-    proj += math.sin(t) * dq
+    proj = math.cos(t) * stats[1]
+    proj += math.sin(t) * stats[2]
     ordered = np.sort(proj)
     sums = np.cumsum(ordered)
     k = np.arange(1.0, n)
@@ -535,7 +550,7 @@ def _principal_split(i: np.ndarray, q: np.ndarray) -> np.ndarray:
 def em_fit(dataset: "IQDataset", log_history: Optional[list] = None) -> MixtureParams:
     """Fit a two-component Gaussian mixture to the I-Q samples by EM.
 
-    EM starts from the two sides of :func:`_principal_split` (the exact
+    EM starts from the two sides of :func:`_principal_cut` (the exact
     2-means cut of the samples along their principal axis): each side's
     share of the samples, mean and floored covariance.  The start involves
     no random draw, so the fit depends on the (i, q) coordinates alone.  EM
@@ -543,6 +558,13 @@ def em_fit(dataset: "IQDataset", log_history: Optional[list] = None) -> MixtureP
     its size; a run that reaches ``EM_MAX_ITER`` iterations first warns
     ``CalibrationWarning`` with its last relative change.  If ``log_history``
     is given, the per-iteration total log-likelihood is appended to it.
+
+    Each E-step is one product of the components' natural parameters with
+    the (6, n) :func:`_statistics`, its constant :func:`_gaussian_cost` at
+    the mean's squared distance; each M-step one product of the (2, n)
+    responsibilities with them.  No BLAS thread splits these sums, so the
+    bits do not depend on the thread count.  The moment form's error grows
+    like (separation / sigma)**2 * eps: about 1e-9 at 2000 sigma.
 
     Returns
     -------
@@ -560,24 +582,24 @@ def em_fit(dataset: "IQDataset", log_history: Optional[list] = None) -> MixtureP
     i, q = dataset.i, dataset.q
     if i.size < 4:
         raise ValueError("EM needs at least four samples")
-
-    upper = _principal_split(i, q)
+    stats, centre = _statistics(i, q)
+    upper = _principal_cut(stats)
     # one M-step on the split's hard memberships; both sides hold a sample,
     # so no previous mean is ever carried over
-    gamma = [(~upper).astype(float), upper.astype(float)]
-    weights, means, covs = _m_step(i, q, gamma, [(0.0, 0.0)] * 2)
-
-    log_lik_prev = None
-    change = math.inf
+    weights, means, covs = _m_step(stats, np.array([~upper, upper], dtype=float), [(0.0, 0.0)] * 2)
+    natural = np.empty((2, 6))  # log-density = natural @ stats
+    log_lik_prev, change = None, math.inf
     for iteration in range(1, EM_MAX_ITER + 1):
-        log_dens = []
-        for c in range(2):
-            *inv, log_det = _inverse_2x2(*covs[c])
-            cost = _gaussian_cost(_dist_sq(i, q, means[c], inv), log_det)
-            log_dens.append(np.subtract(math.log(max(weights[c], 1e-300)), cost, out=cost))
-        log_norm = np.maximum(log_dens[0], log_dens[1]) + np.log1p(
-            np.exp(-np.abs(log_dens[0] - log_dens[1]))
-        )
+        for k, ((mi, mq), (s00, s01, s11)) in enumerate(zip(means, covs)):
+            a, b, c, log_det = _inverse_2x2(s00, s01, s11)
+            ei, eq = a * mi + b * mq, b * mi + c * mq
+            cost = _gaussian_cost(max(mi * ei + mq * eq, 0.0), log_det)
+            natural[k] = math.log(max(weights[k], 1e-300)) - cost, ei, eq, -0.5 * a, -b, -0.5 * c
+        log_dens = natural @ stats
+        # max + log1p(exp(min - max)); min - max is -|d0 - d1| exactly
+        log_norm = np.maximum(log_dens[0], log_dens[1])
+        gap = np.minimum(log_dens[0], log_dens[1]) - log_norm
+        log_norm += np.log1p(np.exp(gap, out=gap), out=gap)
         log_lik = float(np.sum(log_norm))
         if log_history is not None:
             log_history.append(log_lik)
@@ -592,8 +614,8 @@ def em_fit(dataset: "IQDataset", log_history: Optional[list] = None) -> MixtureP
                 break
             change = step / (1.0 + abs(log_lik))
         log_lik_prev = log_lik
-        gamma = [np.exp(log_dens[c] - log_norm) for c in range(2)]
-        weights, means, covs = _m_step(i, q, gamma, means)
+        log_dens -= log_norm
+        weights, means, covs = _m_step(stats, np.exp(log_dens, out=log_dens), means)
     else:
         warnings.warn(
             f"EM stopped at max_iter={EM_MAX_ITER} before converging: last relative "
@@ -601,10 +623,9 @@ def em_fit(dataset: "IQDataset", log_history: Optional[list] = None) -> MixtureP
             CalibrationWarning,
         )
 
+    means = [(mi + centre[0], mq + centre[1]) for mi, mq in means]
     if means[0][0] < means[1][0]:
-        means = means[::-1]
-        covs = covs[::-1]
-        weights = weights[::-1]
+        means, covs, weights = means[::-1], covs[::-1], weights[::-1]
     zero, one = (
         ComponentParams(w, np.array(mean), np.array([[s00, s01], [s01, s11]]))
         for w, mean, (s00, s01, s11) in zip(weights, means, covs)
@@ -612,37 +633,23 @@ def em_fit(dataset: "IQDataset", log_history: Optional[list] = None) -> MixtureP
     return MixtureParams(zero=zero, one=one, noise=None)
 
 
-def _m_step(
-    i: np.ndarray,
-    q: np.ndarray,
-    gamma: list[np.ndarray],
-    means: list[tuple[float, float]],
-) -> tuple[np.ndarray, list[tuple[float, float]], list[tuple[float, float, float]]]:
-    """Weights, means and floored covariances from the responsibility columns."""
-    mass = np.array([g.sum() for g in gamma])
-    new_means = []
-    new_covs = []
-    for c, g in enumerate(gamma):
-        if mass[c] < 1e-10:
-            warnings.warn(
-                f"EM component {c} became degenerate; covariance floored",
-                CalibrationWarning,
-            )
-            new_means.append(means[c])
+def _m_step(stats: np.ndarray, gamma: np.ndarray, means: list) -> tuple[np.ndarray, list, list]:
+    """Weights, centred means and floored covariances of the (2, n) responsibilities.
+
+    Masses and moments come from one product ``gamma @ stats.T``."""
+    moments = gamma @ stats.T
+    mass = moments[:, 0].copy()
+    new_means, new_covs = [], []
+    for k, (m, si, sq, sii, siq, sqq) in enumerate(moments.tolist()):
+        if m < 1e-10:
+            warnings.warn(f"EM component {k} became degenerate; covariance floored", CalibrationWarning)
+            new_means.append(means[k])
             new_covs.append((COVARIANCE_FLOOR, 0.0, COVARIANCE_FLOOR))
-            mass[c] = 1e-10
+            mass[k] = 1e-10
             continue
-        m = float(mass[c])
-        mean_i = float(g @ i) / m
-        mean_q = float(g @ q) / m
-        di = i - mean_i
-        dq = q - mean_q
-        gdi = g * di
-        s00 = float(gdi @ di) / m
-        s01 = float(gdi @ dq) / m
-        s11 = float(np.multiply(g, dq, out=gdi) @ dq) / m
-        new_means.append((mean_i, mean_q))
-        new_covs.append(_floor_covariance(s00, s01, s11))
+        mi, mq = si / m, sq / m
+        new_means.append((mi, mq))
+        new_covs.append(_floor_covariance(sii / m - mi * mi, siq / m - mi * mq, sqq / m - mq * mq))
     return mass / mass.sum(), new_means, new_covs
 
 

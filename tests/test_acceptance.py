@@ -227,15 +227,19 @@ def test_criterion_09_channel_recovery(criterion, rho22, sep5_mixture):
         fitted_clean, _ = fit_channel([clean], mode="from_states")
     clean_err = float(np.linalg.norm(fitted_clean.g - truth.g))
 
-    observed = observe_trajectory(
-        clean, mode="sampled", n=10_000, theta=sep5_mixture, seed=19
-    )
-    history: list[float] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FitWarning)
-        fitted_noisy, _ = fit_channel([observed], mode="from_qst", loss_history=history)
-    noisy_err = float(np.linalg.norm(fitted_noisy.g - truth.g))
-    monotone = all(b <= a for a, b in zip(history, history[1:]))
+    # the sampled error is a median over a fixed seed set: one seed's error moves
+    # by a factor of about 2.5 under a redraw
+    noisy_errs = []
+    monotone = True
+    for seed in range(20):
+        observed = observe_trajectory(clean, mode="sampled", n=10_000, theta=sep5_mixture, seed=seed)
+        history: list[float] = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FitWarning)
+            fitted_noisy, _ = fit_channel([observed], mode="from_qst", loss_history=history)
+        noisy_errs.append(float(np.linalg.norm(fitted_noisy.g - truth.g)))
+        monotone = monotone and all(b <= a for a, b in zip(history, history[1:]))
+    noisy_err = float(np.median(noisy_errs))
     elapsed = time.perf_counter() - start
 
     for state in clean.states:
@@ -243,8 +247,8 @@ def test_criterion_09_channel_recovery(criterion, rho22, sep5_mixture):
     criterion(
         9,
         clean_err <= 1e-6 and noisy_err <= 0.05 and monotone and elapsed < 30.0,
-        f"noiseless error {clean_err:.2e} (tol 1e-6), sampled n=1e4 error "
-        f"{noisy_err:.4f} (tol 0.05), loss monotone={monotone}, {elapsed:.1f} s (< 30 s)",
+        f"noiseless error {clean_err:.2e} (tol 1e-6), sampled n=1e4 median error over "
+        f"seeds 0-19 {noisy_err:.4f} (tol 0.05), loss monotone={monotone}, {elapsed:.1f} s (< 30 s)",
     )
 
 

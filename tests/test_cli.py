@@ -466,6 +466,20 @@ class TestQhi:
         assert channel["fit_mode"] == "from_qst" and channel["observe"] == "exact"
         assert sorted(path.name for path in out.iterdir()) == ["channel.json", "trajectory_000.jsonl"]
 
+    def test_each_trajectory_starts_at_its_own_state(self, tmp_path, capsys, recwarn):
+        # trajectory 0 starts at cfg.state, trajectory j >= 1 at 0.99 x tetrahedral vector (j - 1) mod 4
+        cfg = write_config(tmp_path / "c.json", qhi={"steps": 2, "trajectories": 6})
+        out = tmp_path / "o"
+        assert run(capsys, "qhi", "--config", cfg, "--out", str(out))[0] == 0
+        signs = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+        want = [iqtomo.bloch_from_density(REFERENCE_STATE)]
+        want += [0.99 / math.sqrt(3.0) * np.array(signs[(j - 1) % 4]) for j in range(1, 6)]
+        for j, r in enumerate(want):
+            first = iqtomo.load_trajectory(str(out / f"trajectory_{j:03d}.jsonl")).observations[0]
+            np.testing.assert_allclose(first.b, r, rtol=0.0, atol=1e-12)
+        # the starts span every direction, so the fit does not warn
+        assert not [w for w in recwarn if issubclass(w.category, FitWarning)]
+
     def test_sampled_assignment_mode_is_refused(self, tmp_path, capsys):
         # assignment's capacities come from the mixture weights, so its b would ignore the shots
         qhi = {"steps": 3, "observe": "sampled"}

@@ -75,8 +75,8 @@ def _worse_m_step(monkeypatch):
     real = discriminate._m_step
     calls = []
 
-    def worse(i, q, gamma, means):
-        weights, new_means, covs = real(i, q, gamma, means)
+    def worse(stats, gamma, means):
+        weights, new_means, covs = real(stats, gamma, means)
         calls.append(None)
         if len(calls) == 1:
             return weights, new_means, covs
@@ -656,6 +656,53 @@ class TestEmFit:
                     assert abs(g.weight - w.weight) <= 1e-10
                     np.testing.assert_allclose(g.mean, w.mean, rtol=0.0, atol=1e-10)
                     np.testing.assert_allclose(g.cov, w.cov, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("separation", [5.0, 40.0, 200.0])
+    def test_matches_reference_loop_on_tilted_clouds(self, separation):
+        # the moment form's error grows like separation**2 * eps; 200 sigma stays within 1e-10
+        cov = np.array([[1.2, 0.3], [0.3, 0.8]])
+        zero = ComponentParams(0.5, np.array([separation / 2, 2.0]), cov)
+        one = ComponentParams(0.5, np.array([-separation / 2, 2.0]), cov)
+        for seed in range(3):
+            d = synthesize_iq(3000, 2000, zero, one, seed=seed)
+            got_history: list[float] = []
+            want_history: list[float] = []
+            got = em_fit(d, log_history=got_history)
+            want = em_fit_reference(d, log_history=want_history)
+            assert len(got_history) == len(want_history), seed
+            np.testing.assert_allclose(got_history, want_history, rtol=1e-12, atol=0.0)
+            for g, w in ((got.zero, want.zero), (got.one, want.one)):
+                assert abs(g.weight - w.weight) <= 1e-10
+                np.testing.assert_allclose(g.mean, w.mean, rtol=0.0, atol=1e-10)
+                np.testing.assert_allclose(g.cov, w.cov, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads")
+    def test_same_bits_at_any_blas_thread_count(self):
+        # OpenBLAS splits a shot-length dot product, and so its rounding, across its threads
+        script = """
+import hashlib
+from iqtomo import em_fit
+from iqtomo.readout import simulate_datasets
+from iqtomo.repro import DEFAULT_MIXTURE, REFERENCE_STATE
+
+digest = hashlib.sha256()
+for axis, d in simulate_datasets(REFERENCE_STATE, DEFAULT_MIXTURE, 40_000, 5).items():
+    history = []
+    theta = em_fit(d, log_history=history)
+    digest.update(repr((history, theta.to_json_dict())).encode())
+print(digest.hexdigest())
+"""
+        src_root = Path(iqtomo.__file__).resolve().parents[1]
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src_root), env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
+            )
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert digests[0] == digests[1]
 
     def test_principal_split_matches_reference_on_criterion_04_axes(self):
         for seed in range(20):
