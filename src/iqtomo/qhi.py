@@ -21,11 +21,12 @@ overflows); each axis then counts hard labels or sums soft memberships
 exactly over its own three segments (``b_from_distances``): the soft
 ones are a column softmax, summed without a Python list.
 
-Fitting takes one step: the least-squares update of ``g`` over all
-consecutive state pairs that changes the identity least, so directions
-the data leave unconstrained keep the identity, then one projection of
-its Choi matrix onto the CPTP set (Dykstra between the PSD cone and the
-trace-preservation affine set), which makes the channel CPTP.
+Fitting builds every per-step state in one closed-form pass, bit for bit
+``qst_closed_form``'s, then takes the least-squares update of ``g`` that
+changes the identity least (directions the data leave unconstrained keep
+it) and projects its Choi matrix once onto the CPTP set by Dykstra
+between the PSD cone and the trace-preserving affine set; each sweep
+forms each sum once.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .qcore import (
     json_text,
     pauli,
 )
-from .qst import qst_closed_form
 from .readout import cloud_factors, draw_shots, mix_seed, outcome_counts, write_text_atomic
 
 _VEC_ID = np.eye(2, dtype=complex).reshape(-1)
@@ -82,12 +82,6 @@ def choi_from_super(g: np.ndarray) -> np.ndarray:
     if g.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {g.shape}")
     return g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4).copy()
-
-
-def partial_trace_out(c: np.ndarray) -> np.ndarray:
-    """Trace out the output subsystem of a Choi matrix, leaving 2x2."""
-    c = np.asarray(c, dtype=complex)
-    return np.einsum("ijil->jl", c.reshape(2, 2, 2, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +130,7 @@ class ChoiMatrix:
             raise ValueError("Choi matrix is not Hermitian")
         if np.linalg.eigvalsh(half + half.conj().T).min() < -1e-9:
             raise ValueError("Choi matrix is not positive semidefinite")
-        if np.abs(partial_trace_out(half) - 0.5 * np.eye(2)).max() > 0.5e-9:
+        if np.abs(half[:2, :2] + half[2:, 2:] - 0.5 * np.eye(2)).max() > 0.5e-9:  # Tr_out
             raise ValueError("Choi matrix does not preserve the trace")
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
@@ -338,14 +332,8 @@ def load_trajectory(path: str) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _psd_project(h: np.ndarray) -> np.ndarray:
-    h = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(h)
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
-
-
 def _tp_project(c: np.ndarray) -> np.ndarray:
-    deficit = _EYE2 - partial_trace_out(c)
+    deficit = _EYE2 - (c[:2, :2] + c[2:, 2:])  # identity less Tr_out c
     # np.kron(np.eye(2), deficit / 2.0) without its Python overhead: the same
     # broadcast product, so off the diagonal blocks it adds the same signed zeros
     return c + (_KRON_EYE2 * (deficit / 2.0).reshape(1, 2, 1, 2)).reshape(4, 4)
@@ -363,21 +351,19 @@ def cptp_project(h: np.ndarray) -> ChoiMatrix:
         raise ValueError(f"expected a 4x4 matrix, got {h.shape}")
     x = 0.5 * (h + h.conj().T)
     scale = max(1.0, float(np.linalg.norm(x)))
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    converged = False
-    y = x
+    p = q = np.zeros_like(x)
     for _ in range(PROJECTION_MAX_SWEEPS):
-        y = _psd_project(x + p)
-        p = x + p - y
-        x_new = _tp_project(y + q)
-        q = y + q - x_new
-        if np.linalg.norm(y - x_new) <= PROJECTION_TOL * scale:
-            x = x_new
-            converged = True
+        # each sum once: p = s - y has the bits of x + p - y, and q = t - x those of y + q - x
+        s = x + p
+        w, v = np.linalg.eigh(0.5 * (s + s.conj().T))
+        y = (v * np.maximum(w, 0.0)) @ v.conj().T
+        p = s - y
+        t = y + q
+        x = _tp_project(t)
+        q = t - x
+        if np.linalg.norm(y - x) <= PROJECTION_TOL * scale:
             break
-        x = x_new
-    if not converged:
+    else:
         warnings.warn(
             f"CPTP projection did not reach tolerance {PROJECTION_TOL} "
             f"in {PROJECTION_MAX_SWEEPS} sweeps",
@@ -400,16 +386,26 @@ def cptp_project(h: np.ndarray) -> ChoiMatrix:
     return ChoiMatrix(out)
 
 
-def _trajectory_states(trajectory: Trajectory, mode: str) -> list[DensityMatrix]:
-    if mode == "from_states":
-        if trajectory.states is None:
-            raise ValueError("from_states fit requires simulated states")
-        return list(trajectory.states)
-    if mode == "from_qst":
-        if trajectory.observations is None:
-            raise ValueError("from_qst fit requires observations")
-        return [qst_closed_form(obs).rho for obs in trajectory.observations]
-    raise ValueError(f"unknown fit mode {mode!r}")
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    # (1, 3) @ (3, 1) runs numpy's dot kernel, as row.dot(row) does: the same bits (einsum's differ)
+    return (rows[:, None, :] @ rows[:, :, None]).reshape(-1)
+
+
+def _closed_form_columns(b: np.ndarray) -> np.ndarray:
+    """vec(rho) of ``qst_closed_form`` for each row of an (m, 3) array of b, as (4, m) columns:
+    bit for bit its radial projection, then ``density_from_bloch``'s norm check, rescale and
+    scalar operations, on all rows at once, so each column is a state ``DensityMatrix`` accepts."""
+    r = b.copy()
+    norm = np.sqrt(_squared_norms(r))
+    r[norm > 1.0] /= norm[norm > 1.0, None]
+    norm = np.sqrt(_squared_norms(r))
+    if (norm > 1.0 + 1e-9).any():
+        raise ValueError(f"Bloch vector norm {norm[norm > 1.0 + 1e-9][0]:.12g} exceeds 1")
+    r[norm > 1.0] /= norm[norm > 1.0, None]
+    x, y, z = r.T
+    columns = np.array([0.5 * (1.0 + z), 0.5 * (0.0 + x), 0.5 * (0.0 + x), 0.5 * (1.0 - z)], dtype=complex)
+    columns.imag[1], columns.imag[2] = 0.5 * (0.0 - y), 0.5 * (0.0 + y)
+    return columns
 
 
 def fit_channel(
@@ -419,10 +415,10 @@ def fit_channel(
 ) -> tuple[ChannelSuperoperator, float]:
     """Fit a CPTP superoperator to consecutive state pairs.
 
-    For ``from_qst`` every observation is first mapped through the
-    closed-form tomography solver.  Takes the least-squares update of ``g``
-    over all pairs that changes the identity least, so directions the data
-    leave unconstrained (below the SVD noise floor) keep the identity, then
+    For ``from_qst`` one closed-form pass builds every step's state, bit for
+    bit ``qst_closed_form``'s.  Takes the least-squares update of ``g`` over
+    all pairs that changes the identity least, so directions the data leave
+    unconstrained (below the SVD noise floor) keep the identity, then
     projects its Choi matrix onto the CPTP set once.  Returns the channel
     and its loss
 
@@ -432,15 +428,21 @@ def fit_channel(
     """
     if not trajectories:
         raise ValueError("at least one trajectory is required")
-    x_cols = []
-    y_cols = []
-    for trajectory in trajectories:
-        sequence = _trajectory_states(trajectory, mode)
-        for previous, current in zip(sequence[:-1], sequence[1:]):
-            x_cols.append(previous.matrix.reshape(4))
-            y_cols.append(current.matrix.reshape(4))
-    x = np.stack(x_cols, axis=1)
-    y = np.stack(y_cols, axis=1)
+    first = np.concatenate([np.arange(trajectory.steps + 1) == 0 for trajectory in trajectories])
+    last = np.roll(first, -1)  # a trajectory's last step precedes the next one's first
+    if mode == "from_states":
+        if any(trajectory.states is None for trajectory in trajectories):
+            raise ValueError("from_states fit requires simulated states")
+        columns = np.stack([rho.matrix.reshape(4) for t in trajectories for rho in t.states], axis=1)
+    elif mode == "from_qst":
+        if any(trajectory.observations is None for trajectory in trajectories):
+            raise ValueError("from_qst fit requires observations")
+        observations = [obs for trajectory in trajectories for obs in trajectory.observations]
+        columns = _closed_form_columns(np.array([obs.b for obs in observations]))
+    else:
+        raise ValueError(f"unknown fit mode {mode!r}")
+    x = np.compress(~last, columns, axis=1)
+    y = np.compress(~first, columns, axis=1)
 
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     floor = s[0] * 1e-12
@@ -449,10 +451,8 @@ def fit_channel(
         # Frobenius norm of the column uncertainties (|delta|/sqrt(2) per
         # column); directions below twice that carry no usable signal and
         # would only amplify noise through the pseudoinverse
-        delta_sq = 0.0
-        for trajectory in trajectories:
-            for obs in trajectory.observations[:-1]:
-                delta_sq += float(np.dot(obs.delta, obs.delta))
+        delta = np.compress(~last, np.array([obs.delta for obs in observations]), axis=0)
+        delta_sq = float(np.cumsum(_squared_norms(delta))[-1])  # a running sum, in step order
         floor = max(floor, 2.0 * np.sqrt(0.5 * delta_sq))
     keep = s > floor
     rank = int(np.count_nonzero(keep))

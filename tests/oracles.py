@@ -32,7 +32,9 @@ numpy forms of the package's closed-form single-qubit code:
 ``0.5 * (I + r . sigma)``, the product with the paper's measurement matrix
 ``measurement_matrix()`` built on every call, a general Hamiltonian
 evolution of each basis vector, and the trace-preserving step with
-``np.kron``.  ``render_iq_svg_reference`` is the SVG scatter with one
+``np.kron`` and an ``einsum`` partial trace.  ``cptp_project_reference``
+is the CPTP projection's Dykstra loop as first written, each sum formed
+where it is used, on ``tp_project_reference``.  ``render_iq_svg_reference`` is the SVG scatter with one
 pixel mapping and one f-string per shot, where the package maps and
 formats all shots at once.
 """
@@ -73,7 +75,6 @@ from iqtomo.qcore import (
     TRACE_TOL,
 )
 from iqtomo.plot import HEIGHT, POINT_COLORS, WIDTH, _svg_components
-from iqtomo.qhi import partial_trace_out
 from iqtomo.readout import simulate_axis, write_text_atomic
 
 
@@ -631,9 +632,51 @@ def step_unitary_reference(axis: str, rate: float, dt: float) -> np.ndarray:
 
 
 def tp_project_reference(c: np.ndarray) -> np.ndarray:
-    """Trace-preserving step: ``c + I (x) (I - Tr_out c) / 2`` by ``np.kron``."""
-    deficit = np.eye(2) - partial_trace_out(c)
+    """Trace-preserving step: ``c + I (x) (I - Tr_out c) / 2`` by ``np.kron``,
+    with ``Tr_out`` an ``einsum`` over the 2x2x2x2 view."""
+    deficit = np.eye(2) - np.einsum("ijil->jl", c.reshape(2, 2, 2, 2))
     return c + np.kron(np.eye(2), deficit / 2.0)
+
+
+def _psd_project_reference(h: np.ndarray) -> np.ndarray:
+    h = 0.5 * (h + h.conj().T)
+    w, v = np.linalg.eigh(h)
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
+
+
+def cptp_project_reference(h: np.ndarray, max_sweeps: int, tol: float) -> tuple[np.ndarray, bool]:
+    """``cptp_project``'s Choi matrix and whether it met ``tol`` within ``max_sweeps``.
+
+    The Dykstra loop with each sum formed where it is used (``x + p`` and
+    ``y + q`` twice per sweep), the PSD step as a function and the affine
+    step by ``tp_project_reference``; then the same fix-up of residual
+    negative eigenvalues.
+    """
+    h = np.asarray(h, dtype=complex)
+    x = 0.5 * (h + h.conj().T)
+    scale = max(1.0, float(np.linalg.norm(x)))
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    converged = False
+    for _ in range(max_sweeps):
+        y = _psd_project_reference(x + p)
+        p = x + p - y
+        x_new = tp_project_reference(y + q)
+        q = y + q - x_new
+        converged = bool(np.linalg.norm(y - x_new) <= tol * scale)
+        x = x_new
+        if converged:
+            break
+    out = 0.5 * (x + x.conj().T)
+    w, v = np.linalg.eigh(out)
+    if w.min() < 0.0:
+        out = (v * np.maximum(w, 0.0)) @ v.conj().T
+        out = tp_project_reference(0.5 * (out + out.conj().T))
+        low = float(np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min())
+        if low < -1e-9:
+            t = -low / (0.5 - low)
+            out = (1.0 - t) * out + (0.5 * t) * np.eye(4)
+    return out, converged
 
 
 def render_iq_svg_reference(dataset) -> str:

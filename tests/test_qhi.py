@@ -35,7 +35,12 @@ from iqtomo import (
 )
 from iqtomo import qhi
 from iqtomo.qhi import step_unitary
-from oracles import observe_trajectory_reference, step_unitary_reference, tp_project_reference
+from oracles import (
+    cptp_project_reference,
+    observe_trajectory_reference,
+    step_unitary_reference,
+    tp_project_reference,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -444,6 +449,28 @@ class TestCptpProject:
             with pytest.warns(ProjectionWarning, match=f"in {cap} sweeps"):
                 choi = cptp_project((m + m.conj().T) / 2)
             assert isinstance(choi, ChoiMatrix)
+            # the cap leaves negative eigenvalues, so this also covers the fix-up and its lift
+            expected, converged = cptp_project_reference((m + m.conj().T) / 2, cap, qhi.PROJECTION_TOL)
+            assert not converged
+            assert choi.c.tobytes() == expected.tobytes()
+
+    def test_matches_the_reference_loop_on_random_hermitian_inputs(self):
+        rng = np.random.default_rng(58)
+        for _ in range(200):
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            h = (m + m.conj().T) / 2
+            expected, converged = cptp_project_reference(h, qhi.PROJECTION_MAX_SWEEPS, qhi.PROJECTION_TOL)
+            assert converged
+            assert cptp_project(h).c.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.25, 1.0]), min_size=32, max_size=32))
+    def test_matches_the_reference_loop_on_signed_zeros(self, entries):
+        c = np.empty((4, 4), dtype=complex)
+        c.real, c.imag = np.array(entries[:16]).reshape(4, 4), np.array(entries[16:]).reshape(4, 4)
+        expected, converged = cptp_project_reference(c, qhi.PROJECTION_MAX_SWEEPS, qhi.PROJECTION_TOL)
+        assert converged
+        assert cptp_project(c).c.tobytes() == expected.tobytes()
 
 
 class TestChannelTypes:
@@ -526,6 +553,49 @@ def _fit_inputs(trajectories) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, y, (vh.conj().T * inv_s) @ u.conj().T
 
 
+# b inside, on and outside the ball, with signed zeros; one whose projection
+# b/|b| has a norm in (1, 1 + 1e-9], which density_from_bloch rescales again;
+# and finite entries whose squared norm overflows to inf, so b/|b| is 0
+_INSIDE = [[0.1, -0.2, 0.3], [0.0, -0.0, -0.0], [-0.0, 0.5, -0.0]]
+_ON = [[0.6, 0.8, 0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]
+_OUTSIDE = [[1.5, -2.0, 0.25], [-0.0, -3.0, 0.0]]
+_PROJECTED_ABOVE_ONE = [-0.28798983016813706, -0.9988141196144054, -0.3875746540563049]
+_OVERFLOWS = [1e200, -1e200, 3.0]
+
+
+class TestClosedFormColumns:
+    def test_cases_reach_every_branch(self):
+        for row in _INSIDE + _ON:
+            assert math.sqrt(np.dot(row, row)) <= 1.0
+        for row in _OUTSIDE:
+            assert math.sqrt(np.dot(row, row)) > 1.0
+        r = np.array(_PROJECTED_ABOVE_ONE) / math.sqrt(np.dot(_PROJECTED_ABOVE_ONE, _PROJECTED_ABOVE_ONE))
+        assert 1.0 < math.sqrt(r.dot(r)) <= 1.0 + 1e-9
+        with np.errstate(over="ignore"):
+            assert np.dot(_OVERFLOWS, _OVERFLOWS) == math.inf
+
+    def test_columns_equal_qst_closed_form_byte_for_byte(self):
+        b = np.array(_INSIDE + _ON + _OUTSIDE + [_PROJECTED_ABOVE_ONE, _OVERFLOWS])
+        with np.errstate(over="ignore"):
+            columns = qhi._closed_form_columns(b)
+            expected = [qst_closed_form(row).rho.matrix.reshape(4) for row in b]
+        assert columns.shape == (4, len(b))
+        for column, want in zip(columns.T, expected):
+            assert column.tobytes() == want.tobytes()
+
+    # rows in a cube around the ball, and the same rows scaled onto its surface
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3), min_size=1, max_size=12))
+    def test_every_column_is_the_closed_form_state(self, rows):
+        b = np.array(rows)
+        norms = np.array([math.sqrt(row.dot(row)) for row in b])
+        b = np.concatenate([b, b[norms > 0.0] / norms[norms > 0.0, None]])
+        columns = qhi._closed_form_columns(b)
+        for row, column in zip(b, columns.T):
+            DensityMatrix(column.reshape(2, 2))  # so none of DensityMatrix's checks can fail
+            assert column.tobytes() == qst_closed_form(row).rho.matrix.reshape(4).tobytes()
+
+
 class TestFitChannel:
     def test_noiseless_recovery(self, rotation, rho22):
         traj = simulate_trajectory(rotation, rho22, 100, dt=0.02)
@@ -590,8 +660,21 @@ class TestFitChannel:
             warnings.simplefilter("ignore", FitWarning)
             fitted, loss = fit_channel(trajectories, mode="from_qst", loss_history=history)
         assert len(calls) == 1
-        assert np.array_equal(fitted.g, expected)
+        assert fitted.g.tobytes() == expected.tobytes()
         assert history == [loss] == [float(np.linalg.norm(expected @ x - y) ** 2)]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_projection_inputs_match_the_reference_loop(self, seed):
+        # the fit's own projection input, and that of a second step from its result
+        trajectories = _damped_tetrahedral_trajectories(seed)
+        x, y, x_pinv = _fit_inputs(trajectories)
+        g = np.eye(4, dtype=complex)
+        for _ in range(2):
+            h = choi_from_super(g - (g @ x - y) @ x_pinv)
+            expected, converged = cptp_project_reference(h, qhi.PROJECTION_MAX_SWEEPS, qhi.PROJECTION_TOL)
+            assert converged
+            assert cptp_project(h).c.tobytes() == expected.tobytes()
+            g = choi_from_super(expected)
 
     def test_second_step_on_full_rank_data_stays_put(self):
         # x x^+ = I, so a second minimum-change step only repeats the first
