@@ -27,8 +27,8 @@ constant term of the natural parameters.
 Each route gives an expectation-value estimate ``b`` and its one-sigma
 error ``delta_b`` from effective counts: hard labels are counted, soft and
 assignment memberships summed exactly.  Hard and soft need no membership
-matrix: :func:`b_from_distances` counts the labels, or takes the softmax of
-(-d0, -d1) column by column, straight from the two distance arrays.  The
+matrix: :func:`b_from_distances` counts each block's labels, or sums the
+softmax of (-d0, -d1) over it, straight from the two distance arrays.  The
 exact sum (:func:`_exact_sum`) equals ``math.fsum`` bit for bit without a
 Python list: it splits every ``np.frexp`` mantissa into two integer halves,
 totals them per exponent with ``np.bincount`` and divides the combined
@@ -409,14 +409,9 @@ def delta_b(n0: float, n1: float) -> float:
     return 2.0 * math.sqrt(n0 * n1 / n**3)
 
 
-def _counted_b(ones: np.ndarray) -> tuple[float, float]:
-    """(b, delta_b) of hard labels, ``ones`` True where a sample is labelled one.
-
-    The counts are floats, as the one-hot column sums they equal.
-    """
-    n1 = int(np.count_nonzero(ones))
-    n0 = ones.size - n1
-    return hard_b(float(n0), float(n1)), delta_b(float(n0), float(n1))
+def _counted_b(n: int, n1: int) -> tuple[float, float]:
+    """(b, delta_b) of ``n`` hard labels, ``n1`` of them one, counted as floats: the one-hot column sums."""
+    return hard_b(float(n - n1), float(n1)), delta_b(float(n - n1), float(n1))
 
 
 # values per block of _exact_sum: each half-mantissa is below 2**27 in size, so
@@ -464,20 +459,28 @@ def b_from_memberships(memberships: MembershipMatrix) -> tuple[float, float]:
     Hard rows are one-hot, so their column sums are label counts.
     """
     if memberships.mode == "hard":
-        return _counted_b(memberships.rows[:, 1] == 1.0)
+        return _counted_b(len(memberships.rows), int(np.count_nonzero(memberships.rows[:, 1] == 1.0)))
     return _summed_b(memberships.rows[:, 0], memberships.rows[:, 1])
 
 
-def b_from_distances(d0: np.ndarray, d1: np.ndarray, mode: str) -> tuple[float, float]:
-    """(b, delta_b) of samples at squared distances (d0, d1) from the two clouds.
+def b_from_distances(
+    d0: np.ndarray, d1: np.ndarray, mode: str, blocks: Sequence[Sequence[slice]]
+) -> list[tuple[float, float]]:
+    """(b, delta_b) of each block, a list of slices, of samples at squared distances (d0, d1).
 
-    Equal to ``b_from_memberships(memberships_for(...))`` for ``hard`` and
-    ``soft``, without building the membership matrix.
+    Each equals ``b_from_memberships(memberships_for(...))`` of the block's
+    samples for ``hard`` and ``soft``, with no membership matrix: hard labels
+    are taken once and counted slice by slice; soft memberships are one
+    column softmax, gathered and summed exactly per block.
     """
     if mode == "hard":
-        return _counted_b(_hard_ones(d0, d1))
+        ones = _hard_ones(d0, d1)
+        segments = [[ones[cut] for cut in block] for block in blocks]
+        return [_counted_b(sum(s.size for s in b), sum(map(np.count_nonzero, b))) for b in segments]
     if mode == "soft":
-        return _summed_b(*_soft_columns(d0, d1))
+        ws = _soft_columns(d0, d1)  # a block of one slice is summed as a view: concatenate would copy it
+        pairs = ([w[b[0]] if len(b) == 1 else np.concatenate([w[c] for c in b]) for w in ws] for b in blocks)
+        return [_summed_b(*pair) for pair in pairs]
     raise ValueError(f"b from distances needs mode 'hard' or 'soft', got {mode!r}")
 
 
@@ -780,4 +783,4 @@ def b_for(dataset: "IQDataset", theta: MixtureParams, mode: str) -> tuple[float,
         return b_from_memberships(memberships_for(dataset, theta, mode))
     if mode not in MODES:
         raise ValueError(f"unknown discrimination mode {mode!r}")
-    return b_from_distances(*cloud_distances(dataset.i, dataset.q, theta), mode)
+    return b_from_distances(*cloud_distances(dataset.i, dataset.q, theta), mode, [[slice(None)]])[0]

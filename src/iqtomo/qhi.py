@@ -8,18 +8,19 @@ the full sampled readout pipeline.
 
 Sampled observation gives the same b and delta_b, bit for bit, as
 simulating and discriminating one dataset per (step, axis) block.  It
-computes once per trajectory what no block changes: the Bloch vector of
-every state, both clouds' singularity check and Cholesky factor, and one
-Philox generator.  Per step it re-keys that generator to each axis's
-outcome stream under ``stream = mix_seed(seed, trajectory_id, step, axis
-index)`` for its outcome count, then draws the three axes' I-Q points in
-one pass as two columns (``draw_shots``: every axis's zero shots, then
+computes once per trajectory what no block changes: both clouds'
+singularity check and Cholesky factor, one Philox generator with the
+state template that re-keys it (``rekeyer``), and every block's outcome
+and I-Q seeds under ``stream = mix_seed(seed, trajectory_id, step, axis
+index)``, in one pass over uint64 arrays (``trajectory_seeds``).  Per
+step it draws each axis's outcome count, then the three axes' I-Q points
+in one pass as two columns (``draw_shots``: every axis's zero shots, then
 every axis's one shots, then every axis's contamination, each axis from
-its own stream).  The points' squared distances to the two clouds are
-taken once per step (``cloud_distances``, which rejects one that
-overflows); each axis then counts hard labels or sums soft memberships
-exactly over its own three segments (``b_from_distances``): the soft
-ones are a column softmax, summed without a Python list.
+its own stream).  The points' squared distances to the two clouds, and
+from them hard labels or soft memberships, are taken once per step
+(``cloud_distances``, which rejects one that overflows); each axis then
+counts its labels over its own three segments in place, or gathers its
+memberships from them and sums them exactly (``b_from_distances``).
 
 Fitting builds every per-step state in one closed-form pass, bit for bit
 ``qst_closed_form``'s, then takes the least-squares update of ``g`` that
@@ -46,7 +47,6 @@ from .discriminate import (
     cloud_distances,
 )
 from .qcore import (
-    AXES,
     DensityMatrix,
     bloch_from_density,
     json_integer,
@@ -56,7 +56,7 @@ from .qcore import (
     json_text,
     pauli,
 )
-from .readout import cloud_factors, draw_shots, mix_seed, outcome_counts, write_text_atomic
+from .readout import cloud_factors, draw_shots, outcome_counts, rekeyer, trajectory_seeds, write_text_atomic
 
 _VEC_ID = np.eye(2, dtype=complex).reshape(-1)
 _EYE2 = np.eye(2)
@@ -231,12 +231,13 @@ def observe_trajectory(
     with outcome seed ``mix_seed(stream, 1)`` and I-Q seed
     ``mix_seed(stream, 2)``, then ``memberships_for`` and
     ``b_from_memberships``, for ``stream = mix_seed(seed, trajectory_id,
-    step, axis index)``.  The three axes of a step are drawn together into
-    one pair of I-Q columns, in segments by class, and their distances are
-    taken in one call; each axis gathers its own segments.  This skips the
-    dataset's shuffle, which changes neither a label count nor an exactly
-    rounded sum.  ``n`` must be an integer in [1, 2**63) and ``seed`` one
-    in [0, 2**64).
+    step, axis index)``, all derived in one pass.  The three axes of a step
+    are drawn together into one pair of I-Q columns, in segments by class,
+    by one generator re-keyed per block from one state template; their
+    distances and labels are taken in one call each, and each axis counts or
+    sums over its own segments.  This skips the dataset's shuffle, which changes
+    neither a label count nor an exactly rounded sum.  ``n`` must be an
+    integer in [1, 2**63) and ``seed`` one in [0, 2**64).
     """
     if trajectory.states is None:
         raise ValueError("observation requires simulated states")
@@ -255,20 +256,13 @@ def observe_trajectory(
         n = json_integer(n, "shot count", 1, 2**63)
         seed = json_integer(seed, "seed", 0, 2**64)
         factors = cloud_factors(theta.zero, theta.one)
-        rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed per stream
-        for step, r in enumerate([bloch_from_density(state) for state in trajectory.states]):
-            streams = [mix_seed(seed, trajectory.trajectory_id, step, idx) for idx in range(len(AXES))]
-            counts = [outcome_counts(r[idx], n, mix_seed(s, 1), rng) for idx, s in enumerate(streams)]
-            i, q, blocks = draw_shots(counts, [mix_seed(s, 2) for s in streams], factors, theta.noise, rng)
-            d0, d1 = cloud_distances(i, q, theta)
-            b = np.empty(3)
-            delta = np.empty(3)
-            for idx, block in enumerate(blocks):
-                b[idx], delta[idx] = b_from_distances(
-                    np.concatenate([d0[cut] for cut in block]),
-                    np.concatenate([d1[cut] for cut in block]),
-                    discriminator,
-                )
+        rekey = rekeyer(np.random.Generator(np.random.Philox(key=0)))
+        seeds = trajectory_seeds(seed, trajectory.trajectory_id, len(trajectory.states))
+        for state, step_seeds in zip(trajectory.states, seeds):
+            r = bloch_from_density(state).tolist()
+            counts = [outcome_counts(r_a, n, s[1], rekey) for r_a, s in zip(r, step_seeds)]
+            i, q, blocks = draw_shots(counts, [s[2] for s in step_seeds], factors, theta.noise, rekey)
+            b, delta = zip(*b_from_distances(*cloud_distances(i, q, theta), discriminator, blocks))
             observations.append(BVector(b=b, delta=delta))
     else:
         raise ValueError(f"unknown observation mode {mode!r}")
@@ -395,7 +389,8 @@ def _closed_form_columns(b: np.ndarray) -> np.ndarray:
     """vec(rho) of ``qst_closed_form`` for each row of an (m, 3) array of b, as (4, m) columns:
     bit for bit its radial projection, then ``density_from_bloch``'s norm check, rescale and
     scalar operations, on all rows at once, so each column is a state ``DensityMatrix`` accepts."""
-    r = b.copy()
+    with np.errstate(over="ignore"):  # a row whose squared norm overflows is divided by its max |b_i|
+        r = b / np.where(_squared_norms(b) < np.inf, 1.0, np.abs(b).max(axis=1))[:, None]
     norm = np.sqrt(_squared_norms(r))
     r[norm > 1.0] /= norm[norm > 1.0, None]
     norm = np.sqrt(_squared_norms(r))

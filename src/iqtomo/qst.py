@@ -56,12 +56,14 @@ def qst_closed_form(b) -> QstResult:
 
     ``b`` is a ``BVector``, kept as ``b_used``, or three finite numbers,
     taken with zero errors.  ``residual_sq`` is ``max(0, |b| - 1)^2``, the
-    squared distance from ``b`` to the Bloch ball.
+    squared distance from ``b`` to the Bloch ball, inf where ``b . b`` overflows.
     """
     b_used = b if isinstance(b, BVector) else BVector(b=b, delta=np.zeros(3))
     arr = b_used.b
-    norm = math.sqrt(arr.dot(arr))  # numpy.linalg.norm's own sum of squares, so the same bits
-    r = arr if norm <= 1.0 else arr / norm
+    with np.errstate(over="ignore"):  # if b . b overflows, b / max |b_i| is projected instead
+        norm = math.sqrt(arr.dot(arr))  # numpy.linalg.norm's own sum of squares, so the same bits
+    scaled = arr if norm < math.inf else arr / np.abs(arr).max()
+    r = arr if norm <= 1.0 else scaled / math.sqrt(scaled.dot(scaled))
     rho = density_from_bloch(r)
     residual = max(0.0, norm - 1.0) ** 2
     return QstResult(

@@ -14,11 +14,12 @@ binomial streams across releases.
 One core draws every I-Q point: ``draw_shots`` takes the outcome counts of
 one or more blocks, one stream seed per block, both clouds' means and
 Cholesky factors (``cloud_factors``, which also rejects a numerically
-singular covariance) and one Philox generator, which it re-keys per block
-and which then draws the same numbers as a new generator with that key.
-It writes I and Q as two contiguous columns: every block's zero shots,
-then every block's one shots, then every block's contamination, and runs
-each cloud's Cholesky map and the disc transform once over each segment.
+singular covariance) and the re-key function of one Philox generator
+(``rekeyer``: it swaps the key of one state template), which it calls per
+block; the generator then draws what a new one with that key would.  It
+writes I and Q as two contiguous columns: every block's zero shots, then
+every block's one shots, then every block's contamination, and runs each
+cloud's Cholesky map and the disc transform once over each segment.
 ``synthesize_iq`` draws one block and then permutes the two columns and
 the truth column and records provenance; sampled trajectory observation
 draws the three axes of one step together (``outcome_counts`` re-keys the
@@ -36,7 +37,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +62,7 @@ _TRUTH_CODES = (-1, LABEL_ZERO, LABEL_ONE, LABEL_NOISE)
 
 # (mean, Cholesky factor of the covariance) of the zero cloud, then the one cloud
 CloudFactors = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+Rekey = Callable[[int], "np.random.Generator"]  # see rekeyer; a string, so import skips numpy.random
 
 
 class DatasetFormatError(ValueError):
@@ -92,21 +94,29 @@ def mix_seed(base_seed: int, *salts: int) -> int:
     return out
 
 
-def _philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & _MASK64)))
+def trajectory_seeds(seed: int, trajectory_id: int, n_states: int) -> list[list[list[int]]]:
+    """``[stream, mix_seed(stream, 1), mix_seed(stream, 2)]`` for each step, then axis index, of a
+    trajectory, ``stream = mix_seed(seed, trajectory_id, step, axis index)``: each salt level
+    in one ``_splitmix64`` pass over uint64 arrays, on which products wrap silently."""
+    salts = np.arange(max(n_states, len(AXES)), dtype=np.uint64) * np.uint64(_GOLDEN64)
+    steps = _splitmix64(np.uint64(mix_seed(seed, trajectory_id)) ^ salts[:n_states])
+    streams = _splitmix64(steps[:, None, None] ^ salts[: len(AXES), None])
+    return np.concatenate([streams, _splitmix64(streams ^ salts[1:3])], axis=2).tolist()
 
 
-def _rekey(rng: np.random.Generator, seed: int) -> np.random.Generator:
-    """``rng``, a Philox generator, re-keyed in place to the stream of ``_philox(seed)``."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed & _MASK64, 0], np.uint64)},
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+def rekeyer(rng: np.random.Generator) -> Rekey:
+    """A function that re-keys ``rng``, a Philox generator, in place to the stream of
+    a new ``Philox(key=seed)`` and returns it.  It sets one state template, built
+    here, changing only its key; the generator copies what it is set to."""
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def rekey(seed: int) -> np.random.Generator:
+        state["state"]["key"][0] = seed & _MASK64
+        rng.bit_generator.state = state
+        return rng
+
+    return rekey
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,14 +183,15 @@ def sample_outcomes(rho: DensityMatrix, axis: str, n: int, seed: int) -> tuple[i
     """
     n = json_integer(n, "shot count", 1, 2**63)
     seed = json_integer(seed, "seed", 0, 2**64)
-    return outcome_counts(bloch_from_density(rho)[AXES.index(axis)], n, seed, _philox(seed))
+    rekey = rekeyer(np.random.Generator(np.random.Philox(key=0)))
+    return outcome_counts(bloch_from_density(rho)[AXES.index(axis)], n, seed, rekey)
 
 
-def outcome_counts(r: float, n: int, seed: int, rng: np.random.Generator) -> tuple[int, int]:
+def outcome_counts(r: float, n: int, seed: int, rekey: Rekey) -> tuple[int, int]:
     """(n0, n1) among ``n`` shots of an axis whose Bloch component is ``r``: one
-    binomial draw by ``rng``, any Philox generator, re-keyed to ``seed``."""
+    binomial draw by the generator that ``rekey`` (see :func:`rekeyer`) keys to ``seed``."""
     p0 = min(max(0.5 * (1.0 + r), 0.0), 1.0)
-    n0 = int(_rekey(rng, seed).binomial(n, p0))
+    n0 = int(rekey(seed).binomial(n, p0))
     return n0, n - n0
 
 
@@ -218,19 +229,19 @@ def draw_shots(
     seeds: Sequence[int],
     factors: CloudFactors,
     contamination: Optional[ContaminationSpec],
-    rng: np.random.Generator,
+    rekey: Rekey,
 ) -> tuple[np.ndarray, np.ndarray, list[list[slice]]]:
     """I and Q columns of the shots of every block, and each block's (zero,
     one, contamination) segments of them.
 
     Block k has ``counts[k] = (n0, n1)`` state shots and ``floor(w (n0 + n1)
-    / (1 - w))`` contamination shots of weight ``w``.  It draws from ``rng``,
-    any Philox generator, re-keyed to ``seeds[k]``: standard normals for the
-    zero shots, then the one shots, then uniforms for the contamination,
-    each segment as its I column, then its Q column.  The columns hold every
-    block's zero shots, then every block's one shots, then every block's
-    contamination, each in block order.  ``factors`` come from
-    :func:`cloud_factors`.
+    / (1 - w))`` contamination shots of weight ``w``.  It draws from the
+    generator that ``rekey`` (see :func:`rekeyer`) keys to ``seeds[k]``:
+    standard normals for the zero shots, then the one shots, then uniforms
+    for the contamination, each segment as its I column, then its Q column.
+    The columns hold every block's zero shots, then every block's one shots,
+    then every block's contamination, each in block order.  ``factors``
+    come from :func:`cloud_factors`.
     """
     w = 0.0 if contamination is None else contamination.weight
     sizes = [n0 for n0, _ in counts] + [n1 for _, n1 in counts]
@@ -240,10 +251,9 @@ def draw_shots(
     blocks = [cuts[k :: len(counts)] for k in range(len(counts))]
     i = np.empty(edges[-1])
     q = np.empty(edges[-1])
-    draws = (rng.standard_normal, rng.standard_normal, rng.random)
     for block, seed in zip(blocks, seeds):
-        _rekey(rng, seed)
-        for draw, cut in zip(draws, block):
+        rng = rekey(seed)
+        for draw, cut in zip((rng.standard_normal, rng.standard_normal, rng.random), block):
             draw(out=i[cut])
             draw(out=q[cut])
     zero_end, state_end = edges[len(counts)], edges[2 * len(counts)]
@@ -287,8 +297,8 @@ def synthesize_iq(
     if n0 + n1 < 1:
         raise ValueError("need n0, n1 >= 0 with n0 + n1 >= 1")
     n_state = n0 + n1
-    rng = _philox(seed)
-    i, q, _ = draw_shots([(n0, n1)], [seed], cloud_factors(theta0, theta1), contamination, rng)
+    rng = np.random.Generator(np.random.Philox(key=0))  # draw_shots keys it to seed
+    i, q, _ = draw_shots([(n0, n1)], [seed], cloud_factors(theta0, theta1), contamination, rekeyer(rng))
     truth = np.repeat(
         np.array([LABEL_ZERO, LABEL_ONE, LABEL_NOISE], dtype=np.int8), [n0, n1, i.size - n_state]
     )

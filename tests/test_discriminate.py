@@ -504,13 +504,28 @@ class TestHardCounts:
             b, err = b_from_memberships(member)
             assert (b, err) == (hard_b(n0, n1), delta_b(n0, n1))
             d0, d1 = discriminate.cloud_distances(datasets[axis].i, datasets[axis].q, theta)
-            assert discriminate.b_from_distances(d0, d1, "hard") == (b, err)
+            assert discriminate.b_from_distances(d0, d1, "hard", [[slice(None)]]) == [(b, err)]
 
     def test_soft_b_from_distances_matches_memberships(self, sep5_mixture):
         d = synthesize_iq(700, 300, sep5_mixture.zero, sep5_mixture.one, seed=13)
         d0, d1 = discriminate.cloud_distances(d.i, d.q, sep5_mixture)
         want = b_from_memberships(memberships_for(d, sep5_mixture, "soft"))
-        assert discriminate.b_from_distances(d0, d1, "soft") == want
+        assert discriminate.b_from_distances(d0, d1, "soft", [[slice(None)]]) == [want]
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_each_block_is_the_b_of_its_gathered_samples(self, sep5_mixture, mode):
+        d = synthesize_iq(700, 300, sep5_mixture.zero, sep5_mixture.one, seed=13)
+        d0, d1 = discriminate.cloud_distances(d.i, d.q, sep5_mixture)
+        # interleaved slices, one of them empty, as draw_shots lays out the blocks of a step
+        blocks = [[slice(0, 100), slice(400, 400), slice(900, 1000)], [slice(100, 400)], [slice(400, 900)]]
+        want = [
+            discriminate.b_from_distances(
+                np.concatenate([d0[cut] for cut in block]), np.concatenate([d1[cut] for cut in block]),
+                mode, [[slice(None)]],
+            )[0]
+            for block in blocks
+        ]
+        assert discriminate.b_from_distances(d0, d1, mode, blocks) == want
 
     def test_ties_go_to_zero(self, sep5_mixture):
         # (0, 2) and (0, 37) are equidistant from both clouds
@@ -532,7 +547,7 @@ class TestHardCounts:
 
     def test_b_from_distances_has_no_assignment_mode(self):
         with pytest.raises(ValueError, match="'hard' or 'soft'"):
-            discriminate.b_from_distances(np.zeros(2), np.ones(2), "assignment")
+            discriminate.b_from_distances(np.zeros(2), np.ones(2), "assignment", [[slice(None)]])
 
     def test_hard_rows_must_be_one_hot(self):
         with pytest.raises(ValueError, match="one-hot"):

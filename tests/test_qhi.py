@@ -555,7 +555,7 @@ def _fit_inputs(trajectories) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # b inside, on and outside the ball, with signed zeros; one whose projection
 # b/|b| has a norm in (1, 1 + 1e-9], which density_from_bloch rescales again;
-# and finite entries whose squared norm overflows to inf, so b/|b| is 0
+# and finite entries whose squared norm overflows to inf, so the row is scaled by its largest |b_i| first
 _INSIDE = [[0.1, -0.2, 0.3], [0.0, -0.0, -0.0], [-0.0, 0.5, -0.0]]
 _ON = [[0.6, 0.8, 0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]
 _OUTSIDE = [[1.5, -2.0, 0.25], [-0.0, -3.0, 0.0]]
@@ -576,12 +576,20 @@ class TestClosedFormColumns:
 
     def test_columns_equal_qst_closed_form_byte_for_byte(self):
         b = np.array(_INSIDE + _ON + _OUTSIDE + [_PROJECTED_ABOVE_ONE, _OVERFLOWS])
-        with np.errstate(over="ignore"):
-            columns = qhi._closed_form_columns(b)
-            expected = [qst_closed_form(row).rho.matrix.reshape(4) for row in b]
+        columns = qhi._closed_form_columns(b)
+        expected = [qst_closed_form(row).rho.matrix.reshape(4) for row in b]
         assert columns.shape == (4, len(b))
         for column, want in zip(columns.T, expected):
             assert column.tobytes() == want.tobytes()
+
+    def test_a_squared_norm_that_overflows_projects_onto_the_sphere(self):
+        # b / |b| for b = (1e200, -1e200, 3): on the sphere, not the maximally mixed I/2
+        result = qst_closed_form(_OVERFLOWS)
+        r = bloch_from_density(result.rho)
+        np.testing.assert_allclose(r, [math.sqrt(0.5), -math.sqrt(0.5), 0.0], rtol=0.0, atol=1e-15)
+        assert result.residual_sq == math.inf
+        column = qhi._closed_form_columns(np.array([_OVERFLOWS]))[:, 0]
+        assert column.tobytes() == result.rho.matrix.reshape(4).tobytes()
 
     # rows in a cube around the ball, and the same rows scaled onto its surface
     @settings(max_examples=300, deadline=None)

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from iqtomo import (
     synthesize_iq,
     unitary_superoperator,
 )
-from iqtomo.readout import _cholesky_map, _rekey, outcome_counts
+from iqtomo.readout import _cholesky_map, mix_seed, outcome_counts, rekeyer, trajectory_seeds
 from oracles import load_dataset_reference, save_dataset_reference, synthesize_iq_reference
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -75,18 +76,45 @@ def test_axis_seed_rejects_unknown_axis():
         axis_seed(0, "q")
 
 
-@pytest.mark.parametrize("key", [0, 1, 2**64 - 1])
-def test_rekeyed_generator_draws_the_stream_of_a_new_one(key):
-    rng = np.random.Generator(np.random.Philox(key=12345))
-    rng.random(5)
-    rng.integers(0, 2**32, dtype=np.uint32)  # leaves a buffered half word behind
-    _rekey(rng, key)
+def _draws_the_stream_of(rng, key):
     fresh = np.random.Generator(np.random.Philox(key=key))
     assert rng.random(9).tobytes() == fresh.random(9).tobytes()
     assert rng.integers(0, 2**32, size=5, dtype=np.uint32).tobytes() == fresh.integers(
         0, 2**32, size=5, dtype=np.uint32
     ).tobytes()
     assert rng.bit_generator.state["state"]["key"].tolist() == [key, 0]
+
+
+def test_rekeyed_generator_draws_the_stream_of_a_new_one():
+    rng = np.random.Generator(np.random.Philox(key=12345))
+    other = np.random.Generator(np.random.Philox(key=54321))
+    rng.random(5)
+    rekey, rekey_other = rekeyer(rng), rekeyer(other)  # built from used generators
+    for key, other_key in [(0, 7), (1, 2**63), (2**64 - 1, 0)]:
+        rng.integers(0, 2**32, dtype=np.uint32)  # leaves a buffered half word behind
+        assert rekey(key) is rng
+        rekey_other(other_key)  # a second generator re-keyed between its re-key and its draws
+        _draws_the_stream_of(rng, key)
+        _draws_the_stream_of(other, other_key)
+
+
+# the pinned seeds are the extremes of the uint64 range and one past the int64 range
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, 2**64 - 1, 2**63 + 5]), st.integers(0, 2**64 - 1)),
+    trajectory_id=st.integers(0, 2**63),
+    n_states=st.integers(2, 10**4 + 1),
+    data=st.data(),
+)
+def test_trajectory_seeds_are_the_mix_seed_table(seed, trajectory_id, n_states, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as -W error: no uint64 overflow warning either
+        table = trajectory_seeds(seed, trajectory_id, n_states)
+    assert len(table) == n_states
+    for step in {0, data.draw(st.integers(0, n_states - 1)), n_states - 1}:
+        for idx in range(3):
+            stream = mix_seed(seed, trajectory_id, step, idx)
+            assert table[step][idx] == [stream, mix_seed(stream, 1), mix_seed(stream, 2)]
 
 
 class TestSampleOutcomes:
@@ -129,7 +157,7 @@ class TestSampleOutcomes:
         rng.standard_normal(3)  # a used generator is re-keyed first
         p0 = 0.5 * (1.0 + r)
         n0 = int(np.random.Generator(np.random.Philox(key=seed)).binomial(n, p0))
-        assert outcome_counts(r, n, seed, rng) == (n0, n - n0)
+        assert outcome_counts(r, n, seed, rekeyer(rng)) == (n0, n - n0)
 
 
 class TestSynthesizeIq:
