@@ -66,7 +66,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         }
         write_text_atomic(
             os.path.join(args.out, "illustration.json"),
-            json.dumps(report, indent=2, sort_keys=True),
+            json.dumps(report, indent=2, sort_keys=True, allow_nan=False),
         )
         print(f"artifacts written to {args.out}")
     return 0

@@ -6,6 +6,17 @@ Trajectories are repeated applications of ``g``; observation converts
 each state into per-axis expectation estimates, either exactly or via
 the full sampled readout pipeline.
 
+A step (``ChannelSuperoperator.apply``) makes one numpy call, the product
+``g @ vec(rho)``; the Hermitian part ``0.5 * (m + m^H)``, its trace and the
+division by it then run on the product's four entries as Python floats,
+with numpy's complex rules: sums and halves component by component, and
+the division by the real trace ``t`` by Smith's formula, as numpy divides
+a complex array by a real number.  So every state has the bits of those
+numpy matrix expressions.  Each step's result is still a validated
+``DensityMatrix``: nothing checks a superoperator's complete positivity,
+so that check is the only guard that a simulated state is positive
+semidefinite.
+
 Sampled observation gives the same b and delta_b, bit for bit, as
 simulating and discriminating one dataset per (step, axis) block.  It
 computes once per trajectory what no block changes: both clouds'
@@ -33,6 +44,7 @@ forms each sum once.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -107,9 +119,33 @@ class ChannelSuperoperator:
         object.__setattr__(self, "g", g)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        out = (self.g @ rho.matrix.reshape(4)).reshape(2, 2)
-        out = 0.5 * (out + out.conj().T)
-        return DensityMatrix(out / out.trace().real)
+        """One step: ``m = unvec(g vec(rho))``, then ``h = 0.5 * (m + m^H)`` and ``h / Re Tr h``.
+
+        Only the product is a numpy call; the rest runs on its four entries as
+        Python floats with numpy's complex rules, so the state has the bits of
+        those matrix expressions.  Raises ValueError for a ``rho`` that is not a
+        ``DensityMatrix``, and as ``DensityMatrix`` does for the result.
+        """
+        if not isinstance(rho, DensityMatrix):
+            raise ValueError(f"rho must be a DensityMatrix, got {type(rho).__name__}")
+        m00, m01, m10, m11 = (self.g @ rho.matrix.reshape(4)).tolist()
+        # h = 0.5 * (m + m^H) component by component: numpy's complex product with
+        # 0.5 differs from that only where m has a -0 component, and m has none,
+        # as the matrix product's sums start from +0
+        a, b = 0.5 * (m00.real + m00.real), 0.5 * (m00.imag - m00.imag)
+        x, y = 0.5 * (m01.real + m10.real), 0.5 * (m01.imag - m10.imag)
+        u, w = 0.5 * (m10.real + m01.real), 0.5 * (m10.imag - m01.imag)
+        d, e = 0.5 * (m11.real + m11.real), 0.5 * (m11.imag - m11.imag)
+        t = a + d
+        # numpy divides by a real t by Smith's formula; where t is 0 its entries are
+        # inf or NaN (Python's 1.0 / 0.0 raises), here NaN: DensityMatrix rejects both
+        rat = 0.0 / t if t else math.nan
+        scl = 1.0 / (t + 0.0 * rat)
+        e00 = complex((a + b * rat) * scl, (b - a * rat) * scl)
+        e01 = complex((x + y * rat) * scl, (y - x * rat) * scl)
+        e10 = complex((u + w * rat) * scl, (w - u * rat) * scl)
+        e11 = complex((d + e * rat) * scl, (e - d * rat) * scl)
+        return DensityMatrix([[e00, e01], [e10, e11]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +237,17 @@ def simulate_trajectory(
     trajectory_id: int = 0,
     dt: float = 0.02,
 ) -> Trajectory:
-    """Apply the channel ``n_steps`` times, recording every state."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    """Apply the channel ``n_steps`` times, recording every state.
+
+    Raises ValueError for a ``channel`` that is not a ``ChannelSuperoperator``,
+    an ``rho0`` that is not a ``DensityMatrix``, or an ``n_steps`` that is not
+    an integer >= 1 (``True`` is not one).
+    """
+    n_steps = json_integer(n_steps, "n_steps", 1)
+    if not isinstance(channel, ChannelSuperoperator):
+        raise ValueError(f"channel must be a ChannelSuperoperator, got {type(channel).__name__}")
+    if not isinstance(rho0, DensityMatrix):
+        raise ValueError(f"rho0 must be a DensityMatrix, got {type(rho0).__name__}")
     states = [rho0]
     current = rho0
     for _ in range(n_steps):
@@ -276,10 +320,11 @@ def save_trajectory(trajectory: Trajectory, path: str) -> None:
     """
     if trajectory.observations is None:
         raise ValueError("only an observed trajectory can be saved")
-    lines = [json.dumps({"id": trajectory.trajectory_id, "dt": trajectory.dt}, sort_keys=True)]
+    header = {"id": trajectory.trajectory_id, "dt": trajectory.dt}
+    lines = [json.dumps(header, sort_keys=True, allow_nan=False)]
     for step, observation in enumerate(trajectory.observations):
         record = {"step": step, "b": observation.b.tolist(), "delta": observation.delta.tolist()}
-        lines.append(json.dumps(record, sort_keys=True))
+        lines.append(json.dumps(record, sort_keys=True, allow_nan=False))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

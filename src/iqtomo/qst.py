@@ -131,7 +131,9 @@ def tomography_report(
 ) -> dict:
     """JSON-ready report for a reconstruction.
 
-    Keys: b, delta_b, rho, residual_sq, frobenius_to_ref, solver, mode.
+    Keys: b, delta_b, rho, residual_sq, frobenius_to_ref, solver, mode,
+    iterations, converged.  ``residual_sq`` is None (JSON ``null``) where it
+    is inf, for a b whose squared norm overflows: JSON has no infinity.
     """
     mode = None
     if isinstance(result, BilevelResult):
@@ -141,7 +143,7 @@ def tomography_report(
         "b": result.b_used.b.tolist(),
         "delta_b": result.b_used.delta.tolist(),
         "rho": result.rho.to_json_dict(),
-        "residual_sq": result.residual_sq,
+        "residual_sq": result.residual_sq if result.residual_sq < math.inf else None,
         "frobenius_to_ref": (
             None if reference is None else frobenius_distance(result.rho, reference)
         ),

@@ -26,13 +26,15 @@ draws, shuffles and validates each block as ``simulate_axis`` does and
 discriminates it with ``memberships_for``, where the package hoists the
 per-trajectory work and counts hard labels.  ``density_problem_reference``,
 ``density_from_bloch_reference``, ``bloch_from_density_reference``,
-``step_unitary_reference`` and ``tp_project_reference`` are the small-array
-numpy forms of the package's closed-form single-qubit code:
-``DensityMatrix``'s checks with ``eigvalsh``, the matrix sum
-``0.5 * (I + r . sigma)``, the product with the paper's measurement matrix
-``measurement_matrix()`` built on every call, a general Hamiltonian
-evolution of each basis vector, and the trace-preserving step with
-``np.kron`` and an ``einsum`` partial trace.  ``cptp_project_reference``
+``step_unitary_reference``, ``apply_reference`` and
+``tp_project_reference`` are the small-array numpy forms of the package's
+closed-form single-qubit code: ``DensityMatrix``'s checks with
+``eigvalsh``, the matrix sum ``0.5 * (I + r . sigma)``, the product with
+the paper's measurement matrix ``measurement_matrix()`` built on every
+call, a general Hamiltonian evolution of each basis vector, a channel
+step as three matrix expressions (``ChannelSuperoperator.apply`` takes
+all but the product on Python floats), and the trace-preserving step
+with ``np.kron`` and an ``einsum`` partial trace.  ``cptp_project_reference``
 is the CPTP projection's Dykstra loop as first written, each sum formed
 where it is used, on ``tp_project_reference``.  ``render_iq_svg_reference`` is the SVG scatter with one
 pixel mapping and one f-string per shot, where the package maps and
@@ -629,6 +631,14 @@ def step_unitary_reference(axis: str, rate: float, dt: float) -> np.ndarray:
 
     basis = np.eye(2, dtype=complex)
     return np.stack([evolve(basis[:, 0]), evolve(basis[:, 1])], axis=1)
+
+
+def apply_reference(channel, rho: DensityMatrix) -> DensityMatrix:
+    """One channel step as numpy matrix expressions: ``m = unvec(g vec(rho))``,
+    ``h = 0.5 * (m + m^H)``, then ``h / Re Tr h``."""
+    out = (channel.g @ rho.matrix.reshape(4)).reshape(2, 2)
+    out = 0.5 * (out + out.conj().T)
+    return DensityMatrix(out / out.trace().real)
 
 
 def tp_project_reference(c: np.ndarray) -> np.ndarray:

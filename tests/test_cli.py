@@ -879,6 +879,32 @@ def test_bench_pairs_records_a_claim_only_when_one_is_made(tmp_path, monkeypatch
     assert pairs["claim"].startswith("tomo_sweep ops_per_s: ") and pairs["claim_holds"] is False
 
 
+def test_json_artifacts_refuse_nan_and_infinity():
+    from iqtomo.cli import _json_text
+
+    assert _json_text({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_text({"x": value})
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random costs its import time at every start of the package; it loads when a run draws
+    src_root = str(Path(iqtomo.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    code = "import sys, iqtomo; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_matches_api(capsys):
     proc = subprocess.run(
         [sys.executable, "-c", "import iqtomo.cli as m; raise SystemExit(m.main(['--help']))"],

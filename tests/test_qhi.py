@@ -36,6 +36,7 @@ from iqtomo import (
 from iqtomo import qhi
 from iqtomo.qhi import step_unitary
 from oracles import (
+    apply_reference,
     cptp_project_reference,
     observe_trajectory_reference,
     step_unitary_reference,
@@ -127,10 +128,161 @@ class TestSimulateTrajectory:
 
     def test_long_run_keeps_states_valid(self, rotation, rho22):
         # DensityMatrix construction re-validates trace/Hermiticity each step
-        traj = simulate_trajectory(rotation, rho22, 10_000)
+        traj = _states_match_reference(rotation, rho22, 10_000)
         last = traj.states[-1].matrix
         assert abs(np.trace(last).real - 1.0) <= 1e-12
         assert np.abs(last - last.conj().T).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_steps", [True, False, 2.0, "3", 0, -1, np.float64(3.0), None])
+    def test_n_steps_must_be_an_integer_of_at_least_one(self, rotation, rho22, n_steps):
+        with pytest.raises(ValueError, match="^n_steps must be an integer >= 1, got "):
+            simulate_trajectory(rotation, rho22, n_steps)
+
+    def test_numpy_integer_steps(self, rotation, rho22):
+        assert simulate_trajectory(rotation, rho22, np.int64(3)).steps == 3
+
+    def test_channel_must_be_a_superoperator(self, rotation, rho22):
+        with pytest.raises(ValueError, match="^channel must be a ChannelSuperoperator, got ndarray$"):
+            simulate_trajectory(rotation.g, rho22, 2)
+
+    def test_start_must_be_a_density_matrix(self, rotation, rho22):
+        with pytest.raises(ValueError, match="^rho0 must be a DensityMatrix, got ndarray$"):
+            simulate_trajectory(rotation, rho22.matrix, 2)
+
+    def test_apply_needs_a_density_matrix(self, rotation, rho22):
+        with pytest.raises(ValueError, match="^rho must be a DensityMatrix, got ndarray$"):
+            rotation.apply(rho22.matrix)
+
+
+def _states_match_reference(channel, rho0, n_steps: int) -> Trajectory:
+    """``simulate_trajectory``'s trajectory, once its states have the bytes of an ``apply_reference`` loop's."""
+    traj = simulate_trajectory(channel, rho0, n_steps)
+    expected = [rho0]
+    for _ in range(n_steps):
+        expected.append(apply_reference(channel, expected[-1]))
+    assert [s.matrix.tobytes() for s in traj.states] == [s.matrix.tobytes() for s in expected]
+    return traj
+
+
+def _fit_workload_channel(rng: np.random.Generator) -> ChannelSuperoperator:
+    """A random rotation then amplitude damping, drawn as the channel-fit benchmark draws it."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    theta = rng.uniform(0.02, 0.1)
+    gamma = rng.uniform(0.005, 0.02)
+    damping = [
+        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
+        np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]),
+    ]
+    n_sigma = sum(axis[k] * pauli(a) for k, a in enumerate(AXES))
+    u = math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * n_sigma
+    return ChannelSuperoperator(sum(np.kron(k, k.conj()) for k in damping) @ np.kron(u, u.conj()))
+
+
+_TETRAHEDRON = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
+
+# signed zeros, subnormals and the smallest normal, for channel and state entries
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308]
+
+
+def test_save_trajectory_refuses_a_non_finite_number(tmp_path, rotation, rho22):
+    traj = observe_trajectory(simulate_trajectory(rotation, rho22, 2), mode="exact")
+    object.__setattr__(traj.observations[1], "b", np.array([math.nan, 0.0, 0.0]))
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_trajectory(traj, str(path))
+    assert not path.exists()
+
+
+class TestChannelStep:
+    """Every simulated state has the bytes of ``apply_reference``'s matrix expressions."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fit_workload_channels_from_tetrahedral_starts(self, seed):
+        channel = _fit_workload_channel(np.random.default_rng(seed))
+        for start in _TETRAHEDRON:
+            _states_match_reference(channel, density_from_bloch(start), 25)
+
+    def test_unitary_and_identity_channels(self, rho22):
+        rng = np.random.default_rng(61)
+        channels = [ChannelSuperoperator(np.eye(4)), unitary_superoperator(np.eye(2))]
+        channels += [unitary_superoperator(SIGMA_X)]
+        channels += [unitary_superoperator(step_unitary(axis, 2.0, 0.02)) for axis in AXES]
+        for channel in channels:
+            for start in [rho22, density_from_bloch([0.0, 0.0, 0.0])] + [
+                density_from_bloch(r / np.linalg.norm(r)) for r in rng.normal(size=(3, 3))
+            ]:
+                _states_match_reference(channel, start, 30)
+
+    def test_starts_on_the_bloch_sphere(self):
+        rng = np.random.default_rng(62)
+        for _ in range(40):
+            channel = _fit_workload_channel(rng)
+            r = rng.normal(size=3)
+            _states_match_reference(channel, density_from_bloch(r / np.linalg.norm(r)), 10)
+
+    def test_ten_thousand_damped_steps(self, rho22):
+        _states_match_reference(_fit_workload_channel(np.random.default_rng(63)), rho22, 10_000)
+
+    # the identity, a full depolariser and a reset to |0>, every zero entry replaced by
+    # a signed zero or a subnormal, on states with such entries and a trace off 1 within
+    # DensityMatrix's tolerance, so that the division by the trace rounds
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([0, 1, 2]),
+        st.lists(st.sampled_from(_TINY), min_size=32, max_size=32),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        st.sampled_from([0.0, 1.1e-16, -2.2e-16, 6.7e-16, -3e-13]),
+        st.lists(st.sampled_from(_TINY), min_size=6, max_size=6),
+    )
+    def test_signed_zero_and_subnormal_entries(self, base, tiny, p, offset, rho_tiny):
+        g = [
+            np.eye(4, dtype=complex),
+            np.array([[0.5, 0, 0, 0.5], [0] * 4, [0] * 4, [0.5, 0, 0, 0.5]], dtype=complex),
+            np.array([[1, 0, 0, 1], [0] * 4, [0] * 4, [0] * 4], dtype=complex),
+        ][base]
+        g.real[g.real == 0.0] = np.array(tiny[:16]).reshape(4, 4)[g.real == 0.0]
+        g.imag[:] = np.array(tiny[16:]).reshape(4, 4)
+        channel = ChannelSuperoperator(g)
+        a, b, c, d, e, f = rho_tiny
+        try:
+            rho = DensityMatrix([[complex(p + offset, a), complex(b, c)], [complex(d, e), complex(1.0 - p, f)]])
+        except ValueError:
+            return
+        assert channel.apply(rho).matrix.tobytes() == apply_reference(channel, rho).matrix.tobytes()
+
+    @staticmethod
+    def _cancelling(c: float) -> ChannelSuperoperator:
+        # trace preserving and Hermiticity preserving, but on |+><+| the two
+        # diagonal entries of the product are +-c, which cancel or overflow
+        g = np.eye(4, dtype=complex)
+        g[0, 1] = g[0, 2] = c
+        g[3, 1] = g[3, 2] = -c
+        return ChannelSuperoperator(g)
+
+    @staticmethod
+    def _forced(g: np.ndarray) -> ChannelSuperoperator:
+        channel = ChannelSuperoperator(np.eye(4))
+        object.__setattr__(channel, "g", np.asarray(g, dtype=complex))
+        return channel
+
+    @pytest.mark.parametrize(
+        "case",
+        ["zero from cancelling", "nan from overflow", "zero superoperator", "plus inf", "minus inf"],
+    )
+    def test_a_degenerate_trace_is_not_finite(self, case):
+        plus = density_from_bloch([1.0, 0.0, 0.0])
+        channel, rho = {
+            "zero from cancelling": (self._cancelling(1e300), plus),
+            "nan from overflow": (self._cancelling(1e308), plus),
+            "zero superoperator": (self._forced(np.zeros((4, 4))), plus),
+            "plus inf": (self._forced(1e308 * np.eye(4)), density_from_bloch([0.0, 0.0, 1.0])),
+            "minus inf": (self._forced(-1e308 * np.eye(4)), density_from_bloch([0.0, 0.0, 1.0])),
+        }[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^density matrix entries must be finite$"):
+                channel.apply(rho)
 
 
 # arbitrary JSON values
@@ -508,9 +660,7 @@ class TestChannelTypes:
             channel = ChannelSuperoperator(choi_from_super(cptp_project((m + m.conj().T) / 2).c))
             r = rng.normal(size=3)
             rho = density_from_bloch(r * rng.uniform() ** (1 / 3) / np.linalg.norm(r))
-            out = (channel.g @ rho.matrix.reshape(4)).reshape(2, 2)
-            out = 0.5 * (out + out.conj().T)
-            assert channel.apply(rho).matrix.tobytes() == (out / out.trace().real).tobytes()
+            assert channel.apply(rho).matrix.tobytes() == apply_reference(channel, rho).matrix.tobytes()
 
     def test_apply_returns_density_matrix(self, rotation, rho22):
         out = rotation.apply(rho22)

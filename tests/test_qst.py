@@ -254,3 +254,11 @@ class TestReport:
         assert back["rho"]["re"][1][1] == report["rho"]["re"][1][1]
         for key in ("b", "delta_b", "rho", "residual_sq", "solver", "mode"):
             assert key in back
+
+    def test_an_overflowing_residual_is_null(self):
+        # b . b overflows, so residual_sq is inf, which JSON cannot hold
+        res = qst_closed_form([1e200, -1e200, 3.0])
+        assert res.residual_sq == float("inf")
+        report = tomography_report(res)
+        assert report["residual_sq"] is None
+        assert json.loads(json.dumps(report, allow_nan=False))["residual_sq"] is None
