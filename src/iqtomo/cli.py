@@ -95,7 +95,7 @@ class QhiConfig:
 class RunConfig:
     seed: int = 1
     n_per_axis: int = 10_000
-    state: DensityMatrix = field(default_factory=lambda: REFERENCE_STATE)
+    state: Optional[DensityMatrix] = None  # None: the config names none, REFERENCE_STATE applies
     mixture: Optional[MixtureParams] = None  # None: the config names none, DEFAULT_MIXTURE applies
     mode: str = "hard"
     out: Optional[str] = None
@@ -175,7 +175,8 @@ def _json_text(obj) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args)
     out_dir = _require_out(cfg)
-    datasets = simulate_datasets(cfg.state, cfg.mixture or DEFAULT_MIXTURE, cfg.n_per_axis, cfg.seed)
+    state, mixture = cfg.state or REFERENCE_STATE, cfg.mixture or DEFAULT_MIXTURE
+    datasets = simulate_datasets(state, mixture, cfg.n_per_axis, cfg.seed)
     print("axis  n_zero  n_one  n_noise  file")
     for axis, dataset in datasets.items():
         path = _dataset_path(out_dir, axis)
@@ -248,7 +249,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         members = {axis: memberships_for(datasets[axis], theta[axis], cfg.mode) for axis in AXES}
         b_delta = np.array([b_from_memberships(members[axis]) for axis in AXES])
         result = BilevelResult(qst=qst_closed_form(BVector(b=b_delta[:, 0], delta=b_delta[:, 1])), mode=cfg.mode)
-    report = tomography_report(result, reference=cfg.state)
+    report = tomography_report(result, reference=cfg.state)  # null unless the config names the state
     write_text_atomic(os.path.join(out_dir, "report.json"), _json_text(report))
     b = result.qst.b_used.b
     if args.command == "tomo":
@@ -271,7 +272,7 @@ def cmd_qhi(args: argparse.Namespace) -> int:
     truth = unitary_superoperator(step_unitary(q.rotation_axis, q.rotation_rate, q.dt))
     trajectories = []
     for j in range(q.trajectories):
-        start = cfg.state if j == 0 else density_from_bloch(0.99 * _TETRAHEDRON[(j - 1) % 4])
+        start = (cfg.state or REFERENCE_STATE) if j == 0 else density_from_bloch(0.99 * _TETRAHEDRON[(j - 1) % 4])
         trajectory = simulate_trajectory(truth, start, q.steps, trajectory_id=j, dt=q.dt)
         # exact observation ignores the readout arguments
         trajectory = observe_trajectory(

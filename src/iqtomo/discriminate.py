@@ -513,11 +513,6 @@ def _statistics(i: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, tuple[float, 
         return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y]), centre
 
 
-def _principal_split(i: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`_principal_cut` of the samples (i, q)."""
-    return _principal_cut(_statistics(i, q)[0])
-
-
 def _principal_cut(stats: np.ndarray) -> np.ndarray:
     """The exact 2-means split of the samples' projections on their principal axis.
 

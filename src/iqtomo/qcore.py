@@ -24,10 +24,11 @@ The Hermiticity and eigenvalue checks work in halves and with
 ``math.hypot``, which cannot overflow where ``m - m^H``, ``a + d`` or
 ``abs()`` of a Python complex could; the trace is a Python complex sum,
 which overflows to ``inf`` without a warning and fails its check.
-``density_from_bloch`` builds ``(I + r . sigma) / 2`` entry by entry with
-the additions and roundings of numpy's
+``density_columns`` builds ``vec((I + r . sigma) / 2)`` for each row of an
+(m, 3) array with the additions and roundings of numpy's
 ``0.5 * (I + x sigma_x + y sigma_y + z sigma_z)``, so its entries, signed
-zeros included, are those of the matrix expression.
+zeros included, are those of the matrix expression; ``density_from_bloch``
+is its one-row case, and ``squared_norms`` gives each row's ``row.dot(row)``.
 ``bloch_from_density`` reads the Bloch vector off the entries with three
 real sums, each started from +0, which are the bits of ``A @ vec(rho)`` for
 the complex 3 x 4 measurement matrix ``A[I] = conj(vec(sigma_I))``.
@@ -198,33 +199,39 @@ def bloch_from_density(rho: DensityMatrix) -> np.ndarray:
     return np.array([(0.0 + m01.real) + m10.real, (0.0 - m01.imag) + m10.imag, (0.0 + m00.real) - m11.real])
 
 
-def density_from_bloch(r: np.ndarray) -> DensityMatrix:
-    """Build ``(1 + r . sigma) / 2``; requires ``|r| <= 1`` up to 1e-9.
+def squared_norms(rows: np.ndarray) -> np.ndarray:
+    """``row.dot(row)`` of each row of a 2-d array, with its bits."""
+    # (1, 3) @ (3, 1) runs numpy's dot kernel, as row.dot(row) does: the same bits (einsum's differ)
+    return (rows[:, None, :] @ rows[:, :, None]).reshape(-1)
 
-    A norm in ``(1, 1 + 1e-9]`` is treated as roundoff and rescaled onto
-    the Bloch sphere so the result stays positive semidefinite.
+
+def density_columns(r: np.ndarray) -> np.ndarray:
+    """``vec((I + r . sigma) / 2)`` of each row of an (m, 3) array, as (4, m) columns.
+
+    Requires ``|r| <= 1`` up to 1e-9.  A norm in ``(1, 1 + 1e-9]`` is treated
+    as roundoff and rescaled onto the Bloch sphere so the state stays
+    positive semidefinite.
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
-    norm = math.sqrt(r.dot(r))  # numpy.linalg.norm's own sum of squares, so the same bits
-    if norm > 1.0 + 1e-9:
-        raise ValueError(f"Bloch vector norm {norm:.12g} exceeds 1")
-    x, y, z = r.tolist()
-    if norm > 1.0:
-        x, y, z = x / norm, y / norm, z / norm
+    norm = np.sqrt(squared_norms(r))  # numpy.linalg.norm's own sum of squares, so the same bits
+    if (norm > 1.0 + 1e-9).any():
+        raise ValueError(f"Bloch vector norm {norm[norm > 1.0 + 1e-9][0]:.12g} exceeds 1")
+    x, y, z = (r / np.where(norm > 1.0, norm, 1.0)[:, None]).T  # a division by 1.0 is exact
     # numpy's sums for I + x sigma_x + y sigma_y + z sigma_z: 1 + z and 1 - z
     # on the diagonal, with imaginary part +0; off it, real part 0 + x and
     # imaginary parts 0 - y and 0 + y (the other terms are signed zeros that
     # change none of these), then the product with the complex 0.5, whose
     # signed-zero terms change nothing either: a sum started from +0 is never -0
-    u, v, w = 0.0 + x, 0.0 - y, 0.0 + y
-    return DensityMatrix(
-        [
-            [complex(0.5 * (1.0 + z), 0.0), complex(0.5 * u, 0.5 * v)],
-            [complex(0.5 * u, 0.5 * w), complex(0.5 * (1.0 - z), 0.0)],
-        ]
-    )
+    columns = np.array([0.5 * (1.0 + z), 0.5 * (0.0 + x), 0.5 * (0.0 + x), 0.5 * (1.0 - z)], dtype=complex)
+    columns.imag[1], columns.imag[2] = 0.5 * (0.0 - y), 0.5 * (0.0 + y)
+    return columns
+
+
+def density_from_bloch(r: np.ndarray) -> DensityMatrix:
+    """Build ``(1 + r . sigma) / 2``, the one-row :func:`density_columns`."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3,):
+        raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
+    return DensityMatrix(density_columns(r[None]).reshape(2, 2))
 
 
 def frobenius_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:

@@ -33,12 +33,12 @@ from them hard labels or soft memberships, are taken once per step
 counts its labels over its own three segments in place, or gathers its
 memberships from them and sums them exactly (``b_from_distances``).
 
-Fitting builds every per-step state in one closed-form pass, bit for bit
-``qst_closed_form``'s, then takes the least-squares update of ``g`` that
-changes the identity least (directions the data leave unconstrained keep
-it) and projects its Choi matrix once onto the CPTP set by Dykstra
-between the PSD cone and the trace-preserving affine set; each sweep
-forms each sum once.
+Fitting builds every per-step state in one pass of ``qst``'s closed form
+(``closed_form_columns``, which ``qst_closed_form`` also uses), then takes
+the least-squares update of ``g`` that changes the identity least
+(directions the data leave unconstrained keep it) and projects its Choi
+matrix once onto the CPTP set by Dykstra between the PSD cone and the
+trace-preserving affine set; each sweep forms each sum once.
 """
 
 from __future__ import annotations
@@ -67,7 +67,9 @@ from .qcore import (
     json_object,
     json_text,
     pauli,
+    squared_norms,
 )
+from .qst import closed_form_columns
 from .readout import cloud_factors, draw_shots, outcome_counts, rekeyer, trajectory_seeds, write_text_atomic
 
 _VEC_ID = np.eye(2, dtype=complex).reshape(-1)
@@ -202,7 +204,7 @@ def _header(tid, dt) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States and/or observations of one simulated evolution."""
+    """States (``DensityMatrix``) and/or observations (``BVector``) of one simulated evolution."""
 
     trajectory_id: int
     dt: float
@@ -215,6 +217,10 @@ class Trajectory:
         object.__setattr__(self, "dt", dt)
         if self.states is None and self.observations is None:
             raise ValueError("trajectory needs states or observations")
+        for name, kind in (("states", DensityMatrix), ("observations", BVector)):
+            wrong = [type(item).__name__ for item in getattr(self, name) or () if not isinstance(item, kind)]
+            if wrong:
+                raise ValueError(f"trajectory {name} must hold {kind.__name__} instances, got {wrong[0]}")
         if self.steps < 1:
             raise ValueError("trajectory must contain at least two steps")
         if (
@@ -425,29 +431,6 @@ def cptp_project(h: np.ndarray) -> ChoiMatrix:
     return ChoiMatrix(out)
 
 
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    # (1, 3) @ (3, 1) runs numpy's dot kernel, as row.dot(row) does: the same bits (einsum's differ)
-    return (rows[:, None, :] @ rows[:, :, None]).reshape(-1)
-
-
-def _closed_form_columns(b: np.ndarray) -> np.ndarray:
-    """vec(rho) of ``qst_closed_form`` for each row of an (m, 3) array of b, as (4, m) columns:
-    bit for bit its radial projection, then ``density_from_bloch``'s norm check, rescale and
-    scalar operations, on all rows at once, so each column is a state ``DensityMatrix`` accepts."""
-    with np.errstate(over="ignore"):  # a row whose squared norm overflows is divided by its max |b_i|
-        r = b / np.where(_squared_norms(b) < np.inf, 1.0, np.abs(b).max(axis=1))[:, None]
-    norm = np.sqrt(_squared_norms(r))
-    r[norm > 1.0] /= norm[norm > 1.0, None]
-    norm = np.sqrt(_squared_norms(r))
-    if (norm > 1.0 + 1e-9).any():
-        raise ValueError(f"Bloch vector norm {norm[norm > 1.0 + 1e-9][0]:.12g} exceeds 1")
-    r[norm > 1.0] /= norm[norm > 1.0, None]
-    x, y, z = r.T
-    columns = np.array([0.5 * (1.0 + z), 0.5 * (0.0 + x), 0.5 * (0.0 + x), 0.5 * (1.0 - z)], dtype=complex)
-    columns.imag[1], columns.imag[2] = 0.5 * (0.0 - y), 0.5 * (0.0 + y)
-    return columns
-
-
 def fit_channel(
     trajectories: Sequence[Trajectory],
     mode: str = "from_states",
@@ -455,11 +438,11 @@ def fit_channel(
 ) -> tuple[ChannelSuperoperator, float]:
     """Fit a CPTP superoperator to consecutive state pairs.
 
-    For ``from_qst`` one closed-form pass builds every step's state, bit for
-    bit ``qst_closed_form``'s.  Takes the least-squares update of ``g`` over
-    all pairs that changes the identity least, so directions the data leave
-    unconstrained (below the SVD noise floor) keep the identity, then
-    projects its Choi matrix onto the CPTP set once.  Returns the channel
+    For ``from_qst`` one pass of ``closed_form_columns`` builds every step's
+    state, the map ``qst_closed_form`` uses.  Takes the least-squares update
+    of ``g`` over all pairs that changes the identity least, so directions
+    the data leave unconstrained (below the SVD noise floor) keep the
+    identity, then projects its Choi matrix onto the CPTP set once.  Returns the channel
     and its loss
 
         sum_ij || rho_ij - unvec(g vec(rho_i,j-1)) ||_F^2
@@ -478,7 +461,7 @@ def fit_channel(
         if any(trajectory.observations is None for trajectory in trajectories):
             raise ValueError("from_qst fit requires observations")
         observations = [obs for trajectory in trajectories for obs in trajectory.observations]
-        columns = _closed_form_columns(np.array([obs.b for obs in observations]))
+        columns = closed_form_columns(np.array([obs.b for obs in observations]))
     else:
         raise ValueError(f"unknown fit mode {mode!r}")
     x = np.compress(~last, columns, axis=1)
@@ -492,7 +475,7 @@ def fit_channel(
         # column); directions below twice that carry no usable signal and
         # would only amplify noise through the pseudoinverse
         delta = np.compress(~last, np.array([obs.delta for obs in observations]), axis=0)
-        delta_sq = float(np.cumsum(_squared_norms(delta))[-1])  # a running sum, in step order
+        delta_sq = float(np.cumsum(squared_norms(delta))[-1])  # a running sum, in step order
         floor = max(floor, 2.0 * np.sqrt(0.5 * delta_sq))
     keep = s > floor
     rank = int(np.count_nonzero(keep))

@@ -8,6 +8,11 @@ has a closed form for one qubit: in Bloch coordinates the objective is
 ``|| r - b ||^2`` over the unit ball, so the optimum is ``b`` itself when
 ``|b| <= 1`` and ``b / |b|`` otherwise (the one-qubit case of the
 closed-form projection of Smolin, Gambetta & Smith, PRL 108, 070502).
+``closed_form_columns`` is that map, written once for an (m, 3) array of
+b: a row whose squared norm overflows is first divided by its largest
+``|b_i|``, a row outside the ball is projected radially, and
+``density_columns`` builds each state.  ``qst_closed_form`` is its
+one-row case and ``qhi.fit_channel`` its many-row one.
 
 ``bilevel_qst`` composes the discrimination stage with the tomography
 stage: each axis's I-Q samples give a ``b`` estimate, which feeds the
@@ -25,7 +30,7 @@ from typing import TYPE_CHECKING, Mapping, Optional
 import numpy as np
 
 from .discriminate import MODES, BVector, MixtureParams, b_for
-from .qcore import AXES, DensityMatrix, density_from_bloch, frobenius_distance
+from .qcore import AXES, DensityMatrix, density_columns, frobenius_distance, squared_norms
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .readout import IQDataset
@@ -51,6 +56,14 @@ class BilevelResult:
     mode: str
 
 
+def closed_form_columns(b: np.ndarray) -> np.ndarray:
+    """vec(rho) of the closed-form state for each row of an (m, 3) array of b, as (4, m) columns."""
+    with np.errstate(over="ignore"):  # a row whose squared norm overflows is divided by its max |b_i|
+        r = b / np.where(squared_norms(b) < np.inf, 1.0, np.abs(b).max(axis=1))[:, None]
+    norm = np.sqrt(squared_norms(r))
+    return density_columns(r / np.where(norm > 1.0, norm, 1.0)[:, None])
+
+
 def qst_closed_form(b) -> QstResult:
     """Reconstruct a state from ``b`` by radial projection onto the ball.
 
@@ -59,12 +72,10 @@ def qst_closed_form(b) -> QstResult:
     squared distance from ``b`` to the Bloch ball, inf where ``b . b`` overflows.
     """
     b_used = b if isinstance(b, BVector) else BVector(b=b, delta=np.zeros(3))
-    arr = b_used.b
-    with np.errstate(over="ignore"):  # if b . b overflows, b / max |b_i| is projected instead
-        norm = math.sqrt(arr.dot(arr))  # numpy.linalg.norm's own sum of squares, so the same bits
-    scaled = arr if norm < math.inf else arr / np.abs(arr).max()
-    r = arr if norm <= 1.0 else scaled / math.sqrt(scaled.dot(scaled))
-    rho = density_from_bloch(r)
+    rows = b_used.b[None]
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(squared_norms(rows)[0])
+    rho = DensityMatrix(closed_form_columns(rows).reshape(2, 2))
     residual = max(0.0, norm - 1.0) ** 2
     return QstResult(
         rho=rho,
@@ -134,6 +145,7 @@ def tomography_report(
     Keys: b, delta_b, rho, residual_sq, frobenius_to_ref, solver, mode,
     iterations, converged.  ``residual_sq`` is None (JSON ``null``) where it
     is inf, for a b whose squared norm overflows: JSON has no infinity.
+    ``frobenius_to_ref`` is the distance to ``reference``, None without one.
     """
     mode = None
     if isinstance(result, BilevelResult):

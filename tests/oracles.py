@@ -25,11 +25,14 @@ is sampled trajectory observation one dataset per (step, axis) block: it
 draws, shuffles and validates each block as ``simulate_axis`` does and
 discriminates it with ``memberships_for``, where the package hoists the
 per-trajectory work and counts hard labels.  ``density_problem_reference``,
-``density_from_bloch_reference``, ``bloch_from_density_reference``,
+``density_from_bloch_reference``, ``closed_form_reference``,
+``bloch_from_density_reference``,
 ``step_unitary_reference``, ``apply_reference`` and
 ``tp_project_reference`` are the small-array numpy forms of the package's
 closed-form single-qubit code: ``DensityMatrix``'s checks with
-``eigvalsh``, the matrix sum ``0.5 * (I + r . sigma)``, the product with
+``eigvalsh``, the matrix sum ``0.5 * (I + r . sigma)``, the projection of
+one b onto the Bloch ball in scalar steps (the package projects an (m, 3)
+array of b at once), the product with
 the paper's measurement matrix ``measurement_matrix()`` built on every
 call, a general Hamiltonian evolution of each basis vector, a channel
 step as three matrix expressions (``ChannelSuperoperator.apply`` takes
@@ -613,6 +616,18 @@ def density_from_bloch_reference(r) -> np.ndarray:
     if norm > 1.0:
         r = r / norm
     return 0.5 * (np.eye(2, dtype=complex) + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
+
+
+def closed_form_reference(b) -> np.ndarray:
+    """The closed-form state of one b as a 2x2 matrix, by scalar steps: a b
+    whose ``b . b`` overflows is divided by its largest ``|b_i|``, a b outside
+    the ball by its norm, then :func:`density_from_bloch_reference`."""
+    arr = np.asarray(b, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(arr.dot(arr))
+    scaled = arr if norm < math.inf else arr / np.abs(arr).max()
+    r = arr if norm <= 1.0 else scaled / math.sqrt(scaled.dot(scaled))
+    return density_from_bloch_reference(r)
 
 
 def bloch_from_density_reference(m) -> np.ndarray:

@@ -61,6 +61,12 @@ def sim_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def ref_config(tmp_path):
+    """A config that names sim_dir's state, so reports carry frobenius_to_ref."""
+    return write_config(tmp_path / "ref.json", state=REFERENCE_STATE.to_json_dict())
+
+
 def read_b_table(path):
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
@@ -371,13 +377,15 @@ class TestTomo:
         table = read_b_table(out / "b_table.csv")
         assert table["hard"] == table["truth_counts"]
 
-    def test_em_hard_and_soft_both_recover_target(self, sim_dir, tmp_path, capsys):
+    def test_em_hard_and_soft_both_recover_target(self, sim_dir, ref_config, tmp_path, capsys):
         reports = {}
         for mode, calibrate in (("hard", "em"), ("soft", "header")):
             out = tmp_path / mode
             code, _, _ = run(
                 capsys,
                 "tomo",
+                "--config",
+                ref_config,
                 "--data-dir",
                 str(sim_dir),
                 "--mode",
@@ -414,11 +422,13 @@ class TestTomo:
 
 
 class TestBilevel:
-    def test_soft_bilevel_writes_memberships(self, sim_dir, tmp_path, capsys):
+    def test_soft_bilevel_writes_memberships(self, sim_dir, ref_config, tmp_path, capsys):
         out = tmp_path / "bi"
         code, text, _ = run(
             capsys,
             "bilevel",
+            "--config",
+            ref_config,
             "--data-dir",
             str(sim_dir),
             "--mode",
@@ -915,13 +925,30 @@ def test_module_entry_matches_api(capsys):
     assert "simulate" in proc.stdout
 
 
-def test_frobenius_to_ref_matches_manual(sim_dir, tmp_path, capsys):
+def test_frobenius_to_ref_matches_manual(sim_dir, ref_config, tmp_path, capsys):
     out = tmp_path / "o"
-    assert run(capsys, "tomo", "--data-dir", str(sim_dir), "--out", str(out))[0] == 0
+    assert run(capsys, "tomo", "--config", ref_config, "--data-dir", str(sim_dir), "--out", str(out))[0] == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     rho = DensityMatrix.from_json_dict(report["rho"])
     target = DensityMatrix(np.array([[0.056, 0.229j], [-0.229j, 0.944]]))
     assert abs(report["frobenius_to_ref"] - frobenius_distance(rho, target)) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["tomo", "bilevel"])
+def test_frobenius_to_ref_is_null_unless_the_config_names_the_state(tmp_path, capsys, command):
+    # |0> simulated from a config; run without it, nothing names the state the shots came from
+    zero = {"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    cfg = write_config(tmp_path / "zero.json", state=zero, n_per_axis=2000)
+    sim = tmp_path / "sim"
+    assert run(capsys, "simulate", "--config", cfg, "--out", str(sim))[0] == 0
+    reports = {}
+    for name, flags in (("bare", []), ("named", ["--config", cfg])):
+        out = tmp_path / name
+        assert run(capsys, command, *flags, "--data-dir", str(sim), "--out", str(out))[0] == 0
+        reports[name] = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert reports["bare"]["frobenius_to_ref"] is None
+    assert reports["bare"]["b"][2] > 0.9
+    assert reports["named"]["frobenius_to_ref"] <= 0.1
 
 
 # JSON as Python's json module writes and reads it, NaN and infinities included

@@ -724,7 +724,7 @@ print(digest.hexdigest())
             datasets = simulate_datasets(REFERENCE_STATE, DEFAULT_MIXTURE, 10_000, seed)
             for axis in AXES:
                 d = datasets[axis]
-                upper = discriminate._principal_split(d.i, d.q)
+                upper = discriminate._principal_cut(discriminate._statistics(d.i, d.q)[0])
                 assert np.array_equal(upper, principal_split_reference(d.points())), (seed, axis)
 
     def test_principal_split_matches_reference_on_small_sets(self):
@@ -742,7 +742,7 @@ print(digest.hexdigest())
         sets.append(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]))  # n = 4
         checked_ties = 0
         for pts in sets:
-            upper = discriminate._principal_split(pts[:, 0], pts[:, 1])
+            upper = discriminate._principal_cut(discriminate._statistics(pts[:, 0], pts[:, 1])[0])
             assert np.array_equal(upper, principal_split_reference(pts)), pts
             assert 0 < np.count_nonzero(upper) < pts.shape[0]
             # repeated points always fall on one side

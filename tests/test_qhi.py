@@ -35,8 +35,10 @@ from iqtomo import (
 )
 from iqtomo import qhi
 from iqtomo.qhi import step_unitary
+from iqtomo.qst import closed_form_columns
 from oracles import (
     apply_reference,
+    closed_form_reference,
     cptp_project_reference,
     observe_trajectory_reference,
     step_unitary_reference,
@@ -704,7 +706,7 @@ def _fit_inputs(trajectories) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # b inside, on and outside the ball, with signed zeros; one whose projection
-# b/|b| has a norm in (1, 1 + 1e-9], which density_from_bloch rescales again;
+# b/|b| has a norm in (1, 1 + 1e-9], which density_columns rescales again;
 # and finite entries whose squared norm overflows to inf, so the row is scaled by its largest |b_i| first
 _INSIDE = [[0.1, -0.2, 0.3], [0.0, -0.0, -0.0], [-0.0, 0.5, -0.0]]
 _ON = [[0.6, 0.8, 0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]
@@ -726,11 +728,12 @@ class TestClosedFormColumns:
 
     def test_columns_equal_qst_closed_form_byte_for_byte(self):
         b = np.array(_INSIDE + _ON + _OUTSIDE + [_PROJECTED_ABOVE_ONE, _OVERFLOWS])
-        columns = qhi._closed_form_columns(b)
-        expected = [qst_closed_form(row).rho.matrix.reshape(4) for row in b]
+        columns = closed_form_columns(b)
         assert columns.shape == (4, len(b))
-        for column, want in zip(columns.T, expected):
-            assert column.tobytes() == want.tobytes()
+        for row, column in zip(b, columns.T):
+            want = closed_form_reference(row)
+            assert column.tobytes() == want.reshape(4).tobytes()
+            assert qst_closed_form(row).rho.matrix.tobytes() == want.tobytes()
 
     def test_a_squared_norm_that_overflows_projects_onto_the_sphere(self):
         # b / |b| for b = (1e200, -1e200, 3): on the sphere, not the maximally mixed I/2
@@ -738,8 +741,7 @@ class TestClosedFormColumns:
         r = bloch_from_density(result.rho)
         np.testing.assert_allclose(r, [math.sqrt(0.5), -math.sqrt(0.5), 0.0], rtol=0.0, atol=1e-15)
         assert result.residual_sq == math.inf
-        column = qhi._closed_form_columns(np.array([_OVERFLOWS]))[:, 0]
-        assert column.tobytes() == result.rho.matrix.reshape(4).tobytes()
+        assert result.rho.matrix.tobytes() == closed_form_reference(_OVERFLOWS).tobytes()
 
     # rows in a cube around the ball, and the same rows scaled onto its surface
     @settings(max_examples=300, deadline=None)
@@ -748,10 +750,25 @@ class TestClosedFormColumns:
         b = np.array(rows)
         norms = np.array([math.sqrt(row.dot(row)) for row in b])
         b = np.concatenate([b, b[norms > 0.0] / norms[norms > 0.0, None]])
-        columns = qhi._closed_form_columns(b)
+        columns = closed_form_columns(b)
         for row, column in zip(b, columns.T):
             DensityMatrix(column.reshape(2, 2))  # so none of DensityMatrix's checks can fail
-            assert column.tobytes() == qst_closed_form(row).rho.matrix.reshape(4).tobytes()
+            assert column.tobytes() == closed_form_reference(row).reshape(4).tobytes()
+
+    def test_a_from_qst_fit_is_the_fit_on_the_oracle_states(self):
+        # every branch of the closed form, overflow and second rescale included, reaches the
+        # fit; with zero delta its noise floor is the from_states one, so g must agree bit for bit
+        rows = _INSIDE + _ON + _OUTSIDE + [_PROJECTED_ABOVE_ONE, _OVERFLOWS]
+        observed = Trajectory(
+            trajectory_id=0, dt=0.02, observations=tuple(BVector(b=row, delta=np.zeros(3)) for row in rows)
+        )
+        oracle = Trajectory(
+            trajectory_id=0, dt=0.02, states=tuple(DensityMatrix(closed_form_reference(row)) for row in rows)
+        )
+        channel, loss = fit_channel([observed], mode="from_qst")
+        want, want_loss = fit_channel([oracle], mode="from_states")
+        assert channel.g.tobytes() == want.g.tobytes()
+        assert loss == want_loss
 
 
 class TestFitChannel:
@@ -876,6 +893,14 @@ class TestTrajectoryType:
     def test_needs_two_entries(self, rho22):
         with pytest.raises(ValueError):
             Trajectory(trajectory_id=0, dt=0.02, states=(rho22,), observations=None)
+
+    def test_a_state_that_is_not_a_density_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="^trajectory states must hold DensityMatrix instances, got ndarray$"):
+            Trajectory(trajectory_id=0, dt=0.02, states=(np.eye(2) / 2,) * 3)
+
+    def test_an_observation_that_is_not_a_b_vector_is_refused(self):
+        with pytest.raises(ValueError, match="^trajectory observations must hold BVector instances, got ndarray$"):
+            Trajectory(trajectory_id=0, dt=0.02, observations=(np.zeros(3),) * 3)
 
     def test_length_mismatch_rejected(self, rho22):
         obs = (BVector(b=np.zeros(3), delta=np.zeros(3)),)
