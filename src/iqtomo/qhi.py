@@ -1,43 +1,24 @@
 """Quantum channel identification from tomographed trajectories.
 
-A discrete-time channel acts on row-major vectorised states through a
-4x4 superoperator ``g``; for unitary dynamics ``g = U (x) conj(U)``.
-Trajectories are repeated applications of ``g``; observation converts
-each state into per-axis expectation estimates, either exactly or via
-the full sampled readout pipeline.
+A qubit channel that preserves trace and Hermiticity is an affine map of
+Bloch vectors, ``r -> m r + t`` (Ruskai, Szarek & Werner, Linear Algebra
+Appl. 347, 159, 2002).  ``ChannelSuperoperator`` takes it as the 4x4
+superoperator ``g`` on row-major vec(rho), where a channel enters and
+leaves the package, and reads ``m`` and ``t`` off ``G = P^H g P / 2``
+once, for ``vec(rho) = P [1; r] / 2``.  Every step is ``r <- m r + t`` on
+Python floats, checked against ``|r| <= 1 + 2e-12``, the one-qubit form of
+``DensityMatrix``'s eigenvalue bound; a trajectory's states come from one
+``density_columns`` pass.  Observation gives per-axis expectation
+estimates, exactly or through the full sampled readout pipeline, drawing
+each step's three axes in one pass (``draw_shots``) and classifying them
+in one (``cloud_distances``, ``b_from_distances``).
 
-A step (``ChannelSuperoperator.apply``) makes one numpy call, the product
-``g @ vec(rho)``; the Hermitian part ``0.5 * (m + m^H)``, its trace and the
-division by it then run on the product's four entries as Python floats,
-with numpy's complex rules: sums and halves component by component, and
-the division by the real trace ``t`` by Smith's formula, as numpy divides
-a complex array by a real number.  So every state has the bits of those
-numpy matrix expressions.  Each step's result is still a validated
-``DensityMatrix``: nothing checks a superoperator's complete positivity,
-so that check is the only guard that a simulated state is positive
-semidefinite.
-
-Sampled observation gives the same b and delta_b, bit for bit, as
-simulating and discriminating one dataset per (step, axis) block.  It
-computes once per trajectory what no block changes: both clouds'
-singularity check and Cholesky factor, one Philox generator with the
-state template that re-keys it (``rekeyer``), and every block's outcome
-and I-Q seeds under ``stream = mix_seed(seed, trajectory_id, step, axis
-index)``, in one pass over uint64 arrays (``trajectory_seeds``).  Per
-step it draws each axis's outcome count, then the three axes' I-Q points
-in one pass as two columns (``draw_shots``: every axis's zero shots, then
-every axis's one shots, then every axis's contamination, each axis from
-its own stream).  The points' squared distances to the two clouds, and
-from them hard labels or soft memberships, are taken once per step
-(``cloud_distances``, which rejects one that overflows); each axis then
-counts its labels over its own three segments in place, or gathers its
-memberships from them and sums them exactly (``b_from_distances``).
-
-Fitting builds every per-step state in one pass of ``qst``'s closed form
-(``closed_form_columns``, which ``qst_closed_form`` also uses), then takes
-the least-squares update of ``g`` that changes the identity least
-(directions the data leave unconstrained keep it) and projects its Choi
-matrix once onto the CPTP set by Dykstra between the PSD cone and the
+Fitting regresses ``[1; r_s]`` on ``[1; r_(s-1)]`` in reals, each r read
+off a state or from one pass of ``qst``'s closed form over the observed b
+(``closed_form_bloch``, as ``qst_closed_form``).  It takes the
+least-squares update of G that changes the identity least (directions the
+data leave unconstrained keep it), then projects the Choi matrix of its
+``g`` once onto the CPTP set by Dykstra between the PSD cone and the
 trace-preserving affine set; each sweep forms each sum once.
 """
 
@@ -46,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,8 +40,10 @@ from .discriminate import (
     cloud_distances,
 )
 from .qcore import (
+    EIGENVALUE_TOL,
     DensityMatrix,
     bloch_from_density,
+    density_columns,
     json_integer,
     json_number,
     json_numbers,
@@ -69,12 +52,17 @@ from .qcore import (
     pauli,
     squared_norms,
 )
-from .qst import closed_form_columns
+from .qst import closed_form_bloch
 from .readout import cloud_factors, draw_shots, outcome_counts, rekeyer, trajectory_seeds, write_text_atomic
 
-_VEC_ID = np.eye(2, dtype=complex).reshape(-1)
+# vec(rho) = _P @ [1, x, y, z] / 2 for the row-major vec; P^H P = 2 I
+_P = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
+_HALF_PH = 0.5 * _P.conj().T
+_E0 = np.eye(4)[0]
 _EYE2 = np.eye(2)
 _KRON_EYE2 = _EYE2.reshape(2, 1, 2, 1)
+# a state's smaller eigenvalue is (1 - |r|) / 2, which DensityMatrix bounds below by -EIGENVALUE_TOL
+_NORM_BOUND = 1.0 + 2.0 * EIGENVALUE_TOL
 
 # CPTP projection stops once a Dykstra sweep moves its iterate by at most
 # PROJECTION_TOL relative to the input's norm, or after PROJECTION_MAX_SWEEPS sweeps
@@ -100,9 +88,14 @@ def choi_from_super(g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSuperoperator:
-    """A trace-preserving, Hermiticity-preserving qubit channel."""
+    """A trace-preserving, Hermiticity-preserving qubit channel: ``g`` on row-major
+    vec(rho), and the Bloch map ``r -> m r + t`` read off ``G = P^H g P / 2`` as
+    ``m = G[1:, 1:] / G[0, 0]`` and ``t = G[1:, 0] / G[0, 0]``.  ``g`` must be a
+    finite 4x4 matrix whose G is finite, real and has first row ``e_0``, to 1e-9."""
 
     g: np.ndarray
+    m: np.ndarray = field(init=False, repr=False)
+    t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         g = np.array(self.g, dtype=complex)
@@ -110,44 +103,41 @@ class ChannelSuperoperator:
             raise ValueError(f"superoperator must be 4x4, got {g.shape}")
         if not np.isfinite(g).all():
             raise ValueError("superoperator entries must be finite")
-        # in halves, which cannot overflow where sums of entries could and scale exactly
-        half = 0.5 * g
-        if np.abs(_VEC_ID.conj() @ half - 0.5 * _VEC_ID.conj()).max() > 0.5e-9:
+        with np.errstate(over="ignore", invalid="ignore"):
+            big = _HALF_PH @ g @ _P
+        if not np.isfinite(big).all():
+            raise ValueError("superoperator's Bloch map overflows")
+        if np.abs(big[0] - _E0).max() > 1e-9:
             raise ValueError("superoperator is not trace preserving")
-        choi = choi_from_super(half)
-        if np.abs(choi - choi.conj().T).max() > 0.5e-9:
+        if np.abs(big.imag).max() > 1e-9:
             raise ValueError("superoperator is not Hermiticity preserving")
-        g.flags.writeable = False
-        object.__setattr__(self, "g", g)
+        affine = big.real / big[0, 0].real
+        for name, value in (("g", g), ("m", affine[1:, 1:]), ("t", affine[1:, 0])):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def _path(self, r: np.ndarray, n_steps: int) -> np.ndarray:
+        """``r`` and ``n_steps`` steps ``r <- m r + t`` from it, as (n_steps + 1, 3) rows;
+        ValueError names the first step whose ``|r|`` is above 1 + 2e-12 or NaN."""
+        affine = list(zip(self.m.tolist(), self.t.tolist()))
+        rows = [r.tolist()]
+        for step in range(1, n_steps + 1):
+            x, y, z = rows[-1]
+            rows.append([m0 * x + m1 * y + m2 * z + t for (m0, m1, m2), t in affine])
+            norm = math.hypot(*rows[-1])
+            if not norm <= _NORM_BOUND:
+                raise ValueError(f"step {step}: Bloch vector norm {norm!r} exceeds 1")
+        return np.array(rows)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        """One step: ``m = unvec(g vec(rho))``, then ``h = 0.5 * (m + m^H)`` and ``h / Re Tr h``.
+        """One step ``r <- m r + t`` of ``rho``'s Bloch vector, as ``simulate_trajectory`` takes it.
 
-        Only the product is a numpy call; the rest runs on its four entries as
-        Python floats with numpy's complex rules, so the state has the bits of
-        those matrix expressions.  Raises ValueError for a ``rho`` that is not a
-        ``DensityMatrix``, and as ``DensityMatrix`` does for the result.
+        Raises ValueError for a ``rho`` that is not a ``DensityMatrix``, and
+        for a result whose ``|r|`` is above ``1 + 2e-12``.
         """
         if not isinstance(rho, DensityMatrix):
             raise ValueError(f"rho must be a DensityMatrix, got {type(rho).__name__}")
-        m00, m01, m10, m11 = (self.g @ rho.matrix.reshape(4)).tolist()
-        # h = 0.5 * (m + m^H) component by component: numpy's complex product with
-        # 0.5 differs from that only where m has a -0 component, and m has none,
-        # as the matrix product's sums start from +0
-        a, b = 0.5 * (m00.real + m00.real), 0.5 * (m00.imag - m00.imag)
-        x, y = 0.5 * (m01.real + m10.real), 0.5 * (m01.imag - m10.imag)
-        u, w = 0.5 * (m10.real + m01.real), 0.5 * (m10.imag - m01.imag)
-        d, e = 0.5 * (m11.real + m11.real), 0.5 * (m11.imag - m11.imag)
-        t = a + d
-        # numpy divides by a real t by Smith's formula; where t is 0 its entries are
-        # inf or NaN (Python's 1.0 / 0.0 raises), here NaN: DensityMatrix rejects both
-        rat = 0.0 / t if t else math.nan
-        scl = 1.0 / (t + 0.0 * rat)
-        e00 = complex((a + b * rat) * scl, (b - a * rat) * scl)
-        e01 = complex((x + y * rat) * scl, (y - x * rat) * scl)
-        e10 = complex((u + w * rat) * scl, (w - u * rat) * scl)
-        e11 = complex((d + e * rat) * scl, (e - d * rat) * scl)
-        return DensityMatrix([[e00, e01], [e10, e11]])
+        return DensityMatrix(density_columns(self._path(bloch_from_density(rho), 1)[1:]).reshape(2, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,23 +233,20 @@ def simulate_trajectory(
     trajectory_id: int = 0,
     dt: float = 0.02,
 ) -> Trajectory:
-    """Apply the channel ``n_steps`` times, recording every state.
+    """Apply the channel ``n_steps`` times to ``rho0``'s Bloch vector; ``rho0`` is the first state.
 
     Raises ValueError for a ``channel`` that is not a ``ChannelSuperoperator``,
-    an ``rho0`` that is not a ``DensityMatrix``, or an ``n_steps`` that is not
-    an integer >= 1 (``True`` is not one).
+    an ``rho0`` that is not a ``DensityMatrix``, an ``n_steps`` that is not an
+    integer >= 1 (``True`` is not one), or a step as ``apply`` does.
     """
     n_steps = json_integer(n_steps, "n_steps", 1)
     if not isinstance(channel, ChannelSuperoperator):
         raise ValueError(f"channel must be a ChannelSuperoperator, got {type(channel).__name__}")
     if not isinstance(rho0, DensityMatrix):
         raise ValueError(f"rho0 must be a DensityMatrix, got {type(rho0).__name__}")
-    states = [rho0]
-    current = rho0
-    for _ in range(n_steps):
-        current = channel.apply(current)
-        states.append(current)
-    return Trajectory(trajectory_id=trajectory_id, dt=dt, states=tuple(states))
+    columns = density_columns(channel._path(bloch_from_density(rho0), n_steps)[1:])
+    states = (rho0, *(DensityMatrix(column.reshape(2, 2)) for column in columns.T))
+    return Trajectory(trajectory_id=trajectory_id, dt=dt, states=states)
 
 
 def observe_trajectory(
@@ -289,6 +276,8 @@ def observe_trajectory(
     neither a label count nor an exactly rounded sum.  ``n`` must be an
     integer in [1, 2**63) and ``seed`` one in [0, 2**64).
     """
+    if not isinstance(trajectory, Trajectory):
+        raise ValueError(f"trajectory must be a Trajectory, got {type(trajectory).__name__}")
     if trajectory.states is None:
         raise ValueError("observation requires simulated states")
     observations: list[BVector] = []
@@ -298,6 +287,8 @@ def observe_trajectory(
     elif mode == "sampled":
         if n is None or theta is None or seed is None:
             raise ValueError("sampled observation needs n, theta and seed")
+        if not isinstance(theta, MixtureParams):
+            raise ValueError(f"theta must be a MixtureParams, got {type(theta).__name__}")
         if discriminator == "assignment":
             # its capacities come from theta's weights, so b would not depend on the shots
             raise ValueError("sampled observation cannot discriminate with 'assignment'")
@@ -436,47 +427,50 @@ def fit_channel(
     mode: str = "from_states",
     loss_history: Optional[list] = None,
 ) -> tuple[ChannelSuperoperator, float]:
-    """Fit a CPTP superoperator to consecutive state pairs.
+    """Fit a CPTP channel to consecutive state pairs, regressing ``[1; r_s]`` on ``[1; r_(s-1)]``.
 
-    For ``from_qst`` one pass of ``closed_form_columns`` builds every step's
-    state, the map ``qst_closed_form`` uses.  Takes the least-squares update
-    of ``g`` over all pairs that changes the identity least, so directions
-    the data leave unconstrained (below the SVD noise floor) keep the
-    identity, then projects its Choi matrix onto the CPTP set once.  Returns the channel
-    and its loss
+    Each r is read off a state (``from_states``) or is ``closed_form_bloch`` of
+    an observed b (``from_qst``).  Takes the least-squares update of the Bloch
+    map G that changes the identity least, so directions below the SVD noise
+    floor keep the identity, then projects the Choi matrix of its ``g`` onto
+    the CPTP set once.  Returns the channel and its loss, also appended to
+    ``loss_history`` if given:
 
-        sum_ij || rho_ij - unvec(g vec(rho_i,j-1)) ||_F^2
-
-    which is also appended to ``loss_history`` if given.
+        sum_ij || rho_ij - unvec(g vec(rho_i,j-1)) ||_F^2 = sum_ij |r_ij - m r_i,j-1 - t|^2 / 2
     """
     if not trajectories:
         raise ValueError("at least one trajectory is required")
+    for k, trajectory in enumerate(trajectories):
+        if not isinstance(trajectory, Trajectory):
+            raise ValueError(f"trajectories[{k}] must be a Trajectory, got {type(trajectory).__name__}")
     first = np.concatenate([np.arange(trajectory.steps + 1) == 0 for trajectory in trajectories])
     last = np.roll(first, -1)  # a trajectory's last step precedes the next one's first
     if mode == "from_states":
         if any(trajectory.states is None for trajectory in trajectories):
             raise ValueError("from_states fit requires simulated states")
-        columns = np.stack([rho.matrix.reshape(4) for t in trajectories for rho in t.states], axis=1)
+        r = np.array([bloch_from_density(rho) for t in trajectories for rho in t.states])
     elif mode == "from_qst":
         if any(trajectory.observations is None for trajectory in trajectories):
             raise ValueError("from_qst fit requires observations")
         observations = [obs for trajectory in trajectories for obs in trajectory.observations]
-        columns = closed_form_columns(np.array([obs.b for obs in observations]))
+        r = closed_form_bloch(np.array([obs.b for obs in observations]))
     else:
         raise ValueError(f"unknown fit mode {mode!r}")
+    columns = np.concatenate([np.ones((1, len(r))), r.T])
     x = np.compress(~last, columns, axis=1)
     y = np.compress(~first, columns, axis=1)
 
+    # x's singular values are those of the vec(rho) columns times sqrt(2)
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     floor = s[0] * 1e-12
     if mode == "from_qst":
         # shot noise perturbs the singular values of x by roughly the
-        # Frobenius norm of the column uncertainties (|delta|/sqrt(2) per
-        # column); directions below twice that carry no usable signal and
-        # would only amplify noise through the pseudoinverse
+        # Frobenius norm of the column uncertainties (|delta| per column);
+        # directions below twice that carry no usable signal and would only
+        # amplify noise through the pseudoinverse
         delta = np.compress(~last, np.array([obs.delta for obs in observations]), axis=0)
         delta_sq = float(np.cumsum(squared_norms(delta))[-1])  # a running sum, in step order
-        floor = max(floor, 2.0 * np.sqrt(0.5 * delta_sq))
+        floor = max(floor, 2.0 * math.sqrt(delta_sq))
     keep = s > floor
     rank = int(np.count_nonzero(keep))
     if rank < 4:
@@ -487,12 +481,12 @@ def fit_channel(
         )
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
-    x_pinv = (vh.conj().T * inv_s) @ u.conj().T
+    x_pinv = (vh.T * inv_s) @ u.T
 
-    g = np.eye(4, dtype=complex)
-    candidate = g - (g @ x - y) @ x_pinv
-    g = choi_from_super(cptp_project(choi_from_super(candidate)).c)
-    loss = float(np.linalg.norm(g @ x - y) ** 2)
+    candidate = np.eye(4) - (x - y) @ x_pinv  # G; x and y share their first row of ones
+    g = choi_from_super(cptp_project(choi_from_super(_P @ candidate @ _HALF_PH)).c)
+    channel = ChannelSuperoperator(g)
+    loss = 0.5 * float(np.linalg.norm(y[1:] - channel.m @ x[1:] - channel.t[:, None]) ** 2)
     if loss_history is not None:
         loss_history.append(loss)
-    return ChannelSuperoperator(g), loss
+    return channel, loss

@@ -8,11 +8,11 @@ has a closed form for one qubit: in Bloch coordinates the objective is
 ``|| r - b ||^2`` over the unit ball, so the optimum is ``b`` itself when
 ``|b| <= 1`` and ``b / |b|`` otherwise (the one-qubit case of the
 closed-form projection of Smolin, Gambetta & Smith, PRL 108, 070502).
-``closed_form_columns`` is that map, written once for an (m, 3) array of
+``closed_form_bloch`` is that map, written once for an (m, 3) array of
 b: a row whose squared norm overflows is first divided by its largest
-``|b_i|``, a row outside the ball is projected radially, and
-``density_columns`` builds each state.  ``qst_closed_form`` is its
-one-row case and ``qhi.fit_channel`` its many-row one.
+``|b_i|``, and a row outside the ball is projected radially.
+``qst_closed_form`` is its one-row case, with ``density_columns`` building
+the state, and ``qhi.fit_channel`` its many-row one.
 
 ``bilevel_qst`` composes the discrimination stage with the tomography
 stage: each axis's I-Q samples give a ``b`` estimate, which feeds the
@@ -56,12 +56,13 @@ class BilevelResult:
     mode: str
 
 
-def closed_form_columns(b: np.ndarray) -> np.ndarray:
-    """vec(rho) of the closed-form state for each row of an (m, 3) array of b, as (4, m) columns."""
+def closed_form_bloch(b: np.ndarray) -> np.ndarray:
+    """The closed-form Bloch vector for each row of an (m, 3) array of b: the row
+    itself inside the ball, else its radial projection onto the sphere."""
     with np.errstate(over="ignore"):  # a row whose squared norm overflows is divided by its max |b_i|
         r = b / np.where(squared_norms(b) < np.inf, 1.0, np.abs(b).max(axis=1))[:, None]
     norm = np.sqrt(squared_norms(r))
-    return density_columns(r / np.where(norm > 1.0, norm, 1.0)[:, None])
+    return r / np.where(norm > 1.0, norm, 1.0)[:, None]
 
 
 def qst_closed_form(b) -> QstResult:
@@ -75,7 +76,7 @@ def qst_closed_form(b) -> QstResult:
     rows = b_used.b[None]
     with np.errstate(over="ignore"):
         norm = math.sqrt(squared_norms(rows)[0])
-    rho = DensityMatrix(closed_form_columns(rows).reshape(2, 2))
+    rho = DensityMatrix(density_columns(closed_form_bloch(rows)).reshape(2, 2))
     residual = max(0.0, norm - 1.0) ** 2
     return QstResult(
         rho=rho,

@@ -25,18 +25,19 @@ is sampled trajectory observation one dataset per (step, axis) block: it
 draws, shuffles and validates each block as ``simulate_axis`` does and
 discriminates it with ``memberships_for``, where the package hoists the
 per-trajectory work and counts hard labels.  ``density_problem_reference``,
-``density_from_bloch_reference``, ``closed_form_reference``,
-``bloch_from_density_reference``,
+``density_from_bloch_reference``, ``closed_form_bloch_reference``,
+``closed_form_reference``, ``bloch_from_density_reference``,
 ``step_unitary_reference``, ``apply_reference`` and
 ``tp_project_reference`` are the small-array numpy forms of the package's
 closed-form single-qubit code: ``DensityMatrix``'s checks with
 ``eigvalsh``, the matrix sum ``0.5 * (I + r . sigma)``, the projection of
 one b onto the Bloch ball in scalar steps (the package projects an (m, 3)
-array of b at once), the product with
+array of b at once) and its state, the product with
 the paper's measurement matrix ``measurement_matrix()`` built on every
 call, a general Hamiltonian evolution of each basis vector, a channel
-step as three matrix expressions (``ChannelSuperoperator.apply`` takes
-all but the product on Python floats), and the trace-preserving step
+step on the superoperator ``g`` as three matrix expressions (the package
+steps the Bloch vector, ``r <- m r + t``, so the two agree to a stated
+tolerance, not bit for bit), and the trace-preserving step
 with ``np.kron`` and an ``einsum`` partial trace.  ``cptp_project_reference``
 is the CPTP projection's Dykstra loop as first written, each sum formed
 where it is used, on ``tp_project_reference``.  ``render_iq_svg_reference`` is the SVG scatter with one
@@ -618,16 +619,21 @@ def density_from_bloch_reference(r) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=complex) + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
 
 
-def closed_form_reference(b) -> np.ndarray:
-    """The closed-form state of one b as a 2x2 matrix, by scalar steps: a b
-    whose ``b . b`` overflows is divided by its largest ``|b_i|``, a b outside
-    the ball by its norm, then :func:`density_from_bloch_reference`."""
+def closed_form_bloch_reference(b) -> np.ndarray:
+    """The closed-form Bloch vector of one b, by scalar steps: a b whose
+    ``b . b`` overflows is divided by its largest ``|b_i|``, a b outside the
+    ball by its norm."""
     arr = np.asarray(b, dtype=float)
     with np.errstate(over="ignore"):
         norm = math.sqrt(arr.dot(arr))
     scaled = arr if norm < math.inf else arr / np.abs(arr).max()
-    r = arr if norm <= 1.0 else scaled / math.sqrt(scaled.dot(scaled))
-    return density_from_bloch_reference(r)
+    return arr if norm <= 1.0 else scaled / math.sqrt(scaled.dot(scaled))
+
+
+def closed_form_reference(b) -> np.ndarray:
+    """The closed-form state of one b as a 2x2 matrix:
+    :func:`density_from_bloch_reference` of :func:`closed_form_bloch_reference`."""
+    return density_from_bloch_reference(closed_form_bloch_reference(b))
 
 
 def bloch_from_density_reference(m) -> np.ndarray:
@@ -649,8 +655,8 @@ def step_unitary_reference(axis: str, rate: float, dt: float) -> np.ndarray:
 
 
 def apply_reference(channel, rho: DensityMatrix) -> DensityMatrix:
-    """One channel step as numpy matrix expressions: ``m = unvec(g vec(rho))``,
-    ``h = 0.5 * (m + m^H)``, then ``h / Re Tr h``."""
+    """One channel step on ``g`` as numpy matrix expressions: ``m = unvec(g vec(rho))``,
+    ``h = 0.5 * (m + m^H)``, then ``h / Re Tr h`` (the package steps the Bloch vector)."""
     out = (channel.g @ rho.matrix.reshape(4)).reshape(2, 2)
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(out / out.trace().real)

@@ -34,10 +34,13 @@ from iqtomo import (
     unitary_superoperator,
 )
 from iqtomo import qhi
+from iqtomo.qcore import density_columns
 from iqtomo.qhi import step_unitary
-from iqtomo.qst import closed_form_columns
+from iqtomo.qst import closed_form_bloch
+from iqtomo.repro import REFERENCE_STATE
 from oracles import (
     apply_reference,
+    closed_form_bloch_reference,
     closed_form_reference,
     cptp_project_reference,
     observe_trajectory_reference,
@@ -46,6 +49,8 @@ from oracles import (
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# vec(rho) = P [1; r] / 2 for the row-major vec
+P = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
 
 
 def _identity_choi() -> np.ndarray:
@@ -109,12 +114,103 @@ class TestStepUnitary:
         np.testing.assert_allclose(choi_from_super(g), _identity_choi(), atol=1e-15)
 
 
+def _rotation(axis: str, angle: float) -> np.ndarray:
+    """The right-handed rotation of Bloch vectors by ``angle`` about ``axis``."""
+    k = AXES.index(axis)
+    i, j = (k + 1) % 3, (k + 2) % 3
+    out = np.eye(3)
+    out[i, i] = out[j, j] = math.cos(angle)
+    out[j, i], out[i, j] = math.sin(angle), -math.sin(angle)
+    return out
+
+
+class TestBlochMap:
+    """A channel as the affine Bloch map ``r -> m r + t``."""
+
+    @pytest.mark.parametrize("axis", AXES)
+    @pytest.mark.parametrize("rate, dt", [(np.pi / 5.0, 0.02), (2.0, 0.02), (-3.0, 0.5), (20.0, 2.0)])
+    def test_a_unitary_step_rotates_by_twice_rate_times_dt(self, axis, rate, dt):
+        # H = rate * sigma_axis turns r by 2 * rate * dt per step, not by rate * dt
+        channel = unitary_superoperator(step_unitary(axis, rate, dt))
+        assert np.abs(channel.t).max() <= 1e-15
+        assert np.abs(channel.m - _rotation(axis, 2.0 * rate * dt)).max() <= 1e-15
+
+    def test_identity_is_exact(self):
+        channel = ChannelSuperoperator(np.eye(4))
+        assert np.array_equal(channel.m, np.eye(3)) and np.array_equal(channel.t, np.zeros(3))
+
+    def test_m_and_t_are_read_only(self, rotation):
+        for value in (rotation.g, rotation.m, rotation.t):
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0.0
+
+    def test_m_and_t_are_g_in_bloch_coordinates(self):
+        rng = np.random.default_rng(56)
+        for _ in range(50):
+            channel = _fit_workload_channel(rng)
+            big = 0.5 * P.conj().T @ channel.g @ P
+            np.testing.assert_allclose(big[0], [1.0, 0.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(big[1:, 1:], channel.m, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(big[1:, 0], channel.t, rtol=0.0, atol=1e-15)
+
+    def test_ten_thousand_rotation_steps_stay_on_the_exact_rotation(self):
+        # the CLI's default truth from the reference state
+        rate, dt = np.pi / 5.0, 0.02
+        traj = simulate_trajectory(unitary_superoperator(step_unitary("x", rate, dt)), REFERENCE_STATE, 10_000)
+        r0 = bloch_from_density(REFERENCE_STATE)
+        worst = max(
+            float(np.abs(bloch_from_density(state) - _rotation("x", 2.0 * rate * dt * k) @ r0).max())
+            for k, state in enumerate(traj.states)
+        )
+        assert worst <= 1e-12
+
+    def test_apply_and_simulate_take_the_same_step(self):
+        rng = np.random.default_rng(60)
+        for _ in range(100):
+            channel = _fit_workload_channel(rng)
+            r = rng.normal(size=3)
+            rho = density_from_bloch(r * rng.uniform() ** (1 / 3) / np.linalg.norm(r))
+            step = simulate_trajectory(channel, rho, 1).states[1]
+            assert channel.apply(rho).matrix.tobytes() == step.matrix.tobytes()
+
+    def test_a_trajectory_is_the_chain_of_steps_on_r(self):
+        # r_k = m r_(k-1) + t on Python floats, then one density_columns pass
+        channel = _fit_workload_channel(np.random.default_rng(64))
+        m, t = channel.m.tolist(), channel.t.tolist()
+        r = bloch_from_density(REFERENCE_STATE).tolist()
+        rows = []
+        for _ in range(25):
+            r = [m[i][0] * r[0] + m[i][1] * r[1] + m[i][2] * r[2] + t[i] for i in range(3)]
+            rows.append(r)
+        traj = simulate_trajectory(channel, REFERENCE_STATE, 25)
+        assert traj.states[0] is REFERENCE_STATE
+        columns = density_columns(np.array(rows))
+        assert [s.matrix.tobytes() for s in traj.states[1:]] == [c.reshape(2, 2).tobytes() for c in columns.T]
+
+    @pytest.mark.parametrize(
+        "scale, start, step",
+        [(1.001, [0.0, 0.0, 1.0], 1), (1.001, [0.0, 0.999, 0.0], 2), (1.0 + 1e-10, [0.6, 0.0, -0.8], 1)],
+    )
+    def test_a_step_outside_the_ball_is_refused(self, scale, start, step):
+        # trace and Hermiticity preserving, but expanding: no state stays positive, and
+        # a norm within density_columns' 1e-9 rescale is refused all the same
+        channel = ChannelSuperoperator(P @ np.diag([1.0, scale, scale, scale]) @ (0.5 * P.conj().T))
+        assert np.array_equal(channel.m, scale * np.eye(3))
+        rho = density_from_bloch(start)
+        with pytest.raises(ValueError, match=rf"^step {step}: Bloch vector norm 1\.0[0-9]* exceeds 1$"):
+            simulate_trajectory(channel, rho, 3)
+        if step == 1:
+            with pytest.raises(ValueError, match="^step 1: "):
+                channel.apply(rho)
+
+
 class TestSimulateTrajectory:
     def test_identity_is_constant(self, rho22):
         traj = simulate_trajectory(ChannelSuperoperator(np.eye(4)), rho22, 5)
         assert traj.steps == 5
-        for state in traj.states:
-            assert state == rho22
+        assert traj.states[0] is rho22
+        for state in traj.states[1:]:
+            assert state == density_from_bloch(bloch_from_density(rho22))
 
     def test_bit_flip_alternates(self):
         flip = unitary_superoperator(SIGMA_X)
@@ -130,7 +226,7 @@ class TestSimulateTrajectory:
 
     def test_long_run_keeps_states_valid(self, rotation, rho22):
         # DensityMatrix construction re-validates trace/Hermiticity each step
-        traj = _states_match_reference(rotation, rho22, 10_000)
+        traj = _states_match_reference(rotation, rho22, 10_000, 1e-12)
         last = traj.states[-1].matrix
         assert abs(np.trace(last).real - 1.0) <= 1e-12
         assert np.abs(last - last.conj().T).max() <= 1e-12
@@ -156,13 +252,14 @@ class TestSimulateTrajectory:
             rotation.apply(rho22.matrix)
 
 
-def _states_match_reference(channel, rho0, n_steps: int) -> Trajectory:
-    """``simulate_trajectory``'s trajectory, once its states have the bytes of an ``apply_reference`` loop's."""
+def _states_match_reference(channel, rho0, n_steps: int, tol: float = 1e-14) -> Trajectory:
+    """``simulate_trajectory``'s trajectory, once its states are within ``tol`` of an ``apply_reference`` loop's."""
     traj = simulate_trajectory(channel, rho0, n_steps)
-    expected = [rho0]
-    for _ in range(n_steps):
-        expected.append(apply_reference(channel, expected[-1]))
-    assert [s.matrix.tobytes() for s in traj.states] == [s.matrix.tobytes() for s in expected]
+    expected = rho0
+    assert traj.states[0] is rho0
+    for state in traj.states[1:]:
+        expected = apply_reference(channel, expected)
+        assert np.abs(state.matrix - expected.matrix).max() <= tol
     return traj
 
 
@@ -197,7 +294,8 @@ def test_save_trajectory_refuses_a_non_finite_number(tmp_path, rotation, rho22):
 
 
 class TestChannelStep:
-    """Every simulated state has the bytes of ``apply_reference``'s matrix expressions."""
+    """Every simulated state is within 1e-14 of ``apply_reference``'s matrix expressions on ``g``
+    (1e-12 after 10^4 unitary steps)."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fit_workload_channels_from_tetrahedral_starts(self, seed):
@@ -228,7 +326,7 @@ class TestChannelStep:
 
     # the identity, a full depolariser and a reset to |0>, every zero entry replaced by
     # a signed zero or a subnormal, on states with such entries and a trace off 1 within
-    # DensityMatrix's tolerance, so that the division by the trace rounds
+    # DensityMatrix's tolerance, which the Bloch step drops and the reference divides out
     @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from([0, 1, 2]),
@@ -251,7 +349,7 @@ class TestChannelStep:
             rho = DensityMatrix([[complex(p + offset, a), complex(b, c)], [complex(d, e), complex(1.0 - p, f)]])
         except ValueError:
             return
-        assert channel.apply(rho).matrix.tobytes() == apply_reference(channel, rho).matrix.tobytes()
+        assert np.abs(channel.apply(rho).matrix - apply_reference(channel, rho).matrix).max() <= 1e-12
 
     @staticmethod
     def _cancelling(c: float) -> ChannelSuperoperator:
@@ -262,29 +360,31 @@ class TestChannelStep:
         g[3, 1] = g[3, 2] = -c
         return ChannelSuperoperator(g)
 
-    @staticmethod
-    def _forced(g: np.ndarray) -> ChannelSuperoperator:
-        channel = ChannelSuperoperator(np.eye(4))
-        object.__setattr__(channel, "g", np.asarray(g, dtype=complex))
-        return channel
-
+    # g that used to reach a step's division by a trace of 0, +-inf or NaN: each is
+    # refused at construction or at its first step, with no numpy warning
     @pytest.mark.parametrize(
-        "case",
-        ["zero from cancelling", "nan from overflow", "zero superoperator", "plus inf", "minus inf"],
+        "case, message",
+        [
+            ("zero from cancelling", "^step 1: Bloch vector norm 2e\\+300 exceeds 1$"),
+            ("nan from overflow", "^superoperator's Bloch map overflows$"),
+            ("zero superoperator", "^superoperator is not trace preserving$"),
+            ("plus inf", "^superoperator is not trace preserving$"),
+            ("minus inf", "^superoperator is not trace preserving$"),
+        ],
     )
-    def test_a_degenerate_trace_is_not_finite(self, case):
+    def test_a_degenerate_channel_is_refused(self, case, message):
         plus = density_from_bloch([1.0, 0.0, 0.0])
         channel, rho = {
-            "zero from cancelling": (self._cancelling(1e300), plus),
-            "nan from overflow": (self._cancelling(1e308), plus),
-            "zero superoperator": (self._forced(np.zeros((4, 4))), plus),
-            "plus inf": (self._forced(1e308 * np.eye(4)), density_from_bloch([0.0, 0.0, 1.0])),
-            "minus inf": (self._forced(-1e308 * np.eye(4)), density_from_bloch([0.0, 0.0, 1.0])),
+            "zero from cancelling": (lambda: self._cancelling(1e300), plus),
+            "nan from overflow": (lambda: self._cancelling(1e308), plus),
+            "zero superoperator": (lambda: ChannelSuperoperator(np.zeros((4, 4))), plus),
+            "plus inf": (lambda: ChannelSuperoperator(1e308 * np.eye(4)), density_from_bloch([0.0, 0.0, 1.0])),
+            "minus inf": (lambda: ChannelSuperoperator(-1e308 * np.eye(4)), density_from_bloch([0.0, 0.0, 1.0])),
         }[case]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^density matrix entries must be finite$"):
-                channel.apply(rho)
+            with pytest.raises(ValueError, match=message):
+                channel().apply(rho)
 
 
 # arbitrary JSON values
@@ -445,6 +545,23 @@ class TestObserveTrajectory:
             assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
         else:
             assert back.states is None and back.steps == len(lines) - 2
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda traj: fit_channel([np.eye(2)]), r"^trajectories\[0\] must be a Trajectory, got ndarray$"),
+        (lambda traj: observe_trajectory(np.eye(2)), "^trajectory must be a Trajectory, got ndarray$"),
+        (
+            lambda traj: observe_trajectory(traj, mode="sampled", n=10, theta=np.eye(2), seed=1),
+            "^theta must be a MixtureParams, got ndarray$",
+        ),
+    ],
+    ids=["fit_channel_trajectories", "observe_trajectory_trajectory", "observe_trajectory_theta"],
+)
+def test_an_argument_of_the_wrong_type_is_named(rotation, rho22, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(simulate_trajectory(rotation, rho22, 2))
 
 
 def _tilted(noise_weight: float) -> MixtureParams:
@@ -655,14 +772,14 @@ class TestChannelTypes:
         with pytest.raises(ValueError):
             ChoiMatrix(bad)
 
-    def test_apply_matches_the_vectorised_product_bit_for_bit(self):
+    def test_apply_matches_the_vectorised_product(self):
         rng = np.random.default_rng(57)
         for _ in range(200):
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             channel = ChannelSuperoperator(choi_from_super(cptp_project((m + m.conj().T) / 2).c))
             r = rng.normal(size=3)
             rho = density_from_bloch(r * rng.uniform() ** (1 / 3) / np.linalg.norm(r))
-            assert channel.apply(rho).matrix.tobytes() == apply_reference(channel, rho).matrix.tobytes()
+            assert np.abs(channel.apply(rho).matrix - apply_reference(channel, rho).matrix).max() <= 1e-15
 
     def test_apply_returns_density_matrix(self, rotation, rho22):
         out = rotation.apply(rho22)
@@ -670,16 +787,20 @@ class TestChannelTypes:
         assert abs(np.trace(out.matrix).real - 1.0) <= 1e-12
 
 
-def _damped_tetrahedral_trajectories(seed: int) -> list:
-    """The four tetrahedral starts under rotation plus amplitude damping, 25 steps of binomial b."""
-    rng = np.random.default_rng(seed)
-    shots, gamma = 10_000, 0.01
+def _damped_channel(gamma: float) -> np.ndarray:
+    """Superoperator of amplitude damping towards |0> with probability ``gamma``."""
     damping = [
         np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
         np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]),
     ]
-    g = sum(np.kron(k, k.conj()) for k in damping) @ unitary_superoperator(step_unitary("y", 2.0, 0.02)).g
-    channel = ChannelSuperoperator(g)
+    return sum(np.kron(k, k.conj()) for k in damping)
+
+
+def _damped_tetrahedral_trajectories(seed: int) -> list:
+    """The four tetrahedral starts under rotation plus amplitude damping, 25 steps of binomial b."""
+    rng = np.random.default_rng(seed)
+    shots = 10_000
+    channel = ChannelSuperoperator(_damped_channel(0.01) @ unitary_superoperator(step_unitary("y", 2.0, 0.02)).g)
     trajectories = []
     for j, start in enumerate(np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)):
         traj = simulate_trajectory(channel, density_from_bloch(start), 25, trajectory_id=j)
@@ -692,17 +813,28 @@ def _damped_tetrahedral_trajectories(seed: int) -> list:
     return trajectories
 
 
-def _fit_inputs(trajectories) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x, y and the noise-floored pseudoinverse x^+ of a from_qst fit, rebuilt."""
-    states = [[qst_closed_form(obs).rho.matrix.reshape(4) for obs in t.observations] for t in trajectories]
-    x = np.stack([column for sequence in states for column in sequence[:-1]], axis=1)
-    y = np.stack([column for sequence in states for column in sequence[1:]], axis=1)
+def _fit_inputs(trajectories, noise_floor: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x and y, the [1; r] columns of a fit's regression, and the floored pseudoinverse x^+, rebuilt
+    from the observations' oracle Bloch vectors (``noise_floor``: from_qst's delta floor too)."""
+    bloch = [[np.concatenate([[1.0], closed_form_bloch_reference(obs.b)]) for obs in t.observations] for t in trajectories]
+    x = np.stack([column for sequence in bloch for column in sequence[:-1]], axis=1)
+    y = np.stack([column for sequence in bloch for column in sequence[1:]], axis=1)
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     delta_sq = sum(float(np.dot(obs.delta, obs.delta)) for t in trajectories for obs in t.observations[:-1])
-    keep = s > max(s[0] * 1e-12, 2.0 * np.sqrt(0.5 * delta_sq))
+    keep = s > max(s[0] * 1e-12, 2.0 * np.sqrt(delta_sq) if noise_floor else 0.0)
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
-    return x, y, (vh.conj().T * inv_s) @ u.conj().T
+    return x, y, (vh.T * inv_s) @ u.T
+
+
+def _projected_step(big: np.ndarray, x: np.ndarray, y: np.ndarray, x_pinv: np.ndarray) -> np.ndarray:
+    """``g`` of one minimum-change step of the Bloch map ``big`` and its CPTP projection."""
+    candidate = big - (big @ x - y) @ x_pinv
+    return choi_from_super(cptp_project(choi_from_super(P @ candidate @ (0.5 * P.conj().T))).c)
+
+
+def _bloch_map(g: np.ndarray) -> np.ndarray:
+    return (0.5 * P.conj().T @ g @ P).real
 
 
 # b inside, on and outside the ball, with signed zeros; one whose projection
@@ -715,7 +847,7 @@ _PROJECTED_ABOVE_ONE = [-0.28798983016813706, -0.9988141196144054, -0.3875746540
 _OVERFLOWS = [1e200, -1e200, 3.0]
 
 
-class TestClosedFormColumns:
+class TestClosedFormBloch:
     def test_cases_reach_every_branch(self):
         for row in _INSIDE + _ON:
             assert math.sqrt(np.dot(row, row)) <= 1.0
@@ -726,14 +858,13 @@ class TestClosedFormColumns:
         with np.errstate(over="ignore"):
             assert np.dot(_OVERFLOWS, _OVERFLOWS) == math.inf
 
-    def test_columns_equal_qst_closed_form_byte_for_byte(self):
+    def test_rows_and_states_equal_the_scalar_steps_byte_for_byte(self):
         b = np.array(_INSIDE + _ON + _OUTSIDE + [_PROJECTED_ABOVE_ONE, _OVERFLOWS])
-        columns = closed_form_columns(b)
-        assert columns.shape == (4, len(b))
-        for row, column in zip(b, columns.T):
-            want = closed_form_reference(row)
-            assert column.tobytes() == want.reshape(4).tobytes()
-            assert qst_closed_form(row).rho.matrix.tobytes() == want.tobytes()
+        rows = closed_form_bloch(b)
+        assert rows.shape == (len(b), 3)
+        for row, got in zip(b, rows):
+            assert got.tobytes() == closed_form_bloch_reference(row).tobytes()
+            assert qst_closed_form(row).rho.matrix.tobytes() == closed_form_reference(row).tobytes()
 
     def test_a_squared_norm_that_overflows_projects_onto_the_sphere(self):
         # b / |b| for b = (1e200, -1e200, 3): on the sphere, not the maximally mixed I/2
@@ -746,29 +877,28 @@ class TestClosedFormColumns:
     # rows in a cube around the ball, and the same rows scaled onto its surface
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3), min_size=1, max_size=12))
-    def test_every_column_is_the_closed_form_state(self, rows):
+    def test_every_row_is_the_closed_form_bloch_vector(self, rows):
         b = np.array(rows)
         norms = np.array([math.sqrt(row.dot(row)) for row in b])
         b = np.concatenate([b, b[norms > 0.0] / norms[norms > 0.0, None]])
-        columns = closed_form_columns(b)
-        for row, column in zip(b, columns.T):
+        bloch = closed_form_bloch(b)
+        for row, r, column in zip(b, bloch, density_columns(bloch).T):
+            assert r.tobytes() == closed_form_bloch_reference(row).tobytes()
             DensityMatrix(column.reshape(2, 2))  # so none of DensityMatrix's checks can fail
             assert column.tobytes() == closed_form_reference(row).reshape(4).tobytes()
 
-    def test_a_from_qst_fit_is_the_fit_on_the_oracle_states(self):
+    def test_a_from_qst_fit_regresses_the_oracle_bloch_vectors(self):
         # every branch of the closed form, overflow and second rescale included, reaches the
         # fit; with zero delta its noise floor is the from_states one, so g must agree bit for bit
         rows = _INSIDE + _ON + _OUTSIDE + [_PROJECTED_ABOVE_ONE, _OVERFLOWS]
         observed = Trajectory(
             trajectory_id=0, dt=0.02, observations=tuple(BVector(b=row, delta=np.zeros(3)) for row in rows)
         )
-        oracle = Trajectory(
-            trajectory_id=0, dt=0.02, states=tuple(DensityMatrix(closed_form_reference(row)) for row in rows)
-        )
+        x, y, x_pinv = _fit_inputs([observed])
+        want = _projected_step(np.eye(4), x, y, x_pinv)
         channel, loss = fit_channel([observed], mode="from_qst")
-        want, want_loss = fit_channel([oracle], mode="from_states")
-        assert channel.g.tobytes() == want.g.tobytes()
-        assert loss == want_loss
+        assert channel.g.tobytes() == want.tobytes()
+        assert loss == 0.5 * float(np.linalg.norm(y[1:] - channel.m @ x[1:] - channel.t[:, None]) ** 2)
 
 
 class TestFitChannel:
@@ -787,6 +917,22 @@ class TestFitChannel:
             warnings.simplefilter("error", FitWarning)  # rank must now be full
             fitted, _ = fit_channel([t1, t2], mode="from_states")
         assert np.linalg.norm(fitted.g - rotation.g) <= 1e-6
+
+    def test_noiseless_damped_tetrahedral_starts_recover_m_and_t(self):
+        # four start directions fix every direction of the Bloch map; the channel is CPTP,
+        # so the projection leaves the least-squares fit where it is
+        channel = ChannelSuperoperator(_damped_channel(0.01) @ unitary_superoperator(step_unitary("y", 2.0, 0.02)).g)
+        trajectories = [
+            simulate_trajectory(channel, density_from_bloch(start), 25, trajectory_id=j)
+            for j, start in enumerate(_TETRAHEDRON)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FitWarning)
+            fitted, loss = fit_channel(trajectories, mode="from_states")
+        assert np.abs(fitted.m - channel.m).max() <= 1e-12
+        assert np.abs(fitted.t - channel.t).max() <= 1e-12
+        assert np.abs(channel.t).max() > 1e-3  # damping moves the fixed point off the centre
+        assert loss <= 1e-24
 
     def test_constant_trajectory_keeps_identity(self):
         mixed = DensityMatrix(np.eye(2) / 2)
@@ -820,8 +966,8 @@ class TestFitChannel:
             trajectories = [observe_trajectory(traj, mode="sampled", n=2000, theta=sep5_mixture, seed=7)]
         x, y, x_pinv = _fit_inputs(trajectories)
         assert (np.linalg.matrix_rank(x_pinv) == 4) == (rank == "full")
-        eye = np.eye(4, dtype=complex)
-        expected = choi_from_super(cptp_project(choi_from_super(eye - (eye @ x - y) @ x_pinv)).c)
+        expected = _projected_step(np.eye(4), x, y, x_pinv)
+        m, t = ChannelSuperoperator(expected).m, ChannelSuperoperator(expected).t
 
         calls = []
 
@@ -836,20 +982,20 @@ class TestFitChannel:
             fitted, loss = fit_channel(trajectories, mode="from_qst", loss_history=history)
         assert len(calls) == 1
         assert fitted.g.tobytes() == expected.tobytes()
-        assert history == [loss] == [float(np.linalg.norm(expected @ x - y) ** 2)]
+        assert history == [loss] == [0.5 * float(np.linalg.norm(y[1:] - m @ x[1:] - t[:, None]) ** 2)]
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_projection_inputs_match_the_reference_loop(self, seed):
         # the fit's own projection input, and that of a second step from its result
         trajectories = _damped_tetrahedral_trajectories(seed)
         x, y, x_pinv = _fit_inputs(trajectories)
-        g = np.eye(4, dtype=complex)
+        big = np.eye(4)
         for _ in range(2):
-            h = choi_from_super(g - (g @ x - y) @ x_pinv)
+            h = choi_from_super(P @ (big - (big @ x - y) @ x_pinv) @ (0.5 * P.conj().T))
             expected, converged = cptp_project_reference(h, qhi.PROJECTION_MAX_SWEEPS, qhi.PROJECTION_TOL)
             assert converged
             assert cptp_project(h).c.tobytes() == expected.tobytes()
-            g = choi_from_super(expected)
+            big = _bloch_map(choi_from_super(expected))
 
     def test_second_step_on_full_rank_data_stays_put(self):
         # x x^+ = I, so a second minimum-change step only repeats the first
@@ -858,9 +1004,8 @@ class TestFitChannel:
         with warnings.catch_warnings():
             warnings.simplefilter("error", FitWarning)
             fitted, _ = fit_channel(trajectories, mode="from_qst")
-        g = fitted.g
-        again = choi_from_super(cptp_project(choi_from_super(g - (g @ x - y) @ x_pinv)).c)
-        assert np.linalg.norm(again - g) <= 1e-12
+        again = _projected_step(_bloch_map(fitted.g), x, y, x_pinv)
+        assert np.linalg.norm(again - fitted.g) <= 1e-12
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
