@@ -6,20 +6,21 @@ Appl. 347, 159, 2002).  ``ChannelSuperoperator`` takes it as the 4x4
 superoperator ``g`` on row-major vec(rho), where a channel enters and
 leaves the package, and reads ``m`` and ``t`` off ``G = P^H g P / 2``
 once, for ``vec(rho) = P [1; r] / 2``.  Every step is ``r <- m r + t`` on
-Python floats, checked against ``|r| <= 1 + 2e-12``, the one-qubit form of
-``DensityMatrix``'s eigenvalue bound; a trajectory's states come from one
-``density_columns`` pass.  Observation gives per-axis expectation
-estimates, exactly or through the full sampled readout pipeline, drawing
-each step's three axes in one pass (``draw_shots``) and classifying them
-in one (``cloud_distances``, ``b_from_distances``).
+Python floats, checked against ``|r| <= 1 + 4e-12``, the largest Bloch norm
+``DensityMatrix``'s trace, eigenvalue and Hermiticity tolerances admit; a
+trajectory's states come from one ``density_columns`` pass.  Observation
+gives per-axis expectation estimates, exactly or through the full sampled
+readout pipeline, drawing each step's three axes in one pass
+(``draw_shots``) and classifying them in one (``cloud_distances``,
+``b_from_distances``).
 
 Fitting regresses ``[1; r_s]`` on ``[1; r_(s-1)]`` in reals, each r read
 off a state or from one pass of ``qst``'s closed form over the observed b
 (``closed_form_bloch``, as ``qst_closed_form``).  It takes the
 least-squares update of G that changes the identity least (directions the
 data leave unconstrained keep it), then projects the Choi matrix of its
-``g`` once onto the CPTP set by Dykstra between the PSD cone and the
-trace-preserving affine set; each sweep forms each sum once.
+``g`` once onto the CPTP set, ``Pi_PSD(h + I (x) L)`` for the multiplier
+``L`` of the trace constraint, found by dual ascent at one ``eigh`` a sweep.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .discriminate import (
 )
 from .qcore import (
     EIGENVALUE_TOL,
+    HERMITICITY_TOL,
+    TRACE_TOL,
     DensityMatrix,
     bloch_from_density,
     density_columns,
@@ -60,12 +63,12 @@ _P = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
 _HALF_PH = 0.5 * _P.conj().T
 _E0 = np.eye(4)[0]
 _EYE2 = np.eye(2)
-_KRON_EYE2 = _EYE2.reshape(2, 1, 2, 1)
-# a state's smaller eigenvalue is (1 - |r|) / 2, which DensityMatrix bounds below by -EIGENVALUE_TOL
-_NORM_BOUND = 1.0 + 2.0 * EIGENVALUE_TOL
+# the largest |r| of a DensityMatrix: |(z, 2 m10)| <= trace + 2 EIGENVALUE_TOL by its eigenvalue
+# check, trace <= 1 + TRACE_TOL, and (x, y) is within HERMITICITY_TOL of 2 m10 by its Hermiticity check
+_NORM_BOUND = 1.0 + TRACE_TOL + 2.0 * EIGENVALUE_TOL + HERMITICITY_TOL
 
-# CPTP projection stops once a Dykstra sweep moves its iterate by at most
-# PROJECTION_TOL relative to the input's norm, or after PROJECTION_MAX_SWEEPS sweeps
+# CPTP projection stops once a sweep leaves Tr_out of its iterate within
+# PROJECTION_TOL of I relative to the input's norm, or after PROJECTION_MAX_SWEEPS sweeps
 PROJECTION_TOL = 1e-12
 PROJECTION_MAX_SWEEPS = 10_000
 
@@ -118,7 +121,7 @@ class ChannelSuperoperator:
 
     def _path(self, r: np.ndarray, n_steps: int) -> np.ndarray:
         """``r`` and ``n_steps`` steps ``r <- m r + t`` from it, as (n_steps + 1, 3) rows;
-        ValueError names the first step whose ``|r|`` is above 1 + 2e-12 or NaN."""
+        ValueError names the first step whose ``|r|`` is above 1 + 4e-12 or NaN."""
         affine = list(zip(self.m.tolist(), self.t.tolist()))
         rows = [r.tolist()]
         for step in range(1, n_steps + 1):
@@ -128,16 +131,6 @@ class ChannelSuperoperator:
             if not norm <= _NORM_BOUND:
                 raise ValueError(f"step {step}: Bloch vector norm {norm!r} exceeds 1")
         return np.array(rows)
-
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        """One step ``r <- m r + t`` of ``rho``'s Bloch vector, as ``simulate_trajectory`` takes it.
-
-        Raises ValueError for a ``rho`` that is not a ``DensityMatrix``, and
-        for a result whose ``|r|`` is above ``1 + 2e-12``.
-        """
-        if not isinstance(rho, DensityMatrix):
-            raise ValueError(f"rho must be a DensityMatrix, got {type(rho).__name__}")
-        return DensityMatrix(density_columns(self._path(bloch_from_density(rho), 1)[1:]).reshape(2, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +230,8 @@ def simulate_trajectory(
 
     Raises ValueError for a ``channel`` that is not a ``ChannelSuperoperator``,
     an ``rho0`` that is not a ``DensityMatrix``, an ``n_steps`` that is not an
-    integer >= 1 (``True`` is not one), or a step as ``apply`` does.
+    integer >= 1 (``True`` is not one), or a step whose ``|r|`` is above
+    ``1 + 4e-12``, the largest Bloch norm of a ``DensityMatrix``.
     """
     n_steps = json_integer(n_steps, "n_steps", 1)
     if not isinstance(channel, ChannelSuperoperator):
@@ -368,58 +362,42 @@ def load_trajectory(path: str) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _tp_project(c: np.ndarray) -> np.ndarray:
-    deficit = _EYE2 - (c[:2, :2] + c[2:, 2:])  # identity less Tr_out c
-    # np.kron(np.eye(2), deficit / 2.0) without its Python overhead: the same
-    # broadcast product, so off the diagonal blocks it adds the same signed zeros
-    return c + (_KRON_EYE2 * (deficit / 2.0).reshape(1, 2, 1, 2)).reshape(4, 4)
-
-
 def cptp_project(h: np.ndarray) -> ChoiMatrix:
     """Project a Hermitian 4x4 matrix onto the CPTP Choi set (Frobenius).
 
-    Dykstra alternation between the PSD cone and the affine set of
-    trace-preserving Choi matrices; warns if the sweep cap
-    ``PROJECTION_MAX_SWEEPS`` is reached before ``PROJECTION_TOL``.
+    The projection is ``C = Pi_PSD(h + I (x) L)`` for the 2x2 multiplier ``L``
+    of ``Tr_out C = I``.  Dual ascent on ``L`` with step 1/2, the inverse
+    Lipschitz constant of its gradient ``I - Tr_out C``, stops once that is
+    within ``PROJECTION_TOL`` of zero relative to the input's norm, or warns
+    ``ProjectionWarning`` at ``PROJECTION_MAX_SWEEPS``.  Then ``S = Tr_out C``
+    is made I by ``C <- (I (x) S^-1/2) C (I (x) S^-1/2)``; ValueError if ``S``
+    is not positive definite, which only a sweep cap can leave.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {h.shape}")
-    x = 0.5 * (h + h.conj().T)
-    scale = max(1.0, float(np.linalg.norm(x)))
-    p = q = np.zeros_like(x)
+    shifted = 0.5 * (h + h.conj().T)  # h + I (x) L, L = 0 to start
+    scale = max(1.0, float(np.linalg.norm(shifted)))
     for _ in range(PROJECTION_MAX_SWEEPS):
-        # each sum once: p = s - y has the bits of x + p - y, and q = t - x those of y + q - x
-        s = x + p
-        w, v = np.linalg.eigh(0.5 * (s + s.conj().T))
-        y = (v * np.maximum(w, 0.0)) @ v.conj().T
-        p = s - y
-        t = y + q
-        x = _tp_project(t)
-        q = t - x
-        if np.linalg.norm(y - x) <= PROJECTION_TOL * scale:
+        w, v = np.linalg.eigh(shifted)
+        c = (v * np.maximum(w, 0.0)) @ v.conj().T
+        trace = c[:2, :2] + c[2:, 2:]  # Tr_out c
+        gradient = _EYE2 - trace
+        if np.linalg.norm(gradient) <= PROJECTION_TOL * scale:
             break
+        step = 0.5 * gradient
+        shifted[:2, :2] += step
+        shifted[2:, 2:] += step
     else:
-        warnings.warn(
-            f"CPTP projection did not reach tolerance {PROJECTION_TOL} "
-            f"in {PROJECTION_MAX_SWEEPS} sweeps",
-            ProjectionWarning,
-        )
-    out = 0.5 * (x + x.conj().T)
-    # the affine step ran last, so trace preservation is exact; clip the
-    # residual negative eigenvalue mass left by finite Dykstra sweeps
-    w, v = np.linalg.eigh(out)
-    if w.min() < 0.0:
-        out = (v * np.maximum(w, 0.0)) @ v.conj().T
-        out = _tp_project(0.5 * (out + out.conj().T))
-        # stopped on the sweep cap, that step can leave an eigenvalue below
-        # ChoiMatrix's -1e-9 (same matrix as its check): mix in just enough
-        # of the trace-preserving, positive definite I/2 to lift it to zero
-        low = float(np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min())
-        if low < -1e-9:
-            t = -low / (0.5 - low)
-            out = (1.0 - t) * out + (0.5 * t) * np.eye(4)
-    return ChoiMatrix(out)
+        message = f"CPTP projection did not reach tolerance {PROJECTION_TOL} in {PROJECTION_MAX_SWEEPS} sweeps"
+        warnings.warn(message, ProjectionWarning)
+    w, v = np.linalg.eigh(trace)
+    if not w[0] > 0.0:
+        raise ValueError("CPTP projection's partial trace is not positive definite")
+    lift = np.zeros((4, 4), dtype=complex)
+    lift[:2, :2] = lift[2:, 2:] = (v / np.sqrt(w)) @ v.conj().T  # I (x) S^-1/2
+    out = lift @ c @ lift
+    return ChoiMatrix(0.5 * (out + out.conj().T))
 
 
 def fit_channel(
@@ -433,7 +411,8 @@ def fit_channel(
     an observed b (``from_qst``).  Takes the least-squares update of the Bloch
     map G that changes the identity least, so directions below the SVD noise
     floor keep the identity, then projects the Choi matrix of its ``g`` onto
-    the CPTP set once.  Returns the channel and its loss, also appended to
+    the CPTP set once, by ``cptp_project``'s dual ascent on the multiplier of
+    the trace constraint.  Returns the channel and its loss, also appended to
     ``loss_history`` if given:
 
         sum_ij || rho_ij - unvec(g vec(rho_i,j-1)) ||_F^2 = sum_ij |r_ij - m r_i,j-1 - t|^2 / 2

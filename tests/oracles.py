@@ -27,20 +27,22 @@ discriminates it with ``memberships_for``, where the package hoists the
 per-trajectory work and counts hard labels.  ``density_problem_reference``,
 ``density_from_bloch_reference``, ``closed_form_bloch_reference``,
 ``closed_form_reference``, ``bloch_from_density_reference``,
-``step_unitary_reference``, ``apply_reference`` and
-``tp_project_reference`` are the small-array numpy forms of the package's
-closed-form single-qubit code: ``DensityMatrix``'s checks with
-``eigvalsh``, the matrix sum ``0.5 * (I + r . sigma)``, the projection of
-one b onto the Bloch ball in scalar steps (the package projects an (m, 3)
-array of b at once) and its state, the product with
-the paper's measurement matrix ``measurement_matrix()`` built on every
-call, a general Hamiltonian evolution of each basis vector, a channel
-step on the superoperator ``g`` as three matrix expressions (the package
-steps the Bloch vector, ``r <- m r + t``, so the two agree to a stated
-tolerance, not bit for bit), and the trace-preserving step
-with ``np.kron`` and an ``einsum`` partial trace.  ``cptp_project_reference``
-is the CPTP projection's Dykstra loop as first written, each sum formed
-where it is used, on ``tp_project_reference``.  ``render_iq_svg_reference`` is the SVG scatter with one
+``step_unitary_reference`` and ``apply_reference`` are the small-array
+numpy forms of the package's closed-form single-qubit code:
+``DensityMatrix``'s checks with ``eigvalsh``, the matrix sum
+``0.5 * (I + r . sigma)``, the projection of one b onto the Bloch ball in
+scalar steps (the package projects an (m, 3) array of b at once) and its
+state, the product with the paper's measurement matrix
+``measurement_matrix()`` built on every call, a general Hamiltonian
+evolution of each basis vector, and a channel step on the superoperator
+``g`` as three matrix expressions (the package steps the Bloch vector,
+``r <- m r + t``, so the two agree to a stated tolerance, not bit for
+bit).  ``cptp_project_reference`` is the CPTP projection by a different
+algorithm: Dykstra's alternation between the PSD cone and the
+trace-preserving set (``tp_project_reference``, with ``np.kron`` and an
+``einsum`` partial trace), then a fix-up of residual negative eigenvalues,
+where the package runs dual ascent on the 2x2 multiplier of the trace
+constraint.  ``render_iq_svg_reference`` is the SVG scatter with one
 pixel mapping and one f-string per shot, where the package maps and
 formats all shots at once.
 """
@@ -676,12 +678,13 @@ def _psd_project_reference(h: np.ndarray) -> np.ndarray:
 
 
 def cptp_project_reference(h: np.ndarray, max_sweeps: int, tol: float) -> tuple[np.ndarray, bool]:
-    """``cptp_project``'s Choi matrix and whether it met ``tol`` within ``max_sweeps``.
+    """The CPTP projection of ``h`` and whether it met ``tol`` within ``max_sweeps``.
 
     The Dykstra loop with each sum formed where it is used (``x + p`` and
     ``y + q`` twice per sweep), the PSD step as a function and the affine
-    step by ``tp_project_reference``; then the same fix-up of residual
-    negative eigenvalues.
+    step by ``tp_project_reference``; then a fix-up of residual negative
+    eigenvalues: clip them, take the affine step again, and mix in just
+    enough of I/2 to lift the smallest to -1e-9.
     """
     h = np.asarray(h, dtype=complex)
     x = 0.5 * (h + h.conj().T)

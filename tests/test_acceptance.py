@@ -266,7 +266,7 @@ def test_criterion_10_feasibility_battery(criterion, sep5_mixture):
         )
         _keep(result.qst.rho)
     flip = unitary_superoperator(pauli("x"))
-    _keep(flip.apply(REFERENCE_STATE))
+    _keep(simulate_trajectory(flip, REFERENCE_STATE, 1).states[1])
 
     assert len(_collected_states) >= 600
     worst_trace = worst_herm = 0.0
