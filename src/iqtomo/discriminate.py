@@ -394,19 +394,28 @@ def _soft_columns(d0: np.ndarray, d1: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return e0, e1
 
 
+def _checked_counts(n0: float, n1: float, rule) -> float:
+    """``rule(n0, n1)``, or ValueError for a negative or non-finite count, for
+    ``n0 + n1 <= 0``, or for arithmetic that ends in inf, NaN or an ArithmeticError
+    (a float above 5.6e102 cubed, an integer too large for a float, n**3 underflowing to 0)."""
+    try:
+        if 0 <= n0 < math.inf and 0 <= n1 < math.inf and n0 + n1 > 0:
+            value = rule(n0, n1)
+            if math.isfinite(value):
+                return value
+    except ArithmeticError:
+        pass
+    raise ValueError("counts must be finite and non-negative with n0 + n1 >= 1")
+
+
 def hard_b(n0: float, n1: float) -> float:
     """Expectation estimate (n0 - n1) / (n0 + n1) from assigned counts."""
-    if n0 < 0 or n1 < 0 or n0 + n1 <= 0:
-        raise ValueError("counts must be non-negative with n0 + n1 >= 1")
-    return (n0 - n1) / (n0 + n1)
+    return _checked_counts(n0, n1, lambda n0, n1: (n0 - n1) / (n0 + n1))
 
 
 def delta_b(n0: float, n1: float) -> float:
     """Binomial one-sigma error 2 sqrt(n0 n1 / n^3) of :func:`hard_b`."""
-    if n0 < 0 or n1 < 0 or n0 + n1 <= 0:
-        raise ValueError("counts must be non-negative with n0 + n1 >= 1")
-    n = n0 + n1
-    return 2.0 * math.sqrt(n0 * n1 / n**3)
+    return _checked_counts(n0, n1, lambda n0, n1: 2.0 * math.sqrt(n0 * n1 / (n0 + n1) ** 3))
 
 
 def _counted_b(n: int, n1: int) -> tuple[float, float]:

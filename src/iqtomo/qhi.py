@@ -4,18 +4,19 @@ A qubit channel that preserves trace and Hermiticity is an affine map of
 Bloch vectors, ``r -> m r + t`` (Ruskai, Szarek & Werner, Linear Algebra
 Appl. 347, 159, 2002).  ``ChannelSuperoperator`` takes it as the 4x4
 superoperator ``g`` on row-major vec(rho), where a channel enters and
-leaves the package, and reads ``m`` and ``t`` off ``G = P^H g P / 2``
-once, for ``vec(rho) = P [1; r] / 2``.  Every step is ``r <- m r + t`` on
-Python floats, checked against ``|r| <= 1 + 4e-12``, the largest Bloch norm
-``DensityMatrix``'s trace, eigenvalue and Hermiticity tolerances admit; a
-trajectory's states come from one ``density_columns`` pass.  Observation
-gives per-axis expectation estimates, exactly or through the full sampled
-readout pipeline, drawing each step's three axes in one pass
-(``draw_shots``) and classifying them in one (``cloud_distances``,
-``b_from_distances``).
+leaves the package, refuses it unless its Choi matrix is positive
+semidefinite (Choi, Linear Algebra Appl. 10, 285, 1975), and reads ``m``
+and ``t`` off ``G = P^H g P / 2`` once, for ``vec(rho) = P [1; r] / 2``.
+Every step is ``r <- m r + t`` on Python floats, checked against
+``|r| <= 1 + 4e-12``, the largest Bloch norm ``DensityMatrix``'s trace,
+eigenvalue and Hermiticity tolerances admit; a trajectory's states come
+from one ``density_columns`` pass.  Observation gives per-axis expectation
+estimates, exactly or through the full sampled readout pipeline, drawing
+each step's three axes in one pass (``draw_shots``) and classifying them
+in one (``cloud_distances``, ``b_from_distances``).
 
-Fitting regresses ``[1; r_s]`` on ``[1; r_(s-1)]`` in reals, each r read
-off a state or from one pass of ``qst``'s closed form over the observed b
+Fitting regresses ``[1; r_s]`` on ``[1; r_(s-1)]`` in reals, each r from
+one pass of ``qst``'s closed form over the observed b
 (``closed_form_bloch``, as ``qst_closed_form``).  It takes the
 least-squares update of G that changes the identity least (directions the
 data leave unconstrained keep it), then projects the Choi matrix of its
@@ -91,10 +92,12 @@ def choi_from_super(g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSuperoperator:
-    """A trace-preserving, Hermiticity-preserving qubit channel: ``g`` on row-major
-    vec(rho), and the Bloch map ``r -> m r + t`` read off ``G = P^H g P / 2`` as
-    ``m = G[1:, 1:] / G[0, 0]`` and ``t = G[1:, 0] / G[0, 0]``.  ``g`` must be a
-    finite 4x4 matrix whose G is finite, real and has first row ``e_0``, to 1e-9."""
+    """A qubit channel: ``g`` on row-major vec(rho), and the Bloch map ``r -> m r + t``
+    read off ``G = P^H g P / 2`` as ``m = G[1:, 1:] / G[0, 0]`` and
+    ``t = G[1:, 0] / G[0, 0]``.  ``g`` must be a finite 4x4 matrix whose G is
+    finite, real (Hermiticity preserving) and has first row ``e_0`` (trace
+    preserving), to 1e-9, and whose Choi matrix has no eigenvalue below -1e-9
+    (completely positive)."""
 
     g: np.ndarray
     m: np.ndarray = field(init=False, repr=False)
@@ -114,6 +117,10 @@ class ChannelSuperoperator:
             raise ValueError("superoperator is not trace preserving")
         if np.abs(big.imag).max() > 1e-9:
             raise ValueError("superoperator is not Hermiticity preserving")
+        # the Hermitian part of the Choi matrix in halves, which cannot overflow where c + c^H could
+        half = 0.5 * choi_from_super(g)
+        if np.linalg.eigvalsh(half + half.conj().T).min() < -1e-9:
+            raise ValueError("superoperator is not completely positive")
         affine = big.real / big[0, 0].real
         for name, value in (("g", g), ("m", affine[1:, 1:]), ("t", affine[1:, 0])):
             value.flags.writeable = False
@@ -131,30 +138,6 @@ class ChannelSuperoperator:
             if not norm <= _NORM_BOUND:
                 raise ValueError(f"step {step}: Bloch vector norm {norm!r} exceeds 1")
         return np.array(rows)
-
-
-@dataclass(frozen=True, eq=False)
-class ChoiMatrix:
-    """A CPTP Choi matrix: Hermitian, PSD, Tr_out = identity (all to 1e-9)."""
-
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.array(self.c, dtype=complex)
-        if c.shape != (4, 4):
-            raise ValueError(f"Choi matrix must be 4x4, got {c.shape}")
-        if not np.isfinite(c).all():
-            raise ValueError("Choi matrix entries must be finite")
-        # in halves, which cannot overflow where c + c^H could and scale exactly
-        half = 0.5 * c
-        if np.abs(half - half.conj().T).max() > 0.5e-9:
-            raise ValueError("Choi matrix is not Hermitian")
-        if np.linalg.eigvalsh(half + half.conj().T).min() < -1e-9:
-            raise ValueError("Choi matrix is not positive semidefinite")
-        if np.abs(half[:2, :2] + half[2:, 2:] - 0.5 * np.eye(2)).max() > 0.5e-9:  # Tr_out
-            raise ValueError("Choi matrix does not preserve the trace")
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
 
 
 def unitary_superoperator(u: np.ndarray) -> ChannelSuperoperator:
@@ -362,8 +345,8 @@ def load_trajectory(path: str) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def cptp_project(h: np.ndarray) -> ChoiMatrix:
-    """Project a Hermitian 4x4 matrix onto the CPTP Choi set (Frobenius).
+def cptp_project(h: np.ndarray) -> ChannelSuperoperator:
+    """Project a Hermitian 4x4 matrix onto the CPTP Choi set (Frobenius); return its channel.
 
     The projection is ``C = Pi_PSD(h + I (x) L)`` for the 2x2 multiplier ``L``
     of ``Tr_out C = I``.  Dual ascent on ``L`` with step 1/2, the inverse
@@ -371,11 +354,17 @@ def cptp_project(h: np.ndarray) -> ChoiMatrix:
     within ``PROJECTION_TOL`` of zero relative to the input's norm, or warns
     ``ProjectionWarning`` at ``PROJECTION_MAX_SWEEPS``.  Then ``S = Tr_out C``
     is made I by ``C <- (I (x) S^-1/2) C (I (x) S^-1/2)``; ValueError if ``S``
-    is not positive definite, which only a sweep cap can leave.
+    is not positive definite, which only a sweep cap can leave.  The result is
+    ``ChannelSuperoperator(choi_from_super(C))``.  ValueError, before any
+    arithmetic, for an entry whose real or imaginary part is not finite or
+    is above 1e150 in size.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {h.shape}")
+    # parts up to 1e150 keep the squared Frobenius norms of h and of every sweep's gradient finite
+    if not (np.abs(h.real).max() <= 1e150 and np.abs(h.imag).max() <= 1e150):
+        raise ValueError("projection input entries must be finite and at most 1e150 in size")
     shifted = 0.5 * (h + h.conj().T)  # h + I (x) L, L = 0 to start
     scale = max(1.0, float(np.linalg.norm(shifted)))
     for _ in range(PROJECTION_MAX_SWEEPS):
@@ -397,60 +386,53 @@ def cptp_project(h: np.ndarray) -> ChoiMatrix:
     lift = np.zeros((4, 4), dtype=complex)
     lift[:2, :2] = lift[2:, 2:] = (v / np.sqrt(w)) @ v.conj().T  # I (x) S^-1/2
     out = lift @ c @ lift
-    return ChoiMatrix(0.5 * (out + out.conj().T))
+    return ChannelSuperoperator(choi_from_super(0.5 * (out + out.conj().T)))
 
 
 def fit_channel(
     trajectories: Sequence[Trajectory],
-    mode: str = "from_states",
+    mode: str = "from_qst",
     loss_history: Optional[list] = None,
 ) -> tuple[ChannelSuperoperator, float]:
-    """Fit a CPTP channel to consecutive state pairs, regressing ``[1; r_s]`` on ``[1; r_(s-1)]``.
+    """Fit a CPTP channel to consecutive observed steps, regressing ``[1; r_s]`` on ``[1; r_(s-1)]``.
 
-    Each r is read off a state (``from_states``) or is ``closed_form_bloch`` of
-    an observed b (``from_qst``).  Takes the least-squares update of the Bloch
-    map G that changes the identity least, so directions below the SVD noise
-    floor keep the identity, then projects the Choi matrix of its ``g`` onto
-    the CPTP set once, by ``cptp_project``'s dual ascent on the multiplier of
-    the trace constraint.  Returns the channel and its loss, also appended to
+    Each r is ``closed_form_bloch`` of an observed b, so every trajectory must
+    be observed (``observe_trajectory``, exactly or sampled); ``mode`` must be
+    ``"from_qst"``.  Takes the least-squares update of the Bloch map G that
+    changes the identity least, so directions below the SVD noise floor keep
+    the identity, then projects the Choi matrix of its ``g`` onto the CPTP set
+    once, by ``cptp_project``'s dual ascent on the multiplier of the trace
+    constraint.  Returns the channel and its loss, also appended to
     ``loss_history`` if given:
 
         sum_ij || rho_ij - unvec(g vec(rho_i,j-1)) ||_F^2 = sum_ij |r_ij - m r_i,j-1 - t|^2 / 2
     """
+    if mode != "from_qst":
+        raise ValueError(f"unknown fit mode {mode!r}")
     if not trajectories:
         raise ValueError("at least one trajectory is required")
     for k, trajectory in enumerate(trajectories):
         if not isinstance(trajectory, Trajectory):
             raise ValueError(f"trajectories[{k}] must be a Trajectory, got {type(trajectory).__name__}")
+        if trajectory.observations is None:
+            raise ValueError(f"trajectories[{k}] has no observations; observe it first with observe_trajectory")
     first = np.concatenate([np.arange(trajectory.steps + 1) == 0 for trajectory in trajectories])
     last = np.roll(first, -1)  # a trajectory's last step precedes the next one's first
-    if mode == "from_states":
-        if any(trajectory.states is None for trajectory in trajectories):
-            raise ValueError("from_states fit requires simulated states")
-        r = np.array([bloch_from_density(rho) for t in trajectories for rho in t.states])
-    elif mode == "from_qst":
-        if any(trajectory.observations is None for trajectory in trajectories):
-            raise ValueError("from_qst fit requires observations")
-        observations = [obs for trajectory in trajectories for obs in trajectory.observations]
-        r = closed_form_bloch(np.array([obs.b for obs in observations]))
-    else:
-        raise ValueError(f"unknown fit mode {mode!r}")
+    observations = [obs for trajectory in trajectories for obs in trajectory.observations]
+    r = closed_form_bloch(np.array([obs.b for obs in observations]))
     columns = np.concatenate([np.ones((1, len(r))), r.T])
     x = np.compress(~last, columns, axis=1)
     y = np.compress(~first, columns, axis=1)
 
-    # x's singular values are those of the vec(rho) columns times sqrt(2)
+    # x's singular values are those of the vec(rho) columns times sqrt(2); shot noise
+    # perturbs them by roughly the Frobenius norm of the column uncertainties (|delta|
+    # per column), and directions below twice that carry no usable signal and would
+    # only amplify noise through the pseudoinverse
     u, s, vh = np.linalg.svd(x, full_matrices=False)
-    floor = s[0] * 1e-12
-    if mode == "from_qst":
-        # shot noise perturbs the singular values of x by roughly the
-        # Frobenius norm of the column uncertainties (|delta| per column);
-        # directions below twice that carry no usable signal and would only
-        # amplify noise through the pseudoinverse
-        delta = np.compress(~last, np.array([obs.delta for obs in observations]), axis=0)
+    delta = np.compress(~last, np.array([obs.delta for obs in observations]), axis=0)
+    with np.errstate(over="ignore"):  # a sum that overflows is an infinite floor, which keeps no direction
         delta_sq = float(np.cumsum(squared_norms(delta))[-1])  # a running sum, in step order
-        floor = max(floor, 2.0 * math.sqrt(delta_sq))
-    keep = s > floor
+    keep = s > max(s[0] * 1e-12, 2.0 * math.sqrt(delta_sq))
     rank = int(np.count_nonzero(keep))
     if rank < 4:
         warnings.warn(
@@ -463,8 +445,7 @@ def fit_channel(
     x_pinv = (vh.T * inv_s) @ u.T
 
     candidate = np.eye(4) - (x - y) @ x_pinv  # G; x and y share their first row of ones
-    g = choi_from_super(cptp_project(choi_from_super(_P @ candidate @ _HALF_PH)).c)
-    channel = ChannelSuperoperator(g)
+    channel = cptp_project(choi_from_super(_P @ candidate @ _HALF_PH))
     loss = 0.5 * float(np.linalg.norm(y[1:] - channel.m @ x[1:] - channel.t[:, None]) ** 2)
     if loss_history is not None:
         loss_history.append(loss)

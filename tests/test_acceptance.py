@@ -224,7 +224,7 @@ def test_criterion_09_channel_recovery(criterion, rho22, sep5_mixture):
     clean = simulate_trajectory(truth, rho22, 100, dt=0.02)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FitWarning)
-        fitted_clean, _ = fit_channel([clean], mode="from_states")
+        fitted_clean, _ = fit_channel([observe_trajectory(clean, mode="exact")])
     clean_err = float(np.linalg.norm(fitted_clean.g - truth.g))
 
     # the sampled error is a median over a fixed seed set: one seed's error moves

@@ -365,6 +365,61 @@ class TestBEstimates:
         assert hard_b(2.5, 7.5) == pytest.approx(-0.5)
         assert delta_b(2.5, 7.5) > 0.0
 
+    # counts that returned NaN (the first three) or raised OverflowError (n**3 of a float above
+    # 5.6e102, or an integer too large for a float) or ZeroDivisionError (n**3 underflowing to 0)
+    @pytest.mark.parametrize(
+        "rule, n0, n1",
+        [
+            (hard_b, math.nan, 1.0),
+            (delta_b, math.inf, 1.0),
+            (delta_b, 1e308, 1e308),
+            (delta_b, 1e200, 1.0),
+            (hard_b, 1.0, math.inf),
+            (delta_b, 1e308, 0.0),
+            (hard_b, 10**400, 1.0),
+            (delta_b, np.float64(np.nan), 3),
+            (delta_b, 0, 1e-120),
+        ],
+        ids=[
+            "hard_b nan",
+            "delta_b inf",
+            "delta_b 1e308 pair",
+            "delta_b 1e200",
+            "hard_b inf",
+            "delta_b 1e308 cubed",
+            "hard_b 10**400",
+            "delta_b numpy nan",
+            "delta_b underflow",
+        ],
+    )
+    def test_a_non_finite_or_overflowing_count_is_refused(self, rule, n0, n1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^counts must be finite and non-negative with n0 \+ n1 >= 1$"):
+                rule(n0, n1)
+
+    # every count pair the plain formulas took to a finite value keeps its bits
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(0, 2**80), st.floats(0.0, 1e120)),
+        st.one_of(st.integers(0, 2**80), st.floats(0.0, 1e120)),
+    )
+    def test_finite_results_keep_the_plain_formulas_bits(self, n0, n1):
+        plain = {
+            hard_b: lambda: (n0 - n1) / (n0 + n1),
+            delta_b: lambda: 2.0 * math.sqrt(n0 * n1 / (n0 + n1) ** 3),
+        }
+        for rule, formula in plain.items():
+            try:
+                value = formula()
+            except (ZeroDivisionError, OverflowError):
+                value = math.nan
+            if math.isfinite(value):
+                assert rule(n0, n1) == value and math.copysign(1.0, rule(n0, n1)) == math.copysign(1.0, value)
+            else:
+                with pytest.raises(ValueError):
+                    rule(n0, n1)
+
     def test_bounded(self):
         rng = np.random.default_rng(5)
         for _ in range(200):

@@ -14,7 +14,6 @@ from iqtomo import (
     AXES,
     BVector,
     ChannelSuperoperator,
-    ChoiMatrix,
     ComponentParams,
     ContaminationSpec,
     DensityMatrix,
@@ -52,6 +51,11 @@ from oracles import (
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # vec(rho) = P [1; r] / 2 for the row-major vec
 P = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
+
+
+def _projected(h) -> np.ndarray:
+    """The Choi matrix of ``cptp_project(h)``'s channel."""
+    return choi_from_super(cptp_project(h).g)
 
 
 def _identity_choi() -> np.ndarray:
@@ -179,14 +183,28 @@ class TestBlochMap:
         columns = density_columns(np.array(rows))
         assert [s.matrix.tobytes() for s in traj.states[1:]] == [c.reshape(2, 2).tobytes() for c in columns.T]
 
+    @staticmethod
+    def _expanding(scale: float) -> ChannelSuperoperator:
+        # r -> scale r: trace and Hermiticity preserving; its Choi matrix has the eigenvalue (1 - scale) / 2
+        return ChannelSuperoperator(P @ np.diag([1.0, scale, scale, scale]) @ (0.5 * P.conj().T))
+
+    @pytest.mark.parametrize("scale", [1.001, 1.0 + 3e-9])
+    def test_an_expanding_map_is_refused_at_construction(self, scale):
+        with pytest.raises(ValueError, match="^superoperator is not completely positive$"):
+            self._expanding(scale)
+
     @pytest.mark.parametrize(
         "scale, start, step",
-        [(1.001, [0.0, 0.0, 1.0], 1), (1.001, [0.0, 0.999, 0.0], 2), (1.0 + 1e-10, [0.6, 0.0, -0.8], 1)],
+        [
+            (1.0 + 1e-10, [0.6, 0.0, -0.8], 1),
+            (1.0 + 1e-9, [0.0, 0.0, 1.0], 1),
+            (1.0 + 1e-9, [0.0, 1.0 - 1.5e-9, 0.0], 2),
+        ],
     )
     def test_a_step_outside_the_ball_is_refused(self, scale, start, step):
-        # trace and Hermiticity preserving, but expanding: no state stays positive, and
-        # a norm within density_columns' 1e-9 rescale is refused all the same
-        channel = ChannelSuperoperator(P @ np.diag([1.0, scale, scale, scale]) @ (0.5 * P.conj().T))
+        # completely positive to the 1e-9 tolerance, but expanding: a norm within
+        # density_columns' 1e-9 rescale is refused all the same
+        channel = self._expanding(scale)
         assert np.array_equal(channel.m, scale * np.eye(3))
         rho = density_from_bloch(start)
         for n_steps in (step, 3):
@@ -370,11 +388,11 @@ class TestChannelStep:
         return ChannelSuperoperator(g)
 
     # g that used to reach a step's division by a trace of 0, +-inf or NaN: each is
-    # refused at construction or at its first step, with no numpy warning
+    # refused at construction, with no numpy warning
     @pytest.mark.parametrize(
         "case, message",
         [
-            ("zero from cancelling", "^step 1: Bloch vector norm 2e\\+300 exceeds 1$"),
+            ("zero from cancelling", "^superoperator is not completely positive$"),
             ("nan from overflow", "^superoperator's Bloch map overflows$"),
             ("zero superoperator", "^superoperator is not trace preserving$"),
             ("plus inf", "^superoperator is not trace preserving$"),
@@ -667,11 +685,11 @@ class TestSampledObservation:
 class TestCptpProject:
     def test_valid_choi_is_fixed(self):
         c = _identity_choi()
-        np.testing.assert_allclose(cptp_project(c).c, c, atol=1e-9)
+        np.testing.assert_allclose(_projected(c), c, atol=1e-9)
 
     def test_scaled_identity_choi_against_grid_oracle(self):
         doubled = 2.0 * _identity_choi()
-        got = cptp_project(doubled).c
+        got = _projected(doubled)
         # oracle: exhaustive search in the commuting family
         # c(a) = a*|Omega><Omega| + (1-a)*(I - |Omega><Omega|/2), a in [0, 1]
         omega = _identity_choi()
@@ -684,39 +702,50 @@ class TestCptpProject:
         assert np.abs(got - best).max() <= 1e-4
 
     def test_zero_projects_to_depolarizing_choi(self):
-        got = cptp_project(np.zeros((4, 4)))
-        np.testing.assert_allclose(got.c, np.eye(4) / 2, atol=1e-9)
-        again = cptp_project(got.c)
-        np.testing.assert_allclose(again.c, got.c, atol=1e-9)
+        got = _projected(np.zeros((4, 4)))
+        np.testing.assert_allclose(got, np.eye(4) / 2, atol=1e-9)
+        np.testing.assert_allclose(_projected(got), got, atol=1e-9)
 
     def test_random_inputs_land_in_the_set(self):
         rng = np.random.default_rng(54)
         for _ in range(50):
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             h = (m + m.conj().T) / 2
-            choi = cptp_project(h)
-            w = np.linalg.eigvalsh(choi.c)
+            choi = _projected(h)
+            w = np.linalg.eigvalsh(choi)
             assert w.min() >= -1e-9
-            tr_out = np.einsum("ijil->jl", choi.c.reshape(2, 2, 2, 2))
+            tr_out = np.einsum("ijil->jl", choi.reshape(2, 2, 2, 2))
             assert np.abs(tr_out - np.eye(2)).max() <= 1e-9
-            assert np.abs(cptp_project(choi.c).c - choi.c).max() <= 1e-7
+            assert np.abs(_projected(choi) - choi).max() <= 1e-7
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             cptp_project(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    # an inf that numpy multiplied into NaN, a NaN that stopped eigh's iteration, entries whose
+    # Frobenius norm overflowed; and an imaginary part of each
+    @pytest.mark.parametrize("entry", [np.inf, np.nan, 1e300, 1.0000001e150, -np.inf * 1j, np.nan * 1j, 1e300j])
+    @pytest.mark.parametrize("where", ["diagonal", "everywhere"])
+    def test_a_non_finite_or_huge_entry_is_refused_before_any_arithmetic(self, entry, where):
+        h = np.diag([entry, 0, 0, 0]) if where == "diagonal" else np.full((4, 4), entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^projection input entries must be finite and at most 1e150 in size$"):
+                cptp_project(h)
+
     @pytest.mark.parametrize("cap", [1, 3])
-    def test_sweep_cap_warns_and_still_returns_a_choi_matrix(self, monkeypatch, cap):
+    def test_sweep_cap_warns_and_still_returns_a_channel(self, monkeypatch, cap):
         monkeypatch.setattr(qhi, "PROJECTION_MAX_SWEEPS", cap)
         rng = np.random.default_rng(55)
         for _ in range(50):
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             with pytest.warns(ProjectionWarning, match=f"in {cap} sweeps"):
-                choi = cptp_project((m + m.conj().T) / 2)
-            assert isinstance(choi, ChoiMatrix)
+                channel = cptp_project((m + m.conj().T) / 2)
+            assert isinstance(channel, ChannelSuperoperator)
+            choi = choi_from_super(channel.g)
             # the S^-1/2 finish makes any sweep's PSD iterate trace preserving
-            assert np.abs(choi.c[:2, :2] + choi.c[2:, 2:] - np.eye(2)).max() <= 1e-14
-            assert np.linalg.eigvalsh(choi.c).min() >= -1e-14
+            assert np.abs(choi[:2, :2] + choi[2:, 2:] - np.eye(2)).max() <= 1e-14
+            assert np.linalg.eigvalsh(choi).min() >= -1e-14
 
     def test_a_partial_trace_left_singular_by_the_cap_is_refused(self, monkeypatch):
         # one sweep on -I leaves Pi_PSD(-I) = 0, whose partial trace has no inverse square root
@@ -753,7 +782,7 @@ class TestCptpProject:
                 h = scale * (m + m.conj().T) / 2
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", ProjectionWarning)
-                    c = cptp_project(h).c
+                    c = _projected(h)
                 bound = 1e-9 * max(1.0, float(np.linalg.norm(h)))
                 for rank in (1, 1, 2, 3, 4):
                     z = _random_cptp_choi(rng, rank)
@@ -766,7 +795,7 @@ class TestCptpProject:
             h = (m + m.conj().T) / 2
             expected, converged = cptp_project_reference(h, qhi.PROJECTION_MAX_SWEEPS, qhi.PROJECTION_TOL)
             assert converged
-            assert np.abs(cptp_project(h).c - expected).max() <= 1e-10
+            assert np.abs(_projected(h) - expected).max() <= 1e-10
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.25, 1.0]), min_size=32, max_size=32))
@@ -775,7 +804,7 @@ class TestCptpProject:
         c.real, c.imag = np.array(entries[:16]).reshape(4, 4), np.array(entries[16:]).reshape(4, 4)
         expected, converged = cptp_project_reference(c, qhi.PROJECTION_MAX_SWEEPS, qhi.PROJECTION_TOL)
         assert converged
-        assert np.abs(cptp_project(c).c - expected).max() <= 1e-10
+        assert np.abs(_projected(c) - expected).max() <= 1e-10
 
 
 def _random_cptp_choi(rng: np.random.Generator, rank: int) -> np.ndarray:
@@ -784,7 +813,9 @@ def _random_cptp_choi(rng: np.random.Generator, rank: int) -> np.ndarray:
     c = a @ a.conj().T
     w, v = np.linalg.eigh(c[:2, :2] + c[2:, 2:])
     root = np.kron(np.eye(2), (v / np.sqrt(w)) @ v.conj().T)
-    return ChoiMatrix(root @ c @ root).c
+    choi = root @ c @ root
+    ChannelSuperoperator(choi_from_super(choi))  # refused unless CPTP
+    return choi
 
 
 class TestChannelTypes:
@@ -794,11 +825,13 @@ class TestChannelTypes:
 
     # the suite turns numpy RuntimeWarnings into errors: these are rejected without overflow
     @pytest.mark.parametrize("entry", [1e308, 1.7976931348623157e308 * (1 + 1j), -1e308j])
-    @pytest.mark.parametrize("cls", [ChannelSuperoperator, ChoiMatrix])
-    def test_huge_entries_rejected_without_overflow(self, cls, entry):
+    @pytest.mark.parametrize(
+        "build", [ChannelSuperoperator, lambda c: ChannelSuperoperator(choi_from_super(c))], ids=["g", "choi"]
+    )
+    def test_huge_entries_rejected_without_overflow(self, build, entry):
         for m in (np.full((4, 4), entry), entry * np.eye(4), np.diag([1.0, entry, 0.5 * entry, 1.0])):
             with pytest.raises(ValueError):
-                cls(m)
+                build(m)
 
     def test_superoperator_rejects_nan(self):
         with pytest.raises(ValueError, match="^superoperator entries must be finite$"):
@@ -807,19 +840,53 @@ class TestChannelTypes:
     def test_choi_rejects_nan(self):
         m = _identity_choi()
         m[1, 2] = m[2, 1] = np.nan
-        with pytest.raises(ValueError, match="^Choi matrix entries must be finite$"):
-            ChoiMatrix(m)
+        with pytest.raises(ValueError, match="^superoperator entries must be finite$"):
+            ChannelSuperoperator(choi_from_super(m))
 
     def test_choi_must_be_psd(self):
         bad = _identity_choi() - 0.5 * np.eye(4)
         with pytest.raises(ValueError):
-            ChoiMatrix(bad)
+            ChannelSuperoperator(choi_from_super(bad))
+
+    def test_the_transpose_map_is_refused(self):
+        # positive on every state (it keeps the Bloch ball, reflecting y), but its Choi matrix is the swap
+        transpose = np.eye(4)[[0, 2, 1, 3]]
+        np.testing.assert_array_equal(_bloch_map(transpose), np.diag([1.0, 1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError, match="^superoperator is not completely positive$"):
+            ChannelSuperoperator(transpose)
+
+    # a Kraus family sum_k K_k^H K_k = I: the 2 x 2 blocks of an isometry's columns
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_every_kraus_channel_is_accepted(self, rank, seed, spread):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(2 * rank, 2)) + 1j * rng.normal(size=(2 * rank, 2))
+        a[:2] *= spread  # one dominant (or negligible) Kraus operator
+        isometry, _ = np.linalg.qr(a)
+        kraus = isometry.reshape(rank, 2, 2)
+        channel = ChannelSuperoperator(sum(np.kron(k, k.conj()) for k in kraus))
+        assert np.linalg.eigvalsh(choi_from_super(channel.g)).min() >= -1e-14
+
+    # C + eps (I (x) T / 2 - v v^H), T = Tr_out(v v^H), keeps C's trace and Hermiticity, and
+    # v^H C v = 0 for a unit null vector v of C, so C's smallest eigenvalue drops to at most -eps / 2
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [2.1e-9, 1e-6, 0.1])
+    def test_a_choi_eigenvalue_below_the_tolerance_is_refused(self, rank, eps):
+        rng = np.random.default_rng(60 + rank)
+        for _ in range(20):
+            choi = _random_cptp_choi(rng, rank)
+            v = np.linalg.eigh(choi)[1][:, 0]
+            outer = np.outer(v, v.conj())
+            bent = choi + eps * (np.kron(np.eye(2), outer[:2, :2] + outer[2:, 2:]) / 2 - outer)
+            assert np.linalg.eigvalsh(bent).min() <= -eps / 2 + 1e-15
+            with pytest.raises(ValueError, match="^superoperator is not completely positive$"):
+                ChannelSuperoperator(choi_from_super(bent))
 
     def test_a_step_matches_the_vectorised_product(self):
         rng = np.random.default_rng(57)
         for _ in range(200):
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            channel = ChannelSuperoperator(choi_from_super(cptp_project((m + m.conj().T) / 2).c))
+            channel = cptp_project((m + m.conj().T) / 2)
             r = rng.normal(size=3)
             rho = density_from_bloch(r * rng.uniform() ** (1 / 3) / np.linalg.norm(r))
             step = simulate_trajectory(channel, rho, 1).states[1]
@@ -874,7 +941,7 @@ def _fit_inputs(trajectories, noise_floor: bool = True) -> tuple[np.ndarray, np.
 def _projected_step(big: np.ndarray, x: np.ndarray, y: np.ndarray, x_pinv: np.ndarray) -> np.ndarray:
     """``g`` of one minimum-change step of the Bloch map ``big`` and its CPTP projection."""
     candidate = big - (big @ x - y) @ x_pinv
-    return choi_from_super(cptp_project(choi_from_super(P @ candidate @ (0.5 * P.conj().T))).c)
+    return cptp_project(choi_from_super(P @ candidate @ (0.5 * P.conj().T))).g
 
 
 def _bloch_map(g: np.ndarray) -> np.ndarray:
@@ -933,7 +1000,7 @@ class TestClosedFormBloch:
 
     def test_a_from_qst_fit_regresses_the_oracle_bloch_vectors(self):
         # every branch of the closed form, overflow and second rescale included, reaches the
-        # fit; with zero delta its noise floor is the from_states one, so g must agree bit for bit
+        # fit; with zero delta its noise floor is s[0] * 1e-12 alone, so g must agree bit for bit
         rows = _INSIDE + _ON + _OUTSIDE + [_PROJECTED_ABOVE_ONE, _OVERFLOWS]
         observed = Trajectory(
             trajectory_id=0, dt=0.02, observations=tuple(BVector(b=row, delta=np.zeros(3)) for row in rows)
@@ -947,19 +1014,19 @@ class TestClosedFormBloch:
 
 class TestFitChannel:
     def test_noiseless_recovery(self, rotation, rho22):
-        traj = simulate_trajectory(rotation, rho22, 100, dt=0.02)
+        traj = observe_trajectory(simulate_trajectory(rotation, rho22, 100, dt=0.02), mode="exact")
         with pytest.warns(FitWarning):
-            fitted, loss = fit_channel([traj], mode="from_states")
+            fitted, loss = fit_channel([traj])
         assert np.linalg.norm(fitted.g - rotation.g) <= 1e-6
         assert loss <= 1e-12
 
     def test_two_trajectories_fix_all_directions(self, rotation, rho22):
         other = density_from_bloch([0.9, 0.1, 0.0])
-        t1 = simulate_trajectory(rotation, rho22, 60, trajectory_id=0)
-        t2 = simulate_trajectory(rotation, other, 60, trajectory_id=1)
+        t1 = observe_trajectory(simulate_trajectory(rotation, rho22, 60, trajectory_id=0), mode="exact")
+        t2 = observe_trajectory(simulate_trajectory(rotation, other, 60, trajectory_id=1), mode="exact")
         with warnings.catch_warnings():
             warnings.simplefilter("error", FitWarning)  # rank must now be full
-            fitted, _ = fit_channel([t1, t2], mode="from_states")
+            fitted, _ = fit_channel([t1, t2])
         assert np.linalg.norm(fitted.g - rotation.g) <= 1e-6
 
     def test_noiseless_damped_tetrahedral_starts_recover_m_and_t(self):
@@ -967,12 +1034,14 @@ class TestFitChannel:
         # so the projection leaves the least-squares fit where it is
         channel = ChannelSuperoperator(_damped_channel(0.01) @ unitary_superoperator(step_unitary("y", 2.0, 0.02)).g)
         trajectories = [
-            simulate_trajectory(channel, density_from_bloch(start), 25, trajectory_id=j)
+            observe_trajectory(
+                simulate_trajectory(channel, density_from_bloch(start), 25, trajectory_id=j), mode="exact"
+            )
             for j, start in enumerate(_TETRAHEDRON)
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error", FitWarning)
-            fitted, loss = fit_channel(trajectories, mode="from_states")
+            fitted, loss = fit_channel(trajectories)
         assert np.abs(fitted.m - channel.m).max() <= 1e-12
         assert np.abs(fitted.t - channel.t).max() <= 1e-12
         assert np.abs(channel.t).max() > 1e-3  # damping moves the fixed point off the centre
@@ -980,16 +1049,37 @@ class TestFitChannel:
 
     def test_constant_trajectory_keeps_identity(self):
         mixed = DensityMatrix(np.eye(2) / 2)
-        traj = simulate_trajectory(ChannelSuperoperator(np.eye(4)), mixed, 10)
+        traj = observe_trajectory(simulate_trajectory(ChannelSuperoperator(np.eye(4)), mixed, 10), mode="exact")
         with pytest.warns(FitWarning):
-            fitted, loss = fit_channel([traj], mode="from_states")
+            fitted, loss = fit_channel([traj])
         assert loss <= 1e-24
         np.testing.assert_allclose(fitted.g, np.eye(4), atol=1e-9)
 
-    def test_from_qst_requires_observations(self, rotation, rho22):
-        traj = simulate_trajectory(rotation, rho22, 5)
-        with pytest.raises(ValueError):
-            fit_channel([traj], mode="from_qst")
+    def test_an_unobserved_trajectory_is_refused(self, rotation, rho22):
+        observed = observe_trajectory(simulate_trajectory(rotation, rho22, 5), mode="exact")
+        states = simulate_trajectory(rotation, rho22, 5)
+        message = "^trajectories\\[1\\] has no observations; observe it first with observe_trajectory$"
+        with pytest.raises(ValueError, match=message):
+            fit_channel([observed, states])
+
+    @pytest.mark.parametrize("mode", ["from_states", "exact", None])
+    def test_a_mode_other_than_from_qst_is_refused(self, rotation, rho22, mode):
+        observed = observe_trajectory(simulate_trajectory(rotation, rho22, 5), mode="exact")
+        with pytest.raises(ValueError, match=f"^unknown fit mode {re.escape(repr(mode))}$"):
+            fit_channel([observed], mode=mode)
+
+    @pytest.mark.parametrize("size", [1e154, 1e200, 1.7976931348623157e308])
+    def test_a_noise_floor_that_overflows_keeps_the_identity(self, rotation, rho22, size):
+        # the sum of delta's squares overflows to inf: an infinite floor, which keeps no direction
+        traj = observe_trajectory(simulate_trajectory(rotation, rho22, 5), mode="exact")
+        observations = tuple(BVector(b=obs.b, delta=np.full(3, size)) for obs in traj.observations)
+        noisy = Trajectory(trajectory_id=0, dt=traj.dt, observations=observations)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fitted, _ = fit_channel([noisy])
+        assert [(w.category, "span only 0 of 4" in str(w.message)) for w in caught] == [(FitWarning, True)]
+        assert fitted.g.tobytes() == cptp_project(_identity_choi()).g.tobytes()
+        np.testing.assert_allclose(fitted.g, np.eye(4), atol=1e-15)
 
     def test_loss_history_holds_the_one_loss(self, rotation, rho22, sep5_mixture):
         traj = simulate_trajectory(rotation, rho22, 50)
@@ -1038,7 +1128,7 @@ class TestFitChannel:
             h = choi_from_super(P @ (big - (big @ x - y) @ x_pinv) @ (0.5 * P.conj().T))
             expected, converged = cptp_project_reference(h, qhi.PROJECTION_MAX_SWEEPS, qhi.PROJECTION_TOL)
             assert converged
-            assert np.abs(cptp_project(h).c - expected).max() <= 1e-10
+            assert np.abs(_projected(h) - expected).max() <= 1e-10
             big = _bloch_map(choi_from_super(expected))
 
     def test_second_step_on_full_rank_data_stays_put(self):
